@@ -320,10 +320,21 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
 
 
-@lru_cache(maxsize=None)
 def _scatter(gamma_over_delta: float, k0l: float, mutate: bool = False,
              span: float = 1.0):
-    """One cached scattering run for the validation checks."""
+    """One cached scattering run for the validation checks.
+
+    Arguments are normalised before the cache lookup, so every spelling of
+    the same cell (defaults omitted, passed by position or by keyword)
+    shares one integration.
+    """
+    return _scatter_cached(float(gamma_over_delta), float(k0l), bool(mutate),
+                           float(span))
+
+
+@lru_cache(maxsize=None)
+def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool,
+                    span: float):
     params = cell_params(gamma_over_delta, k0l)
     coupling = evaluate_coupling(params, CouplingModel.full())
     if mutate:
@@ -669,7 +680,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-span", dest="grid_span", type=float, metavar="F",
                         help="post-pulse window scale factor")
     parser.add_argument("--zero-pad", dest="zero_pad", type=int, metavar="N",
-                        help="spectral zero-padding factor")
+                        help="minimum spectral zero-padding factor")
 
 
 def build_parser() -> argparse.ArgumentParser:

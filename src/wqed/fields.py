@@ -222,14 +222,61 @@ def pulse_areas(fields: tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope],
 # spectra
 # ----------------------------------------------------------------------
 
+def fft_length(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c that is >= n.
+
+    Such lengths keep the FFT on its fast mixed-radix path; a length with
+    a large prime factor is several times slower.
+    """
+    if n < 1:
+        raise ConfigurationError(f"FFT length must be >= 1, got {n}")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # fewest factors of two that lift p35 to at least n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _detuning_axis(n: int, dtau: float) -> np.ndarray:
+    """Angular detunings of an n-point DFT on step dtau, ascending, with
+    exactly zero at index n // 2."""
+    omega = np.arange(-(n // 2), n - n // 2, dtype=float)
+    omega *= 2.0 * math.pi / (n * dtau)
+    return omega
+
+
+def _alternate(samples: np.ndarray) -> None:
+    """Multiply by (-1)^j in place.  For an even DFT length this moves bin
+    n/2 to index 0, i.e. it does the work of fftshift on the input side."""
+    samples[1::2] *= -1.0
+
+
+def _phase_ramp(values: np.ndarray, omega: np.ndarray, tau0: float,
+                scale: float) -> None:
+    """values *= scale * e^{i omega tau0}, in place."""
+    ramp = np.empty_like(values)
+    np.multiply(omega, tau0, out=ramp.real)
+    np.sin(ramp.real, out=ramp.imag)
+    np.cos(ramp.real, out=ramp.real)
+    ramp *= scale
+    values *= ramp
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Discrete spectrum A~(omega) of one envelope.
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
-    evaluated by a zero-padded rectangle-rule DFT.  The detuning axis is
-    stored in units of the pulse width delta.  tau0/dtau/n_time record
-    the originating grid so the transform can be inverted exactly.
+    evaluated by a zero-padded rectangle-rule DFT whose length is the
+    5-smooth fft_length(n_time * zero_pad_factor).  The detuning axis is
+    stored ascending in units of the pulse width delta, with zero detuning
+    at index size // 2.  tau0/dtau/n_time record the originating grid so
+    the transform can be inverted exactly.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
@@ -251,28 +298,44 @@ class Spectrum:
     def time_samples(self) -> np.ndarray:
         """Invert the DFT back to the original n_time envelope samples."""
         n = self.amplitude.size
-        raw = np.fft.ifftshift(
-            self.amplitude * np.exp(-1j * (self.detuning * self.delta) * self.tau0))
-        return np.fft.fft(raw / (n * self.dtau))[:self.n_time]
+        buf = self.amplitude.astype(complex)
+        _phase_ramp(buf, _detuning_axis(n, self.dtau), -self.tau0,
+                    1.0 / (n * self.dtau))
+        if n % 2:
+            buf = np.fft.ifftshift(buf)
+        np.fft.fft(buf, out=buf)
+        samples = buf[:self.n_time].copy()
+        if n % 2 == 0:
+            _alternate(samples)
+        return samples
 
 
 def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
-    """Zero-padded DFT spectrum of an envelope, detuning in units of delta."""
+    """Zero-padded DFT spectrum of an envelope, detuning in units of delta.
+
+    The envelope is padded with zeros to fft_length(n_time *
+    zero_pad_factor) points: at least zero_pad_factor times its length,
+    rounded up to a 5-smooth FFT length.
+    """
     if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
         raise ConfigurationError(
             f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
     n_time = env.samples.size
-    n = n_time * zero_pad_factor
-    padded = np.zeros(n, dtype=complex)
-    padded[:n_time] = env.samples
+    n = fft_length(n_time * zero_pad_factor)
     dtau = env.dtau
     tau0 = float(env.tau[0])
-    detuning_abs = 2.0 * math.pi * np.fft.fftfreq(n, d=dtau)
-    amplitude = dtau * np.exp(1j * detuning_abs * tau0) * (n * np.fft.ifft(padded))
-    return Spectrum(
-        detuning=np.fft.fftshift(detuning_abs) / env.delta,
-        amplitude=np.fft.fftshift(amplitude),
-        delta=env.delta, tau0=tau0, dtau=dtau, n_time=n_time)
+    amplitude = np.zeros(n, dtype=complex)
+    amplitude[:n_time] = env.samples
+    if n % 2 == 0:
+        _alternate(amplitude[:n_time])
+    np.fft.ifft(amplitude, norm="forward", out=amplitude)
+    if n % 2:
+        amplitude = np.fft.fftshift(amplitude)
+    omega = _detuning_axis(n, dtau)
+    _phase_ramp(amplitude, omega, tau0, dtau)
+    omega /= env.delta
+    return Spectrum(detuning=omega, amplitude=amplitude,
+                    delta=env.delta, tau0=tau0, dtau=dtau, n_time=n_time)
 
 
 def dip_width(spec: Spectrum) -> float:

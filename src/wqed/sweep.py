@@ -194,6 +194,7 @@ class CellResult:
     area_refl_ratio: float | None = None
     area_check: str | None = None
     identity_transmission: bool | None = None
+    fft_len: int | None = None
     dip_depth: float | None = None
     dip_width: float | None = None
     peak_ratio: float | None = None
@@ -261,8 +262,8 @@ class RunManifest:
                 if area is not None:
                     entries[f"abs_{key}"] = abs(area)
             for key in ("area_trans_ratio", "area_refl_ratio", "area_check",
-                        "identity_transmission", "dip_depth", "dip_width",
-                        "peak_ratio", "residual1", "residual2",
+                        "identity_transmission", "fft_len", "dip_depth",
+                        "dip_width", "peak_ratio", "residual1", "residual2",
                         "markov_ok", "markov_ratio_max"):
                 value = getattr(cell, key)
                 if value is not None:
@@ -408,6 +409,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             area_trans_ratio=trans_ratio, area_refl_ratio=refl_ratio,
             area_check=check,
             identity_transmission=bool(np.array_equal(trans.samples, inc.samples)),
+            fft_len=spec_trans.amplitude.size,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,

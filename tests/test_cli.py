@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import wqed.cli
 from wqed.cli import (
     EXIT_CHECK,
     EXIT_GUARD,
@@ -254,6 +255,25 @@ class TestValidateCommand:
         code, _, err = invoke(["validate", "--only", "no-such-check"])
         assert code == EXIT_USAGE
         assert "unknown check" in err
+
+    def test_full_run_integrates_each_cell_once(self, monkeypatch):
+        """Checks sharing a cell share one integration: the 3x3 pulse-area
+        grid plus the three doubled-span pi/4 cells, 12 in all."""
+        calls = []
+        integrate = wqed.cli.integrate_markovian
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(wqed.cli, "integrate_markovian", counting)
+        wqed.cli._scatter_cached.cache_clear()
+        try:
+            code, _, _ = invoke(["validate"])
+        finally:
+            wqed.cli._scatter_cached.cache_clear()
+        assert code == EXIT_OK
+        assert len(calls) == 12
 
     def test_mutated_coupling_fails_pulse_area(self):
         code, out, _ = invoke(["validate", "--only", "pulse-area",

@@ -30,6 +30,7 @@ from wqed.fields import (
     FieldEnvelope,
     consistency_residuals,
     dip_width,
+    fft_length,
     pulse_areas,
     radiation_prefactors,
     reconstruct_fields,
@@ -224,6 +225,48 @@ class TestPulseAreas:
             pulse_areas((trans, inc, refl))
 
 
+def smooth_lengths(limit):
+    """Every 2^a 3^b 5^c <= limit, by enumeration."""
+    found = {1}
+    frontier = [1]
+    while frontier:
+        k = frontier.pop()
+        for p in (2, 3, 5):
+            if k * p <= limit and k * p not in found:
+                found.add(k * p)
+                frontier.append(k * p)
+    return sorted(found)
+
+
+SMOOTH_TO_10K = smooth_lengths(10_000)
+
+
+def has_only_factors_235(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestFftLength:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=5000))
+    def test_smallest_5_smooth_at_least_n(self, n):
+        m = fft_length(n)
+        assert m >= n
+        assert has_only_factors_235(m)
+        assert m == min(k for k in SMOOTH_TO_10K if k >= n)
+
+    @pytest.mark.parametrize("n", [6_412_808, 1_651_632, 83_992, 2**20 + 1])
+    def test_large_lengths_are_minimal(self, n):
+        m = fft_length(n)
+        assert m == min(k for k in smooth_lengths(2 * n) if k >= n)
+
+    def test_guard(self):
+        with pytest.raises(ConfigurationError, match="FFT length"):
+            fft_length(0)
+
+
 class TestSpectrum:
     def test_parseval(self):
         """Time-domain and spectral energies agree to 1e-6 relative."""
@@ -269,6 +312,40 @@ class TestSpectrum:
         trans = reconstruct_fields(traj, wp, p)[1]
         back = spectrum(trans).time_samples()
         assert float(np.max(np.abs(back - trans.samples))) <= 1e-10 * trans.peak()
+
+    @staticmethod
+    def assert_matches_direct_dft(env, sp):
+        """Amplitudes at ~20 detunings within 4 widths equal the direct sum
+        sum_j A_j e^{i omega tau_j} dtau to 1e-12 of the largest."""
+        inside = np.flatnonzero(np.abs(sp.detuning) <= 4.0)
+        picks = inside[np.linspace(0, inside.size - 1, 21).astype(int)]
+        omega = sp.detuning[picks] * sp.delta
+        direct = np.exp(1j * np.outer(omega, env.tau)) @ env.samples * env.dtau
+        scale = float(np.max(np.abs(direct)))
+        assert float(np.max(np.abs(sp.amplitude[picks] - direct))) <= 1e-12 * scale
+
+    def test_direct_dft_even_padded_length(self):
+        p, wp, traj, coup = run_case(0.25, math.pi / 4)
+        trans = reconstruct_fields(traj, wp, p)[1]
+        sp = spectrum(trans)
+        n = sp.amplitude.size
+        assert n == fft_length(8 * trans.samples.size) and n % 2 == 0
+        assert sp.detuning[n // 2] == 0.0
+        self.assert_matches_direct_dft(trans, sp)
+
+    def test_direct_dft_odd_padded_length(self):
+        """An odd 5-smooth n_time with no padding takes the fftshift path."""
+        p = SimParams.from_ratios(0.25, math.pi / 4)
+        tau = np.linspace(-6.0, 6.0, 405)        # 405 = 3^4 * 5
+        samples = np.exp(-0.25 * tau ** 2) * np.exp(0.7j * tau) * (1 + 0.2 * tau)
+        env = FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples,
+                            prefactors=radiation_prefactors(p), delta=1.0)
+        sp = spectrum(env, zero_pad_factor=1)
+        assert sp.amplitude.size == 405
+        assert sp.detuning[405 // 2] == 0.0
+        self.assert_matches_direct_dft(env, sp)
+        back = sp.time_samples()
+        assert float(np.max(np.abs(back - samples))) <= 1e-12 * env.peak()
 
     def test_zero_pad_guard(self):
         p, wp, traj, coup = run_case(0.25, math.pi / 4)

@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wqed.coupling import CouplingModel
+from wqed.coupling import CouplingModel, evaluate_coupling
+from wqed.dynamics import default_grid
 from wqed.errors import ConfigurationError, DomainError
+from wqed.fields import DEFAULT_ZERO_PAD, fft_length
 from wqed.serialize import read_config, read_csv
 from wqed.sweep import (
     AREA_FAIL,
@@ -19,6 +21,7 @@ from wqed.sweep import (
     SPECTRUM_WINDOW,
     CouplingRow,
     SweepSpec,
+    cell_params,
     compare_couplings,
     model_from_label,
     model_label,
@@ -170,8 +173,12 @@ class TestRunSweep:
         assert sections["manifest"]["n_cells"] == 3
         assert sections["manifest"]["all_ok"] is True
         assert sections["sweep"]["area_tol"] == 1e-3
-        for index in range(3):
+        for index, ratio in enumerate(TRIPLE):
             entries = sections[f"cell{index:03d}"]
+            params = cell_params(ratio, PI4)
+            m_total = evaluate_coupling(params, CouplingModel.full()).m_total
+            n = default_grid(params, m_total=m_total).n
+            assert entries["fft_len"] == fft_length(n * DEFAULT_ZERO_PAD)
             assert entries["area_check"] == AREA_PASS
             assert entries["passed"] is True
             for name in str(entries["files"]).split(","):
