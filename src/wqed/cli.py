@@ -48,7 +48,6 @@ from .errors import ConfigurationError, DomainError, WqedError
 from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
 from .fields import (
     dip_width,
-    pulse_areas,
     reconstruct_fields,
     spectrum,
     transfer_oracle,
@@ -116,24 +115,22 @@ class RunConfig:
     guard_limit: float = HARD_GUARD_LIMIT
 
     def __post_init__(self):
-        if not (self.gamma_over_delta >= 0 and math.isfinite(self.gamma_over_delta)):
-            raise ConfigurationError(
-                f"gamma_over_delta must be finite and >= 0, got {self.gamma_over_delta}")
-        if not (self.k0l >= 0 and math.isfinite(self.k0l)):
-            raise ConfigurationError(f"k0l must be finite and >= 0, got {self.k0l}")
-        if not (self.omega0_over_gamma > 0):
-            raise ConfigurationError(
-                f"omega0_over_gamma must be > 0, got {self.omega0_over_gamma}")
         if self.normalization not in (UNIT_EXCITATION, BARE_PREFACTOR):
             raise ConfigurationError(
                 f"unknown normalization {self.normalization!r}")
-        if self.span_factor <= 0 or self.dt_factor <= 0:
-            raise ConfigurationError("span_factor and dt_factor must be > 0")
-        if not (isinstance(self.zero_pad, int) and self.zero_pad >= 1):
-            raise ConfigurationError(f"zero_pad must be an int >= 1, got {self.zero_pad}")
-        if self.area_tol <= 0 or self.guard_limit <= 0:
-            raise ConfigurationError("area_tol and guard_limit must be > 0")
-        self.coupling_model()  # validates model label / epsilon pairing
+        if self.guard_limit <= 0:
+            raise ConfigurationError("guard_limit must be > 0")
+        self.sweep_spec()  # validates the values shared with SweepSpec
+
+    def sweep_spec(self, out_dir=None) -> SweepSpec:
+        """This run as a one-cell sweep."""
+        return SweepSpec(
+            gamma_over_delta=[self.gamma_over_delta], k0l=[self.k0l],
+            models=[self.coupling_model()],
+            omega0_over_gamma=self.omega0_over_gamma,
+            normalization=self.normalization, span_factor=self.span_factor,
+            dt_factor=self.dt_factor, zero_pad=self.zero_pad,
+            area_tol=self.area_tol, out_dir=out_dir)
 
     def coupling_model(self) -> CouplingModel:
         return model_from_label(self.model, self.epsilon)
@@ -292,14 +289,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             print(f"  {name} = {value:.3g}", file=sys.stderr)
         return EXIT_GUARD
 
-    spec = SweepSpec(gamma_over_delta=[cfg.gamma_over_delta], k0l=[cfg.k0l],
-                     models=[cfg.coupling_model()],
-                     omega0_over_gamma=cfg.omega0_over_gamma,
-                     normalization=cfg.normalization,
-                     span_factor=cfg.span_factor, dt_factor=cfg.dt_factor,
-                     zero_pad=cfg.zero_pad, area_tol=cfg.area_tol,
-                     out_dir=out)
-    manifest = run_sweep(spec)
+    manifest = run_sweep(cfg.sweep_spec(out))
     cell = manifest.cells[0]
     (out / "run_config.txt").write_text(cfg.text(), newline="\n")
 

@@ -226,6 +226,15 @@ QUADRATURE = "quadrature"
 GAUSSIAN_CLOSED_FORM = "gaussian_closed_form"
 
 
+def check_alignment(wavepacket: IncidentWavepacket, params: SimParams) -> None:
+    """Reject a wavepacket whose carrier or width differs from params."""
+    for label, name in (("carrier", "omega0"), ("width", "delta")):
+        ours, theirs = getattr(wavepacket, name), getattr(params, name)
+        if abs(ours - theirs) > 1e-9 * theirs:
+            raise ConfigurationError(f"wavepacket {label} {ours} does not "
+                                     f"match params.{name} {theirs}")
+
+
 def build_source(wavepacket: IncidentWavepacket, params: SimParams,
                  grid: TimeGrid, method: str = GAUSSIAN_CLOSED_FORM) -> SourceTerm:
     """Construct S0_j(t), the one-photon drive seen by each atom.
@@ -241,12 +250,7 @@ def build_source(wavepacket: IncidentWavepacket, params: SimParams,
     """
     if method not in (QUADRATURE, GAUSSIAN_CLOSED_FORM):
         raise ConfigurationError(f"unknown source method {method!r}")
-    if abs(wavepacket.omega0 - params.omega0) > 1e-9 * params.omega0:
-        raise ConfigurationError(
-            f"wavepacket carrier {wavepacket.omega0} != params.omega0 {params.omega0}")
-    if abs(wavepacket.delta - params.delta) > 1e-9 * params.delta:
-        raise ConfigurationError(
-            f"wavepacket bandwidth {wavepacket.delta} != params.delta {params.delta}")
+    check_alignment(wavepacket, params)
     center = params.z1 / params.c
     need = 6.0 / params.delta
     if grid.t_start > center - need or grid.t_end < center + need:

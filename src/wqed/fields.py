@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingModel, CouplingResult, SimParams, evaluate_coupling
-from .dynamics import AmplitudeTrajectory, IncidentWavepacket
+from .dynamics import AmplitudeTrajectory, IncidentWavepacket, check_alignment
 from .errors import ConfigurationError, GridMismatch, NumericalError, TruncationError
 
 INCIDENT = "incident"
@@ -61,8 +61,6 @@ END_DECAY_FRACTION = 1e-3
 DEFAULT_ZERO_PAD = 8
 # transfer grids must cover the pulse spectrum out to this many bandwidths
 _MIN_TRANSFER_SPAN = 8.0
-# relative tolerance for wavepacket/params carrier agreement
-_CARRIER_RTOL = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -147,17 +145,6 @@ class FieldEnvelope:
         return self.end_fraction() <= fraction
 
 
-def _check_alignment(wavepacket: IncidentWavepacket, params: SimParams) -> None:
-    if abs(wavepacket.omega0 - params.omega0) > _CARRIER_RTOL * params.omega0:
-        raise ConfigurationError(
-            f"wavepacket carrier {wavepacket.omega0} does not match "
-            f"params.omega0 {params.omega0}")
-    if abs(wavepacket.delta - params.delta) > _CARRIER_RTOL * params.delta:
-        raise ConfigurationError(
-            f"wavepacket width {wavepacket.delta} does not match "
-            f"params.delta {params.delta}")
-
-
 def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket,
                        params: SimParams) -> tuple[FieldEnvelope, FieldEnvelope,
                                                    FieldEnvelope]:
@@ -167,7 +154,7 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
     tau = t - z1/c; the flight-time offsets between the atoms are dropped
     at the same (Markovian) order as in the dynamics.
     """
-    _check_alignment(wavepacket, params)
+    check_alignment(wavepacket, params)
     times = traj.grid.times
     center = params.z1 / params.c
     if not (times[0] <= center <= times[-1]):
@@ -433,7 +420,7 @@ def transfer_oracle(params: SimParams, coupling: CouplingModel | CouplingResult 
     D = 0 (gamma > 0) is filled with that limit; with gamma = 0 the
     response at zero detuning is genuinely singular.
     """
-    _check_alignment(wavepacket, params)
+    check_alignment(wavepacket, params)
     detuning = np.asarray(freq_grid, dtype=float)
     if detuning.ndim != 1 or detuning.size < 2:
         raise ConfigurationError("freq_grid must be a 1-d array of detunings")

@@ -14,6 +14,8 @@ import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -55,24 +57,56 @@ def parse_value(text: str):
 # CSV
 # ----------------------------------------------------------------------
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV with a one-line header; cells via format_value."""
-    out = io.StringIO()
+CSV_CHUNK_ROWS = 8192  # rows formatted by one `%` operation
+
+
+def _write_columns(out, header: Sequence[str], columns: Sequence) -> None:
+    """The one CSV writer: a header line, then the rows of the equal-length
+    `columns` in chunks of CSV_CHUNK_ROWS.  A table of float64 arrays is
+    formatted with `%.17g`, which equals format_value for every float (nan,
+    inf, -0 and 1 included); any other table goes through format_value."""
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ConfigurationError(
+            f"column lengths {[len(c) for c in columns]} differ")
+    floats = all(getattr(c, "dtype", None) == np.float64 for c in columns)
+    row_fmt = ",".join(["%.17g" if floats else "%s"] * len(columns)) + "\n"
     out.write(",".join(header) + "\n")
-    n_cols = len(header)
+    for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+        chunk = [column[lo:lo + CSV_CHUNK_ROWS] for column in columns]
+        cells = (np.column_stack(chunk).ravel().tolist() if floats else
+                 [format_value(v) for row in zip(*chunk) for v in row])
+        out.write((row_fmt * len(chunk[0])) % tuple(cells))
+
+
+def _row_columns(header: Sequence[str], rows: Iterable[Sequence]) -> list:
+    """Rows transposed to columns; a row of the wrong width is rejected."""
+    rows = list(rows)
     for row in rows:
-        if len(row) != n_cols:
+        if len(row) != len(header):
             raise ConfigurationError(
-                f"row has {len(row)} cells, header has {n_cols}")
-        out.write(",".join(format_value(cell) for cell in row) + "\n")
+                f"row has {len(row)} cells, header has {len(header)}")
+    return list(zip(*rows)) or [()] * len(header)
+
+
+def write_table(path, header: Sequence[str], columns: Sequence) -> Path:
+    """Write columns as CSV to path with UNIX newlines; returns the path."""
+    path = Path(path)
+    with open(path, "w", newline="\n") as out:
+        _write_columns(out, header, columns)
+    return path
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of rows, through the same writer as write_table."""
+    out = io.StringIO()
+    _write_columns(out, header, _row_columns(header, rows))
     return out.getvalue()
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write csv_text to path with UNIX newlines; returns the path."""
-    path = Path(path)
-    path.write_text(csv_text(header, rows), newline="\n")
-    return path
+    """Write rows as CSV to path with UNIX newlines; returns the path."""
+    return write_table(path, header, _row_columns(header, rows))
 
 
 def read_csv(path) -> tuple[list[str], list[list]]:

@@ -37,18 +37,17 @@ from .dynamics import (
     integrate_markovian,
     markov_guard,
 )
-from .errors import ConfigurationError, NumericalError, TruncationError, WqedError
+from .errors import ConfigurationError, NumericalError, WqedError
 from .fields import (
     DEFAULT_ZERO_PAD,
     FieldEnvelope,
     Spectrum,
     consistency_residuals,
     dip_width as measure_dip_width,
-    pulse_areas,
     reconstruct_fields,
     spectrum,
 )
-from .serialize import config_text, format_value, write_csv
+from .serialize import format_value, write_config, write_table
 
 MANIFEST_VERSION = 1
 DEFAULT_AREA_TOL = 1e-3
@@ -275,9 +274,7 @@ class RunManifest:
 
 
 def write_manifest(manifest: RunManifest, path) -> Path:
-    path = Path(path)
-    path.write_text(config_text(manifest.sections()), newline="\n")
-    return path
+    return write_config(path, manifest.sections())
 
 
 # ----------------------------------------------------------------------
@@ -293,31 +290,26 @@ SPECTRUM_HEADER = ("detuning", "intensity")
 SPECTRUM_WINDOW = 8.0
 
 
-def _write_table(path, header: tuple[str, ...], columns) -> Path:
-    path = Path(path)
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
-    return path
-
-
 def write_trajectory_csv(path, traj: AmplitudeTrajectory) -> Path:
-    return _write_table(path, TRAJECTORY_HEADER,
-                        (traj.grid.times, traj.beta1.real, traj.beta1.imag,
-                         traj.beta2.real, traj.beta2.imag))
+    return write_table(path, TRAJECTORY_HEADER,
+                       (traj.grid.times, traj.beta1.real, traj.beta1.imag,
+                        traj.beta2.real, traj.beta2.imag))
 
 
 def write_envelope_csv(path, env: FieldEnvelope) -> Path:
-    return _write_table(path, ENVELOPE_HEADER,
-                        (env.tau, env.samples.real, env.samples.imag,
-                         np.abs(env.samples)))
+    return write_table(path, ENVELOPE_HEADER,
+                       (env.tau, env.samples.real, env.samples.imag,
+                        np.abs(env.samples)))
 
 
 def write_spectrum_csv(path, spec: Spectrum,
                        window: float | None = SPECTRUM_WINDOW) -> Path:
+    d = spec.detuning  # ascending: |d| <= window is one slice
     keep = (slice(None) if window is None
-            else np.abs(spec.detuning) <= window)
-    return _write_table(path, SPECTRUM_HEADER,
-                        (spec.detuning[keep], spec.intensity[keep]))
+            else slice(np.searchsorted(d, -window, "left"),
+                       np.searchsorted(d, window, "right")))
+    return write_table(path, SPECTRUM_HEADER,
+                       (d[keep], spec.intensity[keep]))
 
 
 def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
@@ -325,15 +317,12 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
                       spectra: dict[str, Spectrum]) -> tuple[str, ...]:
     """Write one cell's artifacts; returns the relative file names."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = [f"{prefix}trajectory.csv"]
-    write_trajectory_csv(out_dir / names[-1], traj)
-    for env in envelopes:
-        names.append(f"{prefix}{env.kind}.csv")
-        write_envelope_csv(out_dir / names[-1], env)
-    for kind, spec in spectra.items():
-        names.append(f"{prefix}spectrum_{kind}.csv")
-        write_spectrum_csv(out_dir / names[-1], spec)
-    return tuple(names)
+    paths = [write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj)]
+    paths += [write_envelope_csv(out_dir / f"{prefix}{env.kind}.csv", env)
+              for env in envelopes]
+    paths += [write_spectrum_csv(out_dir / f"{prefix}spectrum_{kind}.csv", spec)
+              for kind, spec in spectra.items()]
+    return tuple(path.name for path in paths)
 
 
 # ----------------------------------------------------------------------
@@ -366,11 +355,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         envelopes = reconstruct_fields(traj, wavepacket, params)
         inc, trans, refl = envelopes
 
-        try:
-            pulse_areas(envelopes)
-            decayed = True
-        except TruncationError:
-            decayed = False
+        decayed = all(env.ends_decayed() for env in envelopes)
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
         trans_ratio = abs(s_trans) / abs(s_inc)
         refl_ratio = abs(s_refl + s_inc) / abs(s_inc)

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import io
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,12 @@ class TestRunConfig:
             RunConfig(zero_pad=1.5)
         with pytest.raises(DomainError):
             RunConfig(model="rwa-cutoff")  # cutoff needs epsilon
+
+    def test_readme_example_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        block, = [b for b in blocks if b.startswith("[run]")]
+        assert RunConfig.from_text(block) == RunConfig()
 
     def test_flags_win_over_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
