@@ -8,7 +8,8 @@ The package is organized bottom-up:
     dynamics  excitation amplitudes driven by an incident wavepacket
     fields    transmitted/reflected envelopes, spectra, pulse areas
     farfield  out-of-band detector diagnostics
-    sweep     parameter sweeps and coupling-model comparisons
+    sweep     the scatter pipeline, sweeps, coupling-model comparisons
+    checks    the validation check registry (validate and the gate)
     cli       command-line front end
 
 All quantities use waveguide units: c = 1 and rates measured against

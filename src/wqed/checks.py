@@ -1,0 +1,266 @@
+"""The validation checks, shared by `wqed validate` and the acceptance gate.
+
+Each check takes the `mutate` flag (negate the coupling in the pulse-area
+runs, a known-bad hook that tests the suite itself) and returns a
+CheckResult.  Scattering runs are cached per cell, so checks sharing a
+cell share one integration.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import replace
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
+
+from .coupling import (CouplingModel, SimParams, coupling_full, coupling_oracle,
+                       coupling_rwa_cutoff, evaluate_coupling)
+from .dynamics import build_source, oracle_modes
+from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
+from .fields import (consistency_residuals, dip_width, spectrum, transfer_oracle,
+                     transfer_spectrum)
+from .specfun import ci, si
+from .sweep import cell_params, compare_couplings, scatter
+
+PI4 = math.pi / 4
+TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
+
+
+class CheckResult(NamedTuple):
+    ok: bool
+    measured: float
+    tol: float
+    note: str
+
+
+def _at_most(measured: float, tol: float, note: str) -> CheckResult:
+    """The result of a check that passes iff measured <= tol."""
+    return CheckResult(measured <= tol, measured, tol, note)
+
+
+def _scatter(gamma_over_delta: float, k0l: float, mutate: bool = False,
+             span_factor: float = 1.0, dt_factor: float = 1.0):
+    """(params, wavepacket, coupling, traj, envelopes) of one full-coupling run,
+    cached on normalised arguments: all spellings of a cell share one run."""
+    return _scatter_cached(float(gamma_over_delta), float(k0l), bool(mutate),
+                           float(span_factor), float(dt_factor))
+
+
+@lru_cache(maxsize=None)
+def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool,
+                    span_factor: float, dt_factor: float):
+    params = cell_params(gamma_over_delta, k0l)
+    coupling = evaluate_coupling(params, CouplingModel.full())
+    if mutate:
+        coupling = replace(coupling, m_total=-coupling.m_total)
+    wavepacket, traj, envelopes = scatter(params, coupling, span_factor=span_factor,
+                                          dt_factor=dt_factor)
+    return params, wavepacket, coupling, traj, envelopes
+
+
+def oracle_deviation(gamma_over_delta: float, k0l: float,
+                     dt_factor: float = 1.0) -> float:
+    """Sup-norm deviation of the RK4 amplitudes from the mode oracle,
+    relative to the oracle's largest amplitude."""
+    params, wavepacket, coupling, traj, _ = _scatter(gamma_over_delta, k0l,
+                                                     dt_factor=dt_factor)
+    source = build_source(wavepacket, params, traj.grid)
+    oracle = oracle_modes(source, coupling, params, traj.grid)
+    scale = max(np.max(np.abs(oracle.beta1)), np.max(np.abs(oracle.beta2)))
+    return max(np.max(np.abs(traj.beta1 - oracle.beta1)),
+               np.max(np.abs(traj.beta2 - oracle.beta2))) / scale
+
+
+@lru_cache(maxsize=None)
+def dip_profile() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """Over TRIPLE at k0l = pi/4: the worst resonant intensity ratio, and
+    the transmitted dip widths and peak ratios in TRIPLE order."""
+    worst, widths, peaks = 0.0, [], []
+    for ratio in TRIPLE:
+        inc, trans, _ = _scatter(ratio, PI4)[4]
+        spec_inc, spec_trans = spectrum(inc), spectrum(trans)
+        worst = max(worst, abs(spec_trans.at_resonance()) ** 2
+                    / abs(spec_inc.at_resonance()) ** 2)
+        widths.append(dip_width(spec_trans))
+        peaks.append(trans.peak() / inc.peak())
+    return worst, tuple(widths), tuple(peaks)
+
+
+def _check_coupling_identity(mutate: bool = False) -> CheckResult:
+    worst = 0.0
+    for x in np.linspace(0.0, 8 * math.pi, 100):
+        params = SimParams.from_ratios(1.0, x)
+        m = coupling_full(params).m_total
+        worst = max(worst, abs(m - cmath.exp(1j * x)))
+    return _at_most(worst, 1e-12, "max |M - e^{i k0l}| over 100 points")
+
+
+def _check_coupling_oracle(mutate: bool = False) -> CheckResult:
+    worst = 0.0
+    for x in (PI4, math.pi / 2, 3 * math.pi):
+        params = SimParams.from_ratios(1.0, x)
+        closed = coupling_full(params).m_total
+        quadrature = sum(coupling_oracle(params, part) for part in (1, 2, 3, 4))
+        worst = max(worst, abs(quadrature - closed))
+    return _at_most(worst, 1e-6, "quadrature vs closed form, 3 spot values")
+
+
+def _check_rwa_divergence(mutate: bool = False) -> CheckResult:
+    params = SimParams.from_ratios(1.0, PI4)
+    log_eps, imags = [], []
+    for exponent in range(2, 7):
+        eps = params.omega0 * 10.0 ** (-exponent)
+        log_eps.append(math.log(eps))
+        imags.append(coupling_rwa_cutoff(params, eps).m_total.imag)
+    slope = np.polyfit(log_eps, imags, 1)[0]
+    target = -params.gamma / math.pi
+    rel = abs(slope - target) / abs(target)
+    return _at_most(rel, 0.01, "slope of Im M vs ln(eps), rel dev from -1/pi")
+
+
+def _check_negfreq_equivalence(mutate: bool = False) -> CheckResult:
+    rows = compare_couplings(np.linspace(0.0, 8 * math.pi, 100),
+                             [CouplingModel.rwa_negfreq()])
+    worst = max(row.abs_dev_from_full for row in rows)
+    return _at_most(worst, 1e-12, "max deviation over 100 points")
+
+
+def _check_mode_oracle(mutate: bool = False) -> CheckResult:
+    worst = max(oracle_deviation(ratio, PI4) for ratio in TRIPLE)
+    return _at_most(worst, 1e-8, "RK4 vs mode-decomposition, sup norm")
+
+
+def _check_pulse_area(mutate: bool = False) -> CheckResult:
+    worst, decayed = 0.0, True
+    for ratio in TRIPLE:
+        for k0l in (0.0, PI4, math.pi / 2):
+            inc, trans, refl = _scatter(ratio, k0l, mutate)[4]
+            worst = max(worst,
+                        abs(trans.pulse_area) / abs(inc.pulse_area),
+                        abs(refl.pulse_area + inc.pulse_area) / abs(inc.pulse_area))
+            decayed = decayed and trans.ends_decayed() and refl.ends_decayed()
+    note = "max area ratio over the 3x3 grid"
+    if not decayed:
+        note += " (envelopes not decayed at grid ends)"
+    return CheckResult(worst <= 1e-3 and decayed, worst, 1e-3, note)
+
+
+def _check_resonance_dip(mutate: bool = False) -> CheckResult:
+    worst, widths, peaks = dip_profile()
+    ok = worst <= 1e-4 and widths[0] < widths[1] < widths[2] and peaks[-1] < 0.3
+    return CheckResult(ok, worst, 1e-4, "resonant intensity ratio; widths ordered; peak cut")
+
+
+def _check_local_consistency(mutate: bool = False) -> CheckResult:
+    worst = 0.0
+    for ratio in TRIPLE:
+        params, _, _, traj, envelopes = _scatter(ratio, PI4)
+        worst = max(worst, *consistency_residuals(traj, envelopes, params))
+    return _at_most(worst, 1e-3, "normalized sup-norm of both residuals")
+
+
+def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
+    worst = 0.0
+    for ratio in TRIPLE:
+        params, wavepacket, coupling, _, envelopes = _scatter(ratio, PI4)
+        inc, trans, _ = envelopes
+        spec_inc = spectrum(inc)
+        t_vals, _ = transfer_oracle(params, coupling, wavepacket,
+                                    spec_inc.detuning * spec_inc.delta)
+        predicted = transfer_spectrum(spec_inc, t_vals).time_samples()
+        worst = max(worst, np.max(np.abs(predicted - trans.samples)) / trans.peak())
+    return _at_most(worst, 1e-4, "frequency- vs time-domain envelope")
+
+
+def _check_transfer_resonance(mutate: bool = False) -> CheckResult:
+    # the doubled window pushes the truncation tail below the tolerance
+    worst = 0.0
+    for ratio in TRIPLE:
+        inc, trans, _ = _scatter(ratio, PI4, span_factor=2.0)[4]
+        worst = max(worst, abs(spectrum(trans).at_resonance()
+                               / spectrum(inc).at_resonance()))
+    return _at_most(worst, 1e-6, "resonant amplitude ratio, doubled window")
+
+
+def _far_detector(params: SimParams) -> DetectorSpec:
+    """A band 40 rates wide around omega0, 1e3 carrier wavelengths out."""
+    delta0 = 40.0 * max(params.gamma, params.delta)
+    omega1 = params.omega0 - delta0 / 2
+    return DetectorSpec.centered(params.omega0, delta0, z=-1e3 / omega1,
+                                 omega_c=params.omega0 / 1e3)
+
+
+def _check_farfield_suppression(mutate: bool = False) -> CheckResult:
+    params, _, _, traj, _ = _scatter(0.25, PI4)
+    measured = i2_ratio(traj, _far_detector(params), params)
+    return _at_most(measured, 1e-4, "out-of-band intensity ratio I2/I1")
+
+
+def _check_farfield_bound(mutate: bool = False) -> CheckResult:
+    params, _, _, _, _ = _scatter(0.25, PI4)
+    measured = i3_bound(params, _far_detector(params))
+    return _at_most(measured, 1e-2, "virtual-channel intensity bound I3")
+
+
+def _check_farfield_quadrature(mutate: bool = False) -> CheckResult:
+    from scipy.integrate import quad
+
+    def band_quadrature(w1, w2, w0, a):
+        value, _ = quad(lambda w: 1.0 / (w * (w + w0)), w1, w2,
+                        weight="cos", wvar=a, limit=400)
+        return value
+
+    def pv_quadrature(w1, w2, w0, a):
+        # pole subtraction: smooth quotient + analytic log of the pole
+        def g(w):
+            return complex(math.cos(-w * a), math.sin(-w * a)) / w
+        def quotient(w):
+            return (g(w) - g(w0)) / (w - w0)
+        re, _ = quad(lambda w: quotient(w).real, w1, w2, points=[w0], limit=400)
+        im, _ = quad(lambda w: quotient(w).imag, w1, w2, points=[w0], limit=400)
+        return complex(re, im) + g(w0) * math.log((w2 - w0) / (w0 - w1))
+
+    w1, w2, w0, a = 0.9, 1.3, 1.0, 7.0
+    dev_f = abs((eval_f(w2, w0, a) - eval_f(w1, w0, a))
+                - band_quadrature(w1, w2, w0, a))
+    dev_pv = abs(pv_band_integral(20.0, 60.0, 40.0, 1.0)
+                 - pv_quadrature(20.0, 60.0, 40.0, 1.0))
+    worst = max(dev_f, dev_pv)
+    return _at_most(worst, 1e-6, "detection integrals vs quadrature")
+
+
+def _check_specfun(mutate: bool = False) -> CheckResult:
+    from scipy.integrate import quad
+    worst = 0.0
+    for x in np.logspace(-3, 3, 12):
+        si_ref, _ = quad(lambda t: np.sinc(t / np.pi), 0.0, x,
+                         limit=max(200, int(20 * x)))
+        if x <= 6.0:
+            smooth, _ = quad(lambda t: (math.cos(t) - 1.0) / t, 0.0, x)
+            ci_ref = np.euler_gamma + math.log(x) + smooth
+        else:
+            tail, _ = quad(lambda t: 1.0 / t, x, np.inf, weight="cos", wvar=1.0)
+            ci_ref = -tail
+        worst = max(worst, abs(si(x).value - si_ref), abs(ci(x).value - ci_ref))
+    return _at_most(worst, 1e-10, "si/ci vs defining integrals, log grid")
+
+
+VALIDATION_CHECKS = {
+    "coupling-identity": _check_coupling_identity,
+    "coupling-oracle": _check_coupling_oracle,
+    "rwa-divergence": _check_rwa_divergence,
+    "negfreq-equivalence": _check_negfreq_equivalence,
+    "mode-oracle": _check_mode_oracle,
+    "pulse-area": _check_pulse_area,
+    "resonance-dip": _check_resonance_dip,
+    "local-consistency": _check_local_consistency,
+    "transfer-oracle": _check_transfer_oracle,
+    "transfer-resonance": _check_transfer_resonance,
+    "farfield-suppression": _check_farfield_suppression,
+    "farfield-bound": _check_farfield_bound,
+    "farfield-quadrature": _check_farfield_quadrature,
+    "specfun": _check_specfun,
+}

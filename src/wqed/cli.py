@@ -18,41 +18,17 @@ artifacts (manifests carry a version field, never timestamps).
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import (
-    CouplingModel,
-    SimParams,
-    coupling_full,
-    coupling_rwa_cutoff,
-    evaluate_coupling,
-)
-from .dynamics import (
-    BARE_PREFACTOR,
-    UNIT_EXCITATION,
-    IncidentWavepacket,
-    build_source,
-    default_grid,
-    integrate_markovian,
-    markov_guard,
-    oracle_modes,
-)
+from .checks import VALIDATION_CHECKS, CheckResult
+from .coupling import CouplingModel, SimParams
+from .dynamics import BARE_PREFACTOR, UNIT_EXCITATION, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
-from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
-from .fields import (
-    dip_width,
-    reconstruct_fields,
-    spectrum,
-    transfer_oracle,
-    transfer_spectrum,
-)
 from .serialize import (
     config_text,
     csv_text,
@@ -60,7 +36,6 @@ from .serialize import (
     parse_config_text,
     write_csv,
 )
-from .specfun import ci, si
 from .sweep import (
     DEFAULT_AREA_TOL,
     SweepSpec,
@@ -241,7 +216,7 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     models = [model_from_label(token, args.epsilon)
               for token in args.models.split(",")]
     rows = compare_couplings(k0l_values, models,
-                             omega0_over_gamma=args.omega0_over_gamma or 1e4)
+                             omega0_over_gamma=args.omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)
              for row in rows]
@@ -307,241 +282,6 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # validate subcommand
 # ----------------------------------------------------------------------
 
-TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
-
-
-def _scatter(gamma_over_delta: float, k0l: float, mutate: bool = False,
-             span: float = 1.0):
-    """One cached scattering run for the validation checks.
-
-    Arguments are normalised before the cache lookup, so every spelling of
-    the same cell (defaults omitted, passed by position or by keyword)
-    shares one integration.
-    """
-    return _scatter_cached(float(gamma_over_delta), float(k0l), bool(mutate),
-                           float(span))
-
-
-@lru_cache(maxsize=None)
-def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool,
-                    span: float):
-    params = cell_params(gamma_over_delta, k0l)
-    coupling = evaluate_coupling(params, CouplingModel.full())
-    if mutate:
-        coupling = replace(coupling, m_total=-coupling.m_total)
-    grid = default_grid(params, span_factor=span, m_total=coupling.m_total)
-    wavepacket = IncidentWavepacket(params.delta, params.omega0)
-    source = build_source(wavepacket, params, grid)
-    traj = integrate_markovian(source, coupling, params, grid)
-    envelopes = reconstruct_fields(traj, wavepacket, params)
-    return params, wavepacket, coupling, traj, envelopes
-
-
-def _check_coupling_identity(mutate: bool):
-    worst = 0.0
-    for x in np.linspace(0.0, 8 * math.pi, 100):
-        params = SimParams.from_ratios(1.0, x)
-        m = coupling_full(params).m_total
-        worst = max(worst, abs(m - cmath.exp(1j * x)))
-    return worst <= 1e-12, worst, 1e-12, "max |M - e^{i k0l}| over 100 points"
-
-
-def _check_coupling_oracle(mutate: bool):
-    from .coupling import coupling_oracle
-    worst = 0.0
-    for x in (PI4, math.pi / 2, 3 * math.pi):
-        params = SimParams.from_ratios(1.0, x)
-        closed = coupling_full(params).m_total
-        quadrature = sum(coupling_oracle(params, part) for part in (1, 2, 3, 4))
-        worst = max(worst, abs(quadrature - closed))
-    return worst <= 1e-6, worst, 1e-6, "quadrature vs closed form, 3 spot values"
-
-
-def _check_rwa_divergence(mutate: bool):
-    params = SimParams.from_ratios(1.0, PI4)
-    log_eps, imags = [], []
-    for exponent in range(2, 7):
-        eps = params.omega0 * 10.0 ** (-exponent)
-        log_eps.append(math.log(eps))
-        imags.append(coupling_rwa_cutoff(params, eps).m_total.imag)
-    slope = np.polyfit(log_eps, imags, 1)[0]
-    target = -params.gamma / math.pi
-    rel = abs(slope - target) / abs(target)
-    return rel <= 0.01, rel, 0.01, "slope of Im M vs ln(eps), rel dev from -1/pi"
-
-
-def _check_negfreq_equivalence(mutate: bool):
-    rows = compare_couplings(np.linspace(0.0, 8 * math.pi, 100),
-                             [CouplingModel.rwa_negfreq()])
-    worst = max(row.abs_dev_from_full for row in rows)
-    return worst <= 1e-12, worst, 1e-12, "max deviation over 100 points"
-
-
-def _check_mode_oracle(mutate: bool):
-    worst = 0.0
-    for ratio in TRIPLE:
-        params, wavepacket, coupling, traj, _ = _scatter(ratio, PI4)
-        source = build_source(wavepacket, params, traj.grid)
-        oracle = oracle_modes(source, coupling, params, traj.grid)
-        scale = max(np.max(np.abs(oracle.beta1)), np.max(np.abs(oracle.beta2)))
-        dev = max(np.max(np.abs(traj.beta1 - oracle.beta1)),
-                  np.max(np.abs(traj.beta2 - oracle.beta2))) / scale
-        worst = max(worst, dev)
-    return worst <= 1e-8, worst, 1e-8, "RK4 vs mode-decomposition, sup norm"
-
-
-def _check_pulse_area(mutate: bool):
-    worst = 0.0
-    decayed = True
-    for ratio in TRIPLE:
-        for k0l in (0.0, PI4, math.pi / 2):
-            _, _, _, _, envelopes = _scatter(ratio, k0l, mutate)
-            inc, trans, refl = envelopes
-            worst = max(worst,
-                        abs(trans.pulse_area) / abs(inc.pulse_area),
-                        abs(refl.pulse_area + inc.pulse_area) / abs(inc.pulse_area))
-            decayed = decayed and trans.ends_decayed() and refl.ends_decayed()
-    ok = worst <= 1e-3 and decayed
-    note = "max area ratio over the 3x3 grid"
-    if not decayed:
-        note += " (envelopes not decayed at grid ends)"
-    return ok, worst, 1e-3, note
-
-
-def _check_resonance_dip(mutate: bool):
-    worst = 0.0
-    widths = []
-    peaks = {}
-    for ratio in TRIPLE:
-        _, _, _, _, envelopes = _scatter(ratio, PI4)
-        inc, trans, _ = envelopes
-        spec_inc = spectrum(inc)
-        spec_trans = spectrum(trans)
-        suppression = (abs(spec_trans.at_resonance()) ** 2
-                       / abs(spec_inc.at_resonance()) ** 2)
-        worst = max(worst, suppression)
-        widths.append(dip_width(spec_trans))
-        peaks[ratio] = trans.peak() / inc.peak()
-    ordered = widths[0] < widths[1] < widths[2]
-    ok = worst <= 1e-4 and ordered and peaks[4.0] < 0.3
-    return ok, worst, 1e-4, "resonant intensity ratio; widths ordered; peak cut"
-
-
-def _check_local_consistency(mutate: bool):
-    from .fields import consistency_residuals
-    worst = 0.0
-    for ratio in TRIPLE:
-        params, _, _, traj, envelopes = _scatter(ratio, PI4)
-        worst = max(worst, *consistency_residuals(traj, envelopes, params))
-    return worst <= 1e-3, worst, 1e-3, "normalized sup-norm of both residuals"
-
-
-def _check_transfer_oracle(mutate: bool):
-    worst = 0.0
-    for ratio in TRIPLE:
-        params, wavepacket, coupling, _, envelopes = _scatter(ratio, PI4)
-        inc, trans, _ = envelopes
-        spec_inc = spectrum(inc)
-        t_vals, _ = transfer_oracle(params, coupling, wavepacket,
-                                    spec_inc.detuning * spec_inc.delta)
-        predicted = transfer_spectrum(spec_inc, t_vals).time_samples()
-        dev = np.max(np.abs(predicted - trans.samples)) / trans.peak()
-        worst = max(worst, dev)
-    return worst <= 1e-4, worst, 1e-4, "frequency- vs time-domain envelope"
-
-
-def _check_transfer_resonance(mutate: bool):
-    # the doubled window pushes the truncation tail below the tolerance
-    worst = 0.0
-    for ratio in TRIPLE:
-        _, _, _, _, envelopes = _scatter(ratio, PI4, span=2.0)
-        inc, trans, _ = envelopes
-        ratio_res = abs(spectrum(trans).at_resonance() / spectrum(inc).at_resonance())
-        worst = max(worst, ratio_res)
-    return worst <= 1e-6, worst, 1e-6, "resonant amplitude ratio, doubled window"
-
-
-def _far_detector(params: SimParams, margin: float = 1e3,
-                  band_factor: float = 40.0) -> DetectorSpec:
-    delta0 = band_factor * max(params.gamma, params.delta)
-    omega1 = params.omega0 - delta0 / 2
-    return DetectorSpec.centered(params.omega0, delta0, z=-margin / omega1,
-                                 omega_c=params.omega0 / 1e3)
-
-
-def _check_farfield_suppression(mutate: bool):
-    params, _, _, traj, _ = _scatter(0.25, PI4)
-    measured = i2_ratio(traj, _far_detector(params), params)
-    return measured <= 1e-4, measured, 1e-4, "out-of-band intensity ratio I2/I1"
-
-
-def _check_farfield_bound(mutate: bool):
-    params, _, _, _, _ = _scatter(0.25, PI4)
-    measured = i3_bound(params, _far_detector(params))
-    return measured <= 1e-2, measured, 1e-2, "virtual-channel intensity bound I3"
-
-
-def _check_farfield_quadrature(mutate: bool):
-    from scipy.integrate import quad
-
-    def band_quadrature(w1, w2, w0, a):
-        value, _ = quad(lambda w: 1.0 / (w * (w + w0)), w1, w2,
-                        weight="cos", wvar=a, limit=400)
-        return value
-
-    def pv_quadrature(w1, w2, w0, a):
-        # pole subtraction: smooth quotient + analytic log of the pole
-        def g(w):
-            return complex(math.cos(-w * a), math.sin(-w * a)) / w
-        def quotient(w):
-            return (g(w) - g(w0)) / (w - w0)
-        re, _ = quad(lambda w: quotient(w).real, w1, w2, points=[w0], limit=400)
-        im, _ = quad(lambda w: quotient(w).imag, w1, w2, points=[w0], limit=400)
-        return complex(re, im) + g(w0) * math.log((w2 - w0) / (w0 - w1))
-
-    w1, w2, w0, a = 0.9, 1.3, 1.0, 7.0
-    dev_f = abs((eval_f(w2, w0, a) - eval_f(w1, w0, a))
-                - band_quadrature(w1, w2, w0, a))
-    dev_pv = abs(pv_band_integral(20.0, 60.0, 40.0, 1.0)
-                 - pv_quadrature(20.0, 60.0, 40.0, 1.0))
-    worst = max(dev_f, dev_pv)
-    return worst <= 1e-6, worst, 1e-6, "detection integrals vs quadrature"
-
-
-def _check_specfun(mutate: bool):
-    from scipy.integrate import quad
-    worst = 0.0
-    for x in np.logspace(-3, 3, 12):
-        si_ref, _ = quad(lambda t: np.sinc(t / np.pi), 0.0, x,
-                         limit=max(200, int(20 * x)))
-        if x <= 6.0:
-            smooth, _ = quad(lambda t: (math.cos(t) - 1.0) / t, 0.0, x)
-            ci_ref = np.euler_gamma + math.log(x) + smooth
-        else:
-            tail, _ = quad(lambda t: 1.0 / t, x, np.inf, weight="cos", wvar=1.0)
-            ci_ref = -tail
-        worst = max(worst, abs(si(x).value - si_ref), abs(ci(x).value - ci_ref))
-    return worst <= 1e-10, worst, 1e-10, "si/ci vs defining integrals, log grid"
-
-
-VALIDATION_CHECKS = {
-    "coupling-identity": _check_coupling_identity,
-    "coupling-oracle": _check_coupling_oracle,
-    "rwa-divergence": _check_rwa_divergence,
-    "negfreq-equivalence": _check_negfreq_equivalence,
-    "mode-oracle": _check_mode_oracle,
-    "pulse-area": _check_pulse_area,
-    "resonance-dip": _check_resonance_dip,
-    "local-consistency": _check_local_consistency,
-    "transfer-oracle": _check_transfer_oracle,
-    "transfer-resonance": _check_transfer_resonance,
-    "farfield-suppression": _check_farfield_suppression,
-    "farfield-bound": _check_farfield_bound,
-    "farfield-quadrature": _check_farfield_quadrature,
-    "specfun": _check_specfun,
-}
-
-
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.list:
         for name in VALIDATION_CHECKS:
@@ -556,14 +296,13 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     failures = 0
     for name in names:
         try:
-            ok, measured, tol, note = VALIDATION_CHECKS[name](
-                args.mutate_coupling_sign)
+            result = VALIDATION_CHECKS[name](args.mutate_coupling_sign)
         except WqedError as exc:
-            ok, measured, tol = False, math.nan, math.nan
-            note = f"raised {type(exc).__name__}: {exc}"
-        failures += not ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name:<22} measured={measured:.3e} tol={tol:.0e}  {note}")
+            result = CheckResult(False, math.nan, math.nan,
+                                 f"raised {type(exc).__name__}: {exc}")
+        failures += not result.ok
+        print(f"{'PASS' if result.ok else 'FAIL'} {name:<22} "
+              f"measured={result.measured:.3e} tol={result.tol:.0e}  {result.note}")
     print(f"{len(names) - failures}/{len(names)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_CHECK
 
@@ -691,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coupling.add_argument("--epsilon", type=float, metavar="F",
                             help="infrared cutoff for rwa-cutoff")
     p_coupling.add_argument("--omega0-over-gamma", dest="omega0_over_gamma",
-                            type=float, metavar="F")
+                            type=float, default=1e4, metavar="F")
     p_coupling.add_argument("--out", metavar="DIR",
                             help="write coupling.csv here instead of stdout")
     p_coupling.set_defaults(handler=cmd_coupling, subparser=p_coupling)

@@ -53,10 +53,6 @@ from .specfun import ci, si
 # here; pairwise sums and the total do not depend on it.
 EPS_REF_RATIO = 1e-8
 
-# Markov validity demands omega0 and c/l to dominate gamma and delta by
-# at least this factor.
-DEFAULT_MARKOV_FACTOR = 20.0
-
 # |Ci(eps*l/c)| beyond which an rwa_cutoff evaluation is flagged as
 # running into the infrared divergence.
 DEFAULT_CI_DIVERGENCE_THRESHOLD = 1.0
@@ -84,10 +80,7 @@ class SimParams:
     z1: float = 0.0           # position of atom 1 (phase reference)
     z2: float | None = None   # position of atom 2; defaults to z1 + l
     c: float = 1.0            # propagation speed (unit convention)
-    markov_factor: float = DEFAULT_MARKOV_FACTOR
     k0l: float = field(init=False)
-    markov_omega0_ok: bool = field(init=False)
-    markov_retardation_ok: bool = field(init=False)
 
     def __post_init__(self):
         if self.z2 is None:
@@ -106,11 +99,6 @@ class SimParams:
             raise ConfigurationError(
                 f"z2 - z1 = {self.z2 - self.z1} inconsistent with l = {self.l}")
         object.__setattr__(self, "k0l", self.omega0 * self.l / self.c)
-        rate = max(self.gamma, self.delta)
-        object.__setattr__(self, "markov_omega0_ok",
-                           self.omega0 >= self.markov_factor * rate)
-        object.__setattr__(self, "markov_retardation_ok",
-                           self.l == 0.0 or self.c / self.l >= self.markov_factor * rate)
 
     @classmethod
     def from_ratios(cls, gamma_over_delta: float, k0l: float,
@@ -303,15 +291,6 @@ def evaluate_coupling(params: SimParams, model: CouplingModel) -> CouplingResult
     if model.variant == "rwa_const_g":
         return coupling_rwa_const_g(params)
     return coupling_rwa_negfreq(params)
-
-
-def real_virtual_split(result: CouplingResult) -> tuple[float, float]:
-    """(resonant-photon part, virtual-photon part) = (Re M, Im M).
-
-    Meaningful for results of coupling_full: resonant photons produce the
-    population-transfer part, all off-resonant ones the frequency shift.
-    """
-    return (result.m_total.real, result.m_total.imag)
 
 
 # ----------------------------------------------------------------------

@@ -340,19 +340,30 @@ def thread_count() -> int:
     return max(1, n)
 
 
+def scatter(params: SimParams, coupling: CouplingResult,
+            normalization: str = UNIT_EXCITATION, span_factor: float = 1.0,
+            dt_factor: float = 1.0,
+            ) -> tuple[IncidentWavepacket, AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
+    """(wavepacket, traj, envelopes) of one scattering event, envelopes
+    being (incident, transmitted, reflected): the one grid, source, RK4
+    and fields pipeline behind run_cell and the validation checks.  The
+    source is not kept, so its grid-length series die with the integration."""
+    grid = default_grid(params, span_factor, dt_factor, m_total=coupling.m_total)
+    wavepacket = IncidentWavepacket(params.delta, params.omega0,
+                                    normalization=normalization)
+    traj = integrate_markovian(build_source(wavepacket, params, grid),
+                               coupling, params, grid)
+    return wavepacket, traj, reconstruct_fields(traj, wavepacket, params)
+
+
 def run_cell(index: int, gamma_over_delta: float, k0l: float,
              model: CouplingModel, spec: SweepSpec) -> CellResult:
     """Run the full pipeline for one grid cell; never raises WqedError."""
     try:
         params = cell_params(gamma_over_delta, k0l, spec.omega0_over_gamma)
         coupling = evaluate_coupling(params, model)
-        grid = default_grid(params, spec.span_factor, spec.dt_factor,
-                            m_total=coupling.m_total)
-        wavepacket = IncidentWavepacket(params.delta, params.omega0,
-                                        normalization=spec.normalization)
-        source = build_source(wavepacket, params, grid)
-        traj = integrate_markovian(source, coupling, params, grid)
-        envelopes = reconstruct_fields(traj, wavepacket, params)
+        _, traj, envelopes = scatter(params, coupling, spec.normalization,
+                                     spec.span_factor, spec.dt_factor)
         inc, trans, refl = envelopes
 
         decayed = all(env.ends_decayed() for env in envelopes)

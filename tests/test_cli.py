@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import wqed.checks
 import wqed.cli
+import wqed.sweep
 from wqed.cli import (
     EXIT_CHECK,
     EXIT_GUARD,
@@ -145,6 +147,14 @@ class TestCouplingCommand:
         code, _, _ = invoke(argv)
         assert code == EXIT_USAGE
 
+    def test_zero_carrier_ratio_exits_2(self):
+        # 0 is rejected like simulate does, not replaced by the default
+        code, out, err = invoke(["coupling", "--models", "full",
+                                 "--omega0-over-gamma", 0])
+        assert code == EXIT_USAGE
+        assert "omega0_over_gamma must be > 0" in err
+        assert out == ""
+
     def test_out_writes_csv_file(self, tmp_path):
         code, out, _ = invoke(["coupling", "--k0l-range", "0:3.1416:8",
                                "--models", "full", "--out", tmp_path])
@@ -267,18 +277,18 @@ class TestValidateCommand:
         """Checks sharing a cell share one integration: the 3x3 pulse-area
         grid plus the three doubled-span pi/4 cells, 12 in all."""
         calls = []
-        integrate = wqed.cli.integrate_markovian
+        integrate = wqed.sweep.integrate_markovian
 
         def counting(*args, **kwargs):
             calls.append(args)
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(wqed.cli, "integrate_markovian", counting)
-        wqed.cli._scatter_cached.cache_clear()
+        monkeypatch.setattr(wqed.sweep, "integrate_markovian", counting)
+        wqed.checks._scatter_cached.cache_clear()
         try:
             code, _, _ = invoke(["validate"])
         finally:
-            wqed.cli._scatter_cached.cache_clear()
+            wqed.checks._scatter_cached.cache_clear()
         assert code == EXIT_OK
         assert len(calls) == 12
 

@@ -18,8 +18,8 @@ from wqed.coupling import (
     coupling_rwa_cutoff,
     coupling_rwa_negfreq,
     evaluate_coupling,
-    real_virtual_split,
 )
+from wqed.dynamics import markov_guard
 from wqed.errors import ConfigurationError, ConvergenceError, DomainError
 
 
@@ -38,15 +38,15 @@ class TestSimParams:
 
     def test_markov_flags(self):
         good = params_at(math.pi / 4, omega0_over_gamma=1e4)
-        assert good.markov_omega0_ok and good.markov_retardation_ok
-        # omega0 only 5x the bandwidth: both checks fail at the default 20x
-        bad = SimParams(gamma=1.0, delta=5.0, omega0=25.0, l=10.0)
-        assert not bad.markov_omega0_ok
-        assert not bad.markov_retardation_ok
+        assert markov_guard(good).ok
+        # omega0 only 5x the bandwidth, flight time 10/gamma: both warn
+        bad = markov_guard(SimParams(gamma=1.0, delta=5.0, omega0=25.0, l=10.0))
+        assert "delta_over_omega0" in bad.warnings
+        assert "retardation" in bad.warnings
 
     def test_zero_separation_is_valid(self):
         p = SimParams(gamma=1.0, delta=0.25, omega0=1e4, l=0.0)
-        assert p.k0l == 0.0 and p.markov_retardation_ok
+        assert p.k0l == 0.0 and markov_guard(p).ratios["retardation"] == 0.0
 
     @pytest.mark.parametrize("kw", [
         dict(gamma=-1.0), dict(delta=0.0), dict(omega0=-5.0),
@@ -119,12 +119,10 @@ class TestFullCoupling:
             assert abs(base[0] - shifted[0]) > 0
 
     def test_split_examples(self):
-        assert real_virtual_split(coupling_full(params_at(math.pi / 2))) == \
-            pytest.approx((0.0, 1.0), abs=1e-13)
-        assert real_virtual_split(coupling_full(params_at(0.0))) == \
-            pytest.approx((1.0, 0.0), abs=1e-13)
-        assert real_virtual_split(coupling_full(params_at(math.pi / 4))) == \
-            pytest.approx((math.sqrt(2) / 2, math.sqrt(2) / 2), abs=1e-13)
+        for k0l, expected in ((math.pi / 2, (0.0, 1.0)), (0.0, (1.0, 0.0)),
+                              (math.pi / 4, (math.sqrt(2) / 2, math.sqrt(2) / 2))):
+            m = coupling_full(params_at(k0l)).m_total
+            assert (m.real, m.imag) == pytest.approx(expected, abs=1e-13)
 
 
 class TestRwaCutoff:

@@ -2,15 +2,24 @@
 and the coupling-model comparison table."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wqed.sweep
 from wqed.coupling import CouplingModel, evaluate_coupling
-from wqed.dynamics import default_grid
+from wqed.dynamics import (
+    BARE_PREFACTOR,
+    UNIT_EXCITATION,
+    IncidentWavepacket,
+    build_source,
+    default_grid,
+    integrate_markovian,
+)
 from wqed.errors import ConfigurationError, DomainError
-from wqed.fields import DEFAULT_ZERO_PAD, fft_length
+from wqed.fields import DEFAULT_ZERO_PAD, fft_length, reconstruct_fields
 from wqed.serialize import read_config, read_csv
 from wqed.sweep import (
     AREA_FAIL,
@@ -25,7 +34,9 @@ from wqed.sweep import (
     compare_couplings,
     model_from_label,
     model_label,
+    run_cell,
     run_sweep,
+    scatter,
     thread_count,
 )
 
@@ -257,6 +268,51 @@ class TestRunSweep:
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+class TestScatter:
+    """The one dynamics pipeline behind run_cell and the validation checks."""
+
+    @pytest.mark.parametrize("normalization", [UNIT_EXCITATION, BARE_PREFACTOR])
+    def test_matches_explicit_pipeline_bitwise(self, normalization):
+        params = cell_params(4.0, PI4)
+        coupling = evaluate_coupling(params, CouplingModel.full())
+        grid = default_grid(params, 1.5, 0.75, m_total=coupling.m_total)
+        wavepacket = IncidentWavepacket(params.delta, params.omega0,
+                                        normalization=normalization)
+        source = build_source(wavepacket, params, grid)
+        traj = integrate_markovian(source, coupling, params, grid)
+        envelopes = reconstruct_fields(traj, wavepacket, params)
+
+        got_wavepacket, got_traj, got_envelopes = scatter(
+            params, coupling, normalization, 1.5, 0.75)
+        assert got_wavepacket == wavepacket
+        assert np.array_equal(got_traj.beta1, traj.beta1)
+        assert np.array_equal(got_traj.beta2, traj.beta2)
+        for ours, theirs in zip(got_envelopes, envelopes, strict=True):
+            assert ours.kind == theirs.kind
+            assert np.array_equal(ours.samples, theirs.samples)
+
+    def test_run_cell_frees_source_before_spectra(self, monkeypatch):
+        refs, alive = [], []
+        build, measure = wqed.sweep.build_source, wqed.sweep.spectrum
+
+        def keeping(*args, **kwargs):
+            source = build(*args, **kwargs)
+            refs.append(weakref.ref(source))
+            return source
+
+        def recording(*args, **kwargs):
+            alive.append(refs[-1]() is not None)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(wqed.sweep, "build_source", keeping)
+        monkeypatch.setattr(wqed.sweep, "spectrum", recording)
+        cell = run_cell(0, 4.0, PI4, CouplingModel.full(),
+                        SweepSpec(gamma_over_delta=[4.0], k0l=[PI4]))
+        assert cell.passed
+        assert len(refs) == 1
+        assert alive == [False, False]   # incident and transmitted spectra
 
 
 class TestCompareCouplings:
