@@ -23,7 +23,7 @@ from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
 from .fields import (consistency_residuals, dip_width, spectrum, transfer_oracle,
                      transfer_spectrum)
 from .specfun import ci, si
-from .sweep import cell_params, compare_couplings, scatter
+from .sweep import SPECTRUM_WINDOW, cell_params, compare_couplings, scatter
 
 PI4 = math.pi / 4
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
@@ -81,7 +81,8 @@ def dip_profile() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     worst, widths, peaks = 0.0, [], []
     for ratio in TRIPLE:
         inc, trans, _ = _scatter(ratio, PI4)[4]
-        spec_inc, spec_trans = spectrum(inc), spectrum(trans)
+        spec_inc, spec_trans = (spectrum(env, window=SPECTRUM_WINDOW)
+                                for env in (inc, trans))
         worst = max(worst, abs(spec_trans.at_resonance()) ** 2
                     / abs(spec_inc.at_resonance()) ** 2)
         widths.append(dip_width(spec_trans))
@@ -180,8 +181,9 @@ def _check_transfer_resonance(mutate: bool = False) -> CheckResult:
     worst = 0.0
     for ratio in TRIPLE:
         inc, trans, _ = _scatter(ratio, PI4, span_factor=2.0)[4]
-        worst = max(worst, abs(spectrum(trans).at_resonance()
-                               / spectrum(inc).at_resonance()))
+        at_inc, at_trans = (spectrum(env, window=SPECTRUM_WINDOW).at_resonance()
+                            for env in (inc, trans))
+        worst = max(worst, abs(at_trans / at_inc))
     return _at_most(worst, 1e-6, "resonant amplitude ratio, doubled window")
 
 

@@ -341,22 +341,22 @@ def sweep_spec_from_sections(sections: dict[str, dict[str, object]],
             raise ConfigurationError(
                 f"[sweep] {key}: not a number list: {entries[key]!r}") from None
 
-    epsilon = entries.get("epsilon")
-    if epsilon is not None:
-        epsilon = float(epsilon)
+    def value(key: str, kind):
+        try:
+            return kind(entries[key])
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"[sweep] {key}: bad value {entries[key]!r}") from None
+
+    epsilon = value("epsilon", float) if "epsilon" in entries else None
     models = tuple(model_from_label(token, epsilon)
                    for token in str(entries.get("models", "full")).split(","))
 
-    kwargs: dict[str, object] = {}
-    for key, kind in (("omega0_over_gamma", float), ("span_factor", float),
-                      ("dt_factor", float), ("area_tol", float),
-                      ("zero_pad", int), ("normalization", str)):
-        if key in entries:
-            try:
-                kwargs[key] = kind(entries[key])
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"[sweep] {key}: bad value {entries[key]!r}") from None
+    kwargs = {key: value(key, kind)
+              for key, kind in (("omega0_over_gamma", float), ("span_factor", float),
+                                ("dt_factor", float), ("area_tol", float),
+                                ("zero_pad", int), ("normalization", str))
+              if key in entries}
 
     output = dict(sections.get("output", {}))
     bad = set(output) - {"dir"}

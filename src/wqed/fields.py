@@ -229,12 +229,69 @@ def fft_length(n: int) -> int:
     return best
 
 
-def _detuning_axis(n: int, dtau: float) -> np.ndarray:
-    """Angular detunings of an n-point DFT on step dtau, ascending, with
-    exactly zero at index n // 2."""
-    omega = np.arange(-(n // 2), n - n // 2, dtype=float)
+def _detuning_axis(n: int, dtau: float, m_lo: int | None = None,
+                   m_hi: int | None = None) -> np.ndarray:
+    """Angular detunings of bins m_lo..m_hi of an n-point DFT on step dtau,
+    ascending; by default all n bins, with exactly zero at index n // 2."""
+    if m_lo is None:
+        m_lo, m_hi = -(n // 2), n - n // 2 - 1
+    omega = np.arange(m_lo, m_hi + 1, dtype=float)
     omega *= 2.0 * math.pi / (n * dtau)
     return omega
+
+
+def _window_bins(n: int, dtau: float, delta: float, window: float) -> tuple[int, int]:
+    """(m_lo, m_hi): the bins of an n-point DFT whose detuning, computed as
+    _detuning_axis does, lies within +-window (units of delta), clipped to
+    the DFT's range."""
+    step = 2.0 * math.pi / (n * dtau)
+    ratio = window * delta / step
+    k = n if ratio >= n else math.floor(ratio)
+    while k > 0 and k * step / delta > window:
+        k -= 1
+    while k < n and (k + 1) * step / delta <= window:
+        k += 1
+    return max(-k, -(n // 2)), min(k, n - n // 2 - 1)
+
+
+def _chirp(t: np.ndarray, n: int) -> np.ndarray:
+    """e^{i pi t^2 / n} for integer t, with t^2 reduced mod 2n exactly
+    before scaling so the phase keeps full precision for large t."""
+    t = t.astype(np.int64)
+    t *= t
+    t %= 2 * n
+    phase = t * (math.pi / n)
+    out = np.empty(t.size, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int) -> np.ndarray:
+    """Bins m_lo..m_hi of the n-point sum X_m = sum_j a_j e^{+2 pi i j m / n}
+    over the samples a_j zero-padded to n (Bluestein's chirp-z transform).
+
+    With jm = (j^2 + m^2 - (m - j)^2) / 2 the sum becomes the linear
+    convolution X_m = c(m) sum_j [a_j c(j)] conj(c(m - j)), c(t) =
+    e^{i pi t^2 / n}, done by FFTs of a 5-smooth length >= n_time + M - 1."""
+    n_time, count = samples.size, m_hi - m_lo + 1
+    length = fft_length(n_time + count - 1)
+    ends = _chirp(np.arange(m_lo, m_hi + 1), n)
+    # conj(c(m_lo + s)) at index s mod length, s = -(n_time - 1) .. count - 1
+    lag = np.zeros(length, dtype=complex)
+    lag[:count] = ends
+    lag[length - n_time + 1:] = _chirp(np.arange(m_lo - n_time + 1, m_lo), n)
+    np.conjugate(lag, out=lag)
+    np.fft.fft(lag, out=lag)
+    buf = np.zeros(length, dtype=complex)
+    buf[:n_time] = _chirp(np.arange(n_time), n)
+    buf[:n_time] *= samples
+    np.fft.fft(buf, out=buf)
+    buf *= lag
+    del lag
+    np.fft.ifft(buf, out=buf)
+    ends *= buf[:count]
+    return ends
 
 
 def _alternate(samples: np.ndarray) -> None:
@@ -259,11 +316,13 @@ class Spectrum:
     """Discrete spectrum A~(omega) of one envelope.
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
-    evaluated by a zero-padded rectangle-rule DFT whose length is the
-    5-smooth fft_length(n_time * zero_pad_factor).  The detuning axis is
-    stored ascending in units of the pulse width delta, with zero detuning
-    at index size // 2.  tau0/dtau/n_time record the originating grid so
-    the transform can be inverted exactly.
+    evaluated by a zero-padded rectangle-rule DFT whose length fft_len is
+    the 5-smooth fft_length(n_time * zero_pad_factor).  The detuning axis
+    is stored ascending in units of the pulse width delta.  A full
+    spectrum holds all fft_len bins, with zero detuning at index
+    size // 2; a windowed one holds only the bins of the same DFT within
+    a detuning window.  tau0/dtau/n_time record the originating grid so a
+    full spectrum can be inverted exactly.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
@@ -272,6 +331,7 @@ class Spectrum:
     tau0: float
     dtau: float
     n_time: int
+    fft_len: int
 
     @property
     def intensity(self) -> np.ndarray:
@@ -284,7 +344,11 @@ class Spectrum:
 
     def time_samples(self) -> np.ndarray:
         """Invert the DFT back to the original n_time envelope samples."""
-        n = self.amplitude.size
+        n = self.fft_len
+        if self.amplitude.size != n:
+            raise ConfigurationError(
+                f"cannot invert a windowed spectrum ({self.amplitude.size} of "
+                f"{n} bins)")
         buf = self.amplitude.astype(complex)
         _phase_ramp(buf, _detuning_axis(n, self.dtau), -self.tau0,
                     1.0 / (n * self.dtau))
@@ -297,32 +361,43 @@ class Spectrum:
         return samples
 
 
-def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
+def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
+             window: float | None = None) -> Spectrum:
     """Zero-padded DFT spectrum of an envelope, detuning in units of delta.
 
     The envelope is padded with zeros to fft_length(n_time *
     zero_pad_factor) points: at least zero_pad_factor times its length,
-    rounded up to a 5-smooth FFT length.
+    rounded up to a 5-smooth FFT length.  With a window, only the bins
+    with |detuning| <= window of that same DFT are computed, by a chirp-z
+    transform whose cost scales with n_time plus the window's bin count
+    rather than with the padded length.
     """
     if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
         raise ConfigurationError(
             f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
+    if window is not None and not (window >= 0.0 and math.isfinite(window)):
+        raise ConfigurationError(f"window must be finite and >= 0, got {window!r}")
     n_time = env.samples.size
     n = fft_length(n_time * zero_pad_factor)
     dtau = env.dtau
     tau0 = float(env.tau[0])
-    amplitude = np.zeros(n, dtype=complex)
-    amplitude[:n_time] = env.samples
-    if n % 2 == 0:
-        _alternate(amplitude[:n_time])
-    np.fft.ifft(amplitude, norm="forward", out=amplitude)
-    if n % 2:
-        amplitude = np.fft.fftshift(amplitude)
-    omega = _detuning_axis(n, dtau)
+    if window is None:
+        amplitude = np.zeros(n, dtype=complex)
+        amplitude[:n_time] = env.samples
+        if n % 2 == 0:
+            _alternate(amplitude[:n_time])
+        np.fft.ifft(amplitude, norm="forward", out=amplitude)
+        if n % 2:
+            amplitude = np.fft.fftshift(amplitude)
+        omega = _detuning_axis(n, dtau)
+    else:
+        m_lo, m_hi = _window_bins(n, dtau, env.delta, window)
+        amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
+        omega = _detuning_axis(n, dtau, m_lo, m_hi)
     _phase_ramp(amplitude, omega, tau0, dtau)
     omega /= env.delta
-    return Spectrum(detuning=omega, amplitude=amplitude,
-                    delta=env.delta, tau0=tau0, dtau=dtau, n_time=n_time)
+    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta,
+                    tau0=tau0, dtau=dtau, n_time=n_time, fft_len=n)
 
 
 def dip_width(spec: Spectrum) -> float:

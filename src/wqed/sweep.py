@@ -285,8 +285,9 @@ TRAJECTORY_HEADER = ("t", "re_b1", "im_b1", "re_b2", "im_b2")
 ENVELOPE_HEADER = ("tau", "re", "im", "abs")
 SPECTRUM_HEADER = ("detuning", "intensity")
 
-# spectra are tabulated over |detuning| <= this many pulse widths; the
-# zero-padded DFT extends orders of magnitude beyond any signal
+# spectra are computed and tabulated only over |detuning| <= this many
+# pulse widths; the zero-padded DFT extends orders of magnitude beyond any
+# signal
 SPECTRUM_WINDOW = 8.0
 
 
@@ -302,14 +303,8 @@ def write_envelope_csv(path, env: FieldEnvelope) -> Path:
                         np.abs(env.samples)))
 
 
-def write_spectrum_csv(path, spec: Spectrum,
-                       window: float | None = SPECTRUM_WINDOW) -> Path:
-    d = spec.detuning  # ascending: |d| <= window is one slice
-    keep = (slice(None) if window is None
-            else slice(np.searchsorted(d, -window, "left"),
-                       np.searchsorted(d, window, "right")))
-    return write_table(path, SPECTRUM_HEADER,
-                       (d[keep], spec.intensity[keep]))
+def write_spectrum_csv(path, spec: Spectrum) -> Path:
+    return write_table(path, SPECTRUM_HEADER, (spec.detuning, spec.intensity))
 
 
 def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
@@ -379,8 +374,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         else:
             check = AREA_FAIL
 
-        spec_inc = spectrum(inc, spec.zero_pad)
-        spec_trans = spectrum(trans, spec.zero_pad)
+        spec_inc = spectrum(inc, spec.zero_pad, SPECTRUM_WINDOW)
+        spec_trans = spectrum(trans, spec.zero_pad, SPECTRUM_WINDOW)
         depth = 1.0 - (abs(spec_trans.at_resonance()) ** 2
                        / abs(spec_inc.at_resonance()) ** 2)
         try:
@@ -405,7 +400,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             area_trans_ratio=trans_ratio, area_refl_ratio=refl_ratio,
             area_check=check,
             identity_transmission=bool(np.array_equal(trans.samples, inc.samples)),
-            fft_len=spec_trans.amplitude.size,
+            fft_len=spec_trans.fft_len,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,

@@ -5,7 +5,10 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -351,6 +354,30 @@ class TestSweepCommand:
         spec.write_text("[sweep]\ngamma_over_delta = 4, soup\nk0l = 1\n")
         code, _, err = invoke(["sweep", "--spec", spec])
         assert code == EXIT_USAGE and "soup" in err
+
+    def test_bad_epsilon_exits_2(self, tmp_path):
+        spec = tmp_path / "e.ini"
+        spec.write_text("[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
+                        "models = rwa-cutoff\nepsilon = abc\n")
+        code, _, err = invoke(["sweep", "--spec", spec])
+        assert code == EXIT_USAGE
+        assert "[sweep] epsilon: bad value 'abc'" in err
+
+    def test_sweep_imports_no_scipy(self, tmp_path):
+        """Spectra come from numpy alone: a sweep never loads scipy."""
+        spec = tmp_path / "one.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 4\nk0l = {PI4!r}\n")
+        script = ("import sys\n"
+                  "from wqed.cli import main\n"
+                  f"assert main(['sweep', '--spec', {str(spec)!r}]) == 0\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        src = str(Path(wqed.cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _, err = invoke(["sweep", "--spec", tmp_path / "none.ini"])

@@ -2,12 +2,14 @@
 frequency-domain transfer oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqed.checks import _scatter
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
 from wqed.dynamics import (
     AmplitudeTrajectory,
@@ -28,6 +30,7 @@ from wqed.fields import (
     REFLECTED,
     TRANSMITTED,
     FieldEnvelope,
+    _chirp,
     consistency_residuals,
     dip_width,
     fft_length,
@@ -368,6 +371,93 @@ class TestSpectrum:
         trans = reconstruct_fields(traj, wp, p)[1]
         with pytest.raises(NumericalError, match="dip"):
             dip_width(spectrum(trans))
+
+
+def coarse_envelope(n_time=45, dtau=0.5):
+    """A smooth synthetic envelope on a grid so coarse that its DFT spans
+    less than +-8 pulse widths."""
+    p = SimParams.from_ratios(0.25, math.pi / 4)
+    tau = (np.arange(n_time) - n_time // 2) * dtau
+    samples = np.exp(-0.25 * tau ** 2) * np.exp(0.7j * tau) * (1 + 0.2 * tau)
+    return FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples,
+                         prefactors=radiation_prefactors(p), delta=1.0)
+
+
+class TestWindowedSpectrum:
+    """spectrum(..., window=w) returns the |detuning| <= w bins of the full DFT."""
+
+    @staticmethod
+    def assert_is_window_of_full(env, window, zero_pad_factor=8):
+        full = spectrum(env, zero_pad_factor)
+        win = spectrum(env, zero_pad_factor, window)
+        keep = np.abs(full.detuning) <= window
+        assert win.fft_len == full.fft_len == full.amplitude.size
+        assert np.array_equal(win.detuning, full.detuning[keep])
+        scale = float(np.max(np.abs(full.amplitude)))
+        assert float(np.max(np.abs(win.amplitude - full.amplitude[keep]))) <= 1e-13 * scale
+        return full, win
+
+    @pytest.mark.parametrize("ratio, fft_len", [(0.25, 144_000), (4.0, 84_375)])
+    def test_matches_full_spectrum(self, ratio, fft_len):
+        """Even and odd padded lengths, both envelopes of a pi/4 cell."""
+        inc, trans, _ = _scatter(ratio, math.pi / 4)[4]
+        for env in (inc, trans):
+            full, win = self.assert_is_window_of_full(env, 8.0)
+            assert full.fft_len == fft_len
+            assert win.detuning[0] >= -8.0 and win.detuning[-1] <= 8.0
+            assert 0 < win.amplitude.size < fft_len // 10
+
+    @pytest.mark.parametrize("zero_pad_factor, fft_len", [(1, 45), (8, 360)])
+    def test_window_clipped_to_dft_range(self, zero_pad_factor, fft_len):
+        env = coarse_envelope()
+        full, win = self.assert_is_window_of_full(env, 8.0, zero_pad_factor)
+        assert full.fft_len == fft_len
+        assert win.amplitude.size == fft_len        # every bin is inside +-8
+
+    def test_window_narrower_than_a_bin(self):
+        inc = _scatter(0.25, math.pi / 4)[4][0]
+        bin_width = float(np.diff(spectrum(inc).detuning[:2])[0])
+        for window in (0.0, 0.4 * bin_width):
+            full, win = self.assert_is_window_of_full(inc, window)
+            assert win.detuning.tolist() == [0.0]
+            assert win.at_resonance() == pytest.approx(full.at_resonance(), rel=1e-13)
+
+    @pytest.mark.parametrize("ratio", COUPLING_RATIOS)
+    @pytest.mark.parametrize("k0l", SEPARATIONS)
+    def test_dip_width_unchanged(self, ratio, k0l):
+        trans = _scatter(ratio, k0l)[4][1]
+        assert (dip_width(spectrum(trans, window=8.0))
+                == pytest.approx(dip_width(spectrum(trans)), rel=1e-12))
+
+    def test_chirp_phase_reduced_exactly(self):
+        """e^{i pi t^2 / n} is periodic in t with period n for even n; exact
+        integer reduction keeps far-out chirps bitwise equal to near ones."""
+        n = 6_480_000
+        t = np.arange(-500, 500)
+        assert np.array_equal(_chirp(t + 3 * n, n), _chirp(t, n))
+
+    def test_windowed_spectrum_is_not_invertible(self):
+        inc = _scatter(4.0, math.pi / 4)[4][0]
+        with pytest.raises(ConfigurationError, match="windowed"):
+            spectrum(inc, window=8.0).time_samples()
+
+    def test_window_guard(self):
+        inc = _scatter(4.0, math.pi / 4)[4][0]
+        for window in (-1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="window"):
+                spectrum(inc, window=window)
+
+    def test_memory_scales_with_window_not_padding(self):
+        """A windowed call allocates well under one N-point complex buffer."""
+        inc = _scatter(0.25, math.pi / 4)[4][0]
+        n = fft_length(8 * inc.samples.size)
+        tracemalloc.start()
+        try:
+            spectrum(inc, window=8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n
 
 
 class TestConsistencyResiduals:
