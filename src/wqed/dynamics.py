@@ -7,11 +7,14 @@ linear system
     dbeta_j/dt = S0_j(t) - gamma * beta_j - M * beta_{j'!=j}
 
 with the incident-photon source S0_j and the inter-atomic coupling M.
-Two independent integrators are provided: a fixed-step 4th-order
-Runge-Kutta scheme with precomputed propagator matrices, and an exact
-mode-decomposition oracle that propagates the symmetric/antisymmetric
-combinations u = beta1 + beta2, v = beta1 - beta2 (decay rates
-gamma +- M) by per-step exponential convolution.  Their mutual
+Both integrators propagate the symmetric/antisymmetric combinations
+u = beta1 + beta2 and v = beta1 - beta2, which decouple (decay rates
+gamma +- M), each as a one-pole recursion y[k+1] = a*y[k] + x[k]
+evaluated by one blocked numpy scan.  They are discretized
+independently: a fixed-step 4th-order Runge-Kutta scheme, whose pole
+and drive are the RK4 polynomials in h*(rate), and an exact oracle,
+whose pole is e^{-rate h} and whose drive is a Gauss-Legendre
+convolution of the source sampled between grid points.  Their mutual
 agreement is the correctness argument for both.
 
 Source alignment: the two source series share one envelope centered on
@@ -26,6 +29,7 @@ whatever unit 1/delta and 1/gamma are expressed in.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,6 +52,9 @@ _DECAY_SPAN_CAP = 2000.0
 _MODE_DRIVE_TOL = 1e-9
 
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
+# one-pole scan blocks: 8 to 512 samples, and short enough that
+# |a|^-B <= e^_SCAN_LOG_RANGE
+_SCAN_BLOCK_MIN, _SCAN_BLOCK_MAX, _SCAN_LOG_RANGE = 8, 512, 8.0
 
 
 # ----------------------------------------------------------------------
@@ -331,29 +338,71 @@ class AmplitudeTrajectory:
         return (np.abs(self.beta1) ** 2, np.abs(self.beta2) ** 2)
 
 
-def _check_step(source: SourceTerm, params: SimParams, m: complex) -> float:
-    dt = source.grid.dt
-    scales = [1.0 / params.delta]
-    if params.gamma > 0:
-        scales.append(1.0 / params.gamma)
-    if abs(m) > 0:
-        scales.append(1.0 / abs(m))
-    limit = min(scales) / 50.0
-    if dt > limit * (1.0 + 1e-9):  # tolerate endpoint-division rounding
+def _grid_and_step(source: SourceTerm, coupling: CouplingResult,
+                   params: SimParams, grid: TimeGrid | None
+                   ) -> tuple[TimeGrid, complex, float]:
+    """(grid, M, h) of an integration, after checking that the source was
+    built on `grid` (default: its own) and that h resolves 1/delta,
+    1/gamma and 1/|M|."""
+    if grid is None:
+        grid = source.grid
+    elif grid != source.grid:
+        raise ConfigurationError("source was built on a different grid")
+    m = complex(coupling.m_total)
+    limit = 1.0 / max(params.delta, params.gamma, abs(m)) / 50.0
+    if grid.dt > limit * (1.0 + 1e-9):  # tolerate endpoint-division rounding
         raise ConfigurationError(
-            f"dt = {dt:.3e} exceeds stability/accuracy limit {limit:.3e} "
+            f"dt = {grid.dt:.3e} exceeds stability/accuracy limit {limit:.3e} "
             f"(min(1/delta, 1/gamma, 1/|M|)/50)")
-    return dt
+    return grid, m, grid.dt
 
 
-def _first_bad_time(grid: TimeGrid, *arrays: np.ndarray) -> float | None:
-    bad = ~np.isfinite(arrays[0])
-    for a in arrays[1:]:
-        bad |= ~np.isfinite(a)
-    idx = np.flatnonzero(bad)
-    if idx.size:
-        return float(grid.times[idx[0]])
-    return None
+def _one_pole(log_a: complex, x: np.ndarray) -> np.ndarray:
+    """y with y[0] = 0 and y[k+1] = a*y[k] + x[k] for every k < x.size,
+    a = e^log_a: the pole comes as its logarithm, so that a pole next to
+    1 keeps its full precision in every power a^j.
+
+    Blocked closed-form scan: the state entering each block of B samples
+    is carried by a scalar recursion in a^B over the n/B blocks and
+    folded into the block's first input; the block is then
+    cumsum(x a^-j) a^j.  B = floor(8/|ln|a||), clamped to [8, 512], keeps
+    |a|^-B <= e^8, which bounds the cancellation in the cumsum.  A
+    non-finite x[k] first shows in y[k+1].
+    """
+    log_mag = abs(log_a.real)
+    block = _SCAN_BLOCK_MAX
+    if log_mag * block > _SCAN_LOG_RANGE:
+        block = max(_SCAN_BLOCK_MIN, int(_SCAN_LOG_RANGE / log_mag))
+    n = x.size
+    n_blocks = -(-n // block)
+    y = np.zeros(n_blocks * block + 1, dtype=complex)
+    y[1:n + 1] = x
+    blocks = y[1:].reshape(n_blocks, block)
+    j = np.arange(block)
+    blocks *= np.exp(-log_a * j)
+    # zero-start block-end states, then the states carried into each block
+    ends = (blocks.sum(axis=1) * cmath.exp(log_a * (block - 1))).tolist()
+    a_block = cmath.exp(log_a * block)
+    carried = [0j]
+    for end in ends[:-1]:
+        carried.append(a_block * carried[-1] + end)
+    blocks[:, 0] += cmath.exp(log_a) * np.array(carried)
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks *= np.exp(log_a * j)
+    return y[:n + 1]
+
+
+def _from_modes(grid: TimeGrid, u: np.ndarray, v: np.ndarray) -> AmplitudeTrajectory:
+    """beta1 = (u + v)/2 and beta2 = (u - v)/2 (u is overwritten); a
+    non-finite amplitude raises NumericalError naming its first time."""
+    beta1 = u + v
+    beta1 *= 0.5
+    beta2 = np.subtract(u, v, out=u)
+    beta2 *= 0.5
+    bad = np.flatnonzero(~(np.isfinite(beta1) & np.isfinite(beta2)))
+    if bad.size:
+        raise NumericalError(f"non-finite amplitude at t = {float(grid.times[bad[0]])}")
+    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2)
 
 
 def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
@@ -361,54 +410,33 @@ def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
                         ) -> AmplitudeTrajectory:
     """Fixed-step 4th-order Runge-Kutta integration from beta_j = 0.
 
-    The system matrix A = [[-gamma, -M], [-M, -gamma]] is constant, so
-    the stage combinations reduce to one propagator matrix applied to
-    the state plus precomputed drive vectors; the remaining per-step
-    work is four complex multiplies.
+    The system matrix A = [[-gamma, -M], [-M, -gamma]] is constant, and
+    the RK4 propagator and drive matrices are polynomials in A, so they
+    are diagonal in the modes u = beta1 + beta2 (eigenvalue -(gamma+M))
+    and v = beta1 - beta2 (-(gamma-M)): with z = h*eigenvalue, each mode
+    is one one-pole recursion with the pole 1 + z + z^2/2 + z^3/6 + z^4/24.
+    Swapping the atoms negates v exactly, so the atom-swap symmetry is
+    bitwise.
     """
-    if grid is None:
-        grid = source.grid
-    elif grid is not source.grid and (grid.t_start != source.grid.t_start
-                                      or grid.t_end != source.grid.t_end
-                                      or grid.n != source.grid.n):
-        raise ConfigurationError("source was built on a different grid")
-    m = complex(coupling.m_total)
-    h = _check_step(source, params, m)
+    grid, m, h = _grid_and_step(source, coupling, params, grid)
 
-    a = np.array([[-params.gamma, -m], [-m, -params.gamma]], dtype=complex)
-    a2, a3 = a @ a, a @ a @ a
-    eye = np.eye(2)
-    prop = eye + h * a + h ** 2 / 2 * a2 + h ** 3 / 6 * a3 + h ** 4 / 24 * (a2 @ a2)
-    c0 = eye + h * a + h ** 2 / 2 * a2 + h ** 3 / 4 * a3
-    ch = 4 * eye + 2 * h * a + h ** 2 / 2 * a2
+    def mode(lam: complex, combine: np.ufunc) -> np.ndarray:
+        z = h * lam
+        w = z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24  # pole - 1
+        # ln|1 + w| and arg(1 + w) without rounding 1 + w itself
+        log_pole = complex(0.5 * math.log1p(w.real * (2 + w.real) + w.imag ** 2),
+                           math.atan2(w.imag, 1 + w.real))
+        f = combine(source.s1, source.s2)
+        drive = (1 + z + z ** 2 / 2 + z ** 3 / 4) * f[:-1]
+        f_mid = combine(source.s1_mid, source.s2_mid)
+        f_mid *= 4 + 2 * z + z ** 2 / 2
+        drive += f_mid
+        drive += f[1:]
+        drive *= h / 6.0
+        return _one_pole(log_pole, drive)
 
-    # explicit 2x2 action keeps the atom-swap symmetry bitwise exact
-    # (matrix products would re-associate the sums) and skips BLAS overhead
-    c0d, c0o = complex(c0[0, 0]), complex(c0[0, 1])
-    chd, cho = complex(ch[0, 0]), complex(ch[0, 1])
-    s1a, s2a = source.s1[:-1], source.s2[:-1]
-    s1b, s2b = source.s1[1:], source.s2[1:]
-    drive1 = (h / 6.0) * ((c0d * s1a + c0o * s2a)
-                          + (chd * source.s1_mid + cho * source.s2_mid) + s1b)
-    drive2 = (h / 6.0) * ((c0o * s1a + c0d * s2a)
-                          + (cho * source.s1_mid + chd * source.s2_mid) + s2b)
-
-    p, q = complex(prop[0, 0]), complex(prop[0, 1])
-    d1, d2 = drive1.tolist(), drive2.tolist()  # python complex: faster loop
-    n = grid.n
-    beta1 = np.empty(n, dtype=complex)
-    beta2 = np.empty(n, dtype=complex)
-    beta1[0] = beta2[0] = 0.0
-    b1 = b2 = 0.0 + 0.0j
-    for k in range(n - 1):
-        b1, b2 = p * b1 + q * b2 + d1[k], q * b1 + p * b2 + d2[k]
-        beta1[k + 1] = b1
-        beta2[k + 1] = b2
-
-    t_bad = _first_bad_time(grid, beta1, beta2)
-    if t_bad is not None:
-        raise NumericalError(f"non-finite amplitude at t = {t_bad}")
-    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2)
+    return _from_modes(grid, mode(-(params.gamma + m), np.add),
+                       mode(-(params.gamma - m), np.subtract))
 
 
 def oracle_modes(source: SourceTerm, coupling: CouplingResult,
@@ -419,18 +447,12 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
 
     u = beta1 + beta2 and v = beta1 - beta2 decouple with rates
     gamma + M and gamma - M; each step advances by the exact exponential
-    plus a 6-node Gauss-Legendre convolution of the drive, and the
-    resulting one-pole recursion is evaluated with scipy's lfilter.
+    e^{-rate h} plus a 6-node Gauss-Legendre convolution of the drive,
+    sampled off-grid through SourceTerm.at.  Only the evaluation of the
+    resulting one-pole recursion is shared with integrate_markovian; its
+    pole and drive are not the RK4 polynomials.
     """
-    from scipy.signal import lfilter
-
-    if grid is None:
-        grid = source.grid
-    elif (grid.t_start != source.grid.t_start or grid.t_end != source.grid.t_end
-          or grid.n != source.grid.n):
-        raise ConfigurationError("source was built on a different grid")
-    m = complex(coupling.m_total)
-    h = _check_step(source, params, m)
+    grid, m, h = _grid_and_step(source, coupling, params, grid)
 
     times = grid.times
     # drive samples at Gauss nodes inside every step, one flat call
@@ -443,19 +465,10 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     def propagate(rate: complex, f_nodes: np.ndarray) -> np.ndarray:
         # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau
         kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
-        incr = f_nodes @ kernel                          # (n-1,)
-        x = np.concatenate(([0.0 + 0.0j], incr))
-        return lfilter([1.0], [1.0, -np.exp(-rate * h)], x)
+        return _one_pole(-rate * h, f_nodes @ kernel)
 
-    u = propagate(params.gamma + m, s1_nodes + s2_nodes)
-    v = propagate(params.gamma - m, s1_nodes - s2_nodes)
-    beta1 = 0.5 * (u + v)
-    beta2 = 0.5 * (u - v)
-
-    t_bad = _first_bad_time(grid, beta1, beta2)
-    if t_bad is not None:
-        raise NumericalError(f"non-finite amplitude at t = {t_bad}")
-    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2)
+    return _from_modes(grid, propagate(params.gamma + m, s1_nodes + s2_nodes),
+                       propagate(params.gamma - m, s1_nodes - s2_nodes))
 
 
 # ----------------------------------------------------------------------

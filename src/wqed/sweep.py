@@ -13,15 +13,14 @@ divergence flags, for side-by-side comparison of the approximations.
 
 Determinism: identical specs produce bitwise-identical manifests.  The
 manifest therefore records only relative file names, never directories,
-timestamps, or host details.  Cells are independent; the env var
-WQED_THREADS (default 1) caps how many run concurrently.
+timestamps, or host details.  Cells run one after another, in spec
+order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,17 +323,6 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
 # sweep execution
 # ----------------------------------------------------------------------
 
-def thread_count() -> int:
-    """Worker cap from WQED_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("WQED_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"WQED_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
 def scatter(params: SimParams, coupling: CouplingResult,
             normalization: str = UNIT_EXCITATION, span_factor: float = 1.0,
             dt_factor: float = 1.0,
@@ -416,19 +404,11 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest."""
-    tasks = [(index, god, k0l, model)
-             for index, (god, k0l, model) in enumerate(
-                 (g, k, m)
-                 for g in spec.gamma_over_delta
-                 for k in spec.k0l
-                 for m in spec.models)]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_cell(*t, spec), tasks))
-    else:
-        results = [run_cell(*t, spec) for t in tasks]
-    manifest = RunManifest(MANIFEST_VERSION, spec, tuple(results))
+    cells = ((g, k, m) for g in spec.gamma_over_delta
+             for k in spec.k0l for m in spec.models)
+    results = tuple(run_cell(index, *cell, spec)
+                    for index, cell in enumerate(cells))
+    manifest = RunManifest(MANIFEST_VERSION, spec, results)
     if spec.out_dir is not None:
         write_manifest(manifest, Path(spec.out_dir) / "manifest.txt")
     return manifest

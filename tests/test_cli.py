@@ -2,6 +2,7 @@
 exit-code contract, and byte-level determinism of artifacts."""
 
 import argparse
+import ast
 import contextlib
 import io
 import math
@@ -31,6 +32,22 @@ from wqed.errors import ConfigurationError, DomainError
 from wqed.serialize import parse_config_text, read_config, read_csv
 
 PI4 = math.pi / 4
+
+
+def scipy_modules_loaded(argv):
+    """The scipy modules a fresh interpreter has loaded after main(argv)
+    returned 0."""
+    script = ("import sys\n"
+              "from wqed.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(wqed.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def invoke(argv):
@@ -295,6 +312,11 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert len(calls) == 12
 
+    def test_validate_imports_no_scipy_signal(self):
+        """The mode oracle's recursions are evaluated in numpy alone."""
+        loaded = scipy_modules_loaded(["validate", "--only", "mode-oracle"])
+        assert not [m for m in loaded if m.startswith("scipy.signal")]
+
     def test_mutated_coupling_fails_pulse_area(self):
         code, out, _ = invoke(["validate", "--only", "pulse-area",
                                "--mutate-coupling-sign"])
@@ -367,17 +389,7 @@ class TestSweepCommand:
         """Spectra come from numpy alone: a sweep never loads scipy."""
         spec = tmp_path / "one.ini"
         spec.write_text(f"[sweep]\ngamma_over_delta = 4\nk0l = {PI4!r}\n")
-        script = ("import sys\n"
-                  "from wqed.cli import main\n"
-                  f"assert main(['sweep', '--spec', {str(spec)!r}]) == 0\n"
-                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-        src = str(Path(wqed.cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert scipy_modules_loaded(["sweep", "--spec", str(spec)]) == []
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _, err = invoke(["sweep", "--spec", tmp_path / "none.ini"])

@@ -1,11 +1,13 @@
 """Tests for source construction and amplitude integration."""
 
+import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
@@ -24,6 +26,7 @@ from wqed.dynamics import (
     markov_guard,
     oracle_modes,
     slowest_excited_rate,
+    _one_pole,
 )
 from wqed.errors import ConfigurationError, NumericalError
 
@@ -54,6 +57,49 @@ def single_atom_convolution(params, wavepacket, grid):
     full = tail(t)
     correction = tail(t[0]) * np.exp(-params.gamma * (t - t[0]))
     return amp * math.sqrt(math.pi) / params.delta * (full - correction)
+
+
+def one_pole_loop(log_a, x):
+    """Reference for _one_pole: the recursion stepped in Python."""
+    a = cmath.exp(log_a)
+    y = [0j]
+    for value in x.tolist():
+        y.append(a * y[-1] + value)
+    return np.array(y)
+
+
+def scan_block(log_a):
+    """The block length _one_pole picks: floor(8/|ln|a||) in [8, 512]."""
+    log_mag = abs(log_a.real)
+    return 512 if log_mag * 512 <= 8 else max(8, int(8 / log_mag))
+
+
+def rk4_pair_loop(source, coupling, params):
+    """Reference for integrate_markovian: RK4 on the atom pair, with the
+    2x2 propagator and drive matrices and a per-sample Python loop."""
+    h = source.grid.dt
+    m = complex(coupling.m_total)
+    a = np.array([[-params.gamma, -m], [-m, -params.gamma]], dtype=complex)
+    a2, a3 = a @ a, a @ a @ a
+    eye = np.eye(2)
+    prop = eye + h * a + h ** 2 / 2 * a2 + h ** 3 / 6 * a3 + h ** 4 / 24 * (a2 @ a2)
+    c0 = eye + h * a + h ** 2 / 2 * a2 + h ** 3 / 4 * a3
+    ch = 4 * eye + 2 * h * a + h ** 2 / 2 * a2
+    c0d, c0o = complex(c0[0, 0]), complex(c0[0, 1])
+    chd, cho = complex(ch[0, 0]), complex(ch[0, 1])
+    s1a, s2a = source.s1[:-1], source.s2[:-1]
+    s1b, s2b = source.s1[1:], source.s2[1:]
+    drive1 = (h / 6.0) * ((c0d * s1a + c0o * s2a)
+                          + (chd * source.s1_mid + cho * source.s2_mid) + s1b)
+    drive2 = (h / 6.0) * ((c0o * s1a + c0d * s2a)
+                          + (cho * source.s1_mid + chd * source.s2_mid) + s2b)
+    p, q = complex(prop[0, 0]), complex(prop[0, 1])
+    beta1, beta2 = [0j], [0j]
+    for d1, d2 in zip(drive1.tolist(), drive2.tolist()):
+        b1, b2 = beta1[-1], beta2[-1]
+        beta1.append(p * b1 + q * b2 + d1)
+        beta2.append(q * b1 + p * b2 + d2)
+    return np.array(beta1), np.array(beta2)
 
 
 class TestIncidentWavepacket:
@@ -198,8 +244,9 @@ class TestIntegrateMarkovian:
 
     def test_nan_detection_reports_time(self):
         p, _, src = setup()
-        src.s1[src.grid.n // 2] = float("nan")
-        with pytest.raises(NumericalError, match="t ="):
+        k = src.grid.n // 2
+        src.s1[k] = float("nan")
+        with pytest.raises(NumericalError, match=f"t = {src.grid.times[k]}$"):
             integrate_markovian(src, coupling_full(p), p)
 
     def test_grid_mismatch(self):
@@ -233,6 +280,83 @@ class TestIntegrateMarkovian:
                         / np.abs(om.beta1).max())
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.8
+
+
+class TestOnePole:
+    @pytest.mark.parametrize("log_a", [
+        -(1 + 0.5j) * rate_h for rate_h in (2.0, 0.02, 2e-3, 1e-5, 0.0)])
+    def test_matches_python_loop(self, log_a):
+        block = scan_block(log_a)
+        rng = np.random.default_rng(7)
+        for n in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            y, ref = _one_pole(log_a, x), one_pole_loop(log_a, x)
+            assert y.shape == (n + 1,) and y[0] == 0
+            if n:
+                assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("log_a", [-1e-7 + 1e-6j, -1e-9 + 0j, -2e-8 + 3e-5j])
+    def test_pole_next_to_one_keeps_precision(self, log_a):
+        # constant drive: y[k] = (a^k - 1)/(a - 1).  Stepping the rounded
+        # a in a loop is off by 2e-12 to 1.4e-11 here
+        n = 1_000_000
+        y = _one_pole(log_a, np.ones(n, dtype=complex))
+        exact = np.expm1(np.arange(n + 1) * log_a) / np.expm1(log_a)
+        assert np.abs(y - exact).max() <= 5e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("log_a", [-0.02 + 0j, -1e-5 + 1e-3j])
+    def test_first_non_finite_output_follows_input(self, log_a):
+        block = scan_block(log_a)
+        for k in (0, 5, block - 1, block, block + 1, 3 * block + 7):
+            x = np.ones(4 * block, dtype=complex)
+            x[k] = float("nan")
+            bad = np.flatnonzero(~np.isfinite(_one_pole(log_a, x)))
+            assert bad[0] == k + 1
+
+
+class TestModeBasisRK4:
+    """integrate_markovian against RK4 stepped on the atom pair."""
+
+    @pytest.mark.parametrize("gamma_over_delta", [0.02, 0.25, 4.0])
+    @given(k0l=st.floats(min_value=0.0, max_value=2 * math.pi))
+    @example(k0l=0.0)
+    @example(k0l=1e-3)
+    @example(k0l=math.pi - 0.05)
+    @example(k0l=math.pi)
+    @example(k0l=2 * math.pi - 1e-3)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_pair_loop(self, gamma_over_delta, k0l):
+        p = SimParams.from_ratios(gamma_over_delta, k0l)
+        cpl = coupling_full(p)
+        grid = default_grid(p, m_total=cpl.m_total)
+        # the loop's own rounding grows with its length (nearly-dark
+        # cells reach 1e-12 at 40,000 steps), so keep it short
+        n = min(grid.n, 10_000)
+        grid = TimeGrid(grid.t_start, grid.t_start + grid.dt * (n - 1), n)
+        src = build_source(IncidentWavepacket(p.delta, p.omega0), p, grid)
+        traj = integrate_markovian(src, cpl, p)
+        ref1, ref2 = rk4_pair_loop(src, cpl, p)
+        scale = max(np.abs(ref1).max(), np.abs(ref2).max())
+        dev = max(np.abs(traj.beta1 - ref1).max(), np.abs(traj.beta2 - ref2).max())
+        assert dev <= 1e-12 * scale
+
+    def test_symmetric_drive_gives_equal_amplitudes(self):
+        p, _, src = setup(k0l=0.0)
+        traj = integrate_markovian(src, coupling_full(p), p)
+        assert np.array_equal(traj.beta1, traj.beta2)
+
+    def test_peak_memory(self):
+        # the drive is never copied into Python lists: the peak stays
+        # below eight grid-length complex arrays
+        p, _, src = setup(gamma_over_delta=0.02)
+        cpl = coupling_full(p)
+        tracemalloc.start()
+        try:
+            integrate_markovian(src, cpl, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * src.grid.n
 
 
 class TestOracleModes:

@@ -37,7 +37,6 @@ from wqed.sweep import (
     run_cell,
     run_sweep,
     scatter,
-    thread_count,
 )
 
 PI4 = math.pi / 4
@@ -243,21 +242,6 @@ class TestRunSweep:
             single = run_sweep(SweepSpec(gamma_over_delta=[ratio],
                                          k0l=[PI4])).cells[0]
             assert replace(combined[position], index=0) == single
-
-    def test_threaded_sweep_matches_sequential(self, monkeypatch):
-        spec = SweepSpec(gamma_over_delta=[4.0], k0l=[PI4, math.pi / 2],
-                         models=[CouplingModel.full(),
-                                 CouplingModel.rwa_negfreq()])
-        monkeypatch.delenv("WQED_THREADS", raising=False)
-        sequential = run_sweep(spec)
-        monkeypatch.setenv("WQED_THREADS", "3")
-        threaded = run_sweep(spec)
-        assert threaded.sections() == sequential.sections()
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("WQED_THREADS", "two")
-        with pytest.raises(ConfigurationError, match="WQED_THREADS"):
-            thread_count()
 
     def test_bitwise_determinism_across_directories(self, tmp_path):
         outputs = []
