@@ -42,14 +42,16 @@ from .errors import ConfigurationError, NumericalError
 # pulse support: the Gaussian envelope is below 2e-16 of its peak
 # beyond 12/delta, so sources are hard-zeroed there
 _ENVELOPE_WINDOW = 12.0
-# default grid: half-width of the pulse section, decay lengths of the
-# post-pulse section, and the hard cap on the total decay span
+# default grid: half-width of the pulse section and decay lengths of the
+# post-pulse section
 _PULSE_HALF_SPAN = 8.0
 _DECAY_LENGTHS = 12.0
-_DECAY_SPAN_CAP = 2000.0
-# modes driven more weakly than this (relative) are ignored when sizing
-# the grid for the slowest excited decay
-_MODE_DRIVE_TOL = 1e-9
+# driven modes decaying slower than this fraction of gamma do not size the
+# grid: past the source's support their tails are added in closed form
+TAIL_RATE_FRACTION = 0.25
+# most points a time grid or a spectrum FFT may take: a cell peaks near
+# 200 bytes per grid point, so the largest accepted cell stays near 2 GB
+POINT_BUDGET = 10_000_000
 
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 # one-pole scan blocks: 8 to 512 samples, and short enough that
@@ -92,51 +94,61 @@ class TimeGrid:
         return cls(t_start, t_start + dt * (n - 1), n)
 
 
-def slowest_excited_rate(params: SimParams, m_total: complex | None = None) -> float:
-    """Decay rate of the slowest collective mode the pulse actually drives.
+def check_points(what: str, n: int) -> int:
+    """n, or ConfigurationError when it exceeds POINT_BUDGET."""
+    if n > POINT_BUDGET:
+        raise ConfigurationError(
+            f"{what} needs n = {n:,} points, over the budget of {POINT_BUDGET:,} "
+            "points; reduce span_factor, dt_factor or zero_pad")
+    return n
 
-    The symmetric/antisymmetric modes decay at gamma +- Re M and are
-    driven proportionally to |1 +- e^{i k0l}|; an undriven mode (phase
-    exactly 0 or pi) does not constrain the grid.
-    """
-    if params.gamma == 0.0:
-        return params.delta  # nothing decays; size the grid on the pulse
-    m = params.gamma * complex(math.cos(params.k0l), math.sin(params.k0l)) \
-        if m_total is None else m_total
+
+def driven_modes(params: SimParams, m_total: complex | None = None) -> dict[int, complex]:
+    """{sign: gamma + sign*M}, the rates of the modes beta1 + sign*beta2 whose
+    drive 1 + sign*e^{i k0l} is not exactly 0."""
     phase = complex(math.cos(params.k0l), math.sin(params.k0l))
-    rates = []
-    if abs(1.0 + phase) > _MODE_DRIVE_TOL:
-        rates.append(params.gamma + m.real)
-    if abs(1.0 - phase) > _MODE_DRIVE_TOL:
-        rates.append(params.gamma - m.real)
-    slow = min(rates)
-    return max(slow, params.gamma / _DECAY_SPAN_CAP * _DECAY_LENGTHS)
+    m = params.gamma * phase if m_total is None else m_total
+    return {sign: params.gamma + sign * m for sign in (1, -1) if 1.0 + sign * phase != 0}
+
+
+def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int, complex]:
+    """The driven modes decaying slower than TAIL_RATE_FRACTION*gamma, if `grid`
+    outlasts (to within a step) the source's support, past which each is one exponential."""
+    if grid.t_end + grid.dt < params.z1 / params.c + _ENVELOPE_WINDOW / params.delta:
+        return {}
+    return {sign: lam for sign, lam in driven_modes(params, m_total).items()
+            if 0 < lam.real < TAIL_RATE_FRACTION * params.gamma}
 
 
 def default_grid(params: SimParams, span_factor: float = 1.0,
                  dt_factor: float = 1.0,
                  m_total: complex | None = None) -> TimeGrid:
-    """Grid resolving both the pulse and the slowest driven decay.
+    """Grid resolving the pulse and the decay of every driven mode that
+    decays at TAIL_RATE_FRACTION*gamma or faster.
 
     span_factor scales the post-pulse window (doubling it is the
-    standard convergence check); dt_factor scales the step.  The decay
-    window is capped at _DECAY_SPAN_CAP/gamma; nearly-dark modes beyond
-    that cap are handled downstream by truncation diagnostics, not by
-    unbounded grids.
+    standard convergence check); dt_factor scales the step.  Slower modes
+    are left to closed-form tails (tail_modes), so the grid then only has
+    to outlast the source's support.  Over POINT_BUDGET points it raises.
     """
     if span_factor <= 0 or dt_factor <= 0:
         raise ConfigurationError("span_factor and dt_factor must be > 0")
     center = params.z1 / params.c
-    rate = slowest_excited_rate(params, m_total)
-    tau_decay = _DECAY_LENGTHS / rate
+    t_end = center + _PULSE_HALF_SPAN / params.delta
     if params.gamma > 0:
-        tau_decay = min(tau_decay, _DECAY_SPAN_CAP / params.gamma)
+        rates = [lam.real for lam in driven_modes(params, m_total).values()]
+        sized = [rate for rate in rates if rate >= TAIL_RATE_FRACTION * params.gamma]
+        t_end += span_factor * (_DECAY_LENGTHS / min(sized, default=math.inf))
+        if len(sized) < len(rates):
+            t_end = max(t_end, center + _ENVELOPE_WINDOW / params.delta)
         dt = min(1.0 / params.delta, 1.0 / params.gamma) / 100.0 * dt_factor
-    else:
+    else:  # nothing decays; size the grid on the pulse
+        t_end += span_factor * (_DECAY_LENGTHS / params.delta)
         dt = 1.0 / params.delta / 100.0 * dt_factor
     t_start = center - _PULSE_HALF_SPAN / params.delta
-    t_end = center + _PULSE_HALF_SPAN / params.delta + span_factor * tau_decay
-    return TimeGrid.from_step(t_start, t_end, dt)
+    grid = TimeGrid.from_step(t_start, t_end, dt)
+    check_points("the time grid", grid.n)
+    return grid
 
 
 # ----------------------------------------------------------------------
@@ -327,15 +339,12 @@ def build_source(wavepacket: IncidentWavepacket, params: SimParams,
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Excited-state amplitudes on a uniform grid."""
+    """Excited-state amplitudes on a uniform grid, and the coupling M behind them."""
 
     grid: TimeGrid
     beta1: np.ndarray
     beta2: np.ndarray
-
-    @property
-    def populations(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.abs(self.beta1) ** 2, np.abs(self.beta2) ** 2)
+    m_total: complex | None = None
 
 
 def _grid_and_step(source: SourceTerm, coupling: CouplingResult,
@@ -392,7 +401,8 @@ def _one_pole(log_a: complex, x: np.ndarray) -> np.ndarray:
     return y[:n + 1]
 
 
-def _from_modes(grid: TimeGrid, u: np.ndarray, v: np.ndarray) -> AmplitudeTrajectory:
+def _from_modes(grid: TimeGrid, m: complex, u: np.ndarray, v: np.ndarray
+                ) -> AmplitudeTrajectory:
     """beta1 = (u + v)/2 and beta2 = (u - v)/2 (u is overwritten); a
     non-finite amplitude raises NumericalError naming its first time."""
     beta1 = u + v
@@ -402,7 +412,7 @@ def _from_modes(grid: TimeGrid, u: np.ndarray, v: np.ndarray) -> AmplitudeTrajec
     bad = np.flatnonzero(~(np.isfinite(beta1) & np.isfinite(beta2)))
     if bad.size:
         raise NumericalError(f"non-finite amplitude at t = {float(grid.times[bad[0]])}")
-    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2)
+    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2, m_total=m)
 
 
 def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
@@ -435,7 +445,7 @@ def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
         drive *= h / 6.0
         return _one_pole(log_pole, drive)
 
-    return _from_modes(grid, mode(-(params.gamma + m), np.add),
+    return _from_modes(grid, m, mode(-(params.gamma + m), np.add),
                        mode(-(params.gamma - m), np.subtract))
 
 
@@ -454,21 +464,22 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     """
     grid, m, h = _grid_and_step(source, coupling, params, grid)
 
-    times = grid.times
-    # drive samples at Gauss nodes inside every step, one flat call
-    tau = 0.5 * h * (_GL6_X + 1.0)                      # (6,) offsets
-    t_nodes = times[:-1, None] + tau[None, :]            # (n-1, 6)
-    s1_nodes, s2_nodes = source.at(t_nodes.ravel())
-    s1_nodes = s1_nodes.reshape(t_nodes.shape)
-    s2_nodes = s2_nodes.reshape(t_nodes.shape)
-
-    def propagate(rate: complex, f_nodes: np.ndarray) -> np.ndarray:
-        # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau
-        kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
-        return _one_pole(-rate * h, f_nodes @ kernel)
-
-    return _from_modes(grid, propagate(params.gamma + m, s1_nodes + s2_nodes),
-                       propagate(params.gamma - m, s1_nodes - s2_nodes))
+    times = grid.times[:-1]
+    tau = 0.5 * h * (_GL6_X + 1.0)                      # (6,) node offsets
+    rate_u, rate_v = params.gamma + m, params.gamma - m
+    # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau, contracted from
+    # the node samples of 2^14 steps at a time straight into each mode's drive
+    kernel_u, kernel_v = (np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
+                          for rate in (rate_u, rate_v))
+    drive_u, drive_v = np.empty(times.size, complex), np.empty(times.size, complex)
+    for lo in range(0, times.size, 1 << 14):
+        t_nodes = times[lo:lo + (1 << 14), None] + tau[None, :]
+        s1_nodes, s2_nodes = (s.reshape(t_nodes.shape) for s in source.at(t_nodes.ravel()))
+        np.matmul(s1_nodes + s2_nodes, kernel_u, out=drive_u[lo:lo + len(t_nodes)])
+        np.matmul(s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:lo + len(t_nodes)])
+    u = _one_pole(-rate_u * h, drive_u)
+    del times, drive_u
+    return _from_modes(grid, m, u, _one_pole(-rate_v * h, drive_v))
 
 
 # ----------------------------------------------------------------------

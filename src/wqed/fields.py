@@ -20,11 +20,11 @@ takes its full (non-RWA) value gamma * e^{i k0 l}.  That pins the only
 combination that matters: kappa = sqrt(2 pi gamma) and
 G0_j = sqrt(gamma / 2 pi) e^{i k0 z_j}, so kappa * |G0_j| = gamma.
 
-The algebraic pulse area of each envelope (trapezoid over the grid) obeys
-the area theorem: the transmitted area vanishes and the reflected area
-cancels the incident one, for every coupling strength, pulse width, and
-atom separation.  The resonant Fourier component is therefore never
-transmitted.
+The algebraic pulse area of each envelope (trapezoid over the grid, plus
+the closed-form tail of a slow mode the grid leaves out) obeys the area
+theorem: the transmitted area vanishes and the reflected area cancels the
+incident one, for every coupling strength, pulse width, and atom
+separation.  The resonant Fourier component is therefore never transmitted.
 
 The transfer oracle solves the same dynamics per detuning in the
 frequency domain,
@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import CouplingModel, CouplingResult, SimParams, evaluate_coupling
-from .dynamics import AmplitudeTrajectory, IncidentWavepacket, check_alignment
+from .dynamics import (AmplitudeTrajectory, IncidentWavepacket, check_alignment,
+                       check_points, tail_modes)
 from .errors import ConfigurationError, GridMismatch, NumericalError, TruncationError
 
 INCIDENT = "incident"
@@ -99,10 +100,11 @@ def radiation_prefactors(params: SimParams) -> FieldPrefactors:
 
 @dataclass(frozen=True)
 class FieldEnvelope:
-    """One propagating envelope sampled on a uniform retarded-time grid.
+    """One propagating envelope sampled on a uniform retarded-time grid and
+    continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over slow modes.
 
-    The stored pulse_area is the trapezoid integral of the samples; it is
-    recomputed, never passed in, so it always matches the samples.
+    pulse_area, the trapezoid of the samples plus tail_area = sum c/lam, is
+    recomputed, never passed in, so it always matches the samples and tail.
     """
 
     kind: str
@@ -110,7 +112,9 @@ class FieldEnvelope:
     samples: np.ndarray
     prefactors: FieldPrefactors
     delta: float                  # spectral width of the driving pulse
+    tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per slow mode
     pulse_area: complex = field(init=False)
+    tail_area: complex = field(init=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -121,8 +125,9 @@ class FieldEnvelope:
             raise ConfigurationError("need at least 3 samples")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        object.__setattr__(self, "pulse_area",
-                           complex(np.trapezoid(self.samples, self.tau)))
+        object.__setattr__(self, "tail_area", sum((c / lam for c, lam in self.tail), 0j))
+        object.__setattr__(self, "pulse_area", complex(
+            np.trapezoid(self.samples, self.tau)) + self.tail_area)
 
     @property
     def dtau(self) -> float:
@@ -133,12 +138,13 @@ class FieldEnvelope:
         return float(np.max(np.abs(self.samples)))
 
     def end_fraction(self) -> float:
-        """Larger end-sample magnitude relative to the peak (0 for a null field)."""
+        """Larger end-sample magnitude relative to the peak (0 for a null
+        field), the last sample counting only what the tail does not carry."""
         peak = self.peak()
         if peak == 0.0:
             return 0.0
-        ends = max(abs(complex(self.samples[0])), abs(complex(self.samples[-1])))
-        return ends / peak
+        last = complex(self.samples[-1]) - sum(c for c, _ in self.tail)
+        return max(abs(complex(self.samples[0])), abs(last)) / peak
 
     def ends_decayed(self, fraction: float = END_DECAY_FRACTION) -> bool:
         """True when both grid ends are below `fraction` of the peak."""
@@ -173,14 +179,20 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
     radiated_fw = -1j * pref.kappa * (traj.beta1 * ph1.conjugate()
                                       + traj.beta2 * ph2.conjugate())
     radiated_bw = -1j * pref.kappa * (traj.beta1 * ph1 + traj.beta2 * ph2)
+    # the mode w = beta1 + s*beta2 leaves w/2 in beta1 and s*w/2 in beta2
+    modes = {} if traj.m_total is None else tail_modes(params, traj.m_total, traj.grid)
+    ends = {s: -0.5j * pref.kappa * (traj.beta1[-1] + s * traj.beta2[-1]) for s in modes}
+    tail_fw = [(ends[s] * (ph1.conjugate() + s * ph2.conjugate()), lam)
+               for s, lam in modes.items()]
+    tail_bw = [(ends[s] * (ph1 + s * ph2), lam) for s, lam in modes.items()]
 
-    def make(kind: str, samples: np.ndarray) -> FieldEnvelope:
-        return FieldEnvelope(kind=kind, tau=tau, samples=samples,
-                             prefactors=pref, delta=wavepacket.delta)
+    def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
+        return FieldEnvelope(kind=kind, tau=tau, samples=samples, prefactors=pref,
+                             delta=wavepacket.delta, tail=tuple(tail))
 
     return (make(INCIDENT, inc),
-            make(TRANSMITTED, inc + radiated_fw),
-            make(REFLECTED, radiated_bw))
+            make(TRANSMITTED, inc + radiated_fw, tail_fw),
+            make(REFLECTED, radiated_bw, tail_bw))
 
 
 def pulse_areas(fields: tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope],
@@ -317,12 +329,12 @@ class Spectrum:
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
     evaluated by a zero-padded rectangle-rule DFT whose length fft_len is
-    the 5-smooth fft_length(n_time * zero_pad_factor).  The detuning axis
-    is stored ascending in units of the pulse width delta.  A full
-    spectrum holds all fft_len bins, with zero detuning at index
-    size // 2; a windowed one holds only the bins of the same DFT within
-    a detuning window.  tau0/dtau/n_time record the originating grid so a
-    full spectrum can be inverted exactly.
+    the 5-smooth fft_length(n_time * zero_pad_factor), plus the sum over
+    the envelope's tail.  The detuning axis is stored ascending in units of
+    the pulse width delta.  A full spectrum holds all fft_len bins, with
+    zero detuning at index size // 2; a windowed one holds only the bins of
+    the same DFT within a detuning window.  tau0/dtau/n_time record the
+    originating grid so a full spectrum can be inverted exactly.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
@@ -370,7 +382,8 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
     rounded up to a 5-smooth FFT length.  With a window, only the bins
     with |detuning| <= window of that same DFT are computed, by a chirp-z
     transform whose cost scales with n_time plus the window's bin count
-    rather than with the padded length.
+    rather than with the padded length; the tail of an envelope, which
+    needs a window, adds its exact continuation of the sum to each bin.
     """
     if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
         raise ConfigurationError(
@@ -381,7 +394,10 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
     n = fft_length(n_time * zero_pad_factor)
     dtau = env.dtau
     tau0 = float(env.tau[0])
+    spectrum_length(n_time, dtau, env.delta, zero_pad_factor, window)
     if window is None:
+        if env.tail:
+            raise ConfigurationError("a full spectrum would drop the envelope's tail")
         amplitude = np.zeros(n, dtype=complex)
         amplitude[:n_time] = env.samples
         if n % 2 == 0:
@@ -395,9 +411,22 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
         amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
         omega = _detuning_axis(n, dtau, m_lo, m_hi)
     _phase_ramp(amplitude, omega, tau0, dtau)
+    for c, lam in env.tail:  # c dtau e^{i omega tau_end} q/(1 - q), q = e^{z}
+        z = (1j * dtau) * omega - lam * dtau
+        amplitude -= (c * dtau) * np.exp(z + 1j * float(env.tau[-1]) * omega) / np.expm1(z)
     omega /= env.delta
     return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta,
                     tau0=tau0, dtau=dtau, n_time=n_time, fft_len=n)
+
+
+def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int,
+                    window: float | None) -> int:
+    """FFT length spectrum() needs for n_time samples, checked against POINT_BUDGET."""
+    n = fft_length(n_time * zero_pad_factor)
+    if window is not None:
+        m_lo, m_hi = _window_bins(n, dtau, delta, window)
+        n = fft_length(n_time + m_hi - m_lo)
+    return check_points("a spectrum FFT", n)
 
 
 def dip_width(spec: Spectrum) -> float:

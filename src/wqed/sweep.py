@@ -45,6 +45,7 @@ from .fields import (
     dip_width as measure_dip_width,
     reconstruct_fields,
     spectrum,
+    spectrum_length,
 )
 from .serialize import format_value, write_config, write_table
 
@@ -55,7 +56,7 @@ DEFAULT_AREA_TOL = 1e-3
 AREA_PASS = "pass"
 AREA_FAIL = "fail"
 AREA_SKIPPED = "skipped"      # gamma = 0: no scatterers, theorem not applicable
-AREA_TRUNCATED = "truncated"  # envelopes not decayed at the grid ends
+AREA_TRUNCATED = "truncated"  # envelopes, less tails, not decayed at the grid ends
 
 _VARIANT_TO_LABEL = {
     "full": "full",
@@ -190,8 +191,10 @@ class CellResult:
     area_refl: complex | None = None
     area_trans_ratio: float | None = None
     area_refl_ratio: float | None = None
+    tail_fraction: float | None = None
     area_check: str | None = None
     identity_transmission: bool | None = None
+    n: int | None = None
     fft_len: int | None = None
     dip_depth: float | None = None
     dip_width: float | None = None
@@ -259,8 +262,8 @@ class RunManifest:
                               ("area_refl", cell.area_refl)):
                 if area is not None:
                     entries[f"abs_{key}"] = abs(area)
-            for key in ("area_trans_ratio", "area_refl_ratio", "area_check",
-                        "identity_transmission", "fft_len", "dip_depth",
+            for key in ("area_trans_ratio", "area_refl_ratio", "tail_fraction",
+                        "area_check", "identity_transmission", "n", "fft_len", "dip_depth",
                         "dip_width", "peak_ratio", "residual1", "residual2",
                         "markov_ok", "markov_ratio_max"):
                 value = getattr(cell, key)
@@ -351,6 +354,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
         decayed = all(env.ends_decayed() for env in envelopes)
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
+        tail_fraction = max(abs(trans.tail_area), abs(refl.tail_area)) / abs(s_inc)
         trans_ratio = abs(s_trans) / abs(s_inc)
         refl_ratio = abs(s_refl + s_inc) / abs(s_inc)
         if params.gamma == 0.0:
@@ -386,9 +390,9 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             m_total=coupling.m_total,
             area_inc=s_inc, area_trans=s_trans, area_refl=s_refl,
             area_trans_ratio=trans_ratio, area_refl_ratio=refl_ratio,
-            area_check=check,
+            tail_fraction=tail_fraction, area_check=check,
             identity_transmission=bool(np.array_equal(trans.samples, inc.samples)),
-            fft_len=spec_trans.fft_len,
+            n=traj.grid.n, fft_len=spec_trans.fft_len,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,
@@ -403,7 +407,12 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
-    """Execute every cell (spec order), assemble and write the manifest."""
+    """Execute every cell (spec order), assemble and write the manifest;
+    first, a cell over the point budget raises ConfigurationError."""
+    for params in (cell_params(g, k, spec.omega0_over_gamma)
+                   for g in spec.gamma_over_delta for k in spec.k0l):
+        grid = default_grid(params, spec.span_factor, spec.dt_factor)
+        spectrum_length(grid.n, grid.dt, params.delta, spec.zero_pad, SPECTRUM_WINDOW)
     cells = ((g, k, m) for g in spec.gamma_over_delta
              for k in spec.k0l for m in spec.models)
     results = tuple(run_cell(index, *cell, spec)

@@ -50,6 +50,24 @@ def scipy_modules_loaded(argv):
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
+def run_limited(argv, limit=1 << 30):
+    """(exit code, stderr) of the CLI in a fresh interpreter whose address
+    space is capped at `limit` bytes, so that an unchecked allocation dies
+    with MemoryError instead of exhausting the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(wqed.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "wqed.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+    return done.returncode, done.stderr
+
+
 def invoke(argv):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -390,6 +408,24 @@ class TestSweepCommand:
         spec = tmp_path / "one.ini"
         spec.write_text(f"[sweep]\ngamma_over_delta = 4\nk0l = {PI4!r}\n")
         assert scipy_modules_loaded(["sweep", "--spec", str(spec)]) == []
+
+    def test_runs_under_the_memory_cap(self, tmp_path):
+        spec = tmp_path / "one.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 4\nk0l = {PI4!r}\n")
+        assert run_limited(["sweep", "--spec", spec]) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("lines, what", [
+        # gamma/delta = 1e-4 asks for a grid of ~4.1e7 points (~8 GB)
+        ("gamma_over_delta = 1e-4\n", "the time grid needs n = 40,972,164 points"),
+        # a modest grid whose padding pushes the chirp-z length past it
+        ("gamma_over_delta = 4\nzero_pad = 1000000\n", "a spectrum FFT needs n = "),
+    ])
+    def test_over_budget_exits_2_before_allocating(self, tmp_path, lines, what):
+        spec = tmp_path / "big.ini"
+        spec.write_text(f"[sweep]\n{lines}k0l = {PI4!r}\n")
+        code, err = run_limited(["sweep", "--spec", spec])
+        assert code == EXIT_USAGE, err
+        assert what in err and "over the budget of 10,000,000 points" in err
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _, err = invoke(["sweep", "--spec", tmp_path / "none.ini"])

@@ -22,10 +22,13 @@ from wqed.dynamics import (
     TimeGrid,
     build_source,
     default_grid,
+    driven_modes,
     integrate_markovian,
     markov_guard,
     oracle_modes,
-    slowest_excited_rate,
+    tail_modes,
+    _GL6_W,
+    _GL6_X,
     _one_pole,
 )
 from wqed.errors import ConfigurationError, NumericalError
@@ -142,17 +145,52 @@ class TestTimeGrid:
     def test_default_grid_tracks_slow_mode(self):
         # the antisymmetric mode at k0l=pi/4 decays ~3.4x slower than
         # gamma, so its grid must be correspondingly longer than at k0l=0
+        # (where that mode is undriven): 12 decay lengths of the slowest
+        # driven mode after the pulse section
         p_fast = SimParams.from_ratios(4.0, 0.0)
         p_slow = SimParams.from_ratios(4.0, math.pi / 4)
-        assert slowest_excited_rate(p_fast) == pytest.approx(2.0, rel=1e-12)
-        assert slowest_excited_rate(p_slow) == pytest.approx(
-            1 - math.cos(math.pi / 4), rel=1e-12)
+        for p, rate in ((p_fast, 2.0), (p_slow, 1 - math.cos(math.pi / 4))):
+            grid = default_grid(p)
+            assert grid.t_end - 8 / p.delta == pytest.approx(
+                12 / (rate * p.gamma), abs=grid.dt)
         assert default_grid(p_slow).t_end > default_grid(p_fast).t_end
 
     def test_default_grid_caps_near_dark_modes(self):
         # a barely-driven, barely-decaying mode must not blow up the grid
         p = SimParams.from_ratios(4.0, 1e-6)
         assert default_grid(p).t_end <= 8 / p.delta + 2000.0 / p.gamma + 1e-9
+
+    @pytest.mark.parametrize("ratio, k0l", [(0.25, 1e-3), (4.0, 1e-3), (4.0, math.pi),
+                                            (0.02, math.pi - 0.05)])
+    def test_tail_mode_grid_outlasts_source(self, ratio, k0l):
+        # a mode slower than gamma/4 does not size the window, but the grid
+        # still runs past the source's support (at gamma/delta = 4 the fast
+        # mode's window alone ends at 9.5/delta)
+        p = SimParams.from_ratios(ratio, k0l)
+        grid = default_grid(p, m_total=coupling_full(p).m_total)
+        fast = 1 + abs(math.cos(k0l))
+        assert grid.t_end >= 12 / p.delta - 1e-12
+        assert grid.t_end <= max(12 / p.delta, 8 / p.delta + 12 / (fast * p.gamma)) + grid.dt
+        assert set(tail_modes(p, coupling_full(p).m_total, grid)) == {
+            1 if math.cos(k0l) < 0 else -1}
+
+    def test_undriven_mode_is_not_a_tail(self):
+        # k0l = 0 leaves v = beta1 - beta2 exactly undriven: no tail, and
+        # the grid follows u alone
+        p = SimParams.from_ratios(0.25, 0.0)
+        m = coupling_full(p).m_total
+        assert set(driven_modes(p, m)) == {1}
+        assert tail_modes(p, m, default_grid(p, m_total=m)) == {}
+
+    def test_no_tail_on_a_grid_inside_the_source(self):
+        p = SimParams.from_ratios(0.25, 1e-3)
+        short = TimeGrid.from_step(-8 / p.delta, 10 / p.delta, 0.01 / p.delta)
+        assert tail_modes(p, coupling_full(p).m_total, short) == {}
+
+    def test_grid_over_budget_raises(self):
+        p = SimParams.from_ratios(1e-4, math.pi / 4)
+        with pytest.raises(ConfigurationError, match="budget of 10,000,000"):
+            default_grid(p)
 
 
 class TestBuildSource:
@@ -387,6 +425,33 @@ class TestOracleModes:
         for combo in (traj.beta1 + traj.beta2, traj.beta1 - traj.beta2):
             rate = -np.polyfit(t[sel], np.log(np.abs(combo[sel])), 1)[0]
             assert rate == pytest.approx(p.gamma, rel=1e-3)
+
+    def test_chunked_drive_is_bitwise_and_lean(self):
+        # the Gauss-node drive is built a chunk of steps at a time: the
+        # amplitudes equal the one-shot (n-1) x 6 node arrays bit for bit,
+        # and the peak stays below eight grid-length complex arrays
+        p, _, src = setup(gamma_over_delta=0.02)
+        cpl = coupling_full(p)
+        tracemalloc.start()
+        try:
+            traj = oracle_modes(src, cpl, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert src.grid.n > 10 * (1 << 14)
+        assert peak < 8 * 16 * src.grid.n
+
+        h = src.grid.dt
+        tau = 0.5 * h * (_GL6_X + 1.0)
+        s1, s2 = (s.reshape(-1, 6) for s in src.at(
+            (src.grid.times[:-1, None] + tau[None, :]).ravel()))
+        modes = []
+        for rate, f in ((p.gamma + cpl.m_total, s1 + s2), (p.gamma - cpl.m_total, s1 - s2)):
+            kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
+            modes.append(_one_pole(-rate * h, f @ kernel))
+        u, v = modes
+        assert np.array_equal(traj.beta1, (u + v) * 0.5)
+        assert np.array_equal(traj.beta2, (u - v) * 0.5)
 
 
 class TestSystemInvariants:

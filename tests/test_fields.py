@@ -1,6 +1,7 @@
 """Tests for field reconstruction, pulse areas, spectra, and the
 frequency-domain transfer oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -458,6 +459,53 @@ class TestWindowedSpectrum:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n
+
+
+class TestClosedFormTail:
+    """Envelopes continued past the grid by their slow modes' exponentials."""
+
+    @pytest.mark.parametrize("ratio, k0l", [(0.25, 1e-3), (0.25, 0.05),
+                                            (0.25, math.pi - 0.05), (4.0, 1e-3)])
+    def test_windowed_spectrum_matches_transfer_oracle(self, ratio, k0l):
+        # the third oracle pair on tail cells: t(d) times the incident
+        # spectrum at the same bins (a window past +-8 widths, which
+        # transfer_oracle requires its grid to reach)
+        params, wavepacket, coupling, _, (inc, trans, _) = _scatter(ratio, k0l)
+        assert trans.tail and not inc.tail
+        spec_inc, spec_trans = (spectrum(env, window=9.0) for env in (inc, trans))
+        t_vals, _ = transfer_oracle(params, coupling, wavepacket,
+                                    spec_inc.detuning * spec_inc.delta)
+        scale = float(np.max(np.abs(spec_inc.amplitude)))
+        assert np.max(np.abs(spec_trans.amplitude - t_vals * spec_inc.amplitude)) <= 1e-6 * scale
+
+    def test_pure_exponential_spectrum_and_area(self):
+        # an envelope that is one exponential from tau = 0 on: its tail makes
+        # the DFT sum infinite, dtau / (1 - e^{(i omega - lam) dtau}) at every
+        # bin, and the area 1/lam up to the trapezoid's (lam dtau)^2/12
+        lam, dtau, n_time = 0.01 - 0.3j, 0.05, 2001
+        tau = np.arange(n_time) * dtau
+        samples = np.exp(-lam * tau)
+        env = FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples,
+                            prefactors=radiation_prefactors(SimParams.from_ratios(1.0, 1.0)),
+                            delta=1.0, tail=((samples[-1], lam),))
+        spec = spectrum(env, window=8.0)
+        expected = -dtau / np.expm1((1j * spec.detuning - lam) * dtau)
+        assert np.max(np.abs(spec.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert env.pulse_area == pytest.approx(1 / lam, rel=1e-4)
+        assert env.tail_area == samples[-1] / lam
+
+    def test_full_spectrum_refuses_tail(self):
+        trans = _scatter(0.25, 1e-3)[4][1]
+        with pytest.raises(ConfigurationError, match="tail"):
+            spectrum(trans)
+
+    def test_end_decay_counts_only_what_the_tail_misses(self):
+        _, _, _, traj, (inc, trans, refl) = _scatter(0.25, 0.05)
+        assert traj.grid.n <= 10_000
+        for env in (trans, refl):
+            assert env.ends_decayed()
+            assert not dataclasses.replace(env, tail=()).ends_decayed()
+        assert pulse_areas((inc, trans, refl))[1] == trans.pulse_area
 
 
 class TestConsistencyResiduals:

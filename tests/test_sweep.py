@@ -1,12 +1,16 @@
 """Sweep-layer tests: grid execution, manifest records, artifact files,
 and the coupling-model comparison table."""
 
+import cmath
+import dataclasses
 import math
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wqed.sweep
 from wqed.coupling import CouplingModel, evaluate_coupling
@@ -189,6 +193,8 @@ class TestRunSweep:
             m_total = evaluate_coupling(params, CouplingModel.full()).m_total
             n = default_grid(params, m_total=m_total).n
             assert entries["fft_len"] == fft_length(n * DEFAULT_ZERO_PAD)
+            assert entries["n"] == n == manifest.cells[index].n
+            assert entries["tail_fraction"] == 0.0   # no mode left to a tail
             assert entries["area_check"] == AREA_PASS
             assert entries["passed"] is True
             for name in str(entries["files"]).split(","):
@@ -252,6 +258,68 @@ class TestRunSweep:
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
+
+
+def full_cell(gamma_over_delta, k0l, **spec_fields):
+    spec = SweepSpec(gamma_over_delta=[gamma_over_delta], k0l=[k0l], **spec_fields)
+    return run_cell(0, gamma_over_delta, k0l, CouplingModel.full(), spec)
+
+
+class TestClosedFormTails:
+    """Cells near the dark phases k0l -> 0, pi, 2pi, whose slow mode is
+    left to the envelopes' closed-form tails."""
+
+    @pytest.mark.parametrize("gamma_over_delta", [0.02, 0.25, 4.0])
+    @given(k0l=st.floats(min_value=0.0, max_value=2 * math.pi))
+    @example(k0l=0.0)
+    @example(k0l=1e-12)
+    @example(k0l=1e-3)
+    @example(k0l=0.01)
+    @example(k0l=0.05)
+    @example(k0l=math.pi - 0.05)
+    @example(k0l=math.pi)
+    @example(k0l=math.pi + 1e-9)
+    @example(k0l=2 * math.pi - 1e-3)
+    @settings(max_examples=10, deadline=None)
+    def test_whole_phase_domain_passes(self, gamma_over_delta, k0l):
+        cell = full_cell(gamma_over_delta, k0l)
+        assert cell.ok and cell.area_check == AREA_PASS, cell
+        assert cell.n <= 250_000
+        for f in dataclasses.fields(cell):
+            value = getattr(cell, f.name)
+            if isinstance(value, (float, complex)):
+                assert cmath.isfinite(value), f.name
+        entries = wqed.sweep.RunManifest(MANIFEST_VERSION, SweepSpec(
+            gamma_over_delta=[gamma_over_delta], k0l=[k0l]), (cell,)).sections()["cell000"]
+        for key, value in entries.items():
+            if isinstance(value, float):
+                assert math.isfinite(value), key
+
+    def test_dark_cell(self):
+        cell = full_cell(0.25, 1e-3)
+        assert cell.n <= 10_000            # 801,601 under the old 2000/gamma cap
+        assert cell.area_trans_ratio <= 1e-6 and cell.area_refl_ratio <= 1e-6
+        assert 0 < cell.tail_fraction < 1e-3
+        assert cell.dip_width == pytest.approx(0.448731, rel=1e-3)
+
+    @pytest.mark.parametrize("gamma_over_delta, k0l", [
+        (0.25, 0.01), (0.25, 0.03), (0.25, 0.05), (0.25, math.pi - 0.05), (0.02, 0.05)])
+    def test_former_false_fail_band_passes(self, gamma_over_delta, k0l):
+        cell = full_cell(gamma_over_delta, k0l)
+        assert cell.area_check == AREA_PASS
+        assert cell.area_trans_ratio <= 1e-5 and cell.area_refl_ratio <= 1e-5
+
+    @pytest.mark.parametrize("gamma_over_delta, k0l", [(0.25, 0.05), (4.0, 1e-3)])
+    def test_tail_continues_the_integration(self, gamma_over_delta, k0l):
+        # a doubled window (at gamma/delta = 0.25; at 4 the grid is set by
+        # the source's support either way) integrates the slow mode further
+        # by RK4 before its tail starts; the tail-corrected areas agree, the
+        # tail being 2.5e-2 and 5e-4 of the incident area
+        one, two = (full_cell(gamma_over_delta, k0l, span_factor=span)
+                    for span in (1.0, 2.0))
+        assert one.tail_fraction > 1e-4
+        for key in ("area_trans", "area_refl"):
+            assert abs(getattr(one, key) - getattr(two, key)) <= 1e-6 * abs(one.area_inc)
 
 
 class TestScatter:
