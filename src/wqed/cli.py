@@ -27,7 +27,7 @@ import numpy as np
 
 from .checks import VALIDATION_CHECKS, CheckResult
 from .coupling import CouplingModel, SimParams
-from .dynamics import BARE_PREFACTOR, UNIT_EXCITATION, markov_guard
+from .dynamics import BARE_PREFACTOR, POINT_BUDGET, UNIT_EXCITATION, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
 from .serialize import (
     config_text,
@@ -199,10 +199,12 @@ def parse_k0l_range(text: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigurationError(f"--k0l-range must be A:B:N, got {text!r}") from None
-    if count < 1:
-        raise ConfigurationError(f"--k0l-range needs N >= 1, got {count}")
-    if not (0 <= lo <= hi):
-        raise ConfigurationError(f"--k0l-range needs 0 <= A <= B, got {text!r}")
+    if not 1 <= count <= POINT_BUDGET:
+        raise ConfigurationError(
+            f"--k0l-range needs 1 <= N <= {POINT_BUDGET:,}, got {count:,}")
+    if not (0 <= lo <= hi < math.inf):
+        raise ConfigurationError(
+            f"--k0l-range needs finite 0 <= A <= B, got {text!r}")
     return np.linspace(lo, hi, count)
 
 

@@ -97,8 +97,13 @@ class TimeGrid:
 def check_points(what: str, n: int) -> int:
     """n, or ConfigurationError when it exceeds POINT_BUDGET."""
     if n > POINT_BUDGET:
+        if n < 1000 * POINT_BUDGET:
+            shown = f"{n:,}"
+        else:  # orders of magnitude over: no hundreds of digits
+            from decimal import Decimal  # formats ints beyond float range
+            shown = f"{Decimal(n):.3e}"
         raise ConfigurationError(
-            f"{what} needs n = {n:,} points, over the budget of {POINT_BUDGET:,} "
+            f"{what} needs n = {shown} points, over the budget of {POINT_BUDGET:,} "
             "points; reduce span_factor, dt_factor or zero_pad")
     return n
 

@@ -419,7 +419,9 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
                     for index, cell in enumerate(cells))
     manifest = RunManifest(MANIFEST_VERSION, spec, results)
     if spec.out_dir is not None:
-        write_manifest(manifest, Path(spec.out_dir) / "manifest.txt")
+        out_dir = Path(spec.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # also when no cell wrote files
+        write_manifest(manifest, out_dir / "manifest.txt")
     return manifest
 
 

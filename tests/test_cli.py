@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,16 @@ def scipy_modules_loaded(argv):
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
+def run_fresh(argv, preexec_fn=None) -> subprocess.CompletedProcess:
+    """The CLI run as `python -m wqed.cli` in a fresh interpreter."""
+    src = str(Path(wqed.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "wqed.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=preexec_fn)
+
+
 def run_limited(argv, limit=1 << 30):
     """(exit code, stderr) of the CLI in a fresh interpreter whose address
     space is capped at `limit` bytes, so that an unchecked allocation dies
@@ -59,12 +70,7 @@ def run_limited(argv, limit=1 << 30):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(wqed.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-m", "wqed.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120,
-                          preexec_fn=cap)
+    done = run_fresh(argv, cap)
     return done.returncode, done.stderr
 
 
@@ -207,6 +213,33 @@ class TestCouplingCommand:
         values = parse_k0l_range("0:2:5")
         assert values.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
 
+    @pytest.mark.parametrize("text, message", [
+        ("0:inf:3", "needs finite 0 <= A <= B"),
+        ("nan:1:3", "needs finite 0 <= A <= B"),
+        ("0:nan:3", "needs finite 0 <= A <= B"),
+        ("inf:inf:3", "needs finite 0 <= A <= B"),
+        ("0:1:10000001", "needs 1 <= N <= 10,000,000, got 10,000,001"),
+        ("0:1:100000000000", "needs 1 <= N <= 10,000,000, got 100,000,000,000"),
+    ])
+    def test_parse_k0l_range_bounds(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning first
+            with pytest.raises(ConfigurationError, match=re.escape(message)) as info:
+                parse_k0l_range(text)
+        assert str(info.value).startswith("--k0l-range ")
+
+    def test_non_finite_range_exits_2_without_warning(self):
+        done = run_fresh(["coupling", "--k0l-range", "0:inf:3", "--models", "full"])
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "error: --k0l-range needs finite 0 <= A <= B, got '0:inf:3'\n"
+
+    def test_huge_range_exits_2_before_allocating(self):
+        code, err = run_limited(["coupling", "--k0l-range", "0:1:100000000000",
+                                 "--models", "full"])
+        assert code == EXIT_USAGE, err
+        assert err == ("error: --k0l-range needs 1 <= N <= 10,000,000, "
+                       "got 100,000,000,000\n")
+
 
 class TestSimulateCommand:
     """Single-run artifacts, summary block, and guard behavior."""
@@ -276,6 +309,26 @@ class TestSimulateCommand:
         assert code == EXIT_CHECK
         assert parse_config_text(out)["summary"]["area_check"] == "fail"
         assert (tmp_path / "cell000_transmitted.csv").is_file()
+
+    def test_failing_cell_into_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        done = run_fresh(["simulate", "--grid-dt", 10, "--out", out])
+        assert done.returncode == EXIT_CHECK, done.stderr
+        assert done.stderr.startswith("error: ConfigurationError: dt = ")
+        summary = parse_config_text(done.stdout)["summary"]
+        assert summary["ok"] is False
+        assert summary["error"].startswith("ConfigurationError: dt = ")
+        manifest = read_config(out / "manifest.txt")
+        assert manifest["manifest"]["all_ok"] is False
+        assert manifest["cell000"]["error"] == summary["error"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "run_config.txt"]
+
+    def test_far_over_budget_prints_a_short_count(self, tmp_path):
+        code, _, err = invoke(["simulate", "--gamma-over-delta", "1e300",
+                               "--out", tmp_path])
+        assert code == EXIT_USAGE
+        assert "the time grid needs n = 1.600e+303 points, over the budget" in err
+        assert len(err) < 200
 
     def test_missing_out_exits_2(self):
         code, _, err = invoke(["simulate", "--gamma-over-delta", 4])
@@ -439,6 +492,21 @@ class TestSweepCommand:
         code, out, _ = invoke(["sweep", "--spec", spec])
         assert code == EXIT_CHECK
         assert "-> fail" in out
+
+    def test_every_cell_failing_into_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        spec = tmp_path / "fail.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 0.25, 4\nk0l = {PI4!r}\n"
+                        f"dt_factor = 10\n[output]\ndir = {out}\n")
+        done = run_fresh(["sweep", "--spec", spec])
+        assert done.returncode == EXIT_CHECK, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.count("-> error: ConfigurationError: dt = ") == 2
+        assert done.stdout.endswith("\n0/2 cells passed\n")
+        manifest = read_config(out / "manifest.txt")
+        assert manifest["manifest"]["all_ok"] is False
+        assert [manifest[f"cell00{i}"]["ok"] for i in range(2)] == [False, False]
+        assert [p.name for p in out.iterdir()] == ["manifest.txt"]
 
     def test_out_flag_overrides_spec_dir(self, tmp_path):
         spec = tmp_path / "o.ini"

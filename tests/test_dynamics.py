@@ -15,12 +15,14 @@ from wqed.coupling import CouplingResult, SimParams, coupling_full
 from wqed.dynamics import (
     GAUSSIAN_CLOSED_FORM,
     BARE_PREFACTOR,
+    POINT_BUDGET,
     QUADRATURE,
     UNIT_EXCITATION,
     IncidentWavepacket,
     SourceTerm,
     TimeGrid,
     build_source,
+    check_points,
     default_grid,
     driven_modes,
     integrate_markovian,
@@ -191,6 +193,21 @@ class TestTimeGrid:
         p = SimParams.from_ratios(1e-4, math.pi / 4)
         with pytest.raises(ConfigurationError, match="budget of 10,000,000"):
             default_grid(p)
+
+    @pytest.mark.parametrize("n, shown", [
+        (POINT_BUDGET + 1, "10,000,001"),
+        (1000 * POINT_BUDGET - 1, "9,999,999,999"),
+        (1000 * POINT_BUDGET, "1.000e+10"),
+        (16 * 10 ** 305, "1.600e+306"),
+        (10 ** 400, "1.000e+400"),  # beyond the float range
+    ], ids=["over", "under-1000x", "1000x", "1.6e306", "1e400"])
+    def test_budget_error_count(self, n, shown):
+        with pytest.raises(ConfigurationError) as info:
+            check_points("the time grid", n)
+        assert str(info.value) == (
+            f"the time grid needs n = {shown} points, over the budget of "
+            "10,000,000 points; reduce span_factor, dt_factor or zero_pad")
+        assert check_points("the time grid", POINT_BUDGET) == POINT_BUDGET
 
 
 class TestBuildSource:

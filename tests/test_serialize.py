@@ -2,7 +2,11 @@
 gnuplot script emission."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +15,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wqed import serialize
+from wqed import serialize, sweep
+from wqed.cli import main
 from wqed.errors import ConfigurationError
 from wqed.serialize import (
     CSV_CHUNK_ROWS,
@@ -106,6 +111,33 @@ def assert_matches_savetxt(directory, columns):
         Path(directory) / "oracle.csv", header, columns)
 
 
+def percent_chunk_bytes(header, columns) -> bytes:
+    """The reference float writer: one `'%.17g'` `%` operation per chunk."""
+    row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    text = [",".join(header) + "\n"]
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = np.column_stack([column[lo:lo + CSV_CHUNK_ROWS] for column in columns])
+        text.append((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return "".join(text).encode()
+
+
+def first_difference(ours: bytes, oracle: bytes):
+    """None, or (line number, our line, the oracle's line) of the first
+    differing line; cheap to show where a bytes diff of megabytes is not."""
+    if ours == oracle:
+        return None
+    lines = zip(ours.split(b"\n"), oracle.split(b"\n"))
+    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b),
+                ("lengths", len(ours), len(oracle)))
+
+
+def assert_matches_percent(directory, columns):
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    ours = write_table(Path(directory) / "ours.csv", header, columns).read_bytes()
+    assert first_difference(ours, percent_chunk_bytes(header, columns)) is None
+    return ours.decode()
+
+
 SPECIAL_FLOATS = np.array([
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
     2.2250738585072014e-308, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e16, 1e17,
@@ -152,6 +184,7 @@ class TestChunkedWriter:
         with mock.patch.object(serialize, "CSV_CHUNK_ROWS", chunk_rows), \
                 tempfile.TemporaryDirectory() as directory:
             assert_matches_savetxt(directory, columns)
+            assert_matches_percent(directory, columns)
 
     def test_mixed_table_matches_rowwise(self, tmp_path):
         n = CSV_CHUNK_ROWS + 3
@@ -176,6 +209,113 @@ class TestChunkedWriter:
         with pytest.raises(ConfigurationError, match="differ"):
             write_table(tmp_path / "t.csv", ("a", "b"),
                         (np.zeros(CSV_CHUNK_ROWS), np.zeros(CSV_CHUNK_ROWS + 1)))
+
+
+def with_neighbours(values) -> np.ndarray:
+    """values, their nextafter neighbours on both sides, and their negatives."""
+    values = np.asarray(values, dtype=np.float64)
+    near = np.concatenate([values, np.nextafter(values, 0.0),
+                           np.nextafter(values, math.inf)])
+    return np.concatenate([near, -near])
+
+
+def exact_digits(value: float) -> tuple[int, ...]:
+    """The significant decimal digits of a double's exact value."""
+    return Decimal(value).normalize().as_tuple().digits
+
+
+class TestFloatFormatter:
+    """The numpy float path writes, for every double, the bytes of
+    `'%.17g' % v`, which the old one-`%`-per-chunk writer produced."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        values = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64)
+        subnormals = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64)
+        extremes = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                    5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308]
+        values[:1000] = subnormals * np.where(np.arange(1000) % 2, 1.0, -1.0)
+        values[1000:1000 + len(extremes)] = extremes
+        text = assert_matches_percent(tmp_path, tuple(values.reshape(4, -1)))
+        for spelled in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                        "1.7976931348623157e+308"):
+            assert spelled in text.replace("\n", ",").split(",")
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        powers = [float(f"1e{k}") for k in range(-320, 309)]
+        assert_matches_percent(tmp_path, (with_neighbours(powers),))
+
+    def test_fixed_exponent_boundaries(self, tmp_path):
+        edges = [1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17]
+        text = assert_matches_percent(tmp_path, (with_neighbours(edges),))
+        for spelled in ("1.0000000000000001e-05", "0.0001", "9.9999999999999991e-05",
+                        "10000000000000000", "1e+17", "99999999999999984"):
+            assert spelled in text.split("\n")
+
+    def test_seventeen_digit_carries(self, tmp_path):
+        values = [float(f"9.99999999999999999e{k}") for k in range(-300, 300)]
+        # doubles below 10^(k+1) whose 17 digits round up to it
+        carries = [v for k, v in zip(range(-300, 300), values)
+                   if Decimal(v) < Decimal(10) ** (k + 1) and "%.17g" % v == f"1e{k + 1:+03d}"]
+        assert len(carries) > 5
+        assert_matches_percent(tmp_path, (with_neighbours(values),))
+
+    def test_exact_ties_round_half_even(self, tmp_path):
+        # n / 2^m with 18 significant digits, the last a 5: a tie at 17
+        # (d integer digits, m = 18 - d binary places), and n / 2^18 < 1
+        ties = [(2 ** (18 - d) * 10 ** (d - 1) + 7919 * (2 * j + 1)) / 2 ** (18 - d)
+                for d in range(1, 16) for j in range(50)]
+        ties += [n / 2 ** 18 for n in range(26215, 262144, 622)]
+        ties += [1 + 2 ** -17, 1 + 3 * 2 ** -17]  # ...312|5 down, ...937|5 up
+        assert all(len(exact_digits(t)) == 18 and exact_digits(t)[-1] == 5 for t in ties)
+        lines = assert_matches_percent(tmp_path, (np.array(ties), -np.array(ties))).split("\n")
+        assert lines[-3:-1] == ["1.0000076293945312,-1.0000076293945312",
+                                "1.0000228881835938,-1.0000228881835938"]
+
+    def test_exponent_settles_next_to_powers_of_ten(self):
+        # log10 of 10^k - 1 ulp rounds up to k; the scaled product corrects
+        # it, so only exact 17-digit ties are left to the `%` fallback
+        values = with_neighbours([float(f"1e{k}") for k in range(-249, 250)])
+        digits, exp, slow = serialize._decimal(values)
+        assert all(exact_digits(v)[-1] == 5 and len(exact_digits(v)) == 18
+                   for v in values[slow])
+        assert slow.sum() <= 4
+        expected = [("%.16e" % abs(v)).split("e") for v in values[~slow]]
+        assert digits[~slow].tolist() == [int(m.replace(".", "")) for m, _ in expected]
+        assert exp[~slow].tolist() == [int(x) for _, x in expected]
+
+    def test_simulate_csvs_match_the_percent_writer(self, tmp_path, monkeypatch, capsys):
+        written = []
+
+        def recording(path, header, columns):
+            written.append((path, header, [np.array(column) for column in columns]))
+            return write_table(path, header, columns)
+
+        monkeypatch.setattr(sweep, "write_table", recording)
+        assert main(["simulate", "--gamma-over-delta", "4", "--k0l", repr(math.pi / 4),
+                     "--out", str(tmp_path)]) == 0
+        assert len(written) == 6
+        for path, header, columns in written:
+            assert first_difference(Path(path).read_bytes(),
+                                    percent_chunk_bytes(header, columns)) is None
+
+    def test_import_builds_no_table(self):
+        script = ("import io, sys\n"
+                  "import numpy as np\n"
+                  "import wqed.cli\n"
+                  "from wqed import serialize\n"
+                  "print(serialize._format_tables.cache_info().currsize,"
+                  " 'fractions' in sys.modules)\n"
+                  "serialize._write_columns(io.BytesIO(), ['x'], [np.ones(3)])\n"
+                  "print(serialize._format_tables.cache_info().currsize)\n")
+        src = str(Path(serialize.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False", "1"]
 
 
 class TestConfigBlocks:
