@@ -305,18 +305,28 @@ def _gl_panels(f, edges: np.ndarray, phase: float, chunk: int = 1 << 16) -> comp
         mid = 0.5 * (starts[i:i + chunk] + ends[i:i + chunk])
         half = 0.5 * (ends[i:i + chunk] - starts[i:i + chunk])
         u = mid[:, None] + half[:, None] * _GL_X[None, :]
-        vals = f(u) * np.exp(1j * phase * u)
+        vals = np.empty(u.shape, dtype=complex)
+        arg = phase * u
+        np.cos(arg, out=vals.real)
+        np.sin(arg, out=vals.imag)
+        vals *= f(u)
         total += complex(np.sum((vals @ _GL_W) * half))
     return total
 
 
 def _subdivide(edges: list[float], wmax: float) -> np.ndarray:
     """Split any panel wider than wmax into equal pieces."""
-    out = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(1, math.ceil((b - a) / wmax))
-        out.extend(a + (b - a) * (k + 1) / n for k in range(n))
-    return np.asarray(out)
+    edges = np.asarray(edges, dtype=float)
+    width = np.diff(edges)
+    pieces = np.maximum(1.0, np.ceil(width / wmax))
+    counts = pieces.astype(np.intp)
+    # piece k of n of panel (a, b) ends at a + (b - a) * k / n, k = 1..n
+    ends = np.arange(1, counts.sum() + 1, dtype=float)
+    ends -= np.repeat(np.cumsum(counts) - counts, counts)
+    ends *= np.repeat(width, counts)
+    ends /= np.repeat(pieces, counts)
+    ends += np.repeat(edges[:-1], counts)
+    return np.concatenate((edges[:1], ends))
 
 
 def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,

@@ -88,15 +88,19 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t_start: float, t_end: float, dt: float) -> "TimeGrid":
-        if dt <= 0:
+        """Grid of step dt covering [t_start, t_end]; over POINT_BUDGET
+        points (an infinite or NaN count included) it raises."""
+        if not dt > 0:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
-        n = max(9, int(math.ceil((t_end - t_start) / dt)) + 1)
+        steps = (t_end - t_start) / dt
+        n = max(9, math.ceil(steps) + 1) if math.isfinite(steps) else steps
+        check_points("the time grid", n)
         return cls(t_start, t_start + dt * (n - 1), n)
 
 
-def check_points(what: str, n: int) -> int:
-    """n, or ConfigurationError when it exceeds POINT_BUDGET."""
-    if n > POINT_BUDGET:
+def check_points(what: str, n: int | float) -> int:
+    """n, or ConfigurationError when it exceeds POINT_BUDGET or is NaN."""
+    if not n <= POINT_BUDGET:
         if n < 1000 * POINT_BUDGET:
             shown = f"{n:,}"
         else:  # orders of magnitude over: no hundreds of digits
@@ -136,8 +140,8 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
     are left to closed-form tails (tail_modes), so the grid then only has
     to outlast the source's support.  Over POINT_BUDGET points it raises.
     """
-    if span_factor <= 0 or dt_factor <= 0:
-        raise ConfigurationError("span_factor and dt_factor must be > 0")
+    if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
+        raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
     center = params.z1 / params.c
     t_end = center + _PULSE_HALF_SPAN / params.delta
     if params.gamma > 0:
@@ -151,9 +155,7 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
         t_end += span_factor * (_DECAY_LENGTHS / params.delta)
         dt = 1.0 / params.delta / 100.0 * dt_factor
     t_start = center - _PULSE_HALF_SPAN / params.delta
-    grid = TimeGrid.from_step(t_start, t_end, dt)
-    check_points("the time grid", grid.n)
-    return grid
+    return TimeGrid.from_step(t_start, t_end, dt)
 
 
 # ----------------------------------------------------------------------

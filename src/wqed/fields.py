@@ -411,12 +411,30 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
         amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
         omega = _detuning_axis(n, dtau, m_lo, m_hi)
     _phase_ramp(amplitude, omega, tau0, dtau)
-    for c, lam in env.tail:  # c dtau e^{i omega tau_end} q/(1 - q), q = e^{z}
-        z = (1j * dtau) * omega - lam * dtau
-        amplitude -= (c * dtau) * np.exp(z + 1j * float(env.tau[-1]) * omega) / np.expm1(z)
+    for term in _tail_terms(env, omega):
+        amplitude -= term
     omega /= env.delta
     return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta,
                     tau0=tau0, dtau=dtau, n_time=n_time, fft_len=n)
+
+
+def _tail_terms(env: FieldEnvelope, omega):
+    """Per tail mode, what a spectrum subtracts at angular detunings omega to
+    continue its rectangle-rule sum past the grid by c dtau e^{i omega tau_end}
+    q/(1 - q), q = e^{z}."""
+    dtau = env.dtau
+    for c, lam in env.tail:
+        z = (1j * dtau) * omega - lam * dtau
+        yield (c * dtau) * np.exp(z + 1j * float(env.tau[-1]) * omega) / np.expm1(z)
+
+
+def resonant_amplitude(env: FieldEnvelope) -> complex:
+    """spectrum(env, window=...).at_resonance() without the transform: the
+    zero-detuning bin is dtau times the sum of the samples, plus the tail."""
+    value = env.dtau * complex(np.sum(env.samples))
+    for term in _tail_terms(env, 0.0):
+        value -= complex(term)
+    return value
 
 
 def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int,

@@ -142,8 +142,8 @@ class SweepSpec:
         if not (self.omega0_over_gamma > 0 and math.isfinite(self.omega0_over_gamma)):
             raise ConfigurationError(
                 f"omega0_over_gamma must be > 0, got {self.omega0_over_gamma}")
-        if self.span_factor <= 0 or self.dt_factor <= 0:
-            raise ConfigurationError("span_factor and dt_factor must be > 0")
+        if not (0 < self.span_factor < math.inf and 0 < self.dt_factor < math.inf):
+            raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
         if not (isinstance(self.zero_pad, int) and self.zero_pad >= 1):
             raise ConfigurationError(f"zero_pad must be an int >= 1, got {self.zero_pad}")
         if not (self.area_tol > 0):

@@ -330,6 +330,18 @@ class TestSimulateCommand:
         assert "the time grid needs n = 1.600e+303 points, over the budget" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid-span", "1e308", "the time grid needs n = Infinity points, over the budget"),
+        ("--grid-span", "inf", "span_factor and dt_factor must be finite and > 0"),
+        ("--grid-dt", "1e-320", "the time grid needs n = Infinity points, over the budget"),
+        ("--grid-dt", "nan", "span_factor and dt_factor must be finite and > 0"),
+    ])
+    def test_bad_grid_factor_exits_2(self, tmp_path, flag, value, message):
+        done = run_fresh(["simulate", flag, value, "--out", tmp_path / "d"])
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_missing_out_exits_2(self):
         code, _, err = invoke(["simulate", "--gamma-over-delta", 4])
         assert code == EXIT_USAGE
@@ -387,6 +399,10 @@ class TestValidateCommand:
         """The mode oracle's recursions are evaluated in numpy alone."""
         loaded = scipy_modules_loaded(["validate", "--only", "mode-oracle"])
         assert not [m for m in loaded if m.startswith("scipy.signal")]
+
+    def test_validate_imports_no_scipy(self):
+        """Every reference integral of the 14 checks is numpy quadrature."""
+        assert scipy_modules_loaded(["validate"]) == []
 
     def test_mutated_coupling_fails_pulse_area(self):
         code, out, _ = invoke(["validate", "--only", "pulse-area",
@@ -479,6 +495,17 @@ class TestSweepCommand:
         code, err = run_limited(["sweep", "--spec", spec])
         assert code == EXIT_USAGE, err
         assert what in err and "over the budget of 10,000,000 points" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("span_factor = nan", "span_factor and dt_factor must be finite and > 0"),
+        ("dt_factor = 1e-320", "the time grid needs n = Infinity points, over the budget"),
+    ])
+    def test_bad_grid_value_exits_2(self, tmp_path, line, message):
+        spec = tmp_path / "grid.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 4\nk0l = {PI4!r}\n{line}\n")
+        done = run_fresh(["sweep", "--spec", spec])
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr.startswith("error: ") and message in done.stderr
 
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _, err = invoke(["sweep", "--spec", tmp_path / "none.ini"])

@@ -12,6 +12,7 @@ from wqed.coupling import (
     CouplingModel,
     SimParams,
     _coupling_parts,
+    _subdivide,
     coupling_full,
     coupling_oracle,
     coupling_rwa_const_g,
@@ -238,6 +239,43 @@ class TestOracle:
         closed = coupling_full(p).m_parts
         for i in (1, 2):
             assert abs(coupling_oracle(p, i) - closed[i - 1]) <= 1e-6
+
+    @pytest.mark.parametrize("wmax", [0.37, 2.0, math.inf])
+    def test_subdivide_matches_the_list_builder(self, wmax):
+        def list_subdivide(edges, wmax):
+            out = [edges[0]]
+            for a, b in zip(edges[:-1], edges[1:]):
+                n = max(1, math.ceil((b - a) / wmax))
+                out.extend(a + (b - a) * (k + 1) / n for k in range(n))
+            return np.asarray(out)
+
+        rng = np.random.default_rng(20)
+        for size in (2, 3, 17, 200):
+            edges = np.sort(rng.uniform(-3.0, 40.0, size)).tolist()
+            assert np.array_equal(_subdivide(edges, wmax), list_subdivide(edges, wmax))
+        graded = np.geomspace(1e-8, 0.125, 30).tolist() + [0.25, 0.5, 1.0, 2.0, 1e4]
+        assert np.array_equal(_subdivide(graded, wmax), list_subdivide(graded, wmax))
+
+    @pytest.mark.parametrize("k0l, parts", [
+        (math.pi / 4, (0.34488586856647724 + 3.5149257447290347j,
+                       0.13777908487991186 - 2.807818966725604j,
+                       0.36222091262007033 + 2.807818963542487j,
+                       -0.13777908487991186 - 2.807818966725604j)),
+        (math.pi / 2, (-0.32512123431917755 + 3.7361676227305303j,
+                       0.17487876068079794 - 2.7361676259136294j,
+                       0.32512123431917767 + 2.7361676227305303j,
+                       -0.17487876068079794 - 2.7361676259136294j)),
+        (3 * math.pi, (-1.266546603809136 + 2.4811464137074895j,
+                       0.23345336619086407 - 2.481146416890565j,
+                       0.26654660380913575 + 2.4811464137074895j,
+                       -0.23345336619086407 - 2.481146416890565j)),
+    ])
+    def test_parts_match_the_complex_exp_panel_sums(self, k0l, parts):
+        # the coupling-oracle check's cells, against the panel sums that took
+        # e^{i a u} from a complex np.exp and built the edges in a Python loop
+        p = SimParams.from_ratios(1.0, k0l)
+        for index, previous in enumerate(parts, start=1):
+            assert abs(coupling_oracle(p, index) - previous) <= 1e-15 * p.gamma
 
     def test_unreachable_tolerance_raises_with_residual(self):
         p = params_at(1.0)

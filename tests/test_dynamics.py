@@ -144,6 +144,18 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid.from_step(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (1e308, 1e-300),
+                                           (1.0, math.nan), (math.nan, 0.1)])
+    def test_from_step_refuses_unbounded_counts(self, t_end, dt):
+        with pytest.raises(ConfigurationError, match="budget|dt must be > 0"):
+            TimeGrid.from_step(-1.0, t_end, dt)
+
+    @pytest.mark.parametrize("factors", [(math.nan, 1.0), (1.0, math.nan),
+                                         (math.inf, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_default_grid_factors_finite_and_positive(self, factors):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            default_grid(SimParams.from_ratios(4.0, math.pi / 4), *factors)
+
     def test_default_grid_tracks_slow_mode(self):
         # the antisymmetric mode at k0l=pi/4 decays ~3.4x slower than
         # gamma, so its grid must be correspondingly longer than at k0l=0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from wqed.checks import band_reference, pv_reference
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
 from wqed.dynamics import (
     AmplitudeTrajectory,
@@ -190,6 +191,19 @@ class TestEvalFPlus:
         w1, w2 = 0.5 * w0, 1.5 * w0
         got = pv_band_integral(w1, w2, w0, a)
         assert got == pytest.approx(pv_quadrature(w1, w2, w0, a), abs=1e-6)
+
+    def test_gauss_legendre_references_converged(self):
+        """Doubling the panels of the farfield-quadrature references moves
+        them by round-off only (integrals ~0.05, one ulp 6.9e-18), and they
+        agree with adaptive quadrature."""
+        band = band_reference(0.9, 1.3, 1.0, 7.0)
+        pv = pv_reference(20.0, 60.0, 40.0, 1.0)
+        assert abs(band_reference(0.9, 1.3, 1.0, 7.0, panels=16) - band) <= 1e-16
+        assert abs(pv_reference(20.0, 60.0, 40.0, 1.0, panels=16) - pv) <= 1e-16
+        weighted, _ = quad(lambda w: 1.0 / (w * (w + 1.0)), 0.9, 1.3,
+                           weight="cos", wvar=7.0)
+        assert band == pytest.approx(weighted, abs=1e-12)
+        assert pv == pytest.approx(pv_quadrature(20.0, 60.0, 40.0, 1.0), abs=1e-10)
 
     def test_pv_far_field_phase(self):
         """Once every accepted wavelength is short, the PV integral locks

@@ -38,6 +38,7 @@ from wqed.fields import (
     pulse_areas,
     radiation_prefactors,
     reconstruct_fields,
+    resonant_amplitude,
     spectrum,
     transfer_oracle,
     transfer_spectrum,
@@ -493,6 +494,19 @@ class TestClosedFormTail:
         assert np.max(np.abs(spec.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert env.pulse_area == pytest.approx(1 / lam, rel=1e-4)
         assert env.tail_area == samples[-1] / lam
+
+    @pytest.mark.parametrize("ratio, k0l, span_factor", [
+        (0.25, 1e-3, 1.0), (0.25, 0.05, 1.0), (4.0, 1e-3, 1.0),       # with a tail
+        (0.02, math.pi / 4, 2.0), (0.25, math.pi / 4, 2.0), (4.0, math.pi / 4, 2.0),
+    ])
+    def test_resonant_amplitude_is_the_zero_detuning_bin(self, ratio, k0l, span_factor):
+        # to round-off of the incident spectrum's peak (measured <= 6.4e-16)
+        envelopes = _scatter(ratio, k0l, span_factor=span_factor)[4]
+        assert bool(envelopes[1].tail) == (span_factor == 1.0)
+        spectra = [spectrum(env, window=8.0) for env in envelopes]
+        scale = float(np.max(np.abs(spectra[0].amplitude)))
+        for env, spec in zip(envelopes, spectra):
+            assert abs(resonant_amplitude(env) - spec.at_resonance()) <= 1e-15 * scale
 
     def test_full_spectrum_refuses_tail(self):
         trans = _scatter(0.25, 1e-3)[4][1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wqed.checks import si_ci_reference
 from wqed.errors import DomainError
 from wqed.specfun import ci, si
 
@@ -103,6 +104,16 @@ class TestInvariants:
     def test_agreement_with_defining_integrals(self, x):
         assert abs(si(x).value - _oracle_si(x)) < 1e-10
         assert abs(ci(x).value - _oracle_ci(x)) < 1e-10
+
+    @pytest.mark.parametrize("x", np.logspace(-3, 3, 12).tolist())
+    def test_gauss_legendre_reference_converged(self, x):
+        # the specfun check's references: halving the panel width moves
+        # them by round-off only, at most 2 ulps of an O(1) value
+        coarse, fine = si_ci_reference(x), si_ci_reference(x, width=0.25)
+        for a, b in zip(coarse, fine):
+            assert abs(b - a) <= 2 * np.spacing(max(1.0, abs(a)))
+        assert abs(coarse[0] - _oracle_si(x)) < 1e-10
+        assert abs(coarse[1] - _oracle_ci(x)) < 1e-10
 
     def test_continued_fraction_regime_against_series_at_cutoff(self):
         # both regimes must agree where they meet
