@@ -26,23 +26,24 @@ from pathlib import Path
 import numpy as np
 
 from .checks import VALIDATION_CHECKS, CheckResult
-from .coupling import CouplingModel, SimParams
-from .dynamics import BARE_PREFACTOR, POINT_BUDGET, UNIT_EXCITATION, markov_guard
+from .dynamics import POINT_BUDGET, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
 from .serialize import (
     config_text,
     csv_text,
     gnuplot_script,
     parse_config_text,
+    read_config,
     write_csv,
 )
 from .sweep import (
-    DEFAULT_AREA_TOL,
+    CONFIG_KEYS,
     SweepSpec,
     cell_params,
     compare_couplings,
-    model_from_label,
     model_label,
+    parse_models,
+    read_sections,
     run_sweep,
 )
 
@@ -51,110 +52,59 @@ EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-HARD_GUARD_LIMIT = 0.2           # Markov ratios above this abort a run
 DEFAULT_K0L_RANGE = "0:6.2832:64"
 COUPLING_HEADER = ("k0l", "model", "re_m", "im_m", "abs_dev_from_full", "diverged")
-
-MODEL_CHOICES = ("full", "rwa-cutoff", "rwa-constg", "rwa-negfreq")
-PI4 = math.pi / 4
+COUPLING_ROW_BUDGET = 500_000  # rows of <= 0.08 ms, 0.7 KB: under a minute and 1 GB
 
 
 # ----------------------------------------------------------------------
 # run configuration
 # ----------------------------------------------------------------------
 
-_RUN_KEYS = ("gamma_over_delta", "k0l", "omega0_over_gamma", "model",
-             "epsilon", "normalization")
-_GRID_KEYS = ("span_factor", "dt_factor", "zero_pad")
-_CHECK_KEYS = ("area_tol", "guard_limit")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunConfig:
-    """One scattering run, as specified by config file and/or flags.
+    """One scattering run, from a config file and/or flags: the one-cell
+    view of a sweep.  Takes each run-config key of CONFIG_KEYS by name (the
+    table's default if left out), holds what a SweepSpec does not and reads
+    the other keys through `spec`, the one-cell SweepSpec that checks them.
+    Parse -> serialize -> parse is the identity."""
 
-    Serializes to flat `key = value` sections; parse -> serialize ->
-    parse is the identity.
-    """
+    gamma_over_delta: float
+    k0l: float
+    model: str
+    epsilon: float | None
+    guard_limit: float
+    spec: SweepSpec
 
-    gamma_over_delta: float = 0.25
-    k0l: float = PI4
-    omega0_over_gamma: float = 1e4
-    model: str = "full"
-    epsilon: float | None = None
-    normalization: str = UNIT_EXCITATION
-    span_factor: float = 1.0
-    dt_factor: float = 1.0
-    zero_pad: int = 8
-    area_tol: float = DEFAULT_AREA_TOL
-    guard_limit: float = HARD_GUARD_LIMIT
+    def __init__(self, **values):
+        values = {name: key.default for name, key in CONFIG_KEYS.items() if key.section} | values
+        own = {name: CONFIG_KEYS[name].parse(name, values.pop(name))
+               for name in ("model", "epsilon", "guard_limit")}
+        spec = SweepSpec(gamma_over_delta=[values.pop("gamma_over_delta")],
+                         k0l=[values.pop("k0l")],
+                         models=parse_models("model", own["model"], own["epsilon"]), **values)
+        own.update(gamma_over_delta=spec.gamma_over_delta[0], k0l=spec.k0l[0], spec=spec)
+        for name, value in own.items():
+            object.__setattr__(self, name, value)
 
-    def __post_init__(self):
-        if self.normalization not in (UNIT_EXCITATION, BARE_PREFACTOR):
-            raise ConfigurationError(
-                f"unknown normalization {self.normalization!r}")
-        if self.guard_limit <= 0:
-            raise ConfigurationError("guard_limit must be > 0")
-        self.sweep_spec()  # validates the values shared with SweepSpec
-
-    def sweep_spec(self, out_dir=None) -> SweepSpec:
-        """This run as a one-cell sweep."""
-        return SweepSpec(
-            gamma_over_delta=[self.gamma_over_delta], k0l=[self.k0l],
-            models=[self.coupling_model()],
-            omega0_over_gamma=self.omega0_over_gamma,
-            normalization=self.normalization, span_factor=self.span_factor,
-            dt_factor=self.dt_factor, zero_pad=self.zero_pad,
-            area_tol=self.area_tol, out_dir=out_dir)
-
-    def coupling_model(self) -> CouplingModel:
-        return model_from_label(self.model, self.epsilon)
-
-    def params(self) -> SimParams:
-        return cell_params(self.gamma_over_delta, self.k0l, self.omega0_over_gamma)
-
-    def sections(self) -> dict[str, dict[str, object]]:
-        run: dict[str, object] = {
-            "gamma_over_delta": self.gamma_over_delta,
-            "k0l": self.k0l,
-            "omega0_over_gamma": self.omega0_over_gamma,
-            "model": self.model,
-            "normalization": self.normalization,
-        }
-        if self.epsilon is not None:
-            run["epsilon"] = self.epsilon
-        return {
-            "run": run,
-            "grid": {"span_factor": self.span_factor,
-                     "dt_factor": self.dt_factor,
-                     "zero_pad": self.zero_pad},
-            "checks": {"area_tol": self.area_tol,
-                       "guard_limit": self.guard_limit},
-        }
+    def __getattr__(self, name):  # a key that the one-cell spec holds
+        if name not in CONFIG_KEYS:
+            raise AttributeError(name)
+        return getattr(self.spec, name)
 
     def text(self) -> str:
-        return config_text(self.sections())
+        """The [run], [grid] and [checks] sections, in table order."""
+        sections: dict[str, dict[str, object]] = {}
+        for name, key in CONFIG_KEYS.items():
+            if key.section and getattr(self, name) is not None:
+                sections.setdefault(key.section, {})[name] = getattr(self, name)
+        return config_text(sections)
 
     @classmethod
-    def from_sections(cls, sections: dict[str, dict[str, object]]) -> "RunConfig":
-        known = {"run": _RUN_KEYS, "grid": _GRID_KEYS, "checks": _CHECK_KEYS}
-        kwargs: dict[str, object] = {}
-        for section, entries in sections.items():
-            if section not in known:
-                raise ConfigurationError(f"unknown config section [{section}]")
-            for key, value in entries.items():
-                if key not in known[section]:
-                    raise ConfigurationError(f"unknown key {key!r} in [{section}]")
-                kwargs[key] = value
-        for key in ("gamma_over_delta", "k0l", "omega0_over_gamma", "epsilon",
-                    "span_factor", "dt_factor", "area_tol", "guard_limit"):
-            if key in kwargs:
-                try:
-                    kwargs[key] = float(kwargs[key])
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"{key} must be a number, got {kwargs[key]!r}") from None
-        return cls(**kwargs)
+    def from_sections(cls, sections: dict[str, dict[str, object]],
+                      **overrides) -> "RunConfig":
+        """The run config of parsed sections, any keyword overriding them."""
+        return cls(**(read_sections(sections, lambda key: key.section) | overrides))
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -162,28 +112,10 @@ class RunConfig:
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file defaults, overridden by any flag that was passed."""
-    if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigurationError(f"config file not found: {path}")
-        cfg = RunConfig.from_text(path.read_text())
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for attr, field_name in (("gamma_over_delta", "gamma_over_delta"),
-                             ("k0l", "k0l"),
-                             ("omega0_over_gamma", "omega0_over_gamma"),
-                             ("model", "model"),
-                             ("epsilon", "epsilon"),
-                             ("normalization", "normalization"),
-                             ("grid_span", "span_factor"),
-                             ("grid_dt", "dt_factor"),
-                             ("zero_pad", "zero_pad")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    return replace(cfg, **overrides) if overrides else cfg
+    """Config file values, overridden by any flag that was passed."""
+    flags = {name: getattr(args, name) for name, key in CONFIG_KEYS.items()
+             if key.flag and getattr(args, name, None) is not None}
+    return RunConfig.from_sections(read_config(args.config) if args.config else {}, **flags)
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +147,10 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         k0l_values = np.array([args.k0l])
     else:
         k0l_values = parse_k0l_range(args.k0l_range or DEFAULT_K0L_RANGE)
-    models = [model_from_label(token, args.epsilon)
-              for token in args.models.split(",")]
+    models = parse_models("models", args.models, args.epsilon)
+    if (n_rows := len(k0l_values) * len(models)) > COUPLING_ROW_BUDGET:
+        raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
+                                 f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
     rows = compare_couplings(k0l_values, models,
                              omega0_over_gamma=args.omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
@@ -256,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     cfg = load_run_config(args)
     out = Path(args.out)
 
-    report = markov_guard(cfg.params())
+    report = markov_guard(cell_params(cfg.gamma_over_delta, cfg.k0l, cfg.omega0_over_gamma))
     worst = max(report.ratios.values())
     if worst > cfg.guard_limit and not args.force:
         print(f"error: Markov validity ratios exceed {cfg.guard_limit:g} "
@@ -266,7 +200,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             print(f"  {name} = {value:.3g}", file=sys.stderr)
         return EXIT_GUARD
 
-    manifest = run_sweep(cfg.sweep_spec(out))
+    manifest = run_sweep(replace(cfg.spec, out_dir=out))
     cell = manifest.cells[0]
     (out / "run_config.txt").write_text(cfg.text(), newline="\n")
 
@@ -313,71 +247,8 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # sweep subcommand
 # ----------------------------------------------------------------------
 
-_SWEEP_KEYS = ("gamma_over_delta", "k0l", "models", "epsilon",
-               "omega0_over_gamma", "normalization", "span_factor",
-               "dt_factor", "zero_pad", "area_tol")
-
-
-def sweep_spec_from_sections(sections: dict[str, dict[str, object]],
-                             out_dir=None) -> SweepSpec:
-    """Build a SweepSpec from a parsed spec file ([sweep] + [output])."""
-    unknown = set(sections) - {"sweep", "output"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown section(s) {sorted(unknown)}; expected [sweep], [output]")
-    if "sweep" not in sections:
-        raise ConfigurationError("spec file needs a [sweep] section")
-    entries = dict(sections["sweep"])
-    bad = set(entries) - set(_SWEEP_KEYS)
-    if bad:
-        raise ConfigurationError(f"unknown key(s) {sorted(bad)} in [sweep]")
-    for required in ("gamma_over_delta", "k0l"):
-        if required not in entries:
-            raise ConfigurationError(f"[sweep] must set {required}")
-
-    def float_list(key: str) -> tuple[float, ...]:
-        tokens = str(entries[key]).split(",")
-        try:
-            return tuple(float(token) for token in tokens)
-        except ValueError:
-            raise ConfigurationError(
-                f"[sweep] {key}: not a number list: {entries[key]!r}") from None
-
-    def value(key: str, kind):
-        try:
-            return kind(entries[key])
-        except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"[sweep] {key}: bad value {entries[key]!r}") from None
-
-    epsilon = value("epsilon", float) if "epsilon" in entries else None
-    models = tuple(model_from_label(token, epsilon)
-                   for token in str(entries.get("models", "full")).split(","))
-
-    kwargs = {key: value(key, kind)
-              for key, kind in (("omega0_over_gamma", float), ("span_factor", float),
-                                ("dt_factor", float), ("area_tol", float),
-                                ("zero_pad", int), ("normalization", str))
-              if key in entries}
-
-    output = dict(sections.get("output", {}))
-    bad = set(output) - {"dir"}
-    if bad:
-        raise ConfigurationError(f"unknown key(s) {sorted(bad)} in [output]")
-    destination = out_dir if out_dir is not None else output.get("dir")
-
-    return SweepSpec(gamma_over_delta=float_list("gamma_over_delta"),
-                     k0l=float_list("k0l"), models=models,
-                     out_dir=destination, **kwargs)
-
-
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    path = Path(args.spec)
-    if not path.is_file():
-        parser.error(f"spec file not found: {path}")
-    spec = sweep_spec_from_sections(parse_config_text(path.read_text()),
-                                    out_dir=args.out)
-    manifest = run_sweep(spec)
+    manifest = run_sweep(SweepSpec.from_sections(read_config(args.spec), out_dir=args.out))
     for cell in manifest.cells:
         status = cell.area_check if cell.ok else f"error: {cell.error}"
         print(f"cell{cell.index:03d} gamma_over_delta={cell.gamma_over_delta:g} "
@@ -394,24 +265,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="run-config file; explicit flags win")
-    parser.add_argument("--gamma-over-delta", dest="gamma_over_delta",
-                        type=float, metavar="F", help="coupling parameter")
-    parser.add_argument("--k0l", type=float, metavar="F",
-                        help="inter-atomic phase k0*l")
-    parser.add_argument("--omega0-over-gamma", dest="omega0_over_gamma",
-                        type=float, metavar="F", help="carrier-to-rate ratio")
-    parser.add_argument("--model", choices=MODEL_CHOICES,
-                        help="coupling model (default full)")
-    parser.add_argument("--epsilon", type=float, metavar="F",
-                        help="infrared cutoff for rwa-cutoff")
-    parser.add_argument("--normalization",
-                        choices=(UNIT_EXCITATION, BARE_PREFACTOR))
-    parser.add_argument("--grid-dt", dest="grid_dt", type=float, metavar="F",
-                        help="time-step scale factor")
-    parser.add_argument("--grid-span", dest="grid_span", type=float, metavar="F",
-                        help="post-pulse window scale factor")
-    parser.add_argument("--zero-pad", dest="zero_pad", type=int, metavar="N",
-                        help="minimum spectral zero-padding factor")
+    flags = sorted((key.flag, name) for name, key in CONFIG_KEYS.items() if key.flag)
+    for (_, spelling, options), name in flags:
+        parser.add_argument(spelling, dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -432,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coupling.add_argument("--epsilon", type=float, metavar="F",
                             help="infrared cutoff for rwa-cutoff")
     p_coupling.add_argument("--omega0-over-gamma", dest="omega0_over_gamma",
-                            type=float, default=1e4, metavar="F")
+                            type=float, metavar="F",
+                            default=CONFIG_KEYS["omega0_over_gamma"].default)
     p_coupling.add_argument("--out", metavar="DIR",
                             help="write coupling.csv here instead of stdout")
     p_coupling.set_defaults(handler=cmd_coupling, subparser=p_coupling)

@@ -323,7 +323,10 @@ def write_config(path, sections: Mapping[str, Mapping[str, object]]) -> Path:
 
 
 def read_config(path) -> dict[str, dict[str, object]]:
-    return parse_config_text(Path(path).read_text())
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigurationError(f"config file not found: {path}")
+    return parse_config_text(path.read_text())
 
 
 # ----------------------------------------------------------------------

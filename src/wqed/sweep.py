@@ -19,15 +19,18 @@ order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .coupling import CouplingModel, CouplingResult, SimParams, coupling_full, evaluate_coupling
 from .dynamics import (
+    BARE_PREFACTOR,
     UNIT_EXCITATION,
     AmplitudeTrajectory,
     IncidentWavepacket,
@@ -50,7 +53,6 @@ from .fields import (
 from .serialize import format_value, write_config, write_table
 
 MANIFEST_VERSION = 1
-DEFAULT_AREA_TOL = 1e-3
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -66,6 +68,8 @@ _VARIANT_TO_LABEL = {
 }
 _LABEL_TO_VARIANT = {label: variant for variant, label in _VARIANT_TO_LABEL.items()}
 _LABEL_TO_VARIANT.update({variant: variant for variant in _VARIANT_TO_LABEL})
+MODEL_LABELS = tuple(_VARIANT_TO_LABEL.values())
+NORMALIZATIONS = (UNIT_EXCITATION, BARE_PREFACTOR)
 
 
 def model_label(model: CouplingModel) -> str:
@@ -98,6 +102,144 @@ def model_from_label(label: str, epsilon: float | None = None) -> CouplingModel:
 
 
 # ----------------------------------------------------------------------
+# config schema: one table for the run config, the sweep spec and flags
+# ----------------------------------------------------------------------
+
+def _number(name: str, value) -> float:
+    if not isinstance(value, bool):  # `true` is not a number
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{name}: bad value {value!r}")
+
+
+def _positive(name: str, value, what: str | None = None) -> float:
+    x = _number(name, value)
+    if not 0 < x < math.inf:
+        raise ConfigurationError(f"{what or name} must be finite and > 0, got {x}")
+    return x
+
+
+_GRID_FACTOR = functools.partial(_positive, what="span_factor and dt_factor")
+
+
+def _axis(name: str, value) -> tuple[float, ...]:
+    """A comma list, a number or a sequence of them, each finite and >= 0."""
+    items = value.split(",") if isinstance(value, str) else value
+    values = tuple(_number(name, v) for v in (items if np.iterable(items) else [items]))
+    if not values or not all(0 <= v < math.inf for v in values):
+        raise ConfigurationError(f"{name} must list finite values >= 0, got {values}")
+    return values
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
+    return value
+
+
+def _normalization(name: str, value) -> str:
+    if value not in NORMALIZATIONS:
+        raise ConfigurationError(f"unknown normalization {value!r}")
+    return value
+
+
+def _label(name: str, value) -> str:
+    """One model label, checked with its epsilon by parse_models."""
+    if isinstance(value, str) and "," not in value:
+        return value
+    raise ConfigurationError(f"{name}: bad value {value!r}")
+
+
+def parse_models(name: str, value, epsilon: float | None = None) -> tuple[CouplingModel, ...]:
+    """Coupling models, or the comma list of their labels.  epsilon is the
+    cutoff of each rwa-cutoff label without its own `:eps`: one must take it."""
+    if isinstance(value, str):
+        tokens = value.split(",")
+        value = [model_from_label(token, epsilon) for token in tokens]
+        if epsilon is not None and not any(model.variant == "rwa_cutoff" and ":" not in token
+                                           for model, token in zip(value, tokens)):
+            raise ConfigurationError(f"epsilon = {epsilon:g} is unused: no rwa-cutoff "
+                                     "model without its own ':eps' takes it")
+    models = tuple(value)
+    if not models or not all(isinstance(model, CouplingModel) for model in models):
+        raise ConfigurationError(f"{name} must list at least one coupling model, got {value!r}")
+    return models
+
+
+class ConfigKey(NamedTuple):
+    """A key's parser (name, value from a file, flag or Python -> checked
+    value, or ConfigurationError), default, run-config section (None: a
+    [sweep] key alone), whether [sweep] takes it, and `simulate` flag:
+    (place in --help, spelling, add_argument options)."""
+
+    parse: Callable[[str, object], object]
+    default: object
+    section: str | None
+    sweep: bool = True
+    flag: tuple[int, str, dict] | None = None
+
+
+def _flag(place: int, spelling: str, help: str, type=float, metavar="F") -> tuple:
+    return place, spelling, dict(type=type, metavar=metavar, help=help)
+
+
+# Rows are in file order, which `simulate --help` does not follow for its
+# flags.  gamma_over_delta and k0l are one number in a run config and a
+# list that [sweep] must set.  A run config's `model` (one label) and
+# `epsilon` make its `models`; [sweep] epsilon serves `models`' labels.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "gamma_over_delta": ConfigKey(_axis, 0.25, "run", flag=_flag(
+        0, "--gamma-over-delta", "coupling parameter")),
+    "k0l": ConfigKey(_axis, math.pi / 4, "run", flag=_flag(
+        1, "--k0l", "inter-atomic phase k0*l")),
+    "models": ConfigKey(parse_models, "full", None),
+    "omega0_over_gamma": ConfigKey(_positive, 1e4, "run", flag=_flag(
+        2, "--omega0-over-gamma", "carrier-to-rate ratio")),
+    "model": ConfigKey(_label, "full", "run", sweep=False, flag=(
+        3, "--model", dict(choices=MODEL_LABELS, help="coupling model (default full)"))),
+    "normalization": ConfigKey(_normalization, UNIT_EXCITATION, "run", flag=(
+        5, "--normalization", dict(choices=NORMALIZATIONS))),
+    "epsilon": ConfigKey(lambda name, value: None if value is None else _positive(name, value),
+                         None, "run", flag=_flag(
+        4, "--epsilon", "infrared cutoff for rwa-cutoff")),
+    "span_factor": ConfigKey(_GRID_FACTOR, 1.0, "grid", flag=_flag(
+        7, "--grid-span", "post-pulse window scale factor")),
+    "dt_factor": ConfigKey(_GRID_FACTOR, 1.0, "grid", flag=_flag(
+        6, "--grid-dt", "time-step scale factor")),
+    "zero_pad": ConfigKey(_count, DEFAULT_ZERO_PAD, "grid", flag=_flag(
+        8, "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
+    "area_tol": ConfigKey(_positive, 1e-3, "checks"),
+    "guard_limit": ConfigKey(_positive, 0.2, "checks", sweep=False),
+}
+
+
+def read_sections(sections: dict[str, dict[str, object]],
+                  section_of: Callable[[ConfigKey], str | None],
+                  extra: dict[str, str] | None = None) -> dict[str, object]:
+    """The values of parsed config sections, each key checked to be in its
+    section: section_of(key) for a key of CONFIG_KEYS, or as extra gives."""
+    layout = {name: section_of(key) for name, key in CONFIG_KEYS.items()} | (extra or {})
+    values: dict[str, object] = {}
+    for section, entries in sections.items():
+        if section not in layout.values():
+            raise ConfigurationError(f"unknown config section [{section}]")
+        for name, value in entries.items():
+            if layout.get(name) != section:
+                raise ConfigurationError(f"unknown key {name!r} in [{section}]")
+            values[name] = value
+    return values
+
+
+def _config_value(value):
+    """A value as config text has it: a model as its label, a tuple as a comma list."""
+    if isinstance(value, tuple):
+        return ",".join(format_value(_config_value(v)) for v in value)
+    return model_label(value) if isinstance(value, CouplingModel) else value
+
+
+# ----------------------------------------------------------------------
 # sweep specification
 # ----------------------------------------------------------------------
 
@@ -108,54 +250,50 @@ class SweepSpec:
     gamma_over_delta = 0 selects the decoupled-atom limit (gamma = 0,
     pulse width as the rate unit), for which the pulse-area check is
     recorded as skipped and identity transmission is verified instead.
+    Every field but out_dir is a key of CONFIG_KEYS, checked by its parser.
     """
 
     gamma_over_delta: tuple[float, ...]
     k0l: tuple[float, ...]
-    models: tuple[CouplingModel, ...] = (CouplingModel.full(),)
-    omega0_over_gamma: float = 1e4
-    normalization: str = UNIT_EXCITATION
-    span_factor: float = 1.0
-    dt_factor: float = 1.0
-    zero_pad: int = DEFAULT_ZERO_PAD
-    area_tol: float = DEFAULT_AREA_TOL
+    models: tuple[CouplingModel, ...] = CONFIG_KEYS["models"].default
+    omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default
+    normalization: str = CONFIG_KEYS["normalization"].default
+    span_factor: float = CONFIG_KEYS["span_factor"].default
+    dt_factor: float = CONFIG_KEYS["dt_factor"].default
+    zero_pad: int = CONFIG_KEYS["zero_pad"].default
+    area_tol: float = CONFIG_KEYS["area_tol"].default
     out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_over_delta",
-                           tuple(float(v) for v in self.gamma_over_delta))
-        object.__setattr__(self, "k0l", tuple(float(v) for v in self.k0l))
-        object.__setattr__(self, "models", tuple(self.models))
-        for name in ("gamma_over_delta", "k0l"):
-            values = getattr(self, name)
-            if not values:
-                raise ConfigurationError(f"{name} must list at least one value")
-            for v in values:
-                if not (v >= 0 and math.isfinite(v)):
-                    raise ConfigurationError(
-                        f"{name} values must be finite and >= 0, got {v}")
-        if not self.models:
-            raise ConfigurationError("models must list at least one model")
-        for model in self.models:
-            if not isinstance(model, CouplingModel):
-                raise ConfigurationError(f"not a coupling model: {model!r}")
-        if not (self.omega0_over_gamma > 0 and math.isfinite(self.omega0_over_gamma)):
-            raise ConfigurationError(
-                f"omega0_over_gamma must be > 0, got {self.omega0_over_gamma}")
-        if not (0 < self.span_factor < math.inf and 0 < self.dt_factor < math.inf):
-            raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
-        if not (isinstance(self.zero_pad, int) and self.zero_pad >= 1):
-            raise ConfigurationError(f"zero_pad must be an int >= 1, got {self.zero_pad}")
-        if not (self.area_tol > 0):
-            raise ConfigurationError(f"area_tol must be > 0, got {self.area_tol}")
+        for f in fields(self):
+            if f.name in CONFIG_KEYS:
+                object.__setattr__(self, f.name, CONFIG_KEYS[f.name].parse(
+                    f.name, getattr(self, f.name)))
 
     @property
     def n_cells(self) -> int:
         return len(self.gamma_over_delta) * len(self.k0l) * len(self.models)
 
+    @classmethod
+    def from_sections(cls, sections: dict[str, dict[str, object]],
+                      out_dir=None) -> "SweepSpec":
+        """The spec of a parsed spec file, [sweep] and an optional [output]
+        dir, which out_dir overrides."""
+        values = read_sections(sections, lambda key: "sweep" if key.sweep else None,
+                               {"dir": "output"})
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in values:
+                raise ConfigurationError(f"[sweep] must set {f.name}")
+        directory = values.pop("dir", None)
+        epsilon = CONFIG_KEYS["epsilon"].parse("[sweep] epsilon", values.pop("epsilon", None))
+        values["models"] = parse_models(
+            "models", str(values.get("models", CONFIG_KEYS["models"].default)), epsilon)
+        return cls(**values, out_dir=directory if out_dir is None else out_dir)
+
 
 def cell_params(gamma_over_delta: float, k0l: float,
-                omega0_over_gamma: float = 1e4) -> SimParams:
+                omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default,
+                ) -> SimParams:
     """Physical parameters for one sweep cell.
 
     gamma_over_delta = 0 means decoupled atoms: gamma = 0 with the pulse
@@ -203,7 +341,7 @@ class CellResult:
     residual2: float | None = None
     markov_ok: bool | None = None
     markov_ratio_max: float | None = None
-    files: tuple[str, ...] = ()
+    files: tuple[str, ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -231,46 +369,23 @@ class RunManifest:
                 "n_cells": len(self.cells),
                 "all_ok": self.all_ok,
             },
-            "sweep": {
-                "gamma_over_delta": ",".join(
-                    format_value(v) for v in self.spec.gamma_over_delta),
-                "k0l": ",".join(format_value(v) for v in self.spec.k0l),
-                "models": ",".join(model_label(m) for m in self.spec.models),
-                "omega0_over_gamma": self.spec.omega0_over_gamma,
-                "normalization": self.spec.normalization,
-                "span_factor": self.spec.span_factor,
-                "dt_factor": self.spec.dt_factor,
-                "zero_pad": self.spec.zero_pad,
-                "area_tol": self.spec.area_tol,
-            },
+            "sweep": {f.name: _config_value(getattr(self.spec, f.name))
+                      for f in fields(self.spec) if f.name in CONFIG_KEYS},
         }
         for cell in self.cells:
-            entries: dict[str, object] = {
-                "gamma_over_delta": cell.gamma_over_delta,
-                "k0l": cell.k0l,
-                "model": model_label(cell.model),
-                "ok": cell.ok,
-                "passed": cell.passed,
-            }
-            if cell.error is not None:
-                entries["error"] = " ".join(cell.error.split())
-            if cell.m_total is not None:
-                entries["re_m"] = cell.m_total.real
-                entries["im_m"] = cell.m_total.imag
-            for key, area in (("area_inc", cell.area_inc),
-                              ("area_trans", cell.area_trans),
-                              ("area_refl", cell.area_refl)):
-                if area is not None:
-                    entries[f"abs_{key}"] = abs(area)
-            for key in ("area_trans_ratio", "area_refl_ratio", "tail_fraction",
-                        "area_check", "identity_transmission", "n", "fft_len", "dip_depth",
-                        "dip_width", "peak_ratio", "residual1", "residual2",
-                        "markov_ok", "markov_ratio_max"):
-                value = getattr(cell, key)
-                if value is not None:
-                    entries[key] = value
-            if cell.files:
-                entries["files"] = ",".join(cell.files)
+            entries: dict[str, object] = {}
+            for f in fields(cell)[1:]:  # every field but the index
+                value = getattr(cell, f.name)
+                if value is None:
+                    continue
+                if f.name == "m_total":
+                    entries.update(re_m=value.real, im_m=value.imag)
+                elif isinstance(value, complex):
+                    entries[f"abs_{f.name}"] = abs(value)
+                else:
+                    entries[f.name] = _config_value(value)
+                if f.name == "ok":
+                    entries["passed"] = cell.passed
             out[f"cell{cell.index:03d}"] = entries
         return out
 
@@ -327,8 +442,9 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
 # ----------------------------------------------------------------------
 
 def scatter(params: SimParams, coupling: CouplingResult,
-            normalization: str = UNIT_EXCITATION, span_factor: float = 1.0,
-            dt_factor: float = 1.0,
+            normalization: str = CONFIG_KEYS["normalization"].default,
+            span_factor: float = CONFIG_KEYS["span_factor"].default,
+            dt_factor: float = CONFIG_KEYS["dt_factor"].default,
             ) -> tuple[IncidentWavepacket, AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
     """(wavepacket, traj, envelopes) of one scattering event, envelopes
     being (incident, transmitted, reflected): the one grid, source, RK4
@@ -378,7 +494,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         r1, r2 = consistency_residuals(traj, envelopes, params)
         report = markov_guard(params)
 
-        files: tuple[str, ...] = ()
+        files = None
         if spec.out_dir is not None:
             files = _write_cell_files(
                 Path(spec.out_dir), f"cell{index:03d}_", traj, envelopes,
@@ -403,7 +519,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
     except WqedError as exc:
         return CellResult(index=index, gamma_over_delta=gamma_over_delta,
                           k0l=k0l, model=model, ok=False,
-                          error=f"{type(exc).__name__}: {exc}")
+                          error=" ".join(f"{type(exc).__name__}: {exc}".split()))
 
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
@@ -441,7 +557,8 @@ class CouplingRow:
 
 
 def compare_couplings(k0l_values, models, *, gamma: float = 1.0,
-                      omega0_over_gamma: float = 1e4) -> tuple[CouplingRow, ...]:
+                      omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default,
+                      ) -> tuple[CouplingRow, ...]:
     """Coupling constant under each model vs the exact closed form.
 
     Rows are ordered k0l-major, models in the given order within each

@@ -19,6 +19,7 @@ import wqed.checks
 import wqed.cli
 import wqed.sweep
 from wqed.cli import (
+    COUPLING_ROW_BUDGET,
     EXIT_CHECK,
     EXIT_GUARD,
     EXIT_OK,
@@ -31,6 +32,7 @@ from wqed.cli import (
 )
 from wqed.errors import ConfigurationError, DomainError
 from wqed.serialize import parse_config_text, read_config, read_csv
+from wqed.sweep import CONFIG_KEYS, SweepSpec
 
 PI4 = math.pi / 4
 
@@ -131,6 +133,14 @@ class TestRunConfig:
         blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
         block, = [b for b in blocks if b.startswith("[run]")]
         assert RunConfig.from_text(block) == RunConfig()
+        uncommented = "".join(line for line in block.splitlines(keepends=True)
+                              if not line.startswith("#"))
+        assert uncommented == RunConfig().text()
+
+    def test_readme_key_table_is_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \|", readme, re.M)
+        assert sorted(rows) == sorted(CONFIG_KEYS)
 
     def test_flags_win_over_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -232,6 +242,20 @@ class TestCouplingCommand:
         done = run_fresh(["coupling", "--k0l-range", "0:inf:3", "--models", "full"])
         assert done.returncode == EXIT_USAGE
         assert done.stderr == "error: --k0l-range needs finite 0 <= A <= B, got '0:inf:3'\n"
+
+    def test_table_over_the_row_budget_exits_2_before_any_row(self):
+        # 10,000,000 k0l values pass the point budget; two models make twice
+        # as many rows, about 17 minutes and 10 GB of them
+        code, err = run_limited(["coupling", "--k0l-range", "0:6:10000000",
+                                 "--models", "full,rwa-negfreq"])
+        assert code == EXIT_USAGE, err
+        assert err == ("error: the coupling table needs 20,000,000 rows (k0l values "
+                       f"x models), over the budget of {COUPLING_ROW_BUDGET:,}\n")
+
+    def test_unused_epsilon_exits_2(self):
+        code, out, err = invoke(["coupling", "--models", "full", "--epsilon", 1e-6])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: epsilon = 1e-06 is unused")
 
     def test_huge_range_exits_2_before_allocating(self):
         code, err = run_limited(["coupling", "--k0l-range", "0:1:100000000000",
@@ -544,3 +568,76 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert (tmp_path / "chosen" / "manifest.txt").is_file()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestOneRulePerKey:
+    """Each key is read by one rule in the run config, the sweep spec and
+    the flags: a bad value exits 2 before any cell runs."""
+
+    @staticmethod
+    def run_both(tmp_path, run_lines, sweep_lines, argv=()):
+        """(exit code, stdout, stderr) of `simulate --config` and of
+        `sweep --spec` with these lines; neither may create its out dir."""
+        results = []
+        config = tmp_path / "run.ini"
+        config.write_text(run_lines)
+        results.append(invoke(["simulate", "--config", config, *argv,
+                               "--out", tmp_path / "sim"]))
+        if sweep_lines is not None:
+            spec = tmp_path / "spec.ini"
+            axes = "".join(f"{key} = 1\n" for key in ("gamma_over_delta", "k0l")
+                           if f"{key} =" not in sweep_lines)
+            spec.write_text(f"[sweep]\n{axes}{sweep_lines}")
+            results.append(invoke(["sweep", "--spec", spec, "--out", tmp_path / "sweep"]))
+        assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
+        return results
+
+    @pytest.mark.parametrize("run_lines, sweep_lines, message", [
+        ("[run]\nnormalization = bogus\n", "normalization = bogus\n",
+         "unknown normalization 'bogus'"),
+        ("[grid]\nzero_pad = 8.5\n", "zero_pad = 8.5\n", "zero_pad must be an int >= 1"),
+        ("[grid]\nzero_pad = 8.0\n", "zero_pad = 8.0\n", "zero_pad must be an int >= 1"),
+        ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
+        ("[run]\nmodel = 5\n", "models = 5\n", "5"),
+    ])
+    def test_bad_value_exits_2_in_both_formats(self, tmp_path, run_lines, sweep_lines,
+                                               message):
+        for code, out, err in self.run_both(tmp_path, run_lines, sweep_lines):
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: ") and message in err, err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1", "true"])
+    def test_guard_limit_must_be_finite_and_positive(self, tmp_path, limit):
+        argv = ["--gamma-over-delta", 4, "--omega0-over-gamma", 2]
+        (code, _, err), = self.run_both(
+            tmp_path, f"[checks]\nguard_limit = {limit}\n", None, argv)
+        assert code == EXIT_USAGE and err.startswith("error: guard_limit")
+        code, _, err = invoke(["simulate", *argv, "--out", tmp_path / "g"])
+        assert code == EXIT_GUARD  # the default limit guards this cell
+
+    @pytest.mark.parametrize("run_lines, sweep_lines", [
+        ("[run]\nepsilon = 1e-6\n", "epsilon = 1e-6\n"),
+        ("[run]\nmodel = rwa-negfreq\nepsilon = 1e-6\n",
+         "models = full, rwa-negfreq\nepsilon = 1e-6\n"),
+        ("[run]\nmodel = rwa-cutoff:1e-7\nepsilon = 1e-6\n",
+         "models = full, rwa-cutoff:1e-7\nepsilon = 1e-6\n"),
+    ])
+    def test_unused_epsilon_exits_2(self, tmp_path, run_lines, sweep_lines):
+        for code, out, err in self.run_both(tmp_path, run_lines, sweep_lines):
+            assert code == EXIT_USAGE and out == ""
+            assert err.startswith("error: ") and "epsilon = 1e-06 is unused" in err
+
+    def test_unused_epsilon_flag_exits_2(self, tmp_path):
+        code, out, err = invoke(["simulate", "--gamma-over-delta", 4, "--epsilon", 1e-6,
+                                 "--out", tmp_path / "o"])
+        assert code == EXIT_USAGE and out == "" and "epsilon = 1e-06 is unused" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_epsilon_serves_the_bare_cutoff_labels(self):
+        spec = SweepSpec.from_sections(parse_config_text(
+            "[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
+            "models = full, rwa-cutoff, rwa-cutoff:1e-7\nepsilon = 1e-6\n"))
+        assert [model.epsilon for model in spec.models] == [None, 1e-6, 1e-7]
+        cfg = RunConfig.from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
+        assert cfg.spec.models[0].epsilon == 1e-6

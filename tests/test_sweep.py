@@ -24,13 +24,14 @@ from wqed.dynamics import (
 )
 from wqed.errors import ConfigurationError, DomainError
 from wqed.fields import DEFAULT_ZERO_PAD, fft_length, reconstruct_fields
-from wqed.serialize import read_config, read_csv
+from wqed.serialize import config_text, parse_config_text, read_config, read_csv
 from wqed.sweep import (
     AREA_FAIL,
     AREA_PASS,
     AREA_SKIPPED,
     AREA_TRUNCATED,
     MANIFEST_VERSION,
+    NORMALIZATIONS,
     SPECTRUM_WINDOW,
     CouplingRow,
     SweepSpec,
@@ -93,6 +94,31 @@ class TestSweepSpec:
     def test_rejects_bad_knobs(self, knob):
         with pytest.raises(ConfigurationError):
             SweepSpec(gamma_over_delta=[1.0], k0l=[PI4], **knob)
+
+
+_finite = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_model = st.one_of(
+    st.sampled_from([CouplingModel.full(), CouplingModel.rwa_const_g(),
+                     CouplingModel.rwa_negfreq()]),
+    _positive.map(CouplingModel.rwa_cutoff))
+
+
+class TestSpecRoundTrip:
+    """A manifest's [sweep] block is a spec file for the same spec."""
+
+    @given(gamma_over_delta=st.lists(_finite, min_size=1, max_size=4),
+           k0l=st.lists(_finite, min_size=1, max_size=4),
+           models=st.lists(_model, min_size=1, max_size=4),
+           omega0_over_gamma=_positive, normalization=st.sampled_from(NORMALIZATIONS),
+           span_factor=_positive, dt_factor=_positive,
+           zero_pad=st.integers(min_value=1, max_value=10 ** 6), area_tol=_positive)
+    @settings(max_examples=200, deadline=None)
+    def test_manifest_sweep_block_parses_back(self, **fields):
+        spec = SweepSpec(**fields)
+        block = wqed.sweep.RunManifest(MANIFEST_VERSION, spec, ()).sections()["sweep"]
+        text = config_text({"sweep": block})
+        assert SweepSpec.from_sections(parse_config_text(text)) == spec
 
 
 class TestModelLabels:
