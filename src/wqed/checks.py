@@ -67,8 +67,7 @@ def oracle_deviation(gamma_over_delta: float, k0l: float,
     relative to the oracle's largest amplitude."""
     params, wavepacket, coupling, traj, _ = _scatter(gamma_over_delta, k0l,
                                                      dt_factor=dt_factor)
-    source = build_source(wavepacket, params, traj.grid)
-    oracle = oracle_modes(source, coupling, params, traj.grid)
+    oracle = oracle_modes(build_source(wavepacket, params, traj.grid), coupling, params)
     scale = max(np.max(np.abs(oracle.beta1)), np.max(np.abs(oracle.beta2)))
     return max(np.max(np.abs(traj.beta1 - oracle.beta1)),
                np.max(np.abs(traj.beta2 - oracle.beta2))) / scale

@@ -32,7 +32,6 @@ from .serialize import (
     config_text,
     csv_text,
     gnuplot_script,
-    parse_config_text,
     read_config,
     write_csv,
 )
@@ -106,10 +105,6 @@ class RunConfig:
         """The run config of parsed sections, any keyword overriding them."""
         return cls(**(read_sections(sections, lambda key: key.section) | overrides))
 
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        return cls.from_sections(parse_config_text(text))
-
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Config file values, overridden by any flag that was passed."""
@@ -147,12 +142,13 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         k0l_values = np.array([args.k0l])
     else:
         k0l_values = parse_k0l_range(args.k0l_range or DEFAULT_K0L_RANGE)
-    models = parse_models("models", args.models, args.epsilon)
+    epsilon, omega0_over_gamma = (CONFIG_KEYS[name].parse(name, getattr(args, name))
+                                  for name in ("epsilon", "omega0_over_gamma"))
+    models = parse_models("models", args.models, epsilon)
     if (n_rows := len(k0l_values) * len(models)) > COUPLING_ROW_BUDGET:
         raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
                                  f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
-    rows = compare_couplings(k0l_values, models,
-                             omega0_over_gamma=args.omega0_over_gamma)
+    rows = compare_couplings(k0l_values, models, omega0_over_gamma=omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)
              for row in rows]

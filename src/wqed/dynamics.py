@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,8 +185,6 @@ class IncidentWavepacket:
     delta: float
     omega0: float
     normalization: str = UNIT_EXCITATION
-    spectral_span: float = 8.0    # integration half-width, units of delta
-    spectral_points: int = 257    # Gauss-Legendre node count
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -197,12 +194,6 @@ class IncidentWavepacket:
         if self.normalization not in (BARE_PREFACTOR, UNIT_EXCITATION):
             raise ConfigurationError(
                 f"unknown normalization {self.normalization!r}")
-        if self.spectral_span < 6.0:
-            raise ConfigurationError(
-                f"spectral_span must cover >= 6 bandwidths, got {self.spectral_span}")
-        if self.spectral_points < 65:
-            raise ConfigurationError(
-                f"spectral_points must be >= 65, got {self.spectral_points}")
 
     @property
     def amplitude_scale(self) -> float:
@@ -211,45 +202,26 @@ class IncidentWavepacket:
             return 1.0 / math.sqrt(_BARE_NORM_SQ)
         return 1.0
 
-    def spectral_amplitude(self, omega: np.ndarray, c: float = 1.0) -> np.ndarray:
-        """alpha as a function of omega = c*k_z > 0 (zero elsewhere)."""
-        omega = np.asarray(omega, dtype=float)
-        amp = (self.amplitude_scale * math.sqrt(c / self.delta)
-               * math.sqrt(1.0 / (2.0 * math.pi))
-               * np.exp(-(((omega - self.omega0) / self.delta) ** 2)))
-        return np.where(omega > 0, amp, 0.0)
-
-    def norm_squared(self, c: float = 1.0) -> float:
-        """int |alpha|^2 dk_z on the spectral grid (Gauss-Legendre)."""
-        lo = max(self.omega0 - self.spectral_span * self.delta, 0.0)
-        hi = self.omega0 + self.spectral_span * self.delta
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x, w = np.polynomial.legendre.leggauss(self.spectral_points)
-        omega = mid + half * x
-        vals = self.spectral_amplitude(omega, c) ** 2
-        return float(np.sum(w * vals) * half / c)  # dk_z = d omega / c
-
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Per-atom drive series on a uniform grid, plus midpoint samples and
-    an evaluation closure for integrators needing off-grid values."""
+    """The drive S0_1 of atom 1 on a uniform grid and at its step
+    midpoints; atom 2's drive is S0_2 = phase * S0_1 with phase = e^{i k0 l}
+    (shared envelope, see module docstring).  S0_1 is the Gaussian
+    peak * exp(-delta^2 (t - center)^2 / 4), which `at` evaluates off-grid."""
 
     grid: TimeGrid
     s1: np.ndarray
-    s2: np.ndarray
     s1_mid: np.ndarray
-    s2_mid: np.ndarray
-    method: str
-    _eval: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    phase: complex
+    peak: complex
+    center: float
+    delta: float
 
-    def at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate both source series at arbitrary times."""
-        return self._eval(np.asarray(times, dtype=float))
-
-
-QUADRATURE = "quadrature"
-GAUSSIAN_CLOSED_FORM = "gaussian_closed_form"
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """S0_1 at arbitrary times."""
+        tau = np.asarray(times, dtype=float) - self.center
+        return self.peak * np.exp(-(self.delta * tau) ** 2 / 4.0)
 
 
 def check_alignment(wavepacket: IncidentWavepacket, params: SimParams) -> None:
@@ -262,20 +234,14 @@ def check_alignment(wavepacket: IncidentWavepacket, params: SimParams) -> None:
 
 
 def build_source(wavepacket: IncidentWavepacket, params: SimParams,
-                 grid: TimeGrid, method: str = GAUSSIAN_CLOSED_FORM) -> SourceTerm:
-    """Construct S0_j(t), the one-photon drive seen by each atom.
-
-    gaussian_closed_form evaluates the narrowband analytic result
+                 grid: TimeGrid) -> SourceTerm:
+    """S0_1(t), the one-photon drive of atom 1, in the narrowband closed form
 
         S0_1(t) = -i * N * sqrt(gamma*delta)/(2 sqrt(pi))
                   * e^{i k0 z1} * exp(-delta^2 (t - z1/c)^2 / 4)
 
-    quadrature instead integrates the spectral integral with its
-    sqrt(omega0/omega) weight on a Gauss-Legendre grid; both set
-    S0_2 = e^{i k0 l} S0_1 (shared envelope, see module docstring).
+    with the phase e^{i k0 l} that gives S0_2.
     """
-    if method not in (QUADRATURE, GAUSSIAN_CLOSED_FORM):
-        raise ConfigurationError(f"unknown source method {method!r}")
     check_alignment(wavepacket, params)
     center = params.z1 / params.c
     need = 6.0 / params.delta
@@ -283,61 +249,16 @@ def build_source(wavepacket: IncidentWavepacket, params: SimParams,
         raise ConfigurationError(
             f"time grid [{grid.t_start}, {grid.t_end}] must cover "
             f"+-{need} around the pulse center {center}")
-
-    delta = params.delta
     phase1 = complex(math.cos(params.omega0 * params.z1 / params.c),
                      math.sin(params.omega0 * params.z1 / params.c))
-    phase21 = complex(math.cos(params.k0l), math.sin(params.k0l))
-
-    if method == GAUSSIAN_CLOSED_FORM:
-        amp = (-1j * wavepacket.amplitude_scale
-               * math.sqrt(params.gamma * delta) / (2.0 * math.sqrt(math.pi))
-               * phase1)
-
-        def eval_s1(times: np.ndarray) -> np.ndarray:
-            tau = times - center
-            return amp * np.exp(-(delta * tau) ** 2 / 4.0)
-
-    else:
-        lo = max(params.omega0 - wavepacket.spectral_span * delta, 0.0)
-        hi = params.omega0 + wavepacket.spectral_span * delta
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x, w = np.polynomial.legendre.leggauss(wavepacket.spectral_points)
-        omega = mid + half * x
-        alpha = wavepacket.spectral_amplitude(omega, params.c)
-        # weights of the spectral sum: -i sqrt(gamma/2pi) sqrt(omega0/omega)
-        # alpha(omega) e^{i omega z1/c} d omega / c, evaluated against the
-        # detuning phase e^{i(omega0-omega)t}
-        wk = (-1j * math.sqrt(params.gamma / (2.0 * math.pi))
-              * np.sqrt(params.omega0 / omega) * alpha
-              * np.exp(1j * omega * params.z1 / params.c)
-              * w * half / params.c)
-        detune = params.omega0 - omega
-
-        def eval_s1(times: np.ndarray) -> np.ndarray:
-            out = np.zeros(times.shape, dtype=complex)
-            inside = np.abs(times - center) <= _ENVELOPE_WINDOW / delta
-            if np.any(inside):
-                t_in = times[inside]
-                # chunked so the (t, omega) outer product stays small
-                buf = np.empty(t_in.shape, dtype=complex)
-                step = max(1, (1 << 20) // omega.size)
-                for i in range(0, t_in.size, step):
-                    tb = t_in[i:i + step, None]
-                    buf[i:i + step] = np.exp(1j * detune[None, :] * tb) @ wk
-                out[inside] = buf
-            return out
-
-    def eval_both(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1 = eval_s1(times)
-        return s1, phase21 * s1
-
+    peak = (-1j * wavepacket.amplitude_scale
+            * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
+            * phase1)
+    # the closed form first, then its samples
+    source = SourceTerm(grid, None, None, complex(math.cos(params.k0l), math.sin(params.k0l)),
+                        peak, center, params.delta)
     times = grid.times
-    s1 = eval_s1(times)
-    s1_mid = eval_s1(times[:-1] + 0.5 * grid.dt)
-    return SourceTerm(grid=grid, s1=s1, s2=phase21 * s1,
-                      s1_mid=s1_mid, s2_mid=phase21 * s1_mid,
-                      method=method, _eval=eval_both)
+    return replace(source, s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
 
 
 # ----------------------------------------------------------------------
@@ -354,23 +275,17 @@ class AmplitudeTrajectory:
     m_total: complex | None = None
 
 
-def _grid_and_step(source: SourceTerm, coupling: CouplingResult,
-                   params: SimParams, grid: TimeGrid | None
-                   ) -> tuple[TimeGrid, complex, float]:
-    """(grid, M, h) of an integration, after checking that the source was
-    built on `grid` (default: its own) and that h resolves 1/delta,
-    1/gamma and 1/|M|."""
-    if grid is None:
-        grid = source.grid
-    elif grid != source.grid:
-        raise ConfigurationError("source was built on a different grid")
-    m = complex(coupling.m_total)
+def _coupling_and_step(source: SourceTerm, coupling: CouplingResult,
+                       params: SimParams) -> tuple[complex, float]:
+    """(M, h) of an integration on the source's grid, after checking that
+    h resolves 1/delta, 1/gamma and 1/|M|."""
+    m, h = complex(coupling.m_total), source.grid.dt
     limit = 1.0 / max(params.delta, params.gamma, abs(m)) / 50.0
-    if grid.dt > limit * (1.0 + 1e-9):  # tolerate endpoint-division rounding
+    if h > limit * (1.0 + 1e-9):  # tolerate endpoint-division rounding
         raise ConfigurationError(
-            f"dt = {grid.dt:.3e} exceeds stability/accuracy limit {limit:.3e} "
+            f"dt = {h:.3e} exceeds stability/accuracy limit {limit:.3e} "
             f"(min(1/delta, 1/gamma, 1/|M|)/50)")
-    return grid, m, grid.dt
+    return m, h
 
 
 def _one_pole(log_a: complex, x: np.ndarray) -> np.ndarray:
@@ -423,8 +338,7 @@ def _from_modes(grid: TimeGrid, m: complex, u: np.ndarray, v: np.ndarray
 
 
 def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
-                        params: SimParams, grid: TimeGrid | None = None
-                        ) -> AmplitudeTrajectory:
+                        params: SimParams) -> AmplitudeTrajectory:
     """Fixed-step 4th-order Runge-Kutta integration from beta_j = 0.
 
     The system matrix A = [[-gamma, -M], [-M, -gamma]] is constant, and
@@ -435,7 +349,7 @@ def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
     Swapping the atoms negates v exactly, so the atom-swap symmetry is
     bitwise.
     """
-    grid, m, h = _grid_and_step(source, coupling, params, grid)
+    m, h = _coupling_and_step(source, coupling, params)
 
     def mode(lam: complex, combine: np.ufunc) -> np.ndarray:
         z = h * lam
@@ -443,22 +357,21 @@ def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
         # ln|1 + w| and arg(1 + w) without rounding 1 + w itself
         log_pole = complex(0.5 * math.log1p(w.real * (2 + w.real) + w.imag ** 2),
                            math.atan2(w.imag, 1 + w.real))
-        f = combine(source.s1, source.s2)
+        f = combine(source.s1, source.phase * source.s1)
         drive = (1 + z + z ** 2 / 2 + z ** 3 / 4) * f[:-1]
-        f_mid = combine(source.s1_mid, source.s2_mid)
+        f_mid = combine(source.s1_mid, source.phase * source.s1_mid)
         f_mid *= 4 + 2 * z + z ** 2 / 2
         drive += f_mid
         drive += f[1:]
         drive *= h / 6.0
         return _one_pole(log_pole, drive)
 
-    return _from_modes(grid, m, mode(-(params.gamma + m), np.add),
+    return _from_modes(source.grid, m, mode(-(params.gamma + m), np.add),
                        mode(-(params.gamma - m), np.subtract))
 
 
 def oracle_modes(source: SourceTerm, coupling: CouplingResult,
-                 params: SimParams, grid: TimeGrid | None = None
-                 ) -> AmplitudeTrajectory:
+                 params: SimParams) -> AmplitudeTrajectory:
     """Exact mode-decomposition propagation, discretized independently
     of the Runge-Kutta path.
 
@@ -469,9 +382,9 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     resulting one-pole recursion is shared with integrate_markovian; its
     pole and drive are not the RK4 polynomials.
     """
-    grid, m, h = _grid_and_step(source, coupling, params, grid)
+    m, h = _coupling_and_step(source, coupling, params)
 
-    times = grid.times[:-1]
+    times = source.grid.times[:-1]
     tau = 0.5 * h * (_GL6_X + 1.0)                      # (6,) node offsets
     rate_u, rate_v = params.gamma + m, params.gamma - m
     # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau, contracted from
@@ -481,12 +394,13 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     drive_u, drive_v = np.empty(times.size, complex), np.empty(times.size, complex)
     for lo in range(0, times.size, 1 << 14):
         t_nodes = times[lo:lo + (1 << 14), None] + tau[None, :]
-        s1_nodes, s2_nodes = (s.reshape(t_nodes.shape) for s in source.at(t_nodes.ravel()))
+        s1_nodes = source.at(t_nodes.ravel()).reshape(t_nodes.shape)
+        s2_nodes = source.phase * s1_nodes
         np.matmul(s1_nodes + s2_nodes, kernel_u, out=drive_u[lo:lo + len(t_nodes)])
         np.matmul(s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:lo + len(t_nodes)])
     u = _one_pole(-rate_u * h, drive_u)
     del times, drive_u
-    return _from_modes(grid, m, u, _one_pole(-rate_v * h, drive_v))
+    return _from_modes(source.grid, m, u, _one_pole(-rate_v * h, drive_v))
 
 
 # ----------------------------------------------------------------------

@@ -155,16 +155,6 @@ def pv_band_integral(omega1: float, omega2: float, omega0: float,
             - eval_f_plus(omega1, -omega0, -a))
 
 
-def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:
-    """Far-field limit of pv_band_integral for a band centered on omega0:
-    (2i/omega0) e^{-i omega0 a} * (-Si(delta0 a / 2)), approaching
-    (2i/omega0) e^{-i omega0 a} (-pi/2) once delta0 a >> 1."""
-    if omega0 <= 0.0 or delta0 <= 0.0:
-        raise DomainError("omega0 and delta0 must be > 0")
-    phase = complex(math.cos(omega0 * a), -math.sin(omega0 * a))
-    return 2j / omega0 * phase * (-si(0.5 * delta0 * a).value)
-
-
 # ----------------------------------------------------------------------
 # relative intensities of the two virtual-photon channels
 # ----------------------------------------------------------------------

@@ -54,8 +54,8 @@ TRANSMITTED = "transmitted"
 REFLECTED = "reflected"
 _KINDS = (INCIDENT, TRANSMITTED, REFLECTED)
 
-# envelopes whose end samples exceed this fraction of the peak are too
-# truncated for a trustworthy area
+# envelopes whose end samples exceed this fraction of the larger of their
+# own peak and the incident peak are too truncated for a trustworthy area
 END_DECAY_FRACTION = 1e-3
 # default zero-padding of spectra: resolves the transmission dip down to
 # gamma/delta ~ 0.02
@@ -113,6 +113,7 @@ class FieldEnvelope:
     prefactors: FieldPrefactors
     delta: float                  # spectral width of the driving pulse
     tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per slow mode
+    incident_peak: float = 0.0    # N sqrt(delta/2), the floor of end_fraction's scale
     pulse_area: complex = field(init=False)
     tail_area: complex = field(init=False)
 
@@ -138,16 +139,17 @@ class FieldEnvelope:
         return float(np.max(np.abs(self.samples)))
 
     def end_fraction(self) -> float:
-        """Larger end-sample magnitude relative to the peak (0 for a null
-        field), the last sample counting only what the tail does not carry."""
-        peak = self.peak()
+        """Larger end-sample magnitude relative to the larger of the peak and
+        incident_peak, which a strongly reflected envelope's peak falls below (0
+        for a null field); the last sample counts only what the tail does not carry."""
+        peak = max(self.peak(), self.incident_peak)
         if peak == 0.0:
             return 0.0
         last = complex(self.samples[-1]) - sum(c for c, _ in self.tail)
         return max(abs(complex(self.samples[0])), abs(last)) / peak
 
     def ends_decayed(self, fraction: float = END_DECAY_FRACTION) -> bool:
-        """True when both grid ends are below `fraction` of the peak."""
+        """True when both grid ends are below `fraction` of the end_fraction scale."""
         return self.end_fraction() <= fraction
 
 
@@ -188,7 +190,7 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
 
     def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
         return FieldEnvelope(kind=kind, tau=tau, samples=samples, prefactors=pref,
-                             delta=wavepacket.delta, tail=tuple(tail))
+                             delta=wavepacket.delta, tail=tuple(tail), incident_peak=scale)
 
     return (make(INCIDENT, inc),
             make(TRANSMITTED, inc + radiated_fw, tail_fw),

@@ -271,17 +271,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     return write_table(path, header, _row_columns(header, rows))
 
 
-def read_csv(path) -> tuple[list[str], list[list]]:
-    """Read a csv_text artifact back: (header, rows of parsed scalars)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ConfigurationError(f"{path} is empty")
-    header = lines[0].split(",")
-    rows = [[parse_value(cell) for cell in line.split(",")]
-            for line in lines[1:]]
-    return header, rows
-
-
 # ----------------------------------------------------------------------
 # flat config / manifest blocks
 # ----------------------------------------------------------------------

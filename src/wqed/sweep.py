@@ -453,8 +453,7 @@ def scatter(params: SimParams, coupling: CouplingResult,
     grid = default_grid(params, span_factor, dt_factor, m_total=coupling.m_total)
     wavepacket = IncidentWavepacket(params.delta, params.omega0,
                                     normalization=normalization)
-    traj = integrate_markovian(build_source(wavepacket, params, grid),
-                               coupling, params, grid)
+    traj = integrate_markovian(build_source(wavepacket, params, grid), coupling, params)
     return wavepacket, traj, reconstruct_fields(traj, wavepacket, params)
 
 

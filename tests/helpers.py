@@ -1,0 +1,33 @@
+"""Readers and reference formulas that only the tests use."""
+
+import math
+from pathlib import Path
+
+from wqed.cli import RunConfig
+from wqed.errors import ConfigurationError
+from wqed.serialize import parse_config_text, parse_value
+from wqed.specfun import si
+
+
+def read_csv(path) -> tuple[list[str], list[list]]:
+    """Read a csv_text artifact back: (header, rows of parsed scalars)."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ConfigurationError(f"{path} is empty")
+    header = lines[0].split(",")
+    rows = [[parse_value(cell) for cell in line.split(",")]
+            for line in lines[1:]]
+    return header, rows
+
+
+def run_config_from_text(text: str) -> RunConfig:
+    """The RunConfig of run-config text, as `simulate --config` reads it."""
+    return RunConfig.from_sections(parse_config_text(text))
+
+
+def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:
+    """Far-field limit of pv_band_integral for a band centered on omega0:
+    (2i/omega0) e^{-i omega0 a} * (-Si(delta0 a / 2)), approaching
+    (2i/omega0) e^{-i omega0 a} (-pi/2) once delta0 a >> 1."""
+    phase = complex(math.cos(omega0 * a), -math.sin(omega0 * a))
+    return 2j / omega0 * phase * (-si(0.5 * delta0 * a).value)

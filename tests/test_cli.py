@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import read_csv, run_config_from_text
 import wqed.checks
 import wqed.cli
 import wqed.sweep
@@ -31,7 +32,7 @@ from wqed.cli import (
     parse_k0l_range,
 )
 from wqed.errors import ConfigurationError, DomainError
-from wqed.serialize import parse_config_text, read_config, read_csv
+from wqed.serialize import parse_config_text, read_config
 from wqed.sweep import CONFIG_KEYS, SweepSpec
 
 PI4 = math.pi / 4
@@ -102,21 +103,21 @@ class TestRunConfig:
 
     def test_defaults_round_trip(self):
         cfg = RunConfig()
-        assert RunConfig.from_text(cfg.text()) == cfg
+        assert run_config_from_text(cfg.text()) == cfg
 
     def test_custom_round_trip(self):
         cfg = RunConfig(gamma_over_delta=4.0, k0l=1.0 / 3.0,
                         model="rwa-cutoff", epsilon=1e-7,
                         span_factor=2.0, zero_pad=4, area_tol=1e-4)
-        again = RunConfig.from_text(cfg.text())
+        again = run_config_from_text(cfg.text())
         assert again == cfg
         assert again.k0l == 1.0 / 3.0  # bitwise through 17 digits
 
     def test_unknown_section_and_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config section"):
-            RunConfig.from_text("[atoms]\nn = 2\n")
+            run_config_from_text("[atoms]\nn = 2\n")
         with pytest.raises(ConfigurationError, match="unknown key"):
-            RunConfig.from_text("[run]\ncolor = red\n")
+            run_config_from_text("[run]\ncolor = red\n")
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -132,7 +133,7 @@ class TestRunConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
         block, = [b for b in blocks if b.startswith("[run]")]
-        assert RunConfig.from_text(block) == RunConfig()
+        assert run_config_from_text(block) == RunConfig()
         uncommented = "".join(line for line in block.splitlines(keepends=True)
                               if not line.startswith("#"))
         assert uncommented == RunConfig().text()
@@ -206,8 +207,16 @@ class TestCouplingCommand:
         code, out, err = invoke(["coupling", "--models", "full",
                                  "--omega0-over-gamma", 0])
         assert code == EXIT_USAGE
-        assert "omega0_over_gamma must be > 0" in err
+        assert "omega0_over_gamma must be finite and > 0, got 0.0" in err
         assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_bad_epsilon_exits_2(self, value):
+        # the key table's rule and message, as simulate gives them
+        code, out, err = invoke(["coupling", "--models", "rwa-cutoff",
+                                 "--epsilon", value])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: epsilon must be finite and > 0, got {float(value)}\n"
 
     def test_out_writes_csv_file(self, tmp_path):
         code, out, _ = invoke(["coupling", "--k0l-range", "0:3.1416:8",
@@ -291,7 +300,7 @@ class TestSimulateCommand:
 
     def test_run_config_echo_round_trips(self, sim_run):
         out, _, _, _ = sim_run
-        cfg = RunConfig.from_text((out / "run_config.txt").read_text())
+        cfg = run_config_from_text((out / "run_config.txt").read_text())
         assert cfg.gamma_over_delta == 4.0
         assert cfg.k0l == PI4
 
@@ -639,5 +648,5 @@ class TestOneRulePerKey:
             "[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
             "models = full, rwa-cutoff, rwa-cutoff:1e-7\nepsilon = 1e-6\n"))
         assert [model.epsilon for model in spec.models] == [None, 1e-6, 1e-7]
-        cfg = RunConfig.from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
+        cfg = run_config_from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
         assert cfg.spec.models[0].epsilon == 1e-6

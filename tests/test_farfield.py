@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from helpers import pv_band_asymptote
 from wqed.checks import band_reference, pv_reference
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
 from wqed.dynamics import (
@@ -25,7 +26,6 @@ from wqed.farfield import (
     eval_f_plus,
     i2_ratio,
     i3_bound,
-    pv_band_asymptote,
     pv_band_integral,
 )
 
@@ -68,7 +68,7 @@ def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4, normalization=None):
     wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0, **kwargs)
     coup = evaluate_coupling(p, CouplingModel.full())
     grid = default_grid(p, m_total=coup.m_total)
-    traj = integrate_markovian(build_source(wp, p, grid), coup, p, grid)
+    traj = integrate_markovian(build_source(wp, p, grid), coup, p)
     return p, wp, traj
 
 

@@ -59,8 +59,7 @@ def run_case(gamma_over_delta, k0l, span_factor=1.0, dt_factor=1.0, model=None):
     grid = default_grid(p, span_factor=span_factor, dt_factor=dt_factor,
                         m_total=coup.m_total)
     wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
-    src = build_source(wp, p, grid)
-    return p, wp, integrate_markovian(src, coup, p, grid), coup
+    return p, wp, integrate_markovian(build_source(wp, p, grid), coup, p), coup
 
 
 def gamma_zero_case():
@@ -69,8 +68,7 @@ def gamma_zero_case():
     coup = evaluate_coupling(p, CouplingModel.full())
     grid = default_grid(p, m_total=coup.m_total)
     wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
-    src = build_source(wp, p, grid)
-    return p, wp, integrate_markovian(src, coup, p, grid), coup
+    return p, wp, integrate_markovian(build_source(wp, p, grid), coup, p), coup
 
 
 class TestFieldEnvelope:
@@ -101,6 +99,16 @@ class TestFieldEnvelope:
                             samples=np.zeros(9, complex), prefactors=pref, delta=1.0)
         assert env.end_fraction() == 0.0
         assert env.ends_decayed()
+
+    def test_ends_judged_against_incident_peak_too(self):
+        # a peak shrunk to 1e-2 of the incident's: an end of 5e-5 is 5e-3 of
+        # its own peak, 5e-5 of the incident's; the larger peak rules
+        own = FieldEnvelope(kind=TRANSMITTED, tau=np.arange(4.0),
+                            samples=np.array([5e-5, 1e-2, 0, 0], complex), delta=1.0,
+                            prefactors=radiation_prefactors(SimParams.from_ratios(1.0, 0.0)))
+        assert not own.ends_decayed()
+        assert dataclasses.replace(own, incident_peak=1e-3).end_fraction() == 5e-3
+        assert dataclasses.replace(own, incident_peak=1.0).end_fraction() == 5e-5
 
     def test_prefactor_identity(self):
         """kappa * |G0j| reproduces gamma; G0j phases are e^{i k0 zj}."""
@@ -219,7 +227,7 @@ class TestPulseAreas:
         short = TimeGrid.from_step(-8.0 / p.delta, 8.0 / p.delta, dt)
         wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
         src = build_source(wp, p, short)
-        traj = integrate_markovian(src, coup, p, short)
+        traj = integrate_markovian(src, coup, p)
         with pytest.raises(TruncationError, match="decayed"):
             pulse_areas(reconstruct_fields(traj, wp, p))
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import read_csv
 from wqed import serialize, sweep
 from wqed.cli import main
 from wqed.errors import ConfigurationError
@@ -27,7 +28,6 @@ from wqed.serialize import (
     parse_config_text,
     parse_value,
     read_config,
-    read_csv,
     write_config,
     write_csv,
     write_table,
