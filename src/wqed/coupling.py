@@ -58,6 +58,8 @@ EPS_REF_RATIO = 1e-8
 DEFAULT_CI_DIVERGENCE_THRESHOLD = 1.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# panels per vectorised block of _gl_panels, bounding its temporaries
+_GL_CHUNK = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -228,15 +230,13 @@ def coupling_full(params: SimParams) -> CouplingResult:
                           virtual_photon_part=total.imag)
 
 
-def coupling_rwa_cutoff(params: SimParams, epsilon: float,
-                        ci_threshold: float = DEFAULT_CI_DIVERGENCE_THRESHOLD
-                        ) -> CouplingResult:
+def coupling_rwa_cutoff(params: SimParams, epsilon: float) -> CouplingResult:
     """Rotating-wave coupling M1+M3 regularised at infrared frequency epsilon.
 
     Only the real part gamma*cos(k0l) is trustworthy; the imaginary part
     retains -(gamma/pi)*Ci(epsilon*l/c) and diverges logarithmically as
     epsilon -> 0.  The result is flagged diverged once |Ci(epsilon*l/c)|
-    exceeds ci_threshold.
+    exceeds DEFAULT_CI_DIVERGENCE_THRESHOLD.
     """
     if not (epsilon > 0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -254,7 +254,7 @@ def coupling_rwa_cutoff(params: SimParams, epsilon: float,
             + math.cos(x) * ci(x).value - ci_cut)
     return CouplingResult(m_total=m, m_parts=(),
                           real_photon_part=m.real, virtual_photon_part=m.imag,
-                          diverged=abs(ci_cut) > ci_threshold)
+                          diverged=abs(ci_cut) > DEFAULT_CI_DIVERGENCE_THRESHOLD)
 
 
 def coupling_rwa_const_g(params: SimParams) -> CouplingResult:
@@ -297,13 +297,14 @@ def evaluate_coupling(params: SimParams, model: CouplingModel) -> CouplingResult
 # principal-value quadrature oracle
 # ----------------------------------------------------------------------
 
-def _gl_panels(f, edges: np.ndarray, phase: float, chunk: int = 1 << 16) -> complex:
-    """Sum of integral f(u)*exp(i*phase*u) over consecutive panels."""
+def _gl_panels(f, edges: np.ndarray, phase: float) -> complex:
+    """Sum of integral f(u)*exp(i*phase*u) over consecutive panels, _GL_CHUNK
+    panels at a time."""
     starts, ends = edges[:-1], edges[1:]
     total = 0.0 + 0.0j
-    for i in range(0, starts.size, chunk):
-        mid = 0.5 * (starts[i:i + chunk] + ends[i:i + chunk])
-        half = 0.5 * (ends[i:i + chunk] - starts[i:i + chunk])
+    for i in range(0, starts.size, _GL_CHUNK):
+        mid = 0.5 * (starts[i:i + _GL_CHUNK] + ends[i:i + _GL_CHUNK])
+        half = 0.5 * (ends[i:i + _GL_CHUNK] - starts[i:i + _GL_CHUNK])
         u = mid[:, None] + half[:, None] * _GL_X[None, :]
         vals = np.empty(u.shape, dtype=complex)
         arg = phase * u

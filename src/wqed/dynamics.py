@@ -51,6 +51,8 @@ TAIL_RATE_FRACTION = 0.25
 # most points a time grid or a spectrum FFT may take: a cell peaks near
 # 200 bytes per grid point, so the largest accepted cell stays near 2 GB
 POINT_BUDGET = 10_000_000
+# markov_guard warns when a Markov ratio exceeds this
+MARKOV_WARN_RATIO = 0.05
 
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
 # one-pole scan blocks: 8 to 512 samples, and short enough that
@@ -412,7 +414,6 @@ class ValidityReport:
     """Markov-approximation health check: each ratio should be small."""
 
     ratios: dict[str, float]
-    threshold: float
     warnings: tuple[str, ...]
 
     @property
@@ -420,13 +421,14 @@ class ValidityReport:
         return not self.warnings
 
 
-def markov_guard(params: SimParams, threshold: float = 0.05) -> ValidityReport:
+def markov_guard(params: SimParams) -> ValidityReport:
     """Ratios that must stay small for the instantaneous-coupling picture:
-    gamma/omega0, delta/omega0, and the flight-time ratio l*(gamma+delta)/c."""
+    gamma/omega0, delta/omega0, and the flight-time ratio l*(gamma+delta)/c;
+    each one above MARKOV_WARN_RATIO is a warning."""
     ratios = {
         "gamma_over_omega0": params.gamma / params.omega0,
         "delta_over_omega0": params.delta / params.omega0,
         "retardation": params.l * (params.gamma + params.delta) / params.c,
     }
-    warnings = tuple(name for name, value in ratios.items() if value > threshold)
-    return ValidityReport(ratios=ratios, threshold=threshold, warnings=warnings)
+    warnings = tuple(name for name, value in ratios.items() if value > MARKOV_WARN_RATIO)
+    return ValidityReport(ratios=ratios, warnings=warnings)

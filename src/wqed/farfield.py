@@ -83,16 +83,15 @@ class DetectorSpec:
         nearest = min(abs(self.z - params.z1), abs(self.z - params.z2))
         return self.omega1 * nearest / params.c
 
-    def is_far_field(self, params: SimParams,
-                     threshold: float = FAR_FIELD_MIN) -> bool:
-        return self.far_field_margin(params) >= threshold
+    def is_far_field(self, params: SimParams) -> bool:
+        return self.far_field_margin(params) >= FAR_FIELD_MIN
 
     def band_margin(self, params: SimParams) -> float:
         """delta0 relative to the wider of gamma and delta."""
         return self.delta0 / max(params.gamma, params.delta)
 
-    def band_ok(self, params: SimParams, factor: float = BAND_FACTOR) -> bool:
-        return self.band_margin(params) >= factor
+    def band_ok(self, params: SimParams) -> bool:
+        return self.band_margin(params) >= BAND_FACTOR
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ check on the time-domain integrator.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -60,6 +59,10 @@ END_DECAY_FRACTION = 1e-3
 # default zero-padding of spectra: resolves the transmission dip down to
 # gamma/delta ~ 0.02
 DEFAULT_ZERO_PAD = 8
+# spectra are computed and tabulated only over |detuning| <= this many
+# pulse widths; the zero-padded DFT extends orders of magnitude beyond any
+# signal
+SPECTRUM_WINDOW = 8.0
 # transfer grids must cover the pulse spectrum out to this many bandwidths
 _MIN_TRANSFER_SPAN = 8.0
 
@@ -148,9 +151,10 @@ class FieldEnvelope:
         last = complex(self.samples[-1]) - sum(c for c, _ in self.tail)
         return max(abs(complex(self.samples[0])), abs(last)) / peak
 
-    def ends_decayed(self, fraction: float = END_DECAY_FRACTION) -> bool:
-        """True when both grid ends are below `fraction` of the end_fraction scale."""
-        return self.end_fraction() <= fraction
+    def ends_decayed(self) -> bool:
+        """True when both grid ends are below END_DECAY_FRACTION of the
+        end_fraction scale."""
+        return self.end_fraction() <= END_DECAY_FRACTION
 
 
 def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket,
@@ -198,7 +202,6 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
 
 
 def pulse_areas(fields: tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope],
-                decay_fraction: float = END_DECAY_FRACTION,
                 ) -> tuple[complex, complex, complex]:
     """(S_inc, S_trans, S_refl) trapezoid areas of the three envelopes.
 
@@ -211,10 +214,10 @@ def pulse_areas(fields: tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope],
             "expected (incident, transmitted, reflected) envelopes, got "
             f"({inc.kind}, {trans.kind}, {refl.kind})")
     for env in (inc, trans, refl):
-        if not env.ends_decayed(decay_fraction):
+        if not env.ends_decayed():
             raise TruncationError(
                 f"{env.kind} envelope has not decayed at the grid ends "
-                f"(end/peak = {env.end_fraction():.3e} > {decay_fraction:g}); "
+                f"(end/peak = {env.end_fraction():.3e} > {END_DECAY_FRACTION:g}); "
                 "extend the grid before trusting areas")
     return inc.pulse_area, trans.pulse_area, refl.pulse_area
 
@@ -243,12 +246,9 @@ def fft_length(n: int) -> int:
     return best
 
 
-def _detuning_axis(n: int, dtau: float, m_lo: int | None = None,
-                   m_hi: int | None = None) -> np.ndarray:
+def _detuning_axis(n: int, dtau: float, m_lo: int, m_hi: int) -> np.ndarray:
     """Angular detunings of bins m_lo..m_hi of an n-point DFT on step dtau,
-    ascending; by default all n bins, with exactly zero at index n // 2."""
-    if m_lo is None:
-        m_lo, m_hi = -(n // 2), n - n // 2 - 1
+    ascending."""
     omega = np.arange(m_lo, m_hi + 1, dtype=float)
     omega *= 2.0 * math.pi / (n * dtau)
     return omega
@@ -308,23 +308,6 @@ def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int) -> np.ndarray:
     return ends
 
 
-def _alternate(samples: np.ndarray) -> None:
-    """Multiply by (-1)^j in place.  For an even DFT length this moves bin
-    n/2 to index 0, i.e. it does the work of fftshift on the input side."""
-    samples[1::2] *= -1.0
-
-
-def _phase_ramp(values: np.ndarray, omega: np.ndarray, tau0: float,
-                scale: float) -> None:
-    """values *= scale * e^{i omega tau0}, in place."""
-    ramp = np.empty_like(values)
-    np.multiply(omega, tau0, out=ramp.real)
-    np.sin(ramp.real, out=ramp.imag)
-    np.cos(ramp.real, out=ramp.real)
-    ramp *= scale
-    values *= ramp
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Discrete spectrum A~(omega) of one envelope.
@@ -332,19 +315,13 @@ class Spectrum:
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
     evaluated by a zero-padded rectangle-rule DFT whose length fft_len is
     the 5-smooth fft_length(n_time * zero_pad_factor), plus the sum over
-    the envelope's tail.  The detuning axis is stored ascending in units of
-    the pulse width delta.  A full spectrum holds all fft_len bins, with
-    zero detuning at index size // 2; a windowed one holds only the bins of
-    the same DFT within a detuning window.  tau0/dtau/n_time record the
-    originating grid so a full spectrum can be inverted exactly.
+    the envelope's tail.  Only the bins of that DFT within a detuning window
+    are held, on an axis stored ascending in units of the pulse width delta.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
     amplitude: np.ndarray
     delta: float
-    tau0: float
-    dtau: float
-    n_time: int
     fft_len: int
 
     @property
@@ -356,68 +333,36 @@ class Spectrum:
         """A~ at zero detuning (a grid point of the DFT by construction)."""
         return complex(self.amplitude[int(np.argmin(np.abs(self.detuning)))])
 
-    def time_samples(self) -> np.ndarray:
-        """Invert the DFT back to the original n_time envelope samples."""
-        n = self.fft_len
-        if self.amplitude.size != n:
-            raise ConfigurationError(
-                f"cannot invert a windowed spectrum ({self.amplitude.size} of "
-                f"{n} bins)")
-        buf = self.amplitude.astype(complex)
-        _phase_ramp(buf, _detuning_axis(n, self.dtau), -self.tau0,
-                    1.0 / (n * self.dtau))
-        if n % 2:
-            buf = np.fft.ifftshift(buf)
-        np.fft.fft(buf, out=buf)
-        samples = buf[:self.n_time].copy()
-        if n % 2 == 0:
-            _alternate(samples)
-        return samples
-
 
 def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
-             window: float | None = None) -> Spectrum:
+             window: float = SPECTRUM_WINDOW) -> Spectrum:
     """Zero-padded DFT spectrum of an envelope, detuning in units of delta.
 
     The envelope is padded with zeros to fft_length(n_time *
     zero_pad_factor) points: at least zero_pad_factor times its length,
-    rounded up to a 5-smooth FFT length.  With a window, only the bins
-    with |detuning| <= window of that same DFT are computed, by a chirp-z
-    transform whose cost scales with n_time plus the window's bin count
-    rather than with the padded length; the tail of an envelope, which
-    needs a window, adds its exact continuation of the sum to each bin.
+    rounded up to a 5-smooth FFT length.  Only the bins with |detuning| <=
+    window of that DFT are computed, by a chirp-z transform whose cost
+    scales with n_time plus the window's bin count rather than with the
+    padded length; the tail of an envelope adds its exact continuation of
+    the sum to each bin.
     """
     if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
         raise ConfigurationError(
             f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
-    if window is not None and not (window >= 0.0 and math.isfinite(window)):
+    if window is None or not (window >= 0.0 and math.isfinite(window)):
         raise ConfigurationError(f"window must be finite and >= 0, got {window!r}")
     n_time = env.samples.size
     n = fft_length(n_time * zero_pad_factor)
     dtau = env.dtau
-    tau0 = float(env.tau[0])
     spectrum_length(n_time, dtau, env.delta, zero_pad_factor, window)
-    if window is None:
-        if env.tail:
-            raise ConfigurationError("a full spectrum would drop the envelope's tail")
-        amplitude = np.zeros(n, dtype=complex)
-        amplitude[:n_time] = env.samples
-        if n % 2 == 0:
-            _alternate(amplitude[:n_time])
-        np.fft.ifft(amplitude, norm="forward", out=amplitude)
-        if n % 2:
-            amplitude = np.fft.fftshift(amplitude)
-        omega = _detuning_axis(n, dtau)
-    else:
-        m_lo, m_hi = _window_bins(n, dtau, env.delta, window)
-        amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
-        omega = _detuning_axis(n, dtau, m_lo, m_hi)
-    _phase_ramp(amplitude, omega, tau0, dtau)
+    m_lo, m_hi = _window_bins(n, dtau, env.delta, window)
+    amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
+    omega = _detuning_axis(n, dtau, m_lo, m_hi)
+    amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
     for term in _tail_terms(env, omega):
         amplitude -= term
     omega /= env.delta
-    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta,
-                    tau0=tau0, dtau=dtau, n_time=n_time, fft_len=n)
+    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta, fft_len=n)
 
 
 def _tail_terms(env: FieldEnvelope, omega):
@@ -431,7 +376,7 @@ def _tail_terms(env: FieldEnvelope, omega):
 
 
 def resonant_amplitude(env: FieldEnvelope) -> complex:
-    """spectrum(env, window=...).at_resonance() without the transform: the
+    """spectrum(env).at_resonance() without the transform: the
     zero-detuning bin is dtau times the sum of the samples, plus the tail."""
     value = env.dtau * complex(np.sum(env.samples))
     for term in _tail_terms(env, 0.0):
@@ -440,13 +385,11 @@ def resonant_amplitude(env: FieldEnvelope) -> complex:
 
 
 def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int,
-                    window: float | None) -> int:
-    """FFT length spectrum() needs for n_time samples, checked against POINT_BUDGET."""
-    n = fft_length(n_time * zero_pad_factor)
-    if window is not None:
-        m_lo, m_hi = _window_bins(n, dtau, delta, window)
-        n = fft_length(n_time + m_hi - m_lo)
-    return check_points("a spectrum FFT", n)
+                    window: float = SPECTRUM_WINDOW) -> int:
+    """Chirp-z FFT length spectrum() needs for n_time samples, checked
+    against POINT_BUDGET."""
+    m_lo, m_hi = _window_bins(fft_length(n_time * zero_pad_factor), dtau, delta, window)
+    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo))
 
 
 def dip_width(spec: Spectrum) -> float:
@@ -580,12 +523,3 @@ def transfer_oracle(params: SimParams, coupling: CouplingModel | CouplingResult 
         r_vals = np.where(singular, -1.0, r_vals)
     return t_vals, r_vals
 
-
-def transfer_spectrum(spec_inc: Spectrum, transfer: np.ndarray) -> Spectrum:
-    """Apply a transfer amplitude to an incident spectrum, keeping the
-    grid metadata so the product can be inverted to the time domain."""
-    if transfer.shape != spec_inc.amplitude.shape:
-        raise GridMismatch(
-            f"transfer array has shape {transfer.shape}, spectrum has "
-            f"{spec_inc.amplitude.shape}")
-    return dataclasses.replace(spec_inc, amplitude=spec_inc.amplitude * transfer)

@@ -402,11 +402,6 @@ TRAJECTORY_HEADER = ("t", "re_b1", "im_b1", "re_b2", "im_b2")
 ENVELOPE_HEADER = ("tau", "re", "im", "abs")
 SPECTRUM_HEADER = ("detuning", "intensity")
 
-# spectra are computed and tabulated only over |detuning| <= this many
-# pulse widths; the zero-padded DFT extends orders of magnitude beyond any
-# signal
-SPECTRUM_WINDOW = 8.0
-
 
 def write_trajectory_csv(path, traj: AmplitudeTrajectory) -> Path:
     return write_table(path, TRAJECTORY_HEADER,
@@ -457,6 +452,26 @@ def scatter(params: SimParams, coupling: CouplingResult,
     return wavepacket, traj, reconstruct_fields(traj, wavepacket, params)
 
 
+def area_verdict(envelopes: tuple[FieldEnvelope, ...], gamma: float,
+                 area_tol: float) -> tuple[str, float, float]:
+    """(area_check, trans_ratio, refl_ratio) of (incident, transmitted,
+    reflected) envelopes: the ratios |S_trans|/|S_inc| and |S_refl + S_inc|/|S_inc|,
+    and the verdict skipped (gamma = 0), truncated (an envelope's ends not
+    decayed), pass (both ratios <= area_tol) or fail."""
+    s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
+    trans_ratio = abs(s_trans) / abs(s_inc)
+    refl_ratio = abs(s_refl + s_inc) / abs(s_inc)
+    if gamma == 0.0:
+        check = AREA_SKIPPED
+    elif not all(env.ends_decayed() for env in envelopes):
+        check = AREA_TRUNCATED
+    elif trans_ratio <= area_tol and refl_ratio <= area_tol:
+        check = AREA_PASS
+    else:
+        check = AREA_FAIL
+    return check, trans_ratio, refl_ratio
+
+
 def run_cell(index: int, gamma_over_delta: float, k0l: float,
              model: CouplingModel, spec: SweepSpec) -> CellResult:
     """Run the full pipeline for one grid cell; never raises WqedError."""
@@ -466,23 +481,13 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         _, traj, envelopes = scatter(params, coupling, spec.normalization,
                                      spec.span_factor, spec.dt_factor)
         inc, trans, refl = envelopes
-
-        decayed = all(env.ends_decayed() for env in envelopes)
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
+        check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma,
+                                                      spec.area_tol)
         tail_fraction = max(abs(trans.tail_area), abs(refl.tail_area)) / abs(s_inc)
-        trans_ratio = abs(s_trans) / abs(s_inc)
-        refl_ratio = abs(s_refl + s_inc) / abs(s_inc)
-        if params.gamma == 0.0:
-            check = AREA_SKIPPED
-        elif not decayed:
-            check = AREA_TRUNCATED
-        elif trans_ratio <= spec.area_tol and refl_ratio <= spec.area_tol:
-            check = AREA_PASS
-        else:
-            check = AREA_FAIL
 
-        spec_inc = spectrum(inc, spec.zero_pad, SPECTRUM_WINDOW)
-        spec_trans = spectrum(trans, spec.zero_pad, SPECTRUM_WINDOW)
+        spec_inc = spectrum(inc, spec.zero_pad)
+        spec_trans = spectrum(trans, spec.zero_pad)
         depth = 1.0 - (abs(spec_trans.at_resonance()) ** 2
                        / abs(spec_inc.at_resonance()) ** 2)
         try:
@@ -527,7 +532,7 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
     for params in (cell_params(g, k, spec.omega0_over_gamma)
                    for g in spec.gamma_over_delta for k in spec.k0l):
         grid = default_grid(params, spec.span_factor, spec.dt_factor)
-        spectrum_length(grid.n, grid.dt, params.delta, spec.zero_pad, SPECTRUM_WINDOW)
+        spectrum_length(grid.n, grid.dt, params.delta, spec.zero_pad)
     cells = ((g, k, m) for g in spec.gamma_over_delta
              for k in spec.k0l for m in spec.models)
     results = tuple(run_cell(index, *cell, spec)

@@ -3,8 +3,11 @@
 import math
 from pathlib import Path
 
+import numpy as np
+
 from wqed.cli import RunConfig
 from wqed.errors import ConfigurationError
+from wqed.fields import DEFAULT_ZERO_PAD, FieldEnvelope, Spectrum, fft_length
 from wqed.serialize import parse_config_text, parse_value
 from wqed.specfun import si
 
@@ -31,3 +34,19 @@ def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:
     (2i/omega0) e^{-i omega0 a} (-pi/2) once delta0 a >> 1."""
     phase = complex(math.cos(omega0 * a), -math.sin(omega0 * a))
     return 2j / omega0 * phase * (-si(0.5 * delta0 * a).value)
+
+
+def full_dft_spectrum(env: FieldEnvelope,
+                      zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
+    """Every bin of the DFT that fields.spectrum windows, by a plain numpy FFT:
+    dtau sum_j A_j e^{i omega tau_j} over the samples of a tail-free envelope
+    zero-padded to N = fft_length(n * zero_pad_factor), at omega = 2 pi m /
+    (N dtau) for m = -(N // 2) .. N - N // 2 - 1, ascending."""
+    assert not env.tail, "the reference drops a tail"
+    n = fft_length(env.samples.size * zero_pad_factor)
+    omega = np.arange(-(n // 2), n - n // 2, dtype=float)
+    omega *= 2.0 * math.pi / (n * env.dtau)
+    amplitude = np.fft.fftshift(np.fft.ifft(env.samples, n, norm="forward"))
+    amplitude *= env.dtau * np.exp(1j * float(env.tau[0]) * omega)
+    return Spectrum(detuning=omega / env.delta, amplitude=amplitude,
+                    delta=env.delta, fft_len=n)

@@ -24,7 +24,7 @@ from wqed.dynamics import (
     integrate_markovian,
 )
 from wqed.errors import ConfigurationError, DomainError
-from wqed.fields import DEFAULT_ZERO_PAD, fft_length, reconstruct_fields
+from wqed.fields import DEFAULT_ZERO_PAD, SPECTRUM_WINDOW, fft_length, reconstruct_fields
 from wqed.serialize import config_text, parse_config_text, read_config
 from wqed.sweep import (
     AREA_FAIL,
@@ -33,7 +33,6 @@ from wqed.sweep import (
     AREA_TRUNCATED,
     MANIFEST_VERSION,
     NORMALIZATIONS,
-    SPECTRUM_WINDOW,
     CouplingRow,
     SweepSpec,
     cell_params,
