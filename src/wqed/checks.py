@@ -18,16 +18,19 @@ import numpy as np
 
 from .coupling import (CouplingModel, SimParams, _gl_panels, coupling_full,
                        coupling_oracle, coupling_rwa_cutoff, evaluate_coupling)
-from .dynamics import build_source, oracle_modes
+from .dynamics import build_source, check_points, driven_modes, oracle_modes
 from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
-from .fields import (DEFAULT_ZERO_PAD, FieldEnvelope, consistency_residuals, dip_width,
-                     fft_length, resonant_amplitude, spectrum, transfer_oracle)
+from .fields import (FieldEnvelope, consistency_residuals, dip_width, fft_length,
+                     resonant_amplitude, spectrum, transfer_oracle)
 from .specfun import ci, si
 from .sweep import (AREA_PASS, AREA_TRUNCATED, CONFIG_KEYS, area_verdict, cell_params,
                     compare_couplings, scatter)
 
 PI4 = math.pi / 4
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
+# the transfer round trip pads until the slowest driven mode has decayed to
+# this fraction, which bounds the circular DFT's wrap-around
+WRAP_FRACTION = 1e-12
 
 
 class CheckResult(NamedTuple):
@@ -161,14 +164,20 @@ def _check_local_consistency(mutate: bool = False) -> CheckResult:
     return _at_most(worst, 1e-3, "normalized sup-norm of both residuals")
 
 
-def transfer_round_trip(inc: FieldEnvelope, transfer) -> np.ndarray:
+def transfer_round_trip(inc: FieldEnvelope, transfer, params: SimParams,
+                        m_total: complex) -> np.ndarray:
     """The envelope that the transfer amplitude transfer(d) makes of the
     incident one: the inverse DFT of transfer(d) times the DFT of inc's
-    samples zero-padded to N = fft_length(DEFAULT_ZERO_PAD * n), at the bins'
-    angular detunings d = 2 pi fftfreq(N, dtau).  The spectrum's phase ramp
-    e^{i d tau_0} and the inverse's e^{-i d tau_0} cancel, so neither is applied."""
+    samples zero-padded to N = fft_length(n + ceil(ln(1/WRAP_FRACTION) /
+    (min Re lam * dtau))), lam the driven modes' rates, at the bins' angular
+    detunings d = 2 pi fftfreq(N, dtau).  The spectrum's phase ramp
+    e^{i d tau_0} and the inverse's e^{-i d tau_0} cancel, so neither is
+    applied.  A padded length over POINT_BUDGET (infinite when a mode does
+    not decay) raises ConfigurationError before anything is allocated."""
     n = inc.samples.size
-    size = fft_length(DEFAULT_ZERO_PAD * n)
+    rate = min(lam.real for lam in driven_modes(params, m_total).values())
+    pad = math.ceil(math.log(1.0 / WRAP_FRACTION) / (rate * inc.dtau)) if rate > 0 else math.inf
+    size = fft_length(check_points("the transfer round trip", n + pad))
     spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, inc.dtau))
     spec *= np.fft.ifft(inc.samples, size)
     np.fft.fft(spec, out=spec)
@@ -180,7 +189,8 @@ def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
     for ratio in TRIPLE:
         params, wavepacket, coupling, _, (inc, trans, _) = _scatter(ratio, PI4)
         predicted = transfer_round_trip(
-            inc, lambda d: transfer_oracle(params, coupling, wavepacket, d)[0])
+            inc, lambda d: transfer_oracle(params, coupling, wavepacket, d)[0],
+            params, coupling.m_total)
         worst = max(worst, np.max(np.abs(predicted - trans.samples)) / trans.peak())
     return _at_most(worst, 1e-4, "frequency- vs time-domain envelope")
 

@@ -57,6 +57,9 @@ EPS_REF_RATIO = 1e-8
 # running into the infrared divergence.
 DEFAULT_CI_DIVERGENCE_THRESHOLD = 1.0
 
+# bound, in units of gamma, on the analytic tail's error in each coupling_oracle part
+ORACLE_TAIL_TOL = 1e-14
+
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # panels per vectorised block of _gl_panels, bounding its temporaries
 _GL_CHUNK = 1 << 16
@@ -334,18 +337,29 @@ def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,
                   big_u: float) -> complex:
     """One refinement level of the defining integral, in units u = omega/omega0.
 
-    kind 'pole':    PV int_{eps_u}^{big_u} e^{i a u} (1/u + 1/(1-u)) du,
+    kind 'pole':    PV int_0^{big_u} e^{i a u} (1/u + 1/(1-u)) du,
                     excising [1-delta_u, 1+delta_u] with analytic residual
-    kind 'nonpole':     int_{eps_u}^{big_u} e^{i a u} (1/u - 1/(1+u)) du
+    kind 'nonpole':     int_0^{big_u} e^{i a u} (1/u - 1/(1+u)) du
 
-    plus the analytic tail from big_u to infinity.  a may be negative.
+    with the divergent 1/u piece cut at eps_u, plus the analytic tail from
+    big_u to infinity.  a may be negative.
     """
+    # g(u) = 1/u - 1/(u + c); c = -1 puts the pole at u = 1
+    c = -1.0 if kind == "pole" else 1.0
+
+    def g(u):
+        return 1.0 / u - 1.0 / (u + c)
+
     # oscillation-aware width cap: ~8 radians of phase per 16-node panel
     wmax = 8.0 / abs(a) if a != 0.0 else math.inf
 
     # infrared section [eps_u, 0.125]: logarithmic panels, 4 per decade
     n_log = max(2, math.ceil(4 * math.log10(0.125 / eps_u)))
     edges = np.geomspace(eps_u, 0.125, n_log + 1).tolist()
+    # geometric panels out to big_u, from past the pole's graded section
+    far = [1.5 if kind == "pole" else 0.25]
+    while far[-1] < big_u:
+        far.append(min(2 * far[-1], big_u))
 
     if kind == "pole":
         if not 0 < delta_u < 0.25:
@@ -355,14 +369,7 @@ def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,
         lo = [1.0 - 0.5 * 2.0 ** -k for k in range(k_max + 1)] + [1.0 - delta_u]
         hi = [1.0 + delta_u] + [1.0 + 0.5 * 2.0 ** -k for k in range(k_max, -1, -1)]
         left = _subdivide(edges + lo, wmax)
-        # geometric panels from 1.5 out to big_u
-        far = [1.5]
-        while far[-1] < big_u:
-            far.append(min(2 * far[-1], big_u))
         right = _subdivide(hi + far, wmax)
-
-        def g(u):
-            return 1.0 / u + 1.0 / (1.0 - u)
 
         val = _gl_panels(g, left, a) + _gl_panels(g, right, a)
         # PV residual across the excision: the 1/u piece is regular and
@@ -371,31 +378,30 @@ def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,
         exc = np.array([1.0 - delta_u, 1.0, 1.0 + delta_u])
         val += _gl_panels(lambda u: 1.0 / u, exc, a)
         val += -2j * cmath.exp(1j * a) * si(a * delta_u).value
-        gp_u = -1.0 / big_u ** 2 + 1.0 / (1.0 - big_u) ** 2
-        g_u = 1.0 / big_u + 1.0 / (1.0 - big_u)
-        tail_log = -math.log(big_u / (big_u - 1.0))
     else:
-        far = [0.25]
-        while far[-1] < big_u:
-            far.append(min(2 * far[-1], big_u))
-        grid = _subdivide(edges + far, wmax)
+        val = _gl_panels(g, _subdivide(edges + far, wmax), a)
+    # the regular piece on [0, eps_u], below the cut of the 1/u piece
+    val += _gl_panels(lambda u: -1.0 / (u + c), np.array([0.0, eps_u]), a)
 
-        def g(u):
-            return 1.0 / u - 1.0 / (1.0 + u)
-
-        val = _gl_panels(g, grid, a)
-        gp_u = -1.0 / big_u ** 2 + 1.0 / (1.0 + big_u) ** 2
-        g_u = 1.0 / big_u - 1.0 / (1.0 + big_u)
-        tail_log = -math.log(big_u / (big_u + 1.0))
-
-    # tail u > big_u: two-term integration by parts of e^{iau} g(u), or
-    # the exact logarithm when there is no oscillation at all
+    # tail u > big_u: three-term integration by parts of e^{iau} g(u), with
+    # g^(k)(U) = (-1)^k k! (U^-(k+1) - (U+c)^-(k+1)), or the exact
+    # logarithm when there is no oscillation at all
     if a == 0.0:
-        val += tail_log
-    else:
-        ila = 1j * a
-        val += cmath.exp(ila * big_u) * (-g_u / ila + gp_u / ila ** 2)
-    return val
+        return val + math.log((big_u + c) / big_u)
+    ila = 1j * a
+    return val - cmath.exp(ila * big_u) * sum(
+        math.factorial(k) * (big_u ** -(k + 1) - (big_u + c) ** -(k + 1)) / ila ** (k + 1)
+        for k in range(3))
+
+
+def _tail_start(a: float) -> float:
+    """Default tail start U = omega_max/omega0 at phase a.  Past the three
+    integration-by-parts terms the tail's remainder is at most
+    2|g'''(U)|/a^4 <= 48/(a^4 (U-1)^5); times gamma/(2 pi), this U keeps it
+    at most ORACLE_TAIL_TOL * gamma.  Without oscillation the tail is exact."""
+    if a == 0.0:
+        return 100.0
+    return max(100.0, 1.0 + (24.0 / (math.pi * ORACLE_TAIL_TOL * a ** 4)) ** 0.2)
 
 
 def coupling_oracle(params: SimParams, part_index: int,
@@ -405,16 +411,20 @@ def coupling_oracle(params: SimParams, part_index: int,
     """Evaluate one path contribution M_i straight from its defining
     frequency integral, independently of the closed forms.
 
-    Three refinement levels double omega_max and halve pv_excision; the
-    sequence is Aitken-extrapolated and its last difference must fall
-    below tol (default 1e-6 * gamma).  Single parts use the same
-    reference infrared convention as the closed forms, so they are
-    directly comparable; pairwise sums (1+2, 3+4) are convention-free.
+    The regular pieces are integrated from 0 and the 1/u piece from the
+    reference infrared frequency, so single parts use the same convention
+    as the closed forms and are directly comparable; pairwise sums
+    (1+2, 3+4) are convention-free.  Past omega_max three
+    integration-by-parts terms stand for the tail; by default omega_max
+    is the start at which their remainder bound falls to ORACLE_TAIL_TOL *
+    gamma (_tail_start).  Three refinement levels double omega_max and
+    halve pv_excision; the sequence is Aitken-extrapolated and its last
+    difference must fall below tol (default 1e-6 * gamma).
     """
     if part_index not in (1, 2, 3, 4):
         raise ConfigurationError(f"part_index must be 1..4, got {part_index}")
     if omega_max is None:
-        omega_max = 1e4 * params.omega0
+        omega_max = _tail_start(params.k0l) * params.omega0
     if pv_excision is None:
         pv_excision = 1e-3 * params.omega0
     if omega_max < 100 * params.omega0:
@@ -436,10 +446,6 @@ def coupling_oracle(params: SimParams, part_index: int,
     if not delta_u0 < 0.25:
         raise ConfigurationError(
             f"pv_excision = {pv_excision} too wide (>= 0.25*omega0)")
-    # push the tail start far enough out that two-term integration by
-    # parts is already at the round-off floor for slow oscillations
-    if a > 0:
-        big_u0 = max(big_u0, 100.0 / a)
 
     levels = []
     for m in range(3):

@@ -1,15 +1,43 @@
 """Readers and reference formulas that only the tests use."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import wqed.cli
 from wqed.cli import RunConfig
 from wqed.errors import ConfigurationError
 from wqed.fields import DEFAULT_ZERO_PAD, FieldEnvelope, Spectrum, fft_length
 from wqed.serialize import parse_config_text, parse_value
 from wqed.specfun import si
+
+
+def run_fresh(argv, preexec_fn=None, entry=("-m", "wqed.cli")) -> subprocess.CompletedProcess:
+    """`python <entry> <argv>` in a fresh interpreter with wqed importable;
+    by default the CLI, `entry=()` with argv ["-c", code] runs a script."""
+    src = str(Path(wqed.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *entry, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=preexec_fn)
+
+
+def run_limited(argv, limit=1 << 30, entry=("-m", "wqed.cli")):
+    """(exit code, stderr) of run_fresh in an interpreter whose address
+    space is capped at `limit` bytes, so that an unchecked allocation dies
+    with MemoryError instead of exhausting the machine."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = run_fresh(argv, cap, entry)
+    return done.returncode, done.stderr
 
 
 def read_csv(path) -> tuple[list[str], list[list]]:

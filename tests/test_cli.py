@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import read_csv, run_config_from_text
+from helpers import read_csv, run_config_from_text, run_fresh, run_limited
 import wqed.checks
 import wqed.cli
 import wqed.sweep
@@ -52,29 +52,6 @@ def scipy_modules_loaded(argv):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout.splitlines()[-1])
-
-
-def run_fresh(argv, preexec_fn=None) -> subprocess.CompletedProcess:
-    """The CLI run as `python -m wqed.cli` in a fresh interpreter."""
-    src = str(Path(wqed.cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "wqed.cli", *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=120,
-                          preexec_fn=preexec_fn)
-
-
-def run_limited(argv, limit=1 << 30):
-    """(exit code, stderr) of the CLI in a fresh interpreter whose address
-    space is capped at `limit` bytes, so that an unchecked allocation dies
-    with MemoryError instead of exhausting the machine."""
-    import resource
-
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    done = run_fresh(argv, cap)
-    return done.returncode, done.stderr
 
 
 def invoke(argv):

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqed.coupling import (
+    EPS_REF_RATIO,
+    ORACLE_TAIL_TOL,
     CouplingModel,
     SimParams,
     _coupling_parts,
     _subdivide,
+    _tail_start,
     coupling_full,
     coupling_oracle,
     coupling_rwa_const_g,
@@ -22,6 +25,24 @@ from wqed.coupling import (
 )
 from wqed.dynamics import markov_guard
 from wqed.errors import ConfigurationError, ConvergenceError, DomainError
+
+
+# the coupling-oracle parts at validate's spots before the oracle integrated
+# [0, eps_ref] and took its three-term tail; kept as the record of that change
+PARTS_WITHOUT_FLOOR_SEGMENT = {
+    math.pi / 4: (0.34488586856647724 + 3.5149257447290347j,
+                  0.13777908487991186 - 2.807818966725604j,
+                  0.36222091262007033 + 2.807818963542487j,
+                  -0.13777908487991186 - 2.807818966725604j),
+    math.pi / 2: (-0.32512123431917755 + 3.7361676227305303j,
+                  0.17487876068079794 - 2.7361676259136294j,
+                  0.32512123431917767 + 2.7361676227305303j,
+                  -0.17487876068079794 - 2.7361676259136294j),
+    3 * math.pi: (-1.266546603809136 + 2.4811464137074895j,
+                  0.23345336619086407 - 2.481146416890565j,
+                  0.26654660380913575 + 2.4811464137074895j,
+                  -0.23345336619086407 - 2.481146416890565j),
+}
 
 
 def params_at(k0l, gamma_over_delta=4.0, **kw):
@@ -257,25 +278,53 @@ class TestOracle:
         assert np.array_equal(_subdivide(graded, wmax), list_subdivide(graded, wmax))
 
     @pytest.mark.parametrize("k0l, parts", [
-        (math.pi / 4, (0.34488586856647724 + 3.5149257447290347j,
-                       0.13777908487991186 - 2.807818966725604j,
-                       0.36222091262007033 + 2.807818963542487j,
-                       -0.13777908487991186 - 2.807818966725604j)),
-        (math.pi / 2, (-0.32512123431917755 + 3.7361676227305303j,
-                       0.17487876068079794 - 2.7361676259136294j,
-                       0.32512123431917767 + 2.7361676227305303j,
-                       -0.17487876068079794 - 2.7361676259136294j)),
-        (3 * math.pi, (-1.266546603809136 + 2.4811464137074895j,
-                       0.23345336619086407 - 2.481146416890565j,
-                       0.26654660380913575 + 2.4811464137074895j,
-                       -0.23345336619086407 - 2.481146416890565j)),
+        (math.pi / 4, (0.34488586856646836 + 3.514925746320582j,
+                       0.13777908487991164 - 2.8078189651340546j,
+                       0.36222091262007955 + 2.8078189651340337j,
+                       -0.13777908487991164 - 2.8078189651340546j)),
+        (math.pi / 2, (-0.3251212343191678 + 3.736167624322083j,
+                       0.17487876068079794 - 2.73616762432208j,
+                       0.3251212343191679 + 2.736167624322083j,
+                       -0.17487876068079794 - 2.73616762432208j)),
+        (3 * math.pi, (-1.2665466038091455 + 2.481146415299042j,
+                       0.23345336619086404 - 2.4811464152990155j,
+                       0.2665466038091451 + 2.481146415299042j,
+                       -0.23345336619086404 - 2.4811464152990155j)),
     ])
     def test_parts_match_the_complex_exp_panel_sums(self, k0l, parts):
-        # the coupling-oracle check's cells, against the panel sums that took
-        # e^{i a u} from a complex np.exp and built the edges in a Python loop
+        # the coupling-oracle check's cells, pinned to their panel sums.  The
+        # values in PARTS_WITHOUT_FLOOR_SEGMENT lacked the regular pieces on
+        # [0, eps_ref]; adding them moves every part by i*gamma*eps_ref/(2 pi),
+        # and the three-term tail from the bound-derived start by round-off only
         p = SimParams.from_ratios(1.0, k0l)
-        for index, previous in enumerate(parts, start=1):
-            assert abs(coupling_oracle(p, index) - previous) <= 1e-15 * p.gamma
+        floor = 1j * p.gamma * EPS_REF_RATIO / (2 * math.pi)
+        for index, (old, new) in enumerate(zip(PARTS_WITHOUT_FLOOR_SEGMENT[k0l], parts),
+                                           start=1):
+            value = coupling_oracle(p, index)
+            assert abs(value - new) <= 1e-15 * p.gamma
+            assert abs(value - old - floor) <= 1e-12 * p.gamma
+
+    @pytest.mark.parametrize("gamma_over_delta, k0l", [
+        *((1.0, x) for x in (math.pi / 4, math.pi / 2, 3 * math.pi)),
+        *((0.25, x) for x in (math.pi / 8, math.pi / 4, 1.0, math.pi / 2, math.pi,
+                              2 * math.pi, 3 * math.pi)),
+    ])
+    def test_total_has_no_floor(self, gamma_over_delta, k0l):
+        # validate's 3 spots and the acceptance gate's 7 phases; the sum sat
+        # 2*gamma*eps_ref/pi = 6.4e-9 off while [0, eps_ref] was left out
+        p = SimParams.from_ratios(gamma_over_delta, k0l)
+        total = sum(coupling_oracle(p, i) for i in (1, 2, 3, 4))
+        assert abs(total - coupling_full(p).m_total) <= 1e-11 * p.gamma
+
+    @pytest.mark.parametrize("k0l", [0.3, math.pi / 4, math.pi / 2, 3 * math.pi])
+    def test_doubling_the_tail_start_stays_within_the_tail_bound(self, k0l):
+        # each part's tail error is at most ORACLE_TAIL_TOL*gamma from the
+        # default start on, so two sums of four parts differ by at most 8 of it
+        p = SimParams.from_ratios(0.25, k0l)
+        start = _tail_start(k0l) * p.omega0
+        sums = [sum(coupling_oracle(p, i, omega_max=scale * start) for i in (1, 2, 3, 4))
+                for scale in (1, 2)]
+        assert abs(sums[1] - sums[0]) <= 8 * ORACLE_TAIL_TOL * p.gamma
 
     def test_unreachable_tolerance_raises_with_residual(self):
         p = params_at(1.0)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_dft_spectrum
-from wqed.checks import _scatter, transfer_round_trip
+from helpers import full_dft_spectrum, run_limited
+from wqed.checks import WRAP_FRACTION, _scatter, transfer_round_trip
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
 from wqed.dynamics import (
     AmplitudeTrajectory,
@@ -19,6 +19,7 @@ from wqed.dynamics import (
     TimeGrid,
     build_source,
     default_grid,
+    driven_modes,
     integrate_markovian,
 )
 from wqed.errors import (
@@ -561,8 +562,10 @@ class TestTransferOracle:
         envelopes."""
         p, wp, traj, coup = run_case(ratio, math.pi / 4)
         inc, trans, refl = reconstruct_fields(traj, wp, p)
-        back_t = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup, wp, d)[0])
-        back_r = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup, wp, d)[1])
+        back_t = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup, wp, d)[0],
+                                     p, coup.m_total)
+        back_r = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup, wp, d)[1],
+                                     p, coup.m_total)
         assert float(np.max(np.abs(back_t - trans.samples))) <= 1e-4 * trans.peak()
         assert float(np.max(np.abs(back_r - refl.samples))) <= 1e-4 * refl.peak()
 
@@ -619,18 +622,53 @@ class TestTransferOracle:
 
     def test_round_trip_memory(self):
         """The transfer-oracle round trip on the largest validate cell peaks
-        below 6.5 N-point complex buffers: it holds t(d) and one N-point
-        spectrum, where a full spectrum and its inverse took 7.0."""
+        below 6.5 of its own N-point complex buffers: it holds t(d) and one
+        N-point spectrum, where a full spectrum and its inverse took 7.0."""
         params, wp, coup, _, (inc, _, _) = _scatter(0.02, math.pi / 4)
-        n = fft_length(8 * inc.samples.size)
-        assert n == 1_658_880
+        rate = min(lam.real for lam in driven_modes(params, coup.m_total).values())
+        n = fft_length(inc.samples.size + math.ceil(
+            math.log(1 / WRAP_FRACTION) / (rate * inc.dtau)))
+        assert n == 691_200  # 3.35 grid lengths, where fft_length(8n) was 1,658,880
         tracemalloc.start()
         try:
-            transfer_round_trip(inc, lambda d: transfer_oracle(params, coup, wp, d)[0])
+            transfer_round_trip(inc, lambda d: transfer_oracle(params, coup, wp, d)[0],
+                                params, coup.m_total)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * 16 * n
+
+    def test_round_trip_on_a_slow_tail(self):
+        """On a cell whose slow mode is left to a closed-form tail, padding
+        by that mode's decay keeps the wrap-around under transfer-oracle's
+        tolerance; fft_length(8n) padding measured 2.2e-3 here."""
+        params, wp, coup, _, (inc, trans, _) = _scatter(0.25, 0.3)
+        assert trans.tail
+        back = transfer_round_trip(inc, lambda d: transfer_oracle(params, coup, wp, d)[0],
+                                   params, coup.m_total)
+        assert float(np.max(np.abs(back - trans.samples))) <= 1e-4 * trans.peak()
+
+    def test_round_trip_budget(self):
+        """Near a dark phase the slowest mode needs more padding than
+        POINT_BUDGET allows: ConfigurationError before any allocation, in an
+        interpreter capped at 1 GiB."""
+        script = ("from wqed.checks import _scatter, transfer_round_trip\n"
+                  "from wqed.fields import transfer_oracle\n"
+                  "params, wp, coup, _, (inc, _, _) = _scatter(0.25, 1e-3)\n"
+                  "transfer_round_trip(inc, lambda d: transfer_oracle(params, coup, wp, d)[0],"
+                  " params, coup.m_total)\n")
+        code, err = run_limited(["-c", script], entry=())
+        assert code == 1
+        assert "ConfigurationError: the transfer round trip needs n = " in err
+        assert "MemoryError" not in err
+
+    def test_round_trip_without_decay_is_over_budget(self):
+        """Without coupling no mode decays, so no padding bounds the wrap-around."""
+        p, wp, traj, coup = gamma_zero_case()
+        inc = reconstruct_fields(traj, wp, p)[0]
+        with pytest.raises(ConfigurationError, match="needs n = Infinity points"):
+            transfer_round_trip(inc, lambda d: transfer_oracle(p, coup, wp, d)[0],
+                                p, coup.m_total)
 
 
 class TestTransferProperties:

@@ -165,6 +165,20 @@ class TestRunSweep:
             assert cell.area_refl_ratio <= 1e-3
             assert cell.markov_ok
 
+    @pytest.mark.parametrize("k0l", [0.0, 0.3, PI4, math.pi])
+    def test_budget_grid_is_every_models_grid(self, k0l):
+        # run_sweep checks the budget on default_grid with M = gamma e^{i k0l};
+        # every model has Re M = gamma cos k0l and default_grid reads only
+        # Re lam, so that grid is each model's own
+        params = cell_params(0.25, k0l)
+        budget_grid = default_grid(params)
+        for model in (CouplingModel.full(), CouplingModel.rwa_cutoff(1e-2 * params.omega0),
+                      CouplingModel.rwa_const_g(), CouplingModel.rwa_negfreq()):
+            if model.variant == "rwa_const_g" and k0l == 0.0:
+                continue  # singular there; run_cell reports the DomainError
+            m_total = evaluate_coupling(params, model).m_total
+            assert default_grid(params, m_total=m_total) == budget_grid
+
     def test_dip_width_strictly_increasing_in_coupling(self, fig_sweep):
         _, manifest = fig_sweep
         widths = {c.gamma_over_delta: c.dip_width for c in manifest.cells}
