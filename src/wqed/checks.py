@@ -47,7 +47,7 @@ def _at_most(measured: float, tol: float, note: str) -> CheckResult:
 
 def _scatter(gamma_over_delta: float, k0l: float, mutate: bool = False,
              span_factor: float = 1.0, dt_factor: float = 1.0):
-    """(params, wavepacket, coupling, traj, envelopes) of one full-coupling run,
+    """(params, coupling, traj, envelopes) of one full-coupling run,
     cached on normalised arguments: all spellings of a cell share one run."""
     return _scatter_cached(float(gamma_over_delta), float(k0l), bool(mutate),
                            float(span_factor), float(dt_factor))
@@ -60,18 +60,16 @@ def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool,
     coupling = evaluate_coupling(params, CouplingModel.full())
     if mutate:
         coupling = replace(coupling, m_total=-coupling.m_total)
-    wavepacket, traj, envelopes = scatter(params, coupling, span_factor=span_factor,
-                                          dt_factor=dt_factor)
-    return params, wavepacket, coupling, traj, envelopes
+    return (params, coupling,
+            *scatter(params, coupling, span_factor=span_factor, dt_factor=dt_factor))
 
 
 def oracle_deviation(gamma_over_delta: float, k0l: float,
                      dt_factor: float = 1.0) -> float:
     """Sup-norm deviation of the RK4 amplitudes from the mode oracle,
     relative to the oracle's largest amplitude."""
-    params, wavepacket, coupling, traj, _ = _scatter(gamma_over_delta, k0l,
-                                                     dt_factor=dt_factor)
-    oracle = oracle_modes(build_source(wavepacket, params, traj.grid), coupling, params)
+    params, coupling, traj, _ = _scatter(gamma_over_delta, k0l, dt_factor=dt_factor)
+    oracle = oracle_modes(build_source(params, traj.grid), coupling, params)
     scale = max(np.max(np.abs(oracle.beta1)), np.max(np.abs(oracle.beta2)))
     return max(np.max(np.abs(traj.beta1 - oracle.beta1)),
                np.max(np.abs(traj.beta2 - oracle.beta2))) / scale
@@ -83,7 +81,7 @@ def dip_profile() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     the transmitted dip widths and peak ratios in TRIPLE order."""
     worst, widths, peaks = 0.0, [], []
     for ratio in TRIPLE:
-        inc, trans, _ = _scatter(ratio, PI4)[4]
+        inc, trans, _ = _scatter(ratio, PI4)[3]
         spec_trans = spectrum(trans)
         worst = max(worst, abs(spec_trans.at_resonance()) ** 2
                     / abs(resonant_amplitude(inc)) ** 2)
@@ -140,7 +138,7 @@ def _check_pulse_area(mutate: bool = False) -> CheckResult:
     worst, verdicts, tol = 0.0, set(), CONFIG_KEYS["area_tol"].default
     for ratio in TRIPLE:
         for k0l in (0.0, PI4, math.pi / 2):
-            params, _, _, _, envelopes = _scatter(ratio, k0l, mutate)
+            params, _, _, envelopes = _scatter(ratio, k0l, mutate)
             check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma, tol)
             worst = max(worst, trans_ratio, refl_ratio)
             verdicts.add(check)
@@ -159,7 +157,7 @@ def _check_resonance_dip(mutate: bool = False) -> CheckResult:
 def _check_local_consistency(mutate: bool = False) -> CheckResult:
     worst = 0.0
     for ratio in TRIPLE:
-        params, _, _, traj, envelopes = _scatter(ratio, PI4)
+        params, _, traj, envelopes = _scatter(ratio, PI4)
         worst = max(worst, *consistency_residuals(traj, envelopes, params))
     return _at_most(worst, 1e-3, "normalized sup-norm of both residuals")
 
@@ -177,7 +175,9 @@ def transfer_round_trip(inc: FieldEnvelope, transfer, params: SimParams,
     n = inc.samples.size
     rate = min(lam.real for lam in driven_modes(params, m_total).values())
     pad = math.ceil(math.log(1.0 / WRAP_FRACTION) / (rate * inc.dtau)) if rate > 0 else math.inf
-    size = fft_length(check_points("the transfer round trip", n + pad))
+    size = fft_length(check_points(
+        "the transfer round trip", n + pad,
+        f"its padding follows the slowest driven mode's rate Re lam = {rate:.3g}"))
     spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, inc.dtau))
     spec *= np.fft.ifft(inc.samples, size)
     np.fft.fft(spec, out=spec)
@@ -187,9 +187,9 @@ def transfer_round_trip(inc: FieldEnvelope, transfer, params: SimParams,
 def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
     worst = 0.0
     for ratio in TRIPLE:
-        params, wavepacket, coupling, _, (inc, trans, _) = _scatter(ratio, PI4)
+        params, coupling, _, (inc, trans, _) = _scatter(ratio, PI4)
         predicted = transfer_round_trip(
-            inc, lambda d: transfer_oracle(params, coupling, wavepacket, d)[0],
+            inc, lambda d: transfer_oracle(params, coupling.m_total, d)[0],
             params, coupling.m_total)
         worst = max(worst, np.max(np.abs(predicted - trans.samples)) / trans.peak())
     return _at_most(worst, 1e-4, "frequency- vs time-domain envelope")
@@ -199,7 +199,7 @@ def _check_transfer_resonance(mutate: bool = False) -> CheckResult:
     # the doubled window pushes the truncation tail below the tolerance
     worst = 0.0
     for ratio in TRIPLE:
-        inc, trans, _ = _scatter(ratio, PI4, span_factor=2.0)[4]
+        inc, trans, _ = _scatter(ratio, PI4, span_factor=2.0)[3]
         at_inc, at_trans = resonant_amplitude(inc), resonant_amplitude(trans)
         worst = max(worst, abs(at_trans / at_inc))
     return _at_most(worst, 1e-6, "resonant amplitude ratio, doubled window")
@@ -214,13 +214,13 @@ def _far_detector(params: SimParams) -> DetectorSpec:
 
 
 def _check_farfield_suppression(mutate: bool = False) -> CheckResult:
-    params, _, _, traj, _ = _scatter(0.25, PI4)
+    params, _, traj, _ = _scatter(0.25, PI4)
     measured = i2_ratio(traj, _far_detector(params), params)
     return _at_most(measured, 1e-4, "out-of-band intensity ratio I2/I1")
 
 
 def _check_farfield_bound(mutate: bool = False) -> CheckResult:
-    params, _, _, _, _ = _scatter(0.25, PI4)
+    params = _scatter(0.25, PI4)[0]
     measured = i3_bound(params, _far_detector(params))
     return _at_most(measured, 1e-2, "virtual-channel intensity bound I3")
 

@@ -164,12 +164,10 @@ class CouplingModel:
 
 @dataclass(frozen=True)
 class CouplingResult:
-    """Coupling constant, its path decomposition, and its physical split."""
+    """Coupling constant and its path decomposition."""
 
     m_total: complex
-    m_parts: tuple[complex, ...]   # (M1, M2, M3, M4) for full, () otherwise
-    real_photon_part: float        # Re M, resonant photon exchange
-    virtual_photon_part: float     # Im M, off-resonant shift
+    m_parts: tuple[complex, ...] = ()   # (M1, M2, M3, M4) for full, () otherwise
     diverged: bool = False
 
 
@@ -228,9 +226,7 @@ def coupling_full(params: SimParams) -> CouplingResult:
     if params.gamma > 0 and abs(total - expected) > 1e-12 * params.gamma:
         raise NumericalError(
             f"path sum {total} deviates from gamma*e^(i k0l) = {expected}")
-    return CouplingResult(m_total=total, m_parts=parts,
-                          real_photon_part=total.real,
-                          virtual_photon_part=total.imag)
+    return CouplingResult(m_total=total, m_parts=parts)
 
 
 def coupling_rwa_cutoff(params: SimParams, epsilon: float) -> CouplingResult:
@@ -255,8 +251,7 @@ def coupling_rwa_cutoff(params: SimParams, epsilon: float) -> CouplingResult:
         m = g * math.cos(x) + 1j * (g / math.pi) * (
             math.sin(x) * (si(x).value + math.pi / 2)
             + math.cos(x) * ci(x).value - ci_cut)
-    return CouplingResult(m_total=m, m_parts=(),
-                          real_photon_part=m.real, virtual_photon_part=m.imag,
+    return CouplingResult(m_total=m,
                           diverged=abs(ci_cut) > DEFAULT_CI_DIVERGENCE_THRESHOLD)
 
 
@@ -273,16 +268,14 @@ def coupling_rwa_const_g(params: SimParams) -> CouplingResult:
             "rwa_const_g is singular at k0l = 0 (Ci divergence is not cancelled)")
     m = g * math.cos(x) + 1j * (g / math.pi) * (
         math.sin(x) * (si(x).value + math.pi / 2) + math.cos(x) * ci(x).value)
-    return CouplingResult(m_total=m, m_parts=(),
-                          real_photon_part=m.real, virtual_photon_part=m.imag)
+    return CouplingResult(m_total=m)
 
 
 def coupling_rwa_negfreq(params: SimParams) -> CouplingResult:
     """Rotating-wave coupling with the frequency integral extended over
     the whole real line; coincides with the full result exactly."""
     m = params.gamma * cmath.exp(1j * params.k0l)
-    return CouplingResult(m_total=m, m_parts=(),
-                          real_photon_part=m.real, virtual_photon_part=m.imag)
+    return CouplingResult(m_total=m)
 
 
 def evaluate_coupling(params: SimParams, model: CouplingModel) -> CouplingResult:

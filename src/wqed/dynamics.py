@@ -95,12 +95,13 @@ class TimeGrid:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
         steps = (t_end - t_start) / dt
         n = max(9, math.ceil(steps) + 1) if math.isfinite(steps) else steps
-        check_points("the time grid", n)
+        check_points("the time grid", n, "reduce span_factor or raise dt_factor")
         return cls(t_start, t_start + dt * (n - 1), n)
 
 
-def check_points(what: str, n: int | float) -> int:
-    """n, or ConfigurationError when it exceeds POINT_BUDGET or is NaN."""
+def check_points(what: str, n: int | float, remedy: str) -> int:
+    """n, or ConfigurationError ending in `remedy`, what shrinks this n, when
+    n exceeds POINT_BUDGET or is NaN."""
     if not n <= POINT_BUDGET:
         if n < 1000 * POINT_BUDGET:
             shown = f"{n:,}"
@@ -109,7 +110,7 @@ def check_points(what: str, n: int | float) -> int:
             shown = f"{Decimal(n):.3e}"
         raise ConfigurationError(
             f"{what} needs n = {shown} points, over the budget of {POINT_BUDGET:,} "
-            "points; reduce span_factor, dt_factor or zero_pad")
+            f"points; {remedy}")
     return n
 
 
@@ -160,7 +161,7 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
 
 
 # ----------------------------------------------------------------------
-# incident wavepacket and source term
+# incident photon and source term
 # ----------------------------------------------------------------------
 
 BARE_PREFACTOR = "bare_prefactor"
@@ -171,38 +172,19 @@ UNIT_EXCITATION = "unit_excitation"
 _BARE_NORM_SQ = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class IncidentWavepacket:
-    """One right-moving photon with a Gaussian spectrum around omega0.
-
-    The spectral amplitude for k_z > 0 is
+def amplitude_scale(normalization: str) -> float:
+    """N of the incident photon's spectral amplitude for k_z > 0,
 
         alpha(k) = N * sqrt(c/delta) * sqrt(1/2pi) * exp(-((w-w0)/delta)^2)
 
-    and zero for k_z < 0.  N = 1 keeps the bare prefactor (squared
-    norm 1/(2 sqrt(2 pi))); unit_excitation rescales so the state
-    carries exactly one excitation.
-    """
-
-    delta: float
-    omega0: float
-    normalization: str = UNIT_EXCITATION
-
-    def __post_init__(self):
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise ConfigurationError(f"omega0 must be > 0, got {self.omega0}")
-        if self.normalization not in (BARE_PREFACTOR, UNIT_EXCITATION):
-            raise ConfigurationError(
-                f"unknown normalization {self.normalization!r}")
-
-    @property
-    def amplitude_scale(self) -> float:
-        """N, the normalization-dependent prefactor."""
-        if self.normalization == UNIT_EXCITATION:
-            return 1.0 / math.sqrt(_BARE_NORM_SQ)
+    (zero for k_z < 0): 1 for bare_prefactor (squared norm
+    1/(2 sqrt(2 pi))), and for unit_excitation the N that makes the state
+    carry exactly one excitation.  Any other name raises."""
+    if normalization == UNIT_EXCITATION:
+        return 1.0 / math.sqrt(_BARE_NORM_SQ)
+    if normalization == BARE_PREFACTOR:
         return 1.0
+    raise ConfigurationError(f"unknown normalization {normalization!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +192,8 @@ class SourceTerm:
     """The drive S0_1 of atom 1 on a uniform grid and at its step
     midpoints; atom 2's drive is S0_2 = phase * S0_1 with phase = e^{i k0 l}
     (shared envelope, see module docstring).  S0_1 is the Gaussian
-    peak * exp(-delta^2 (t - center)^2 / 4), which `at` evaluates off-grid."""
+    peak * exp(-delta^2 (t - center)^2 / 4), which `at` evaluates off-grid;
+    peak carries the photon's amplitude scale N, kept as `scale`."""
 
     grid: TimeGrid
     s1: np.ndarray
@@ -219,6 +202,7 @@ class SourceTerm:
     peak: complex
     center: float
     delta: float
+    scale: float
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """S0_1 at arbitrary times."""
@@ -226,25 +210,17 @@ class SourceTerm:
         return self.peak * np.exp(-(self.delta * tau) ** 2 / 4.0)
 
 
-def check_alignment(wavepacket: IncidentWavepacket, params: SimParams) -> None:
-    """Reject a wavepacket whose carrier or width differs from params."""
-    for label, name in (("carrier", "omega0"), ("width", "delta")):
-        ours, theirs = getattr(wavepacket, name), getattr(params, name)
-        if abs(ours - theirs) > 1e-9 * theirs:
-            raise ConfigurationError(f"wavepacket {label} {ours} does not "
-                                     f"match params.{name} {theirs}")
-
-
-def build_source(wavepacket: IncidentWavepacket, params: SimParams,
-                 grid: TimeGrid) -> SourceTerm:
+def build_source(params: SimParams, grid: TimeGrid,
+                 normalization: str = UNIT_EXCITATION) -> SourceTerm:
     """S0_1(t), the one-photon drive of atom 1, in the narrowband closed form
 
         S0_1(t) = -i * N * sqrt(gamma*delta)/(2 sqrt(pi))
                   * e^{i k0 z1} * exp(-delta^2 (t - z1/c)^2 / 4)
 
-    with the phase e^{i k0 l} that gives S0_2.
+    with N = amplitude_scale(normalization) and the phase e^{i k0 l} that
+    gives S0_2.
     """
-    check_alignment(wavepacket, params)
+    scale = amplitude_scale(normalization)
     center = params.z1 / params.c
     need = 6.0 / params.delta
     if grid.t_start > center - need or grid.t_end < center + need:
@@ -253,12 +229,12 @@ def build_source(wavepacket: IncidentWavepacket, params: SimParams,
             f"+-{need} around the pulse center {center}")
     phase1 = complex(math.cos(params.omega0 * params.z1 / params.c),
                      math.sin(params.omega0 * params.z1 / params.c))
-    peak = (-1j * wavepacket.amplitude_scale
+    peak = (-1j * scale
             * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
             * phase1)
     # the closed form first, then its samples
     source = SourceTerm(grid, None, None, complex(math.cos(params.k0l), math.sin(params.k0l)),
-                        peak, center, params.delta)
+                        peak, center, params.delta, scale)
     times = grid.times
     return replace(source, s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
 
@@ -269,12 +245,14 @@ def build_source(wavepacket: IncidentWavepacket, params: SimParams,
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Excited-state amplitudes on a uniform grid, and the coupling M behind them."""
+    """Excited-state amplitudes on a uniform grid, and the coupling M and the
+    photon's amplitude scale N (unit excitation unless given) behind them."""
 
     grid: TimeGrid
     beta1: np.ndarray
     beta2: np.ndarray
     m_total: complex | None = None
+    scale: float = amplitude_scale(UNIT_EXCITATION)
 
 
 def _coupling_and_step(source: SourceTerm, coupling: CouplingResult,
@@ -325,18 +303,20 @@ def _one_pole(log_a: complex, x: np.ndarray) -> np.ndarray:
     return y[:n + 1]
 
 
-def _from_modes(grid: TimeGrid, m: complex, u: np.ndarray, v: np.ndarray
+def _from_modes(source: SourceTerm, m: complex, u: np.ndarray, v: np.ndarray
                 ) -> AmplitudeTrajectory:
-    """beta1 = (u + v)/2 and beta2 = (u - v)/2 (u is overwritten); a
-    non-finite amplitude raises NumericalError naming its first time."""
+    """beta1 = (u + v)/2 and beta2 = (u - v)/2 (u is overwritten) on the
+    source's grid and with its scale; a non-finite amplitude raises
+    NumericalError naming its first time."""
     beta1 = u + v
     beta1 *= 0.5
     beta2 = np.subtract(u, v, out=u)
     beta2 *= 0.5
     bad = np.flatnonzero(~(np.isfinite(beta1) & np.isfinite(beta2)))
     if bad.size:
-        raise NumericalError(f"non-finite amplitude at t = {float(grid.times[bad[0]])}")
-    return AmplitudeTrajectory(grid=grid, beta1=beta1, beta2=beta2, m_total=m)
+        raise NumericalError(f"non-finite amplitude at t = {float(source.grid.times[bad[0]])}")
+    return AmplitudeTrajectory(grid=source.grid, beta1=beta1, beta2=beta2, m_total=m,
+                               scale=source.scale)
 
 
 def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
@@ -368,7 +348,7 @@ def integrate_markovian(source: SourceTerm, coupling: CouplingResult,
         drive *= h / 6.0
         return _one_pole(log_pole, drive)
 
-    return _from_modes(source.grid, m, mode(-(params.gamma + m), np.add),
+    return _from_modes(source, m, mode(-(params.gamma + m), np.add),
                        mode(-(params.gamma - m), np.subtract))
 
 
@@ -402,7 +382,7 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
         np.matmul(s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:lo + len(t_nodes)])
     u = _one_pole(-rate_u * h, drive_u)
     del times, drive_u
-    return _from_modes(source.grid, m, u, _one_pole(-rate_v * h, drive_v))
+    return _from_modes(source, m, u, _one_pole(-rate_v * h, drive_v))
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SimParams
-from .dynamics import AmplitudeTrajectory, IncidentWavepacket
+from .dynamics import AmplitudeTrajectory
 from .errors import ConfigurationError, DomainError
 from .specfun import ci, si
 
@@ -159,15 +159,15 @@ def pv_band_integral(omega1: float, omega2: float, omega0: float,
 # ----------------------------------------------------------------------
 
 def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
-             params: SimParams,
-             wavepacket: IncidentWavepacket | None = None) -> float:
+             params: SimParams) -> float:
     """Peak intensity of the amplitude-proportional channel relative to
     the incident peak: max_t |2 sum_j beta_j(t) K_j|^2 / max |A_inc|^2
     with K_j = omega0 c sqrt(gamma/2pi) [f(omega2) - f(omega1)] at
     a_j = |z - z_j|/c.
 
-    The ratio is normalization-independent (both channels scale with the
-    photon amplitude).
+    The incident peak is traj.scale^2 delta/2, so the ratio is
+    normalization-independent (both channels scale with the photon
+    amplitude N).
     """
     if not detector.is_far_field(params):
         raise DomainError(
@@ -180,9 +180,6 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
             f"detector band delta0 = {detector.delta0:g} does not dominate "
             f"gamma and delta (margin {detector.band_margin(params):.3g} < "
             f"{BAND_FACTOR:g}); emitted photons would be missed")
-    if wavepacket is None:
-        wavepacket = IncidentWavepacket(delta=params.delta, omega0=params.omega0)
-
     coupling_scale = params.omega0 * params.c * math.sqrt(
         params.gamma / (2.0 * math.pi))
     weights = []
@@ -193,7 +190,7 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
                           - eval_f(detector.omega1, params.omega0, aj, params.c)))
     amp2 = 2.0 * (traj.beta1 * weights[0] + traj.beta2 * weights[1])
     peak_i2 = float(np.max(np.abs(amp2) ** 2))
-    peak_i1 = (wavepacket.amplitude_scale ** 2) * wavepacket.delta / 2.0
+    peak_i1 = (traj.scale ** 2) * params.delta / 2.0
     return peak_i2 / peak_i1
 
 

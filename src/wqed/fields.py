@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingModel, CouplingResult, SimParams, evaluate_coupling
-from .dynamics import (AmplitudeTrajectory, IncidentWavepacket, check_alignment,
-                       check_points, tail_modes)
+from .coupling import SimParams
+from .dynamics import AmplitudeTrajectory, check_points, tail_modes
 from .errors import ConfigurationError, GridMismatch, NumericalError, TruncationError
 
 INCIDENT = "incident"
@@ -113,7 +112,6 @@ class FieldEnvelope:
     kind: str
     tau: np.ndarray
     samples: np.ndarray
-    prefactors: FieldPrefactors
     delta: float                  # spectral width of the driving pulse
     tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per slow mode
     incident_peak: float = 0.0    # N sqrt(delta/2), the floor of end_fraction's scale
@@ -157,16 +155,15 @@ class FieldEnvelope:
         return self.end_fraction() <= END_DECAY_FRACTION
 
 
-def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket,
-                       params: SimParams) -> tuple[FieldEnvelope, FieldEnvelope,
-                                                   FieldEnvelope]:
-    """Incident, transmitted, and reflected envelopes from a trajectory.
+def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
+                       ) -> tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope]:
+    """Incident, transmitted, and reflected envelopes from a trajectory,
+    the incident one scaled by the trajectory's N.
 
     All three live on the trajectory grid shifted to retarded time
     tau = t - z1/c; the flight-time offsets between the atoms are dropped
     at the same (Markovian) order as in the dynamics.
     """
-    check_alignment(wavepacket, params)
     times = traj.grid.times
     center = params.z1 / params.c
     if not (times[0] <= center <= times[-1]):
@@ -176,8 +173,8 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
     tau = times - center
 
     pref = radiation_prefactors(params)
-    scale = wavepacket.amplitude_scale * math.sqrt(wavepacket.delta / 2.0)
-    inc = scale * np.exp(-0.25 * (wavepacket.delta * tau) ** 2) + 0.0j
+    scale = traj.scale * math.sqrt(params.delta / 2.0)
+    inc = scale * np.exp(-0.25 * (params.delta * tau) ** 2) + 0.0j
 
     k0 = params.omega0 / params.c
     ph1 = complex(math.cos(k0 * params.z1), math.sin(k0 * params.z1))
@@ -193,8 +190,8 @@ def reconstruct_fields(traj: AmplitudeTrajectory, wavepacket: IncidentWavepacket
     tail_bw = [(ends[s] * (ph1 + s * ph2), lam) for s, lam in modes.items()]
 
     def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
-        return FieldEnvelope(kind=kind, tau=tau, samples=samples, prefactors=pref,
-                             delta=wavepacket.delta, tail=tuple(tail), incident_peak=scale)
+        return FieldEnvelope(kind=kind, tau=tau, samples=samples, delta=params.delta,
+                             tail=tuple(tail), incident_peak=scale)
 
     return (make(INCIDENT, inc),
             make(TRANSMITTED, inc + radiated_fw, tail_fw),
@@ -389,7 +386,8 @@ def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int
     """Chirp-z FFT length spectrum() needs for n_time samples, checked
     against POINT_BUDGET."""
     m_lo, m_hi = _window_bins(fft_length(n_time * zero_pad_factor), dtau, delta, window)
-    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo))
+    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo),
+                        "reduce zero_pad or span_factor, or raise dt_factor")
 
 
 def dip_width(spec: Spectrum) -> float:
@@ -470,8 +468,7 @@ def consistency_residuals(traj: AmplitudeTrajectory,
 # frequency-domain transfer oracle
 # ----------------------------------------------------------------------
 
-def transfer_oracle(params: SimParams, coupling: CouplingModel | CouplingResult | complex,
-                    wavepacket: IncidentWavepacket,
+def transfer_oracle(params: SimParams, m_total: complex,
                     freq_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transmission and reflection amplitudes t(d), r(d) on a detuning grid.
 
@@ -481,34 +478,26 @@ def transfer_oracle(params: SimParams, coupling: CouplingModel | CouplingResult 
         t(d) = 1 - 2 gamma [(gamma - i d) - M cos(k0 l)] / D
         r(d) = - gamma [(1 + f^2)(gamma - i d) - 2 M f] / D
 
-    with f = e^{i k0 l} and D = (gamma - i d)^2 - M^2.  For the full
-    coupling M = gamma f these give t(0) = 0, r(0) = -1 identically: the
-    resonant component is always fully reflected.  The removable 0/0 at
+    with f = e^{i k0 l}, M = m_total and D = (gamma - i d)^2 - M^2.  For
+    the full coupling M = gamma f these give t(0) = 0, r(0) = -1
+    identically: the resonant component is always fully reflected.  The removable 0/0 at
     D = 0 (gamma > 0) is filled with that limit; with gamma = 0 the
     response at zero detuning is genuinely singular.
     """
-    check_alignment(wavepacket, params)
     detuning = np.asarray(freq_grid, dtype=float)
     if detuning.ndim != 1 or detuning.size < 2:
         raise ConfigurationError("freq_grid must be a 1-d array of detunings")
-    span = _MIN_TRANSFER_SPAN * wavepacket.delta
+    span = _MIN_TRANSFER_SPAN * params.delta
     if detuning.min() > -span or detuning.max() < span:
         raise ConfigurationError(
             f"freq_grid must cover +-{_MIN_TRANSFER_SPAN:g} pulse widths "
             f"(+-{span:g}); got [{detuning.min():g}, {detuning.max():g}]")
 
-    if isinstance(coupling, CouplingModel):
-        m = evaluate_coupling(params, coupling).m_total
-    elif isinstance(coupling, CouplingResult):
-        m = coupling.m_total
-    else:
-        m = complex(coupling)
-
     gamma = params.gamma
     x = params.k0l
     f = complex(math.cos(x), math.sin(x))
     gmd = gamma - 1j * detuning
-    d = gmd * gmd - m * m
+    d = gmd * gmd - m_total * m_total
     singular = d == 0.0
     if singular.any():
         if gamma == 0.0:
@@ -516,8 +505,8 @@ def transfer_oracle(params: SimParams, coupling: CouplingModel | CouplingResult 
                 "zero-coupling response is singular at zero detuning")
         d = np.where(singular, 1.0, d)
 
-    t_vals = 1.0 - 2.0 * gamma * (gmd - m * math.cos(x)) / d
-    r_vals = -gamma * ((1.0 + f * f) * gmd - 2.0 * m * f) / d
+    t_vals = 1.0 - 2.0 * gamma * (gmd - m_total * math.cos(x)) / d
+    r_vals = -gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
     if singular.any():
         t_vals = np.where(singular, 0.0, t_vals)
         r_vals = np.where(singular, -1.0, r_vals)

@@ -33,7 +33,7 @@ from .dynamics import (
     BARE_PREFACTOR,
     UNIT_EXCITATION,
     AmplitudeTrajectory,
-    IncidentWavepacket,
+    amplitude_scale,
     build_source,
     default_grid,
     integrate_markovian,
@@ -140,8 +140,7 @@ def _count(name: str, value) -> int:
 
 
 def _normalization(name: str, value) -> str:
-    if value not in NORMALIZATIONS:
-        raise ConfigurationError(f"unknown normalization {value!r}")
+    amplitude_scale(value)   # refuses an unknown name
     return value
 
 
@@ -440,16 +439,14 @@ def scatter(params: SimParams, coupling: CouplingResult,
             normalization: str = CONFIG_KEYS["normalization"].default,
             span_factor: float = CONFIG_KEYS["span_factor"].default,
             dt_factor: float = CONFIG_KEYS["dt_factor"].default,
-            ) -> tuple[IncidentWavepacket, AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
-    """(wavepacket, traj, envelopes) of one scattering event, envelopes
+            ) -> tuple[AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
+    """(traj, envelopes) of one scattering event, envelopes
     being (incident, transmitted, reflected): the one grid, source, RK4
     and fields pipeline behind run_cell and the validation checks.  The
     source is not kept, so its grid-length series die with the integration."""
     grid = default_grid(params, span_factor, dt_factor, m_total=coupling.m_total)
-    wavepacket = IncidentWavepacket(params.delta, params.omega0,
-                                    normalization=normalization)
-    traj = integrate_markovian(build_source(wavepacket, params, grid), coupling, params)
-    return wavepacket, traj, reconstruct_fields(traj, wavepacket, params)
+    traj = integrate_markovian(build_source(params, grid, normalization), coupling, params)
+    return traj, reconstruct_fields(traj, params)
 
 
 def area_verdict(envelopes: tuple[FieldEnvelope, ...], gamma: float,
@@ -478,8 +475,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
     try:
         params = cell_params(gamma_over_delta, k0l, spec.omega0_over_gamma)
         coupling = evaluate_coupling(params, model)
-        _, traj, envelopes = scatter(params, coupling, spec.normalization,
-                                     spec.span_factor, spec.dt_factor)
+        traj, envelopes = scatter(params, coupling, spec.normalization,
+                                  spec.span_factor, spec.dt_factor)
         inc, trans, refl = envelopes
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
         check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma,

@@ -101,7 +101,7 @@ def test_integrator_vs_mode_oracle(capfd):
                 oracle_deviation(4.0, math.pi / 2))
     factors = (2.0, math.sqrt(2.0), 1.0)
     errors = [oracle_deviation(0.25, PI4, dt_factor=f) for f in factors]
-    steps = [_scatter(0.25, PI4, dt_factor=f)[3].grid.dt for f in factors]
+    steps = [_scatter(0.25, PI4, dt_factor=f)[2].grid.dt for f in factors]
     order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     elapsed = time.monotonic() - t0
     ok = triple.ok and worst <= 1e-8 and order >= 3.8 and elapsed < 30.0
@@ -117,7 +117,7 @@ def test_pulse_area_theorem(capfd):
     grid = VALIDATION_CHECKS["pulse-area"]()
     doubled = 0.0
     for god, k0l in GRID_3X3:
-        envelopes = _scatter(god, k0l, span_factor=2.0)[4]
+        envelopes = _scatter(god, k0l, span_factor=2.0)[3]
         s_inc, s_trans, s_refl = pulse_areas(envelopes)
         doubled = max(doubled, abs(s_trans) / abs(s_inc),
                       abs(s_refl + s_inc) / abs(s_inc))
@@ -143,9 +143,9 @@ def test_consistency_residuals(capfd):
     """Reconstructed fields satisfy the local input-output relations;
     the residual is second order in the step."""
     result = VALIDATION_CHECKS["local-consistency"]()
-    params, _, _, traj, envelopes = _scatter(0.25, PI4)
+    params, _, traj, envelopes = _scatter(0.25, PI4)
     coarse = consistency_residuals(traj, envelopes, params)
-    params, _, _, traj, envelopes = _scatter(0.25, PI4, dt_factor=0.5)
+    params, _, traj, envelopes = _scatter(0.25, PI4, dt_factor=0.5)
     fine = consistency_residuals(traj, envelopes, params)
     ratios = [c / f for c, f in zip(coarse, fine)]
     refined = all(3.5 <= r <= 4.5 for r in ratios)

@@ -120,6 +120,17 @@ class TestRunConfig:
         rows = re.findall(r"^\| `(\w+)` \|", readme, re.M)
         assert sorted(rows) == sorted(CONFIG_KEYS)
 
+    def test_readme_python_blocks_run(self, capsys):
+        # the library-use blocks, in order and in one namespace
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert float(capsys.readouterr().out) < 1e-10   # the printed area ratio
+        assert namespace["traj"].scale == namespace["source"].scale
+
     def test_flags_win_over_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(RunConfig(gamma_over_delta=0.25, span_factor=2.0).text())

@@ -16,8 +16,8 @@ from wqed.dynamics import (
     BARE_PREFACTOR,
     POINT_BUDGET,
     UNIT_EXCITATION,
-    IncidentWavepacket,
     TimeGrid,
+    amplitude_scale,
     build_source,
     check_points,
     default_grid,
@@ -32,56 +32,55 @@ from wqed.dynamics import (
 )
 from wqed.errors import ConfigurationError, NumericalError
 
-NO_COUPLING = CouplingResult(m_total=0j, m_parts=(),
-                             real_photon_part=0.0, virtual_photon_part=0.0)
+NO_COUPLING = CouplingResult(m_total=0j)
 
 
 def setup(gamma_over_delta=4.0, k0l=math.pi / 4, normalization=UNIT_EXCITATION,
           span_factor=1.0, dt_factor=1.0):
     p = SimParams.from_ratios(gamma_over_delta, k0l)
-    wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0,
-                            normalization=normalization)
     grid = default_grid(p, span_factor=span_factor, dt_factor=dt_factor)
-    return p, wp, build_source(wp, p, grid)
+    return p, build_source(p, grid, normalization)
 
 
-def spectral_amplitude(wp, omega, c=1.0):
-    """alpha as a function of omega = c*k_z > 0 (zero elsewhere)."""
+def spectral_amplitude(omega, delta, scale, omega0=2500.0, c=1.0):
+    """alpha of a photon of width delta and amplitude scale N = `scale` as a
+    function of omega = c*k_z > 0 (zero elsewhere)."""
     omega = np.asarray(omega, dtype=float)
-    amp = (wp.amplitude_scale * math.sqrt(c / wp.delta) * math.sqrt(1.0 / (2.0 * math.pi))
-           * np.exp(-(((omega - wp.omega0) / wp.delta) ** 2)))
+    amp = (scale * math.sqrt(c / delta) * math.sqrt(1.0 / (2.0 * math.pi))
+           * np.exp(-(((omega - omega0) / delta) ** 2)))
     return np.where(omega > 0, amp, 0.0)
 
 
-def spectral_nodes(wp, span=8.0, points=257):
+def spectral_nodes(delta, omega0=2500.0, span=8.0, points=257):
     """Gauss-Legendre nodes and weights on omega0 +- span*delta, cut at 0."""
-    lo = max(wp.omega0 - span * wp.delta, 0.0)
-    hi = wp.omega0 + span * wp.delta
+    lo = max(omega0 - span * delta, 0.0)
+    hi = omega0 + span * delta
     x, w = np.polynomial.legendre.leggauss(points)
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
 
 
-def norm_squared(wp):
+def norm_squared(delta, scale, omega0=2500.0):
     """int |alpha|^2 dk_z on the spectral nodes (c = 1: dk_z = d omega)."""
-    omega, w = spectral_nodes(wp)
-    return float(np.sum(w * spectral_amplitude(wp, omega) ** 2))
+    omega, w = spectral_nodes(delta, omega0)
+    return float(np.sum(w * spectral_amplitude(omega, delta, scale, omega0) ** 2))
 
 
-def spectral_source(wp, params, times):
+def spectral_source(params, scale, times):
     """S0_1 as the spectral sum -i sqrt(gamma/2pi) int sqrt(omega0/omega) alpha
     e^{i omega z1/c} e^{i (omega0 - omega) t} d omega / c, whose sqrt(omega0/omega)
     weight the closed form of build_source drops."""
-    omega, w = spectral_nodes(wp)
+    omega, w = spectral_nodes(params.delta, params.omega0)
+    alpha = spectral_amplitude(omega, params.delta, scale, params.omega0, params.c)
     weights = (-1j * math.sqrt(params.gamma / (2.0 * math.pi))
-               * np.sqrt(params.omega0 / omega) * spectral_amplitude(wp, omega, params.c)
+               * np.sqrt(params.omega0 / omega) * alpha
                * np.exp(1j * omega * params.z1 / params.c) * w / params.c)
     return np.exp(1j * np.outer(times, params.omega0 - omega)) @ weights
 
 
-def single_atom_convolution(params, wavepacket, grid):
+def single_atom_convolution(params, scale, grid):
     """Closed-form solution of db/dt = S01 - gamma*b with b(t_start) = 0:
     the infinite-history convolution minus its propagated initial value."""
-    amp = (-1j * wavepacket.amplitude_scale
+    amp = (-1j * scale
            * math.sqrt(params.gamma * params.delta) / (2 * math.sqrt(math.pi)))
     t = grid.times
 
@@ -140,27 +139,25 @@ def rk4_pair_loop(source, coupling, params):
 
 class TestIncidentWavepacket:
     def test_unit_excitation_norm(self):
-        wp = IncidentWavepacket(delta=0.25, omega0=2500.0)
-        assert abs(norm_squared(wp) - 1.0) < 1e-10
+        assert abs(norm_squared(0.25, amplitude_scale(UNIT_EXCITATION)) - 1.0) < 1e-10
 
     def test_bare_prefactor_norm(self):
-        wp = IncidentWavepacket(delta=0.25, omega0=2500.0,
-                                normalization=BARE_PREFACTOR)
-        assert abs(norm_squared(wp) - 1 / (2 * math.sqrt(2 * math.pi))) < 1e-10
+        assert abs(norm_squared(0.25, amplitude_scale(BARE_PREFACTOR))
+                   - 1 / (2 * math.sqrt(2 * math.pi))) < 1e-10
 
     def test_left_movers_carry_nothing(self):
-        wp = IncidentWavepacket(delta=0.25, omega0=2500.0)
-        assert np.all(spectral_amplitude(wp, np.array([-1.0, -2500.0, 0.0])) == 0.0)
+        alpha = spectral_amplitude(np.array([-1.0, -2500.0, 0.0]), 0.25,
+                                   amplitude_scale(UNIT_EXCITATION))
+        assert np.all(alpha == 0.0)
 
     @pytest.mark.parametrize("kw", [
-        dict(delta=0.0), dict(omega0=-1.0), dict(normalization="unknown"),
-        dict(delta=math.nan), dict(omega0=math.inf),
+        dict(normalization="unknown"), dict(normalization=""),
+        dict(normalization="Unit_Excitation"), dict(normalization=None),
+        dict(normalization="bare-prefactor"),
     ])
     def test_validation(self, kw):
-        base = dict(delta=0.25, omega0=2500.0)
-        base.update(kw)
-        with pytest.raises(ConfigurationError):
-            IncidentWavepacket(**base)
+        with pytest.raises(ConfigurationError, match="unknown normalization"):
+            amplitude_scale(**kw)
 
 
 class TestTimeGrid:
@@ -246,31 +243,41 @@ class TestTimeGrid:
     ], ids=["over", "under-1000x", "1000x", "1.6e306", "1e400"])
     def test_budget_error_count(self, n, shown):
         with pytest.raises(ConfigurationError) as info:
-            check_points("the time grid", n)
+            check_points("the time grid", n, "reduce span_factor or raise dt_factor")
         assert str(info.value) == (
             f"the time grid needs n = {shown} points, over the budget of "
-            "10,000,000 points; reduce span_factor, dt_factor or zero_pad")
-        assert check_points("the time grid", POINT_BUDGET) == POINT_BUDGET
+            "10,000,000 points; reduce span_factor or raise dt_factor")
+        assert check_points("the time grid", POINT_BUDGET, "") == POINT_BUDGET
+
+    def test_grid_budget_error_names_what_shrinks_it(self):
+        # n ~ span/dt: a shorter span or a coarser step (dt_factor up) shrinks it
+        p = SimParams.from_ratios(1e-4, math.pi / 4)
+        with pytest.raises(ConfigurationError,
+                           match="points; reduce span_factor or raise dt_factor$"):
+            default_grid(p)
+        n = default_grid(p, span_factor=0.1, dt_factor=1.0).n
+        assert default_grid(p, span_factor=0.05, dt_factor=1.0).n < n
+        assert default_grid(p, span_factor=0.1, dt_factor=2.0).n < n
 
 
 class TestBuildSource:
     def test_peak_at_atom1_retarded_time(self):
-        _, _, src = setup()
+        _, src = setup()
         i = np.argmax(np.abs(src.s1))
         assert src.grid.times[i] == pytest.approx(0.0, abs=src.grid.dt)
 
     def test_phase_relation_closed_form(self):
         # S0_2 = phase * S0_1 with phase = e^{i k0 l}
-        p, _, src = setup(k0l=math.pi / 3)
+        p, src = setup(k0l=math.pi / 3)
         assert abs(abs(src.phase) - 1.0) < 1e-6
         assert abs(cmath.phase(src.phase) - math.pi / 3) < 1e-6
 
     def test_keeps_two_grid_length_arrays(self):
         # S0_2 is formed where it is used: the source keeps s1 and s1_mid only
-        p, wp, src = setup(gamma_over_delta=0.02)
+        p, src = setup(gamma_over_delta=0.02)
         tracemalloc.start()
         try:
-            src = build_source(wp, p, src.grid)
+            src = build_source(p, src.grid)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -281,45 +288,48 @@ class TestBuildSource:
         # peak by O((delta/omega0)^2) only
         p = SimParams.from_ratios(4.0, math.pi / 4, omega0_over_gamma=250.0)
         assert p.delta / p.omega0 == pytest.approx(1e-3, rel=1e-12)
-        wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
-        closed = build_source(wp, p, default_grid(p))
+        closed = build_source(p, default_grid(p))
         i = np.argmax(np.abs(closed.s1))
-        quad = spectral_source(wp, p, closed.grid.times[i:i + 1])[0]
+        quad = spectral_source(p, closed.scale, closed.grid.times[i:i + 1])[0]
         assert abs(quad - closed.s1[i]) / abs(closed.s1[i]) < 1e-3
 
     def test_grid_too_short(self):
         p = SimParams.from_ratios(4.0, math.pi / 4)
-        wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
         short = TimeGrid.from_step(-4.0 / p.delta, 20.0, 0.01 / p.gamma)
         with pytest.raises(ConfigurationError):
-            build_source(wp, p, short)
+            build_source(p, short)
 
-    def test_wavepacket_params_mismatch(self):
-        p = SimParams.from_ratios(4.0, math.pi / 4)
-        wp = IncidentWavepacket(delta=2 * p.delta, omega0=p.omega0)
-        with pytest.raises(ConfigurationError):
-            build_source(wp, p, default_grid(p))
+    def test_scale_follows_normalization(self):
+        # N scales the drive and travels on through both integrators
+        p, unit = setup()
+        _, bare = setup(normalization=BARE_PREFACTOR)
+        assert (unit.scale, bare.scale) == (amplitude_scale(UNIT_EXCITATION), 1.0)
+        assert unit.peak == pytest.approx(unit.scale * bare.peak, rel=1e-15)
+        for integrate in (integrate_markovian, oracle_modes):
+            assert integrate(bare, coupling_full(p), p).scale == 1.0
+        with pytest.raises(ConfigurationError, match="unknown normalization"):
+            build_source(p, unit.grid, "unit")
 
 
 class TestIntegrateMarkovian:
     def test_single_atom_reduction(self):
         # M = 0 decouples the atoms; beta1 is the exponential convolution
         # of its own source
-        p, wp, src = setup()
+        p, src = setup()
         traj = integrate_markovian(src, NO_COUPLING, p)
-        exact = single_atom_convolution(p, wp, src.grid)
+        exact = single_atom_convolution(p, src.scale, src.grid)
         dev = np.abs(traj.beta1 - exact).max() / np.abs(exact).max()
         assert dev < 1e-8
 
     def test_zero_source_stays_zero(self):
-        p, _, src = setup()
+        p, src = setup()
         silent = dataclasses.replace(src, s1=np.zeros_like(src.s1),
                                      s1_mid=np.zeros_like(src.s1_mid))
         traj = integrate_markovian(silent, coupling_full(p), p)
         assert np.all(traj.beta1 == 0) and np.all(traj.beta2 == 0)
 
     def test_matches_mode_oracle(self):
-        p, _, src = setup()
+        p, src = setup()
         cpl = coupling_full(p)
         rk = integrate_markovian(src, cpl, p)
         om = oracle_modes(src, cpl, p)
@@ -330,15 +340,14 @@ class TestIntegrateMarkovian:
 
     def test_step_size_guard(self):
         p = SimParams.from_ratios(1.0, math.pi / 4)
-        wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0)
         coarse = TimeGrid.from_step(-8 / p.delta, 8 / p.delta + 12 / p.gamma,
                                     0.1 / p.gamma)
-        src = build_source(wp, p, coarse)
+        src = build_source(p, coarse)
         with pytest.raises(ConfigurationError):
             integrate_markovian(src, coupling_full(p), p)
 
     def test_nan_detection_reports_time(self):
-        p, _, src = setup()
+        p, src = setup()
         k = src.grid.n // 2
         src.s1[k] = float("nan")
         with pytest.raises(NumericalError, match=f"t = {src.grid.times[k]}$"):
@@ -346,7 +355,7 @@ class TestIntegrateMarkovian:
 
     def test_decay_and_bound_invariants(self):
         for gd in (0.02, 0.25, 4.0):
-            p, _, src = setup(gamma_over_delta=gd)
+            p, src = setup(gamma_over_delta=gd)
             traj = integrate_markovian(src, coupling_full(p), p)
             pop = np.abs(traj.beta1) ** 2 + np.abs(traj.beta2) ** 2
             assert pop.max() <= 1.0
@@ -355,12 +364,12 @@ class TestIntegrateMarkovian:
                 assert np.abs(b[-1]) <= 1e-3 * np.abs(b).max()
 
     def test_convergence_order(self):
-        p, wp, _ = setup()
+        p, _ = setup()
         cpl = coupling_full(p)
         errs = []
         for factor in (2.0, 1.0):
             grid = default_grid(p, dt_factor=factor)
-            src = build_source(wp, p, grid)
+            src = build_source(p, grid)
             rk = integrate_markovian(src, cpl, p)
             om = oracle_modes(src, cpl, p)
             errs.append(max(np.abs(rk.beta1 - om.beta1).max(),
@@ -421,7 +430,7 @@ class TestModeBasisRK4:
         # cells reach 1e-12 at 40,000 steps), so keep it short
         n = min(grid.n, 10_000)
         grid = TimeGrid(grid.t_start, grid.t_start + grid.dt * (n - 1), n)
-        src = build_source(IncidentWavepacket(p.delta, p.omega0), p, grid)
+        src = build_source(p, grid)
         traj = integrate_markovian(src, cpl, p)
         ref1, ref2 = rk4_pair_loop(src, cpl, p)
         scale = max(np.abs(ref1).max(), np.abs(ref2).max())
@@ -429,14 +438,14 @@ class TestModeBasisRK4:
         assert dev <= 1e-12 * scale
 
     def test_symmetric_drive_gives_equal_amplitudes(self):
-        p, _, src = setup(k0l=0.0)
+        p, src = setup(k0l=0.0)
         traj = integrate_markovian(src, coupling_full(p), p)
         assert np.array_equal(traj.beta1, traj.beta2)
 
     def test_peak_memory(self):
         # the drive is never copied into Python lists: the peak stays
         # below eight grid-length complex arrays
-        p, _, src = setup(gamma_over_delta=0.02)
+        p, src = setup(gamma_over_delta=0.02)
         cpl = coupling_full(p)
         tracemalloc.start()
         try:
@@ -450,7 +459,7 @@ class TestModeBasisRK4:
 class TestOracleModes:
     def test_symmetric_drive_leaves_dark_mode_empty(self):
         # k0l = 0: both atoms driven identically, v = beta1 - beta2 = 0
-        p, _, src = setup(k0l=0.0)
+        p, src = setup(k0l=0.0)
         traj = oracle_modes(src, coupling_full(p), p)
         v = traj.beta1 - traj.beta2
         assert np.abs(v).max() <= 1e-14 * np.abs(traj.beta1).max()
@@ -458,7 +467,7 @@ class TestOracleModes:
     def test_superradiant_rate_at_zero_separation(self):
         # gamma << delta: the pulse is over quickly, then the only
         # populated mode free-decays at 2*gamma
-        p, _, src = setup(gamma_over_delta=0.25, k0l=0.0)
+        p, src = setup(gamma_over_delta=0.25, k0l=0.0)
         traj = oracle_modes(src, coupling_full(p), p)
         t = src.grid.times
         sel = (t > 9 / p.delta) & (t < 9 / p.delta + 2 / p.gamma)
@@ -468,7 +477,7 @@ class TestOracleModes:
 
     def test_quarter_period_modes_decay_at_gamma(self):
         # k0l = pi/2: M = i*gamma, both modes |u|,|v| decay at gamma
-        p, _, src = setup(gamma_over_delta=0.25, k0l=math.pi / 2)
+        p, src = setup(gamma_over_delta=0.25, k0l=math.pi / 2)
         traj = oracle_modes(src, coupling_full(p), p)
         t = src.grid.times
         sel = (t > 9 / p.delta) & (t < 9 / p.delta + 2 / p.gamma)
@@ -480,7 +489,7 @@ class TestOracleModes:
         # the Gauss-node drive is built a chunk of steps at a time: the
         # amplitudes equal the one-shot (n-1) x 6 node arrays bit for bit,
         # and the peak stays below eight grid-length complex arrays
-        p, _, src = setup(gamma_over_delta=0.02)
+        p, src = setup(gamma_over_delta=0.02)
         cpl = coupling_full(p)
         tracemalloc.start()
         try:
@@ -510,7 +519,7 @@ class TestSystemInvariants:
     @settings(max_examples=8, deadline=None)
     def test_linearity(self, mag, phase):
         lam = mag * complex(math.cos(phase), math.sin(phase))
-        p, _, src = setup(gamma_over_delta=1.0)
+        p, src = setup(gamma_over_delta=1.0)
         cpl = coupling_full(p)
         base = integrate_markovian(src, cpl, p)
         scaled_src = dataclasses.replace(src, s1=lam * src.s1, s1_mid=lam * src.s1_mid)
@@ -522,7 +531,7 @@ class TestSystemInvariants:
         # exchanging the atoms (and their drives) swaps the trajectories
         # bitwise: the update rule is symmetric in the pair.  With phase = i
         # the exchanged drives (i s1, -i (i s1) = s1) are exact in floating point
-        p, _, src = setup(k0l=1.3)
+        p, src = setup(k0l=1.3)
         cpl = coupling_full(p)
         src = dataclasses.replace(src, phase=1j)
         base = integrate_markovian(src, cpl, p)
@@ -533,11 +542,11 @@ class TestSystemInvariants:
         assert np.array_equal(swapped.beta2, base.beta1)
 
     def test_doubling_window_shrinks_endpoint(self):
-        p, wp, src = setup(gamma_over_delta=0.25)
+        p, src = setup(gamma_over_delta=0.25)
         cpl = coupling_full(p)
         short = integrate_markovian(src, cpl, p)
         grid2 = default_grid(p, span_factor=2.0)
-        src2 = build_source(wp, p, grid2)
+        src2 = build_source(p, grid2)
         long = integrate_markovian(src2, cpl, p)
         assert np.abs(long.beta1[-1]) < 0.1 * np.abs(short.beta1[-1])
 

@@ -12,9 +12,10 @@ from helpers import pv_band_asymptote
 from wqed.checks import band_reference, pv_reference
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
 from wqed.dynamics import (
-    AmplitudeTrajectory,
-    IncidentWavepacket,
     BARE_PREFACTOR,
+    UNIT_EXCITATION,
+    AmplitudeTrajectory,
+    amplitude_scale,
     build_source,
     default_grid,
     integrate_markovian,
@@ -62,14 +63,12 @@ def pv_quadrature(w1, w2, w0, a):
     return reg + g0 * math.log((w2 - w0) / (w0 - w1))
 
 
-def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4, normalization=None):
+def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4,
+                   normalization=UNIT_EXCITATION):
     p = SimParams.from_ratios(gamma_over_delta, k0l)
-    kwargs = {"normalization": normalization} if normalization else {}
-    wp = IncidentWavepacket(delta=p.delta, omega0=p.omega0, **kwargs)
     coup = evaluate_coupling(p, CouplingModel.full())
     grid = default_grid(p, m_total=coup.m_total)
-    traj = integrate_markovian(build_source(wp, p, grid), coup, p)
-    return p, wp, traj
+    return p, integrate_markovian(build_source(p, grid, normalization), coup, p)
 
 
 def far_detector(p, margin=1e3, band_factor=40.0):
@@ -237,47 +236,49 @@ class TestI2Ratio:
     def test_suppressed_in_far_field(self):
         """At omega1 |z|/c = 1e3 the amplitude channel is < 1e-5 of the
         incident peak."""
-        p, wp, traj = scattering_run()
-        assert i2_ratio(traj, far_detector(p), p, wavepacket=wp) <= 1e-5
+        p, traj = scattering_run()
+        assert i2_ratio(traj, far_detector(p), p) <= 1e-5
 
     def test_zero_without_excitation(self):
-        p, wp, traj = scattering_run()
+        p, traj = scattering_run()
         zeros = np.zeros_like(traj.beta1)
         silent = AmplitudeTrajectory(traj.grid, zeros, zeros)
-        assert i2_ratio(silent, far_detector(p), p, wavepacket=wp) == 0.0
+        assert i2_ratio(silent, far_detector(p), p) == 0.0
 
     def test_decade_monotone(self):
         """Decade-spaced detector distances give strictly falling ratios."""
-        p, wp, traj = scattering_run()
+        p, traj = scattering_run()
         base = far_detector(p)
         vals = []
         for fac in (1.0, 10.0, 100.0):
             det = DetectorSpec.centered(p.omega0, base.delta0, z=base.z * fac,
                                         omega_c=1.0)
-            vals.append(i2_ratio(traj, det, p, wavepacket=wp))
+            vals.append(i2_ratio(traj, det, p))
         assert vals[0] > vals[1] > vals[2]
 
     def test_near_field_raises_with_guidance(self):
-        p, wp, traj = scattering_run()
+        p, traj = scattering_run()
         near = DetectorSpec.centered(p.omega0, far_detector(p).delta0,
                                      z=-10.0 / p.omega0, omega_c=1.0)
         with pytest.raises(DomainError, match="near.*zone|near-field"):
-            i2_ratio(traj, near, p, wavepacket=wp)
+            i2_ratio(traj, near, p)
 
     def test_narrow_band_raises(self):
-        p, wp, traj = scattering_run()
+        p, traj = scattering_run()
         narrow = DetectorSpec.centered(p.omega0, 2.0 * p.delta,
                                        z=far_detector(p).z, omega_c=1.0)
         with pytest.raises(ConfigurationError, match="band"):
-            i2_ratio(traj, narrow, p, wavepacket=wp)
+            i2_ratio(traj, narrow, p)
 
     def test_normalization_independent(self):
-        """The ratio does not depend on the photon-amplitude convention."""
-        p, wp_u, traj_u = scattering_run()
-        p2, wp_p, traj_p = scattering_run(normalization=BARE_PREFACTOR)
+        """The ratio does not depend on the photon-amplitude convention: the
+        incident peak is scaled by the N each trajectory carries."""
+        p, traj_u = scattering_run()
+        p2, traj_p = scattering_run(normalization=BARE_PREFACTOR)
+        assert (traj_u.scale, traj_p.scale) == (amplitude_scale(UNIT_EXCITATION), 1.0)
         det = far_detector(p)
-        r_u = i2_ratio(traj_u, det, p, wavepacket=wp_u)
-        r_p = i2_ratio(traj_p, det, p2, wavepacket=wp_p)
+        r_u = i2_ratio(traj_u, det, p)
+        r_p = i2_ratio(traj_p, det, p2)
         assert r_p == pytest.approx(r_u, rel=1e-12)
 
 
@@ -325,8 +326,8 @@ class TestFarFieldInvariant:
     def test_both_channels_negligible(self):
         """With omega1 |z - zj|/c >= 1e3 and gamma/omega0 = 1e-4, both
         virtual-photon channels sit below 1e-4 of the signal."""
-        p, wp, traj = scattering_run()
+        p, traj = scattering_run()
         det = far_detector(p)
         assert p.gamma / p.omega0 == pytest.approx(1e-4)
-        assert i2_ratio(traj, det, p, wavepacket=wp) <= 1e-4
+        assert i2_ratio(traj, det, p) <= 1e-4
         assert i3_bound(p, det) <= 1e-2

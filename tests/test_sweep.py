@@ -18,7 +18,7 @@ from wqed.coupling import CouplingModel, evaluate_coupling
 from wqed.dynamics import (
     BARE_PREFACTOR,
     UNIT_EXCITATION,
-    IncidentWavepacket,
+    _BARE_NORM_SQ,
     build_source,
     default_grid,
     integrate_markovian,
@@ -378,20 +378,29 @@ class TestScatter:
         params = cell_params(4.0, PI4)
         coupling = evaluate_coupling(params, CouplingModel.full())
         grid = default_grid(params, 1.5, 0.75, m_total=coupling.m_total)
-        wavepacket = IncidentWavepacket(params.delta, params.omega0,
-                                        normalization=normalization)
-        source = build_source(wavepacket, params, grid)
+        source = build_source(params, grid, normalization)
         traj = integrate_markovian(source, coupling, params)
-        envelopes = reconstruct_fields(traj, wavepacket, params)
+        envelopes = reconstruct_fields(traj, params)
 
-        got_wavepacket, got_traj, got_envelopes = scatter(
-            params, coupling, normalization, 1.5, 0.75)
-        assert got_wavepacket == wavepacket
+        got_traj, got_envelopes = scatter(params, coupling, normalization, 1.5, 0.75)
+        assert got_traj.scale == traj.scale
         assert np.array_equal(got_traj.beta1, traj.beta1)
         assert np.array_equal(got_traj.beta2, traj.beta2)
         for ours, theirs in zip(got_envelopes, envelopes, strict=True):
             assert ours.kind == theirs.kind
             assert np.array_equal(ours.samples, theirs.samples)
+
+    @pytest.mark.parametrize("ratio, k0l", [(4.0, PI4), (0.25, 0.05), (0.02, math.pi / 2)])
+    def test_bare_prefactor_scales_every_envelope(self, ratio, k0l):
+        # reconstruct_fields takes N from the trajectory, so the bare run is
+        # the unit run scaled by sqrt(_BARE_NORM_SQ), its incident field too
+        params = cell_params(ratio, k0l)
+        coupling = evaluate_coupling(params, CouplingModel.full())
+        _, unit = scatter(params, coupling, UNIT_EXCITATION)
+        _, bare = scatter(params, coupling, BARE_PREFACTOR)
+        for ours, theirs in zip(bare, unit, strict=True):
+            dev = np.max(np.abs(ours.samples - math.sqrt(_BARE_NORM_SQ) * theirs.samples))
+            assert dev <= 1e-12 * ours.peak()
 
     def test_run_cell_frees_source_before_spectra(self, monkeypatch):
         refs, alive = [], []
