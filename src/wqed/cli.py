@@ -243,12 +243,21 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 # sweep subcommand
 # ----------------------------------------------------------------------
 
+def _axis_format(values) -> str:
+    """The format of an axis's cell labels: "g", or ".17g" if two of its
+    distinct values would print the same in "g"."""
+    distinct = set(values)
+    return "g" if len({format(v, "g") for v in distinct}) == len(distinct) else ".17g"
+
+
 def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     manifest = run_sweep(SweepSpec.from_sections(read_config(args.spec), out_dir=args.out))
+    g_format = _axis_format(manifest.spec.gamma_over_delta)
+    k_format = _axis_format(manifest.spec.k0l)
     for cell in manifest.cells:
         status = cell.area_check if cell.ok else f"error: {cell.error}"
-        print(f"cell{cell.index:03d} gamma_over_delta={cell.gamma_over_delta:g} "
-              f"k0l={cell.k0l:g} model={model_label(cell.model)} -> {status}")
+        print(f"cell{cell.index:03d} gamma_over_delta={cell.gamma_over_delta:{g_format}} "
+              f"k0l={cell.k0l:{k_format}} model={model_label(cell.model)} -> {status}")
     passed = sum(cell.passed for cell in manifest.cells)
     print(f"{passed}/{len(manifest.cells)} cells passed")
     return EXIT_OK if manifest.all_ok else EXIT_CHECK

@@ -5,10 +5,13 @@ Everything here is byte-stable: floats carry 17 significant digits
 (enough to round-trip IEEE doubles), newlines are UNIX, and no artifact
 embeds timestamps or machine-specific paths.
 
-Float64 CSV tables are formatted in numpy, a chunk of rows at a time,
-with the bytes of `'%.17g' % v` for every double.  Non-finite values,
-magnitudes outside [1e-250, 1e250] and the rare value whose rounding the
-double-double arithmetic cannot decide go through `'%.17g' % v` itself.
+Float64 CSV tables are formatted in numpy, a block of whole rows and at
+most BLOCK_VALUES cells at a time (one row if it alone is wider), with
+the bytes of `'%.17g' % v` for every double.  A block is sized so that
+its temporaries stay in cache and in pages the allocator keeps.
+Non-finite values, magnitudes outside [1e-250, 1e250] and the rare value
+whose rounding the double-double arithmetic cannot decide go through
+`'%.17g' % v` itself.
 """
 
 from __future__ import annotations
@@ -63,7 +66,11 @@ def parse_value(text: str):
 # CSV
 # ----------------------------------------------------------------------
 
-CSV_CHUNK_ROWS = 8192  # rows formatted as one numpy block (or one join)
+# Cells formatted as one block, in max(1, BLOCK_VALUES // columns) rows.
+# A block's temporaries take about 150 bytes a cell, 1.2 MB in all: under
+# a 2 MiB L2 and the allocator's trim threshold, so every block reuses the
+# pages of the one before instead of faulting in fresh ones.
+BLOCK_VALUES = 8192
 
 # A float64 table is formatted in numpy with the bytes of `'%.17g' % v`.
 # Each |v| in [_FAST_MIN, _FAST_MAX] is scaled to its 17 significant digits
@@ -184,16 +191,21 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exp, slow
 
 
-def _float_rows(block: np.ndarray) -> bytes:
-    """CSV bytes of a rows × columns float64 block: each cell is written to
-    a slot of _SLOT_WORDS words whose bytes, NULs dropped, are those of
-    `'%.17g' % v` and then "," or, after a row's last cell, "\n"."""
+def _slots(block: np.ndarray) -> np.ndarray:
+    """The cells × _SLOT_WORDS words of a rows × columns float64 block:
+    each slot's bytes, NULs dropped, are those of `'%.17g' % v` and then
+    "," or, after a row's last cell, "\n".  Only the words outlive the
+    call, so the caller's bytes copy does not sit on the other temporaries."""
     tables = _format_tables()
     v = block.ravel()
     digits, exp, slow = _decimal(v)
-    head, rest = np.divmod(digits, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = (*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4))  # digits 1-4, ...
+    head = digits // 10 ** 16
+    digits -= head * 10 ** 16
+    groups = []  # digits 1-4, 5-8, 9-12 and 13-16 of D
+    for scale in (10 ** 12, 10 ** 8, 10 ** 4):
+        groups.append(digits // scale)
+        digits -= groups[-1] * scale
+    groups.append(digits)
     last_nonzero = np.zeros(v.size, np.int16)
     for i, group in enumerate(groups):
         np.maximum(last_nonzero, tables.last.take(group) + 4 * i, out=last_nonzero)
@@ -217,13 +229,13 @@ def _float_rows(block: np.ndarray) -> bytes:
         text = ("%.17g" % v[i]).encode()
         buf[i, :-3] = 0  # all but the separator and its padding
         buf[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return words.tobytes().translate(None, b"\0")
+    return words
 
 
 def _write_columns(out, header: Sequence[str], columns: Sequence) -> None:
     """The one CSV writer: a header line, then the rows of the equal-length
-    `columns` in chunks of CSV_CHUNK_ROWS, as bytes to the binary stream
-    `out`.  A table of float64 arrays goes through _float_rows, whose cells
+    `columns` in blocks of BLOCK_VALUES cells, as bytes to the binary stream
+    `out`.  A table of float64 arrays goes through _slots, whose cells
     equal format_value for every float (nan, inf, -0 and 1 included); any
     other table goes through format_value."""
     n_rows = len(columns[0]) if columns else 0
@@ -232,13 +244,14 @@ def _write_columns(out, header: Sequence[str], columns: Sequence) -> None:
             f"column lengths {[len(c) for c in columns]} differ")
     floats = all(getattr(c, "dtype", None) == np.float64 for c in columns)
     out.write((",".join(header) + "\n").encode())
-    for lo in range(0, n_rows, CSV_CHUNK_ROWS):
-        chunk = [column[lo:lo + CSV_CHUNK_ROWS] for column in columns]
+    block_rows = max(1, BLOCK_VALUES // max(1, len(columns)))
+    for lo in range(0, n_rows, block_rows):
+        block = [column[lo:lo + block_rows] for column in columns]
         if floats:
-            out.write(_float_rows(np.column_stack(chunk)))
+            out.write(_slots(np.column_stack(block)).tobytes().translate(None, b"\0"))
         else:
             out.write("".join(",".join(map(format_value, row)) + "\n"
-                              for row in zip(*chunk)).encode())
+                              for row in zip(*block)).encode())
 
 
 def _row_columns(header: Sequence[str], rows: Iterable[Sequence]) -> list:

@@ -6,9 +6,14 @@ refactor that renames or removes one fails here instead of in the benchmark."""
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
+
+import wqed.sweep
+from wqed.coupling import CouplingModel, evaluate_coupling
+from wqed.fields import spectrum
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -51,3 +56,25 @@ def test_bench_imports_resolve(path, module, name):
 def test_bench_imports_found():
     assert {(module, name) for _, module, name in wqed_imports()} >= {
         ("wqed.fields", "DEFAULT_ZERO_PAD"), ("wqed.dynamics", "default_grid")}
+
+
+def test_cell_files_go_through_the_traced_writers(tmp_path, monkeypatch):
+    # traced.py times `sweep.write` by wrapping these three module
+    # attributes; a cell's six CSVs must all be written through them
+    calls = []
+
+    def counting(name, writer):
+        def wrapper(*args):
+            calls.append(name)
+            return writer(*args)
+        return wrapper
+
+    for name in ("write_trajectory_csv", "write_envelope_csv", "write_spectrum_csv"):
+        monkeypatch.setattr(wqed.sweep, name, counting(name, getattr(wqed.sweep, name)))
+    params = wqed.sweep.cell_params(4.0, math.pi / 4)
+    traj, envelopes = wqed.sweep.scatter(params, evaluate_coupling(params, CouplingModel.full()))
+    spectra = {"incident": spectrum(envelopes[0]), "transmitted": spectrum(envelopes[1])}
+    files = wqed.sweep._write_cell_files(tmp_path, "cell000_", traj, envelopes, spectra)
+    assert sorted(calls) == ["write_envelope_csv"] * 3 + ["write_spectrum_csv"] * 2 + [
+        "write_trajectory_csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

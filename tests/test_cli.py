@@ -446,9 +446,23 @@ class TestSweepCommand:
         code, out, _ = invoke(["sweep", "--spec", spec])
         assert code == EXIT_OK
         assert "3/3 cells passed" in out
+        assert [line.split(" model=")[0] for line in out.splitlines()[:3]] == [
+            f"cell{i:03d} gamma_over_delta={g} k0l=0.785398"
+            for i, g in enumerate(("4", "0.25", "0.02"))]  # distinct in {:g}
         sections = read_config(tmp_path / "out" / "manifest.txt")
         widths = [sections[f"cell{i:03d}"]["dip_width"] for i in range(3)]
         assert widths[0] > widths[1] > widths[2]   # ordered by coupling
+
+    def test_labels_tell_close_cells_apart(self, tmp_path):
+        # both ratios print as 4 in {:g}: that axis alone takes 17 digits
+        spec = tmp_path / "close.ini"
+        spec.write_text("[sweep]\ngamma_over_delta = 4.0000001, 4.0000002\n"
+                        f"k0l = {PI4!r}\n")
+        code, out, _ = invoke(["sweep", "--spec", spec])
+        assert code == EXIT_OK
+        assert out.splitlines()[:2] == [
+            "cell000 gamma_over_delta=4.0000001000000003 k0l=0.785398 model=full -> pass",
+            "cell001 gamma_over_delta=4.0000001999999997 k0l=0.785398 model=full -> pass"]
 
     def test_single_cell_matches_simulate(self, tmp_path, sim_run):
         sim_dir, _, _, _ = sim_run

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,7 @@ from wqed import serialize, sweep
 from wqed.cli import main
 from wqed.errors import ConfigurationError
 from wqed.serialize import (
-    CSV_CHUNK_ROWS,
+    BLOCK_VALUES,
     config_text,
     csv_text,
     format_value,
@@ -111,12 +112,18 @@ def assert_matches_savetxt(directory, columns):
         Path(directory) / "oracle.csv", header, columns)
 
 
+def block_rows(n_cols: int) -> int:
+    """Rows of one formatting block of an n_cols-column table."""
+    return max(1, BLOCK_VALUES // n_cols)
+
+
 def percent_chunk_bytes(header, columns) -> bytes:
-    """The reference float writer: one `'%.17g'` `%` operation per chunk."""
+    """The reference float writer: one `'%.17g'` `%` operation per chunk
+    of 8192 rows."""
     row_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     text = [",".join(header) + "\n"]
-    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        chunk = np.column_stack([column[lo:lo + CSV_CHUNK_ROWS] for column in columns])
+    for lo in range(0, len(columns[0]), 8192):
+        chunk = np.column_stack([column[lo:lo + 8192] for column in columns])
         text.append((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
     return "".join(text).encode()
 
@@ -160,34 +167,37 @@ class TestChunkedWriter:
         for value in SPECIAL_FLOATS.tolist():
             assert "%.17g" % value == format_value(value)
 
-    @pytest.mark.parametrize("n_rows", [0, 1, CSV_CHUNK_ROWS - 1,
-                                        CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
-    def test_chunk_boundaries(self, tmp_path, n_rows):
+    @pytest.mark.parametrize("n_cols, n_rows", [
+        pytest.param(n_cols, n_rows, id=str(n_rows)) for n_cols, n_rows in
+        [(2, 0), (2, 1)] + [(n_cols, block_rows(n_cols) + offset)
+                            for n_cols in (1, 2, 4, 5) for offset in (-1, 0, 1)]])
+    def test_chunk_boundaries(self, tmp_path, n_cols, n_rows):
         rng = np.random.default_rng(n_rows)
-        columns = (np.linspace(-3.0, 7.0, n_rows),
-                   rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows))
+        columns = (np.linspace(-3.0, 7.0, n_rows), *(
+            rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+            for _ in range(n_cols - 1)))
         assert_matches_savetxt(tmp_path, columns)
         lines = (tmp_path / "ours.csv").read_text().splitlines()
         assert len(lines) == n_rows + 1
 
     def test_non_contiguous_columns(self, tmp_path):
-        beta = np.exp(1j * np.linspace(0.0, 40.0, 2 * CSV_CHUNK_ROWS + 5))
+        beta = np.exp(1j * np.linspace(0.0, 40.0, 2 * block_rows(4) + 5))
         columns = (beta.real, beta.imag, np.abs(beta), beta.real[::-1])
         assert not beta.real.flags.c_contiguous
         assert_matches_savetxt(tmp_path, columns)
 
-    @given(st.integers(1, 4), st.integers(1, 9), st.data())
-    def test_matches_savetxt_property(self, n_cols, chunk_rows, data):
+    @given(st.integers(1, 4), st.integers(1, 40), st.data())
+    def test_matches_savetxt_property(self, n_cols, block_values, data):
         n_rows = data.draw(st.integers(0, 40))
         columns = tuple(data.draw(arrays(np.float64, n_rows))
                         for _ in range(n_cols))
-        with mock.patch.object(serialize, "CSV_CHUNK_ROWS", chunk_rows), \
+        with mock.patch.object(serialize, "BLOCK_VALUES", block_values), \
                 tempfile.TemporaryDirectory() as directory:
             assert_matches_savetxt(directory, columns)
             assert_matches_percent(directory, columns)
 
     def test_mixed_table_matches_rowwise(self, tmp_path):
-        n = CSV_CHUNK_ROWS + 3
+        n = block_rows(4) + 3
         k0l = np.linspace(0.0, 2.0 * math.pi, n)
         labels = [("full", "rwa-cutoff:9.9999999999999995e-07")[i % 2]
                   for i in range(n)]
@@ -208,7 +218,31 @@ class TestChunkedWriter:
     def test_column_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="differ"):
             write_table(tmp_path / "t.csv", ("a", "b"),
-                        (np.zeros(CSV_CHUNK_ROWS), np.zeros(CSV_CHUNK_ROWS + 1)))
+                        (np.zeros(block_rows(2)), np.zeros(block_rows(2) + 1)))
+
+
+def write_peak(n_rows: int) -> int:
+    """tracemalloc's peak, in bytes, over write_table of n_rows rows of
+    five float64 columns; the columns and the formatter's tables exist
+    before tracing starts."""
+    rng = np.random.default_rng(n_rows)
+    columns = tuple(rng.standard_normal(n_rows) for _ in range(5))
+    serialize._format_tables()
+    tracemalloc.start()
+    try:
+        write_table(os.devnull, ("a", "b", "c", "d", "e"), columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_working_set_is_small_and_flat():
+    # 8192-row blocks of this table took 10.66 MB at any length, past L2
+    # and the allocator's trim threshold; a block of BLOCK_VALUES cells
+    # takes at most half of that, and still the same at every length
+    at_50k, at_800k = write_peak(50_000), write_peak(800_000)
+    assert at_800k <= 10.66e6 / 2
+    assert abs(at_800k - at_50k) <= 0.05 * at_50k
 
 
 def with_neighbours(values) -> np.ndarray:
