@@ -46,22 +46,20 @@ def _at_most(measured: float, tol: float, note: str) -> CheckResult:
 
 
 def _scatter(gamma_over_delta: float, k0l: float, mutate: bool = False,
-             span_factor: float = 1.0, dt_factor: float = 1.0):
+             dt_factor: float = 1.0):
     """(params, coupling, traj, envelopes) of one full-coupling run,
     cached on normalised arguments: all spellings of a cell share one run."""
     return _scatter_cached(float(gamma_over_delta), float(k0l), bool(mutate),
-                           float(span_factor), float(dt_factor))
+                           float(dt_factor))
 
 
 @lru_cache(maxsize=None)
-def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool,
-                    span_factor: float, dt_factor: float):
+def _scatter_cached(gamma_over_delta: float, k0l: float, mutate: bool, dt_factor: float):
     params = cell_params(gamma_over_delta, k0l)
     coupling = evaluate_coupling(params, CouplingModel.full())
     if mutate:
         coupling = replace(coupling, m_total=-coupling.m_total)
-    return (params, coupling,
-            *scatter(params, coupling, span_factor=span_factor, dt_factor=dt_factor))
+    return params, coupling, *scatter(params, coupling, dt_factor=dt_factor)
 
 
 def oracle_deviation(gamma_over_delta: float, k0l: float,
@@ -196,13 +194,11 @@ def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
 
 
 def _check_transfer_resonance(mutate: bool = False) -> CheckResult:
-    # the doubled window pushes the truncation tail below the tolerance
     worst = 0.0
     for ratio in TRIPLE:
-        inc, trans, _ = _scatter(ratio, PI4, span_factor=2.0)[3]
-        at_inc, at_trans = resonant_amplitude(inc), resonant_amplitude(trans)
-        worst = max(worst, abs(at_trans / at_inc))
-    return _at_most(worst, 1e-6, "resonant amplitude ratio, doubled window")
+        inc, trans, _ = _scatter(ratio, PI4)[3]
+        worst = max(worst, abs(resonant_amplitude(trans) / resonant_amplitude(inc)))
+    return _at_most(worst, 1e-6, "resonant amplitude ratio")
 
 
 def _far_detector(params: SimParams) -> DetectorSpec:

@@ -148,6 +148,9 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if (n_rows := len(k0l_values) * len(models)) > COUPLING_ROW_BUDGET:
         raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
                                  f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
+    if k0l_values[0] == 0 and any(model.variant == "rwa_const_g" for model in models):
+        raise DomainError("rwa-constg is singular at k0l = 0, where the default --k0l-range "
+                          "starts; pass a --k0l, or a --k0l-range starting above 0")
     rows = compare_couplings(k0l_values, models, omega0_over_gamma=omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)

@@ -45,8 +45,8 @@ _ENVELOPE_WINDOW = 12.0
 # post-pulse section
 _PULSE_HALF_SPAN = 8.0
 _DECAY_LENGTHS = 12.0
-# driven modes decaying slower than this fraction of gamma do not size the
-# grid: past the source's support their tails are added in closed form
+# default_grid sizes its post-pulse window only on driven modes decaying at
+# this fraction of gamma or faster; tail_modes continues every mode past it
 TAIL_RATE_FRACTION = 0.25
 # most points a time grid or a spectrum FFT may take: a cell peaks near
 # 200 bytes per grid point, so the largest accepted cell stays near 2 GB
@@ -123,12 +123,11 @@ def driven_modes(params: SimParams, m_total: complex | None = None) -> dict[int,
 
 
 def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int, complex]:
-    """The driven modes decaying slower than TAIL_RATE_FRACTION*gamma, if `grid`
-    outlasts (to within a step) the source's support, past which each is one exponential."""
+    """Every decaying driven mode, if `grid` outlasts (to within a step) the
+    source's support, past which each is one exponential."""
     if grid.t_end + grid.dt < params.z1 / params.c + _ENVELOPE_WINDOW / params.delta:
         return {}
-    return {sign: lam for sign, lam in driven_modes(params, m_total).items()
-            if 0 < lam.real < TAIL_RATE_FRACTION * params.gamma}
+    return {sign: lam for sign, lam in driven_modes(params, m_total).items() if lam.real > 0}
 
 
 def default_grid(params: SimParams, span_factor: float = 1.0,
@@ -137,10 +136,9 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
     """Grid resolving the pulse and the decay of every driven mode that
     decays at TAIL_RATE_FRACTION*gamma or faster.
 
-    span_factor scales the post-pulse window (doubling it is the
-    standard convergence check); dt_factor scales the step.  Slower modes
-    are left to closed-form tails (tail_modes), so the grid then only has
-    to outlast the source's support.  Over POINT_BUDGET points it raises.
+    span_factor scales the post-pulse window; dt_factor scales the step.
+    Slower modes do not size it, so the grid then only has to outlast the
+    source's support.  Over POINT_BUDGET points it raises.
     """
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
@@ -255,13 +253,17 @@ class AmplitudeTrajectory:
     scale: float = amplitude_scale(UNIT_EXCITATION)
 
 
+def step_limit(params: SimParams, m_total: complex) -> float:
+    """The largest step the integrators take, min(1/delta, 1/gamma, 1/|M|)/50
+    with 1e-9 relative slack for endpoint-division rounding."""
+    return 1.0 / max(params.delta, params.gamma, abs(m_total)) / 50.0 * (1.0 + 1e-9)
+
+
 def _coupling_and_step(source: SourceTerm, coupling: CouplingResult,
                        params: SimParams) -> tuple[complex, float]:
-    """(M, h) of an integration on the source's grid, after checking that
-    h resolves 1/delta, 1/gamma and 1/|M|."""
+    """(M, h) of an integration on the source's grid, h checked by step_limit."""
     m, h = complex(coupling.m_total), source.grid.dt
-    limit = 1.0 / max(params.delta, params.gamma, abs(m)) / 50.0
-    if h > limit * (1.0 + 1e-9):  # tolerate endpoint-division rounding
+    if h > (limit := step_limit(params, m)):
         raise ConfigurationError(
             f"dt = {h:.3e} exceeds stability/accuracy limit {limit:.3e} "
             f"(min(1/delta, 1/gamma, 1/|M|)/50)")

@@ -21,7 +21,7 @@ combination that matters: kappa = sqrt(2 pi gamma) and
 G0_j = sqrt(gamma / 2 pi) e^{i k0 z_j}, so kappa * |G0_j| = gamma.
 
 The algebraic pulse area of each envelope (trapezoid over the grid, plus
-the closed-form tail of a slow mode the grid leaves out) obeys the area
+the closed-form tail of each decaying mode past the grid's end) obeys the area
 theorem: the transmitted area vanishes and the reflected area cancels the
 incident one, for every coupling strength, pulse width, and atom
 separation.  The resonant Fourier component is therefore never transmitted.
@@ -103,7 +103,7 @@ def radiation_prefactors(params: SimParams) -> FieldPrefactors:
 @dataclass(frozen=True)
 class FieldEnvelope:
     """One propagating envelope sampled on a uniform retarded-time grid and
-    continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over slow modes.
+    continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over decaying modes.
 
     pulse_area, the trapezoid of the samples plus tail_area = sum c/lam, is
     recomputed, never passed in, so it always matches the samples and tail.
@@ -113,7 +113,7 @@ class FieldEnvelope:
     tau: np.ndarray
     samples: np.ndarray
     delta: float                  # spectral width of the driving pulse
-    tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per slow mode
+    tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per decaying mode
     incident_peak: float = 0.0    # N sqrt(delta/2), the floor of end_fraction's scale
     pulse_area: complex = field(init=False)
     tail_area: complex = field(init=False)
@@ -356,29 +356,25 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
     amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
     omega = _detuning_axis(n, dtau, m_lo, m_hi)
     amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
-    for term in _tail_terms(env, omega):
-        amplitude -= term
+    amplitude += _tail_sum(env, omega)
     omega /= env.delta
     return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta, fft_len=n)
 
 
-def _tail_terms(env: FieldEnvelope, omega):
-    """Per tail mode, what a spectrum subtracts at angular detunings omega to
-    continue its rectangle-rule sum past the grid by c dtau e^{i omega tau_end}
-    q/(1 - q), q = e^{z}."""
+def _tail_sum(env: FieldEnvelope, omega):
+    """What the tail adds at angular detunings omega to a spectrum's
+    rectangle-rule sum, continuing it past the grid: per mode the geometric
+    series c dtau e^{i omega tau_end} sum_{k>=1} e^{kz} = c dtau e^{i omega
+    tau_end} / expm1(-z), z = (i omega - lam) dtau, the phase computed once."""
     dtau = env.dtau
-    for c, lam in env.tail:
-        z = (1j * dtau) * omega - lam * dtau
-        yield (c * dtau) * np.exp(z + 1j * float(env.tau[-1]) * omega) / np.expm1(z)
+    phase = dtau * np.exp(1j * float(env.tau[-1]) * omega)
+    return sum(c * phase / np.expm1((lam * dtau) - (1j * dtau) * omega) for c, lam in env.tail)
 
 
 def resonant_amplitude(env: FieldEnvelope) -> complex:
     """spectrum(env).at_resonance() without the transform: the
     zero-detuning bin is dtau times the sum of the samples, plus the tail."""
-    value = env.dtau * complex(np.sum(env.samples))
-    for term in _tail_terms(env, 0.0):
-        value -= complex(term)
-    return value
+    return env.dtau * complex(np.sum(env.samples)) + complex(_tail_sum(env, 0.0))
 
 
 def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int,

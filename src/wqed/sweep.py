@@ -38,6 +38,7 @@ from .dynamics import (
     default_grid,
     integrate_markovian,
     markov_guard,
+    step_limit,
 )
 from .errors import ConfigurationError, NumericalError, WqedError
 from .fields import (
@@ -525,15 +526,24 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest;
-    first, a cell over the point budget raises ConfigurationError."""
-    for params in (cell_params(g, k, spec.omega0_over_gamma)
-                   for g in spec.gamma_over_delta for k in spec.k0l):
+    first, a cell over the point budget, or a step over step_limit for a
+    model whose coupling evaluates, raises ConfigurationError."""
+    cells = [(g, k, m) for g in spec.gamma_over_delta for k in spec.k0l for m in spec.models]
+    fits = math.inf  # the largest dt_factor whose step every checked cell takes
+    for g, k, model in cells:
+        params = cell_params(g, k, spec.omega0_over_gamma)
         grid = default_grid(params, spec.span_factor, spec.dt_factor)
         spectrum_length(grid.n, grid.dt, params.delta, spec.zero_pad)
-    cells = ((g, k, m) for g in spec.gamma_over_delta
-             for k in spec.k0l for m in spec.models)
-    results = tuple(run_cell(index, *cell, spec)
-                    for index, cell in enumerate(cells))
+        try:  # a coupling that raises fails its cell
+            m_total = evaluate_coupling(params, model).m_total
+        except WqedError:
+            continue
+        fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
+    if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
+        raise ConfigurationError(
+            f"dt_factor = {spec.dt_factor:g} gives a step over the integrators' limit "
+            f"min(1/delta, 1/gamma, 1/|M|)/50; use dt_factor <= {math.floor(fits * 1e4) / 1e4:g}")
+    results = tuple(run_cell(index, *cell, spec) for index, cell in enumerate(cells))
     manifest = RunManifest(MANIFEST_VERSION, spec, results)
     if spec.out_dir is not None:
         out_dir = Path(spec.out_dir)

@@ -64,17 +64,33 @@ def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:
     return 2j / omega0 * phase * (-si(0.5 * delta0 * a).value)
 
 
+def tail_samples(env: FieldEnvelope, decay: float = 40.0) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, samples) of env's tail past the grid, each sample summed directly
+    over the modes, c e^{-lam k dtau} at tau_end + k dtau, for k = 1 .. K,
+    K being where the slowest mode has decayed by e^-decay."""
+    count = max((math.ceil(decay / (lam.real * env.dtau)) for _, lam in env.tail), default=0)
+    k = np.arange(1, count + 1, dtype=float)
+    samples = np.zeros(count, dtype=complex)
+    for c, lam in env.tail:
+        samples += c * np.exp(-lam * env.dtau * k)
+    return float(env.tau[-1]) + env.dtau * k, samples
+
+
 def full_dft_spectrum(env: FieldEnvelope,
                       zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
     """Every bin of the DFT that fields.spectrum windows, by a plain numpy FFT:
-    dtau sum_j A_j e^{i omega tau_j} over the samples of a tail-free envelope
-    zero-padded to N = fft_length(n * zero_pad_factor), at omega = 2 pi m /
-    (N dtau) for m = -(N // 2) .. N - N // 2 - 1, ascending."""
-    assert not env.tail, "the reference drops a tail"
+    dtau sum_j A_j e^{i omega tau_j} over the samples continued by
+    tail_samples and zero-padded (or, when longer, folded) to N =
+    fft_length(n * zero_pad_factor), at omega = 2 pi m / (N dtau) for m =
+    -(N // 2) .. N - N // 2 - 1, ascending."""
     n = fft_length(env.samples.size * zero_pad_factor)
+    samples = np.concatenate([env.samples, tail_samples(env)[1]])
+    # e^{i omega tau_j} repeats every N samples at these omegas
+    folded = np.zeros(-(-samples.size // n) * n, dtype=complex)
+    folded[:samples.size] = samples
     omega = np.arange(-(n // 2), n - n // 2, dtype=float)
     omega *= 2.0 * math.pi / (n * env.dtau)
-    amplitude = np.fft.fftshift(np.fft.ifft(env.samples, n, norm="forward"))
+    amplitude = np.fft.fftshift(np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward"))
     amplitude *= env.dtau * np.exp(1j * float(env.tau[0]) * omega)
     return Spectrum(detuning=omega / env.delta, amplitude=amplitude,
                     delta=env.delta, fft_len=n)

@@ -38,7 +38,7 @@ from wqed.coupling import (
 )
 from wqed.fields import consistency_residuals, pulse_areas
 from wqed.specfun import ci, si
-from wqed.sweep import cell_params
+from wqed.sweep import cell_params, scatter
 
 GRID_3X3 = [(g, x) for g in TRIPLE for x in (0.0, PI4, math.pi / 2)]
 
@@ -112,12 +112,13 @@ def test_integrator_vs_mode_oracle(capfd):
 
 def test_pulse_area_theorem(capfd):
     """Transmitted area vanishes, reflected cancels incident, on the
-    3x3 coupling grid; doubling the grid span tightens both ratios."""
+    3x3 coupling grid, and still does at double the grid span."""
     t0 = time.monotonic()
     grid = VALIDATION_CHECKS["pulse-area"]()
     doubled = 0.0
     for god, k0l in GRID_3X3:
-        envelopes = _scatter(god, k0l, span_factor=2.0)[3]
+        params = cell_params(god, k0l)
+        envelopes = scatter(params, coupling_full(params), span_factor=2.0)[1]
         s_inc, s_trans, s_refl = pulse_areas(envelopes)
         doubled = max(doubled, abs(s_trans) / abs(s_inc),
                       abs(s_refl + s_inc) / abs(s_inc))
@@ -159,10 +160,10 @@ def test_transfer_function(capfd):
     """Frequency-domain transfer reproduces the time-domain envelope and
     kills the resonant component exactly."""
     envelope = VALIDATION_CHECKS["transfer-oracle"]()
-    resonance = VALIDATION_CHECKS["transfer-resonance"]()   # doubled span
+    resonance = VALIDATION_CHECKS["transfer-resonance"]()
     report(capfd, envelope.ok and resonance.ok, "transfer function",
            f"envelope round-trip dev {envelope.measured:.3e} (tol 1e-4); resonant "
-           f"amplitude ratio {resonance.measured:.3e} (tol 1e-6, doubled span)")
+           f"amplitude ratio {resonance.measured:.3e} (tol 1e-6)")
 
 
 def test_farfield_suppression(capfd):
@@ -203,3 +204,39 @@ def test_validation_suite_runtime(capfd):
     ok = code == 0 and elapsed < 120.0
     report(capfd, ok, "validation suite",
            f"exit code {code}; {elapsed:.1f}s < 120s")
+
+
+# `wqed validate`'s 14 measured values at full precision, the accuracy they
+# must keep: none may exceed twice its record.  The values at round-off may
+# move by a few ulps on other hardware, so their bound is at least 1e-15.
+ACCURACY_RECORD = {
+    "coupling-identity": 3.7258694339903e-15,
+    "coupling-oracle": 5.3292555521591827e-14,
+    "rwa-divergence": 1.346166594307887e-06,
+    "negfreq-equivalence": 1.5543741876503828e-15,
+    "mode-oracle": 6.6357577864715454e-12,
+    "pulse-area": 1.3285131215701698e-11,
+    "resonance-dip": 2.4901438004884956e-20,
+    "local-consistency": 1.084810825026884e-05,
+    "transfer-oracle": 4.8296976034059054e-08,
+    "transfer-resonance": 1.5780188883003813e-10,
+    "farfield-suppression": 3.920284322732396e-08,
+    "farfield-bound": 0.0002755795643452169,
+    "farfield-quadrature": 4.163336342344337e-17,
+    "specfun": 2.220446049250313e-16,
+}
+ROUND_OFF = ("coupling-identity", "negfreq-equivalence", "resonance-dip",
+             "farfield-quadrature", "specfun")
+
+
+def test_validate_accuracy_record(capfd):
+    """No validate value gets worse than twice its recorded accuracy."""
+    assert list(ACCURACY_RECORD) == list(VALIDATION_CHECKS)
+    worse = []
+    for name, record in ACCURACY_RECORD.items():
+        bound = max(2.0 * record, 1e-15) if name in ROUND_OFF else 2.0 * record
+        measured = VALIDATION_CHECKS[name]().measured
+        if not measured <= bound:
+            worse.append(f"{name} {measured!r} > {bound!r}")
+    report(capfd, not worse, "validate accuracy record",
+           "; ".join(worse) or f"all {len(ACCURACY_RECORD)} values within 2x their record")

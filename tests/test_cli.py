@@ -54,6 +54,11 @@ def scipy_modules_loaded(argv):
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
+def no_cell(*args, **kwargs):
+    """A run_cell that fails the test: no cell may run."""
+    raise AssertionError("a cell ran")
+
+
 def invoke(argv):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
@@ -249,6 +254,15 @@ class TestCouplingCommand:
         assert err == ("error: the coupling table needs 20,000,000 rows (k0l values "
                        f"x models), over the budget of {COUPLING_ROW_BUDGET:,}\n")
 
+    def test_constg_default_range_exits_2_naming_the_remedy(self):
+        # the default range starts at k0l = 0, where rwa-constg is singular
+        code, out, err = invoke(["coupling", "--models", "rwa-constg"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("error: rwa-constg is singular at k0l = 0, where the default "
+                       "--k0l-range starts; pass a --k0l, or a --k0l-range starting above 0\n")
+        code, out, _ = invoke(["coupling", "--models", "rwa-constg", "--k0l-range", "0.1:6:3"])
+        assert code == EXIT_OK and out.count(",rwa-constg,") == 3
+
     def test_unused_epsilon_exits_2(self):
         code, out, err = invoke(["coupling", "--models", "full", "--epsilon", 1e-6])
         assert code == EXIT_USAGE and out == ""
@@ -332,13 +346,14 @@ class TestSimulateCommand:
         assert (tmp_path / "cell000_transmitted.csv").is_file()
 
     def test_failing_cell_into_a_new_directory(self, tmp_path):
+        # a coupling that raises fails its cell, not the run
         out = tmp_path / "new" / "dir"
-        done = run_fresh(["simulate", "--grid-dt", 10, "--out", out])
+        done = run_fresh(["simulate", "--model", "rwa-constg", "--k0l", 0, "--out", out])
         assert done.returncode == EXIT_CHECK, done.stderr
-        assert done.stderr.startswith("error: ConfigurationError: dt = ")
+        assert done.stderr.startswith("error: DomainError: rwa_const_g is singular")
         summary = parse_config_text(done.stdout)["summary"]
         assert summary["ok"] is False
-        assert summary["error"].startswith("ConfigurationError: dt = ")
+        assert summary["error"].startswith("DomainError: rwa_const_g is singular")
         manifest = read_config(out / "manifest.txt")
         assert manifest["manifest"]["all_ok"] is False
         assert manifest["cell000"]["error"] == summary["error"]
@@ -362,6 +377,25 @@ class TestSimulateCommand:
         assert done.returncode == EXIT_USAGE, done.stderr
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("flags, dt_factor, fits, rerun_code", [
+        (["--grid-dt", 3], 3, "2", EXIT_OK),
+        # |M| ~ 25 gamma under a deep infrared cutoff; at its largest passing
+        # step the cell runs and fails only the area check
+        (["--model", "rwa-cutoff", "--epsilon", 1e-30], 1, "0.315", EXIT_CHECK),
+    ])
+    def test_step_over_the_limit_exits_2_before_any_cell(self, tmp_path, monkeypatch,
+                                                         flags, dt_factor, fits, rerun_code):
+        out = tmp_path / "d"
+        with monkeypatch.context() as patch:
+            patch.setattr(wqed.sweep, "run_cell", no_cell)
+            code, stdout, err = invoke(["simulate", *flags, "--out", out])
+        assert code == EXIT_USAGE and stdout == ""
+        assert err == (f"error: dt_factor = {dt_factor} gives a step over the integrators' "
+                       f"limit min(1/delta, 1/gamma, 1/|M|)/50; use dt_factor <= {fits}\n")
+        assert not out.exists()
+        code, _, err = invoke(["simulate", *flags, "--grid-dt", fits, "--out", out])
+        assert code == rerun_code and err == ""
 
     def test_missing_out_exits_2(self):
         code, _, err = invoke(["simulate", "--gamma-over-delta", 4])
@@ -399,7 +433,7 @@ class TestValidateCommand:
 
     def test_full_run_integrates_each_cell_once(self, monkeypatch):
         """Checks sharing a cell share one integration: the 3x3 pulse-area
-        grid plus the three doubled-span pi/4 cells, 12 in all."""
+        grid, 9 in all (12 before transfer-resonance read these cells)."""
         calls = []
         integrate = wqed.sweep.integrate_markovian
 
@@ -414,7 +448,7 @@ class TestValidateCommand:
         finally:
             wqed.checks._scatter_cached.cache_clear()
         assert code == EXIT_OK
-        assert len(calls) == 12
+        assert len(calls) == 9
 
     def test_validate_imports_no_scipy_signal(self):
         """The mode oracle's recursions are evaluated in numpy alone."""
@@ -558,17 +592,29 @@ class TestSweepCommand:
     def test_every_cell_failing_into_a_new_directory(self, tmp_path):
         out = tmp_path / "new" / "dir"
         spec = tmp_path / "fail.ini"
-        spec.write_text(f"[sweep]\ngamma_over_delta = 0.25, 4\nk0l = {PI4!r}\n"
-                        f"dt_factor = 10\n[output]\ndir = {out}\n")
+        spec.write_text("[sweep]\ngamma_over_delta = 0.25, 4\nk0l = 0\n"
+                        f"models = rwa-constg\n[output]\ndir = {out}\n")
         done = run_fresh(["sweep", "--spec", spec])
         assert done.returncode == EXIT_CHECK, done.stderr
         assert done.stderr == ""
-        assert done.stdout.count("-> error: ConfigurationError: dt = ") == 2
+        assert done.stdout.count("-> error: DomainError: rwa_const_g is singular") == 2
         assert done.stdout.endswith("\n0/2 cells passed\n")
         manifest = read_config(out / "manifest.txt")
         assert manifest["manifest"]["all_ok"] is False
         assert [manifest[f"cell00{i}"]["ok"] for i in range(2)] == [False, False]
         assert [p.name for p in out.iterdir()] == ["manifest.txt"]
+
+    def test_step_over_the_limit_exits_2_before_any_cell(self, tmp_path, monkeypatch):
+        out = tmp_path / "d"
+        spec = tmp_path / "coarse.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 0.25, 4\nk0l = {PI4!r}\n"
+                        f"dt_factor = 3\n[output]\ndir = {out}\n")
+        monkeypatch.setattr(wqed.sweep, "run_cell", no_cell)
+        code, stdout, err = invoke(["sweep", "--spec", spec])
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("error: dt_factor = 3 gives a step over") and err.endswith(
+            "use dt_factor <= 2\n")
+        assert not out.exists()
 
     def test_out_flag_overrides_spec_dir(self, tmp_path):
         spec = tmp_path / "o.ini"

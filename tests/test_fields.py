@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_dft_spectrum, run_limited
+from helpers import full_dft_spectrum, run_limited, tail_samples
 from wqed.checks import WRAP_FRACTION, _scatter, transfer_round_trip
+from wqed.sweep import AREA_PASS, area_verdict, scatter
 from wqed.coupling import CouplingModel, SimParams, coupling_full, evaluate_coupling
 from wqed.dynamics import (
     AmplitudeTrajectory,
@@ -72,10 +73,11 @@ def gamma_zero_case():
 
 class TestFieldEnvelope:
     def test_pulse_area_matches_recompute(self):
-        """Stored area is bitwise the trapezoid of the stored samples."""
+        """Stored area is bitwise the trapezoid of the stored samples plus
+        the tail's area."""
         p, traj, coup = run_case(0.25, math.pi / 4)
         for env in reconstruct_fields(traj, p):
-            assert env.pulse_area == complex(np.trapezoid(env.samples, env.tau))
+            assert env.pulse_area == complex(np.trapezoid(env.samples, env.tau)) + env.tail_area
 
     def test_kind_guard(self):
         with pytest.raises(ConfigurationError, match="kind"):
@@ -180,7 +182,8 @@ class TestPulseAreas:
         assert abs(s_refl + s_inc) / abs(s_inc) <= 1e-3
 
     def test_longer_grid_tightens_areas(self):
-        """Doubling the post-pulse window pushes residuals below 1e-5."""
+        """At double the post-pulse window the residuals stay below 1e-5
+        (with every decaying mode a tail, the window no longer moves them)."""
         p, traj, coup = run_case(0.02, math.pi / 2, span_factor=2.0)
         s_inc, s_trans, s_refl = pulse_areas(reconstruct_fields(traj, p))
         assert abs(s_trans) / abs(s_inc) <= 1e-5
@@ -322,11 +325,14 @@ class TestSpectrum:
     @staticmethod
     def assert_matches_direct_dft(env, sp):
         """Amplitudes at ~20 detunings within 4 widths equal the direct sum
-        sum_j A_j e^{i omega tau_j} dtau to 1e-12 of the largest."""
+        sum_j A_j e^{i omega tau_j} dtau, over the samples and then the
+        tail's (tail_samples), to 1e-12 of the largest."""
         inside = np.flatnonzero(np.abs(sp.detuning) <= 4.0)
         picks = inside[np.linspace(0, inside.size - 1, 21).astype(int)]
         omega = sp.detuning[picks] * sp.delta
-        direct = np.exp(1j * np.outer(omega, env.tau)) @ env.samples * env.dtau
+        tail_tau, tail = tail_samples(env)
+        direct = sum(np.exp(1j * np.outer(omega, tau)) @ samples * env.dtau
+                     for tau, samples in ((env.tau, env.samples), (tail_tau, tail)))
         scale = float(np.max(np.abs(direct)))
         assert float(np.max(np.abs(sp.amplitude[picks] - direct))) <= 1e-12 * scale
 
@@ -452,7 +458,7 @@ class TestWindowedSpectrum:
 
 
 class TestClosedFormTail:
-    """Envelopes continued past the grid by their slow modes' exponentials."""
+    """Envelopes continued past the grid by their decaying modes' exponentials."""
 
     @pytest.mark.parametrize("ratio, k0l", [(0.25, 1e-3), (0.25, 0.05),
                                             (0.25, math.pi - 0.05), (4.0, 1e-3)])
@@ -484,17 +490,32 @@ class TestClosedFormTail:
         assert env.tail_area == samples[-1] / lam
 
     @pytest.mark.parametrize("ratio, k0l, span_factor", [
-        (0.25, 1e-3, 1.0), (0.25, 0.05, 1.0), (4.0, 1e-3, 1.0),       # with a tail
+        (0.25, 1e-3, 1.0), (0.25, 0.05, 1.0), (4.0, 1e-3, 1.0),
         (0.02, math.pi / 4, 2.0), (0.25, math.pi / 4, 2.0), (4.0, math.pi / 4, 2.0),
     ])
     def test_resonant_amplitude_is_the_zero_detuning_bin(self, ratio, k0l, span_factor):
-        # to round-off of the incident spectrum's peak (measured <= 6.4e-16)
-        envelopes = _scatter(ratio, k0l, span_factor=span_factor)[3]
-        assert bool(envelopes[1].tail) == (span_factor == 1.0)
+        # to round-off of the incident spectrum's peak (measured <= 6.4e-16);
+        # the transmitted and reflected envelopes have tails at either span
+        # (at span 2 none did before), the incident one none
+        params = SimParams.from_ratios(ratio, k0l)
+        envelopes = scatter(params, coupling_full(params), span_factor=span_factor)[1]
+        assert [bool(env.tail) for env in envelopes] == [False, True, True]
         spectra = [spectrum(env, window=8.0) for env in envelopes]
         scale = float(np.max(np.abs(spectra[0].amplitude)))
         for env, spec in zip(envelopes, spectra):
             assert abs(resonant_amplitude(env) - spec.at_resonance()) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("ratio, k0l", [(0.02, math.pi / 4), (0.25, 0.05)])
+    def test_area_ratios_independent_of_span(self, ratio, k0l):
+        # with every decaying mode continued exactly, a longer window does not
+        # move the area theorem's ratios off round-off
+        params = SimParams.from_ratios(ratio, k0l)
+        coupling = coupling_full(params)
+        for span_factor in (1.0, 2.0):
+            envelopes = scatter(params, coupling, span_factor=span_factor)[1]
+            check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma, 1e-3)
+            assert check == AREA_PASS
+            assert trans_ratio <= 1e-10 and refl_ratio <= 1e-10
 
     def test_end_decay_counts_only_what_the_tail_misses(self):
         _, _, traj, (inc, trans, refl) = _scatter(0.25, 0.05)
