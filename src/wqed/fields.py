@@ -20,8 +20,8 @@ takes its full (non-RWA) value gamma * e^{i k0 l}.  That pins the only
 combination that matters: kappa = sqrt(2 pi gamma) and
 G0_j = sqrt(gamma / 2 pi) e^{i k0 z_j}, so kappa * |G0_j| = gamma.
 
-The algebraic pulse area of each envelope (trapezoid over the grid, plus
-the closed-form tail of each decaying mode past the grid's end) obeys the area
+The algebraic pulse area of each envelope (trapezoid over the grid, continued
+over the closed-form tail of each decaying mode past the grid's end) obeys the area
 theorem: the transmitted area vanishes and the reflected area cancels the
 incident one, for every coupling strength, pulse width, and atom
 separation.  The resonant Fourier component is therefore never transmitted.
@@ -103,10 +103,11 @@ def radiation_prefactors(params: SimParams) -> FieldPrefactors:
 @dataclass(frozen=True)
 class FieldEnvelope:
     """One propagating envelope sampled on a uniform retarded-time grid and
-    continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over decaying modes.
+    continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over decaying
+    modes; its spectrum resolves `resolution` points of its step (its length unless given).
 
-    pulse_area, the trapezoid of the samples plus tail_area = sum c/lam, is
-    recomputed, never passed in, so it always matches the samples and tail.
+    pulse_area, the samples' trapezoid continued over the tail by tail_area = sum c dtau
+    (1/2 + 1/expm1(lam dtau)), is recomputed, never passed in, so it matches them.
     """
 
     kind: str
@@ -115,6 +116,7 @@ class FieldEnvelope:
     delta: float                  # spectral width of the driving pulse
     tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per decaying mode
     incident_peak: float = 0.0    # N sqrt(delta/2), the floor of end_fraction's scale
+    resolution: int | float | None = None
     pulse_area: complex = field(init=False)
     tail_area: complex = field(init=False)
 
@@ -127,7 +129,9 @@ class FieldEnvelope:
             raise ConfigurationError("need at least 3 samples")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        object.__setattr__(self, "tail_area", sum((c / lam for c, lam in self.tail), 0j))
+        object.__setattr__(self, "resolution", self.resolution or self.samples.size)
+        object.__setattr__(self, "tail_area", complex(sum(
+            c * self.dtau * (0.5 + 1.0 / np.expm1(lam * self.dtau)) for c, lam in self.tail)))
         object.__setattr__(self, "pulse_area", complex(
             np.trapezoid(self.samples, self.tau)) + self.tail_area)
 
@@ -191,7 +195,8 @@ def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
 
     def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
         return FieldEnvelope(kind=kind, tau=tau, samples=samples, delta=params.delta,
-                             tail=tuple(tail), incident_peak=scale)
+                             tail=tuple(tail), incident_peak=scale,
+                             resolution=traj.grid.resolution)
 
     return (make(INCIDENT, inc),
             make(TRANSMITTED, inc + radiated_fw, tail_fw),
@@ -311,7 +316,7 @@ class Spectrum:
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
     evaluated by a zero-padded rectangle-rule DFT whose length fft_len is
-    the 5-smooth fft_length(n_time * zero_pad_factor), plus the sum over
+    the 5-smooth fft_length(resolution * zero_pad_factor), plus the sum over
     the envelope's tail.  Only the bins of that DFT within a detuning window
     are held, on an axis stored ascending in units of the pulse width delta.
     """
@@ -335,10 +340,10 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
              window: float = SPECTRUM_WINDOW) -> Spectrum:
     """Zero-padded DFT spectrum of an envelope, detuning in units of delta.
 
-    The envelope is padded with zeros to fft_length(n_time *
-    zero_pad_factor) points: at least zero_pad_factor times its length,
-    rounded up to a 5-smooth FFT length.  Only the bins with |detuning| <=
-    window of that DFT are computed, by a chirp-z transform whose cost
+    The DFT has fft_length(env.resolution * zero_pad_factor) points: at
+    least zero_pad_factor times the span the envelope resolves, rounded up
+    to a 5-smooth FFT length.  Only the bins with |detuning| <= window of
+    that DFT are computed, by a chirp-z transform of the samples whose cost
     scales with n_time plus the window's bin count rather than with the
     padded length; the tail of an envelope adds its exact continuation of
     the sum to each bin.
@@ -348,10 +353,9 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
             f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
     if window is None or not (window >= 0.0 and math.isfinite(window)):
         raise ConfigurationError(f"window must be finite and >= 0, got {window!r}")
-    n_time = env.samples.size
-    n = fft_length(n_time * zero_pad_factor)
     dtau = env.dtau
-    spectrum_length(n_time, dtau, env.delta, zero_pad_factor, window)
+    spectrum_length(env.resolution, env.samples.size, dtau, env.delta, zero_pad_factor, window)
+    n = fft_length(env.resolution * zero_pad_factor)
     m_lo, m_hi = _window_bins(n, dtau, env.delta, window)
     amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
     omega = _detuning_axis(n, dtau, m_lo, m_hi)
@@ -377,13 +381,16 @@ def resonant_amplitude(env: FieldEnvelope) -> complex:
     return env.dtau * complex(np.sum(env.samples)) + complex(_tail_sum(env, 0.0))
 
 
-def spectrum_length(n_time: int, dtau: float, delta: float, zero_pad_factor: int,
-                    window: float = SPECTRUM_WINDOW) -> int:
-    """Chirp-z FFT length spectrum() needs for n_time samples, checked
-    against POINT_BUDGET."""
-    m_lo, m_hi = _window_bins(fft_length(n_time * zero_pad_factor), dtau, delta, window)
-    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo),
-                        "reduce zero_pad or span_factor, or raise dt_factor")
+def spectrum_length(resolution: int | float, n_time: int, dtau: float, delta: float,
+                    zero_pad_factor: int, window: float = SPECTRUM_WINDOW) -> int:
+    """Chirp-z FFT length spectrum() needs for n_time samples resolving `resolution`
+    points, checked against POINT_BUDGET.  The window's bins, zero_pad_factor *
+    resolution * dtau * delta * window / pi, shrink with zero_pad alone."""
+    if not math.isfinite(resolution):
+        check_points("a spectrum FFT", resolution, "reduce zero_pad")
+    m_lo, m_hi = _window_bins(fft_length(resolution * zero_pad_factor), dtau, delta, window)
+    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo), "reduce zero_pad"
+                        if m_hi - m_lo >= n_time else "reduce span_factor or raise dt_factor")
 
 
 def dip_width(spec: Spectrum) -> float:

@@ -53,7 +53,7 @@ from .fields import (
 )
 from .serialize import format_value, write_config, write_table
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -333,6 +333,10 @@ class CellResult:
     area_check: str | None = None
     identity_transmission: bool | None = None
     n: int | None = None
+    dt: float | None = None
+    t_end: float | None = None
+    tail_transmitted: tuple[float, ...] | None = None  # (re c, im c, re lam, im lam) per mode
+    tail_reflected: tuple[float, ...] | None = None
     fft_len: int | None = None
     dip_depth: float | None = None
     dip_width: float | None = None
@@ -493,6 +497,9 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         except NumericalError:
             width = None  # flat or monotone spectrum: no dip to measure
 
+        tail_transmitted, tail_reflected = (
+            tuple(x for c, lam in env.tail for x in (c.real, c.imag, lam.real, lam.imag)) or None
+            for env in (trans, refl))
         r1, r2 = consistency_residuals(traj, envelopes, params)
         report = markov_guard(params)
 
@@ -510,7 +517,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             area_trans_ratio=trans_ratio, area_refl_ratio=refl_ratio,
             tail_fraction=tail_fraction, area_check=check,
             identity_transmission=bool(np.array_equal(trans.samples, inc.samples)),
-            n=traj.grid.n, fft_len=spec_trans.fft_len,
+            n=traj.grid.n, dt=traj.grid.dt, t_end=traj.grid.t_end, fft_len=spec_trans.fft_len,
+            tail_transmitted=tail_transmitted, tail_reflected=tail_reflected,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,
@@ -526,18 +534,18 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest;
-    first, a cell over the point budget, or a step over step_limit for a
-    model whose coupling evaluates, raises ConfigurationError."""
+    first, a cell whose coupling evaluates but whose grid or spectra exceed the
+    point budget, or whose step exceeds step_limit, raises ConfigurationError."""
     cells = [(g, k, m) for g in spec.gamma_over_delta for k in spec.k0l for m in spec.models]
     fits = math.inf  # the largest dt_factor whose step every checked cell takes
     for g, k, model in cells:
         params = cell_params(g, k, spec.omega0_over_gamma)
-        grid = default_grid(params, spec.span_factor, spec.dt_factor)
-        spectrum_length(grid.n, grid.dt, params.delta, spec.zero_pad)
-        try:  # a coupling that raises fails its cell
+        try:  # a coupling that raises fails its cell before it allocates
             m_total = evaluate_coupling(params, model).m_total
         except WqedError:
             continue
+        grid = default_grid(params, spec.span_factor, spec.dt_factor, m_total=m_total)
+        spectrum_length(grid.resolution, grid.n, grid.dt, params.delta, spec.zero_pad)
         fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
     if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
         raise ConfigurationError(

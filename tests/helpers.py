@@ -81,9 +81,9 @@ def full_dft_spectrum(env: FieldEnvelope,
     """Every bin of the DFT that fields.spectrum windows, by a plain numpy FFT:
     dtau sum_j A_j e^{i omega tau_j} over the samples continued by
     tail_samples and zero-padded (or, when longer, folded) to N =
-    fft_length(n * zero_pad_factor), at omega = 2 pi m / (N dtau) for m =
-    -(N // 2) .. N - N // 2 - 1, ascending."""
-    n = fft_length(env.samples.size * zero_pad_factor)
+    fft_length(env.resolution * zero_pad_factor), at omega = 2 pi m / (N dtau)
+    for m = -(N // 2) .. N - N // 2 - 1, ascending."""
+    n = fft_length(env.resolution * zero_pad_factor)
     samples = np.concatenate([env.samples, tail_samples(env)[1]])
     # e^{i omega tau_j} repeats every N samples at these omegas
     folded = np.zeros(-(-samples.size // n) * n, dtype=complex)

@@ -363,8 +363,20 @@ class TestSimulateCommand:
         code, _, err = invoke(["simulate", "--gamma-over-delta", "1e300",
                                "--out", tmp_path])
         assert code == EXIT_USAGE
-        assert "the time grid needs n = 1.600e+303 points, over the budget" in err
+        # 20/delta in steps of 0.01/gamma (16/delta + 12 decay lengths, 1.600e+303, before)
+        assert "the time grid needs n = 2.000e+303 points, over the budget" in err
         assert len(err) < 200
+
+    def test_weak_extreme_runs_under_the_memory_cap(self, tmp_path):
+        # gamma/delta = 1e-3: a 2,001-point grid ending at the source's support,
+        # its spectra resolving 4,098,658 points of its step (the grid itself
+        # before, 19.6 s and 797 MiB); within a 1 GiB address space
+        code, err = run_limited(["simulate", "--gamma-over-delta", "1e-3", "--k0l", repr(PI4),
+                                 "--out", tmp_path])
+        assert code == EXIT_OK, err
+        cell = read_config(tmp_path / "manifest.txt")["cell000"]
+        assert cell["n"] == 2_001 and cell["area_check"] == "pass"
+        assert cell["area_trans_ratio"] <= 1e-10 and cell["area_refl_ratio"] <= 1e-10
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid-span", "1e308", "the time grid needs n = Infinity points, over the budget"),
@@ -553,8 +565,14 @@ class TestSweepCommand:
         assert run_limited(["sweep", "--spec", spec]) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("lines, what", [
-        # gamma/delta = 1e-4 asks for a grid of ~4.1e7 points (~8 GB)
-        ("gamma_over_delta = 1e-4\n", "the time grid needs n = 40,972,164 points"),
+        # gamma/delta = 1e4 asks for a grid of 2e7 points (~4 GB).  1e-4 asked
+        # for 40,972,164 before; its grid ends at the source's support now
+        # (2,002 points) and its spectrum FFT, ~8.4M points, fits the budget
+        ("gamma_over_delta = 1e4\n", "the time grid needs n = 20,000,001 points, over "
+         "the budget of 10,000,000 points; reduce span_factor or raise dt_factor"),
+        # a 2,001-point grid whose spectra resolve ~4.1e8 points of its step
+        ("gamma_over_delta = 1e-5\n", "a spectrum FFT needs n = 83,886,080 points, over "
+         "the budget of 10,000,000 points; reduce zero_pad"),
         # a modest grid whose padding pushes the chirp-z length past it
         ("gamma_over_delta = 4\nzero_pad = 1000000\n", "a spectrum FFT needs n = "),
     ])

@@ -25,6 +25,7 @@ from wqed.dynamics import (
     integrate_markovian,
     markov_guard,
     oracle_modes,
+    resolved_end,
     tail_modes,
     _GL6_W,
     _GL6_X,
@@ -40,6 +41,15 @@ def setup(gamma_over_delta=4.0, k0l=math.pi / 4, normalization=UNIT_EXCITATION,
     p = SimParams.from_ratios(gamma_over_delta, k0l)
     grid = default_grid(p, span_factor=span_factor, dt_factor=dt_factor)
     return p, build_source(p, grid, normalization)
+
+
+def continued(traj, params, gap):
+    """(beta1, beta2) at gap past traj's end, each tail mode u, v of
+    tail_modes carried by its exponential (an undriven mode stays 0)."""
+    modes = tail_modes(params, traj.m_total, traj.grid)
+    u, v = ((traj.beta1[-1] + s * traj.beta2[-1]) * cmath.exp(-modes[s] * gap) if s in modes
+            else 0j for s in (1, -1))
+    return (u + v) / 2, (u - v) / 2
 
 
 def spectral_amplitude(omega, delta, scale, omega0=2500.0, c=1.0):
@@ -186,16 +196,20 @@ class TestTimeGrid:
 
     def test_default_grid_tracks_slow_mode(self):
         # the antisymmetric mode at k0l=pi/4 decays ~3.4x slower than
-        # gamma, so its grid must be correspondingly longer than at k0l=0
-        # (where that mode is undriven): 12 decay lengths of the slowest
-        # driven mode after the pulse section
+        # gamma, so the span its spectra resolve must be correspondingly
+        # longer than at k0l=0 (where that mode is undriven): 12 decay
+        # lengths of the slowest driven mode after the pulse section.  The
+        # grid itself ends at the source's support; the tails carry the rest
+        # (grid.t_end was pinned to this span before)
         p_fast = SimParams.from_ratios(4.0, 0.0)
         p_slow = SimParams.from_ratios(4.0, math.pi / 4)
         for p, rate in ((p_fast, 2.0), (p_slow, 1 - math.cos(math.pi / 4))):
             grid = default_grid(p)
-            assert grid.t_end - 8 / p.delta == pytest.approx(
-                12 / (rate * p.gamma), abs=grid.dt)
-        assert default_grid(p_slow).t_end > default_grid(p_fast).t_end
+            resolved = grid.t_start + grid.dt * (grid.resolution - 1)
+            assert resolved - 8 / p.delta == pytest.approx(12 / (rate * p.gamma), abs=grid.dt)
+            assert resolved_end(p) - 8 / p.delta == pytest.approx(12 / (rate * p.gamma))
+            assert grid.t_end == pytest.approx(12 / p.delta, abs=grid.dt)
+        assert default_grid(p_slow).resolution > default_grid(p_fast).resolution
 
     def test_default_grid_caps_near_dark_modes(self):
         # a barely-driven, barely-decaying mode must not blow up the grid
@@ -230,9 +244,16 @@ class TestTimeGrid:
         assert tail_modes(p, coupling_full(p).m_total, short) == {}
 
     def test_grid_over_budget_raises(self):
-        p = SimParams.from_ratios(1e-4, math.pi / 4)
+        # n = 20/delta / (0.01/gamma) + 1 = 20,000,001 at gamma/delta = 1e4, and a
+        # tiny step over any span (gamma/delta = 1e-4 was over before; its grid
+        # is 20/delta in steps of 0.01/delta now that it ends at the source's
+        # support: 2,002 points, as the step count rounds to 2000.0000000000002)
+        with pytest.raises(ConfigurationError,
+                           match="needs n = 20,000,001 points, over the budget of 10,000,000"):
+            default_grid(SimParams.from_ratios(1e4, math.pi / 4))
         with pytest.raises(ConfigurationError, match="budget of 10,000,000"):
-            default_grid(p)
+            default_grid(SimParams.from_ratios(1e-4, math.pi / 4), dt_factor=1e-4)
+        assert default_grid(SimParams.from_ratios(1e-4, math.pi / 4)).n == 2_002
 
     @pytest.mark.parametrize("n, shown", [
         (POINT_BUDGET + 1, "10,000,001"),
@@ -250,8 +271,9 @@ class TestTimeGrid:
         assert check_points("the time grid", POINT_BUDGET, "") == POINT_BUDGET
 
     def test_grid_budget_error_names_what_shrinks_it(self):
-        # n ~ span/dt: a shorter span or a coarser step (dt_factor up) shrinks it
-        p = SimParams.from_ratios(1e-4, math.pi / 4)
+        # n ~ span/dt: a shorter span or a coarser step (dt_factor up) shrinks
+        # it (gamma/delta = 1e-4 before, now 2,001 points)
+        p = SimParams.from_ratios(6e3, math.pi / 4)
         with pytest.raises(ConfigurationError,
                            match="points; reduce span_factor or raise dt_factor$"):
             default_grid(p)
@@ -360,8 +382,15 @@ class TestIntegrateMarkovian:
             pop = np.abs(traj.beta1) ** 2 + np.abs(traj.beta2) ** 2
             assert pop.max() <= 1.0
             assert traj.beta1[0] == 0.0 and traj.beta2[0] == 0.0
-            for b in (traj.beta1, traj.beta2):
-                assert np.abs(b[-1]) <= 1e-3 * np.abs(b).max()
+            # the grid ends at the source's support, where the modes carry on
+            # as tails: the amplitudes 12 decay lengths of the slowest later
+            # are decayed (the end samples themselves were, on grids that ran
+            # that far: np.abs(b[-1]) <= 1e-3 * np.abs(b).max())
+            modes = tail_modes(p, traj.m_total, traj.grid)
+            assert set(modes) == {1, -1}
+            later = continued(traj, p, 12 / min(lam.real for lam in modes.values()))
+            for b, end in zip((traj.beta1, traj.beta2), later):
+                assert abs(end) <= 1e-3 * np.abs(b).max()
 
     def test_convergence_order(self):
         p, _ = setup()
@@ -489,7 +518,10 @@ class TestOracleModes:
         # the Gauss-node drive is built a chunk of steps at a time: the
         # amplitudes equal the one-shot (n-1) x 6 node arrays bit for bit,
         # and the peak stays below eight grid-length complex arrays
-        p, src = setup(gamma_over_delta=0.02)
+        # a grid to the span spectra resolve, as default_grid ran before: its
+        # 206,454 points cover more than ten chunks (default_grid's now 2,001)
+        p = SimParams.from_ratios(0.02, math.pi / 4)
+        src = build_source(p, TimeGrid.from_step(-8 / p.delta, resolved_end(p), 0.01 / p.delta))
         cpl = coupling_full(p)
         tracemalloc.start()
         try:
@@ -542,13 +574,21 @@ class TestSystemInvariants:
         assert np.array_equal(swapped.beta2, base.beta1)
 
     def test_doubling_window_shrinks_endpoint(self):
+        # span 2 runs 8/delta past the pulse section instead of 4/delta, all
+        # of it past the source's support: the long end is the short end
+        # continued by its tail modes, and smaller (it was 10x smaller,
+        # np.abs(long.beta1[-1]) < 0.1 * np.abs(short.beta1[-1]), when the
+        # spans were 12 and 24 decay lengths)
         p, src = setup(gamma_over_delta=0.25)
         cpl = coupling_full(p)
         short = integrate_markovian(src, cpl, p)
         grid2 = default_grid(p, span_factor=2.0)
         src2 = build_source(p, grid2)
         long = integrate_markovian(src2, cpl, p)
-        assert np.abs(long.beta1[-1]) < 0.1 * np.abs(short.beta1[-1])
+        later = continued(short, p, long.grid.times[-1] - short.grid.times[-1])
+        for b, end in zip((long.beta1, long.beta2), later):
+            assert abs(b[-1] - end) <= 1e-12 * np.abs(b).max()
+        assert np.abs(long.beta1[-1]) < np.abs(short.beta1[-1])
 
 
 class TestMarkovGuard:

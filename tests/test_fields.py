@@ -274,22 +274,37 @@ class TestFftLength:
 class TestSpectrum:
     def test_budget_error_names_what_shrinks_it(self):
         # the chirp-z length is n_time plus the window's bins; the bins grow
-        # with zero_pad and the span n_time * dtau, n_time with span / dtau
+        # with zero_pad and the resolved span resolution * dtau alone, n_time
+        # with span / dtau.  Each message names only what shrinks its larger
+        # part (both messages read "reduce zero_pad or span_factor, or raise
+        # dt_factor" before)
         with pytest.raises(ConfigurationError, match=(
-                "a spectrum FFT needs n = .* points; "
-                "reduce zero_pad or span_factor, or raise dt_factor$")):
-            spectrum_length(1000, 0.01, 1.0, 1_000_000)
-        n = spectrum_length(100_000, 0.01, 1.0, 8)
-        assert spectrum_length(100_000, 0.01, 1.0, 4) < n    # zero_pad down
-        assert spectrum_length(50_000, 0.01, 1.0, 8) < n     # span down
-        assert spectrum_length(50_000, 0.02, 1.0, 8) < n     # dt up, same span
+                "a spectrum FFT needs n = .* points; reduce zero_pad$")):
+            spectrum_length(10 ** 9, 2_001, 0.01, 1.0, 8)
+        with pytest.raises(ConfigurationError, match=(
+                "a spectrum FFT needs n = Infinity points, .*; reduce zero_pad$")):
+            spectrum_length(math.inf, 2_001, 0.01, 1.0, 8)
+        with pytest.raises(ConfigurationError, match=(
+                "a spectrum FFT needs n = .* points; reduce span_factor or raise dt_factor$")):
+            spectrum_length(10 ** 7, 10 ** 7, 0.01, 1.0, 1)
+        n = spectrum_length(100_000, 2_001, 0.01, 1.0, 8)
+        assert spectrum_length(100_000, 2_001, 0.01, 1.0, 4) < n    # zero_pad down
+        assert spectrum_length(50_000, 2_001, 0.01, 1.0, 8) < n     # resolved span down
+        # a step twice as long over the same resolved span keeps every bin
+        assert (spectrum_length(50_000, 1_001, 0.02, 1.0, 8)
+                == spectrum_length(100_000, 1_001, 0.01, 1.0, 8))
 
     def test_parseval(self):
-        """Time-domain and spectral energies agree to 1e-6 relative."""
+        """Time-domain and spectral energies agree to 1e-6 relative.  The
+        grid ends at the source's support, so the time-domain side adds the
+        tail's energy in closed form, dtau sum_{k>=1} |sum c e^{-lam k dtau}|^2
+        (it was the samples' alone)."""
         p, traj, coup = run_case(0.25, math.pi / 4)
         for env in reconstruct_fields(traj, p):
             sp = spectrum(env)
-            lhs = float(np.sum(np.abs(env.samples) ** 2)) * env.dtau
+            tail = sum(c * d.conjugate() / np.expm1((lam + mu.conjugate()) * env.dtau)
+                       for c, lam in env.tail for d, mu in env.tail)
+            lhs = (float(np.sum(np.abs(env.samples) ** 2)) + tail.real) * env.dtau
             d_abs = (sp.detuning[1] - sp.detuning[0]) * sp.delta
             rhs = float(np.sum(sp.intensity)) * d_abs / (2 * math.pi)
             assert rhs == pytest.approx(lhs, rel=1e-6)
@@ -340,7 +355,9 @@ class TestSpectrum:
         p, traj, coup = run_case(0.25, math.pi / 4)
         trans = reconstruct_fields(traj, p)[1]
         sp = spectrum(trans)
-        assert sp.fft_len == fft_length(8 * trans.samples.size) and sp.fft_len % 2 == 0
+        # the DFT follows the resolved span, not the samples (8 * n before)
+        assert trans.resolution > trans.samples.size
+        assert sp.fft_len == fft_length(8 * trans.resolution) and sp.fft_len % 2 == 0
         assert sp.detuning[sp.detuning.size // 2] == 0.0
         self.assert_matches_direct_dft(trans, sp)
 
@@ -447,7 +464,7 @@ class TestWindowedSpectrum:
     def test_memory_scales_with_window_not_padding(self):
         """A windowed call allocates well under one N-point complex buffer."""
         inc = _scatter(0.25, math.pi / 4)[3][0]
-        n = fft_length(8 * inc.samples.size)
+        n = fft_length(8 * inc.resolution)   # 144,000, as with 8 * n before
         tracemalloc.start()
         try:
             spectrum(inc, window=8.0)
@@ -477,7 +494,8 @@ class TestClosedFormTail:
     def test_pure_exponential_spectrum_and_area(self):
         # an envelope that is one exponential from tau = 0 on: its tail makes
         # the DFT sum infinite, dtau / (1 - e^{(i omega - lam) dtau}) at every
-        # bin, and the area 1/lam up to the trapezoid's (lam dtau)^2/12
+        # bin, and the trapezoid infinite, dtau (1/2 + 1/expm1(lam dtau)): the
+        # area 1/lam up to the trapezoid's (lam dtau)^2/12
         lam, dtau, n_time = 0.01 - 0.3j, 0.05, 2001
         tau = np.arange(n_time) * dtau
         samples = np.exp(-lam * tau)
@@ -487,7 +505,10 @@ class TestClosedFormTail:
         expected = -dtau / np.expm1((1j * spec.detuning - lam) * dtau)
         assert np.max(np.abs(spec.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert env.pulse_area == pytest.approx(1 / lam, rel=1e-4)
-        assert env.tail_area == samples[-1] / lam
+        trapezoid = dtau * (0.5 + 1 / np.expm1(lam * dtau))
+        assert env.pulse_area == pytest.approx(trapezoid, rel=1e-12)
+        # the tail continues the trapezoid (it was samples[-1] / lam)
+        assert env.tail_area == samples[-1] * dtau * (0.5 + 1 / np.expm1(lam * dtau))
 
     @pytest.mark.parametrize("ratio, k0l, span_factor", [
         (0.25, 1e-3, 1.0), (0.25, 0.05, 1.0), (4.0, 1e-3, 1.0),
@@ -553,6 +574,48 @@ class TestConsistencyResiduals:
         p2, traj2, coup2 = run_case(0.25, math.pi / 4, span_factor=2.0)
         with pytest.raises(GridMismatch):
             consistency_residuals(traj2, fields, p)
+
+
+SUPPORT_CELLS = [(0.02, math.pi / 4), (0.25, 0.05), (4.0, math.pi / 4)]
+
+
+class TestGridEndsAtSupport:
+    """A span-1 grid ends at the source's support: a longer one adds only
+    what the span-1 tails carry, and both resolve the same spectrum."""
+
+    @staticmethod
+    def spans(ratio, k0l):
+        params = SimParams.from_ratios(ratio, k0l)
+        coupling = coupling_full(params)
+        return [scatter(params, coupling, span_factor=span)[1] for span in (1.0, 3.0)]
+
+    @pytest.mark.parametrize("ratio, k0l", SUPPORT_CELLS)
+    def test_longer_grid_adds_only_the_tail(self, ratio, k0l):
+        for short, long in zip(*self.spans(ratio, k0l)):
+            n, peak = short.samples.size, long.peak()
+            assert long.samples.size > n
+            assert np.max(np.abs(long.samples[:n] - short.samples)) <= 1e-14 * peak
+            tail = tail_samples(short)[1][:long.samples.size - n]   # none for the incident
+            extra = long.samples[n:].copy()
+            extra[:tail.size] -= tail
+            assert np.max(np.abs(extra)) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("ratio, k0l", SUPPORT_CELLS)
+    def test_spectrum_independent_of_span(self, ratio, k0l):
+        short, long = (spectrum(envelopes[1]) for envelopes in self.spans(ratio, k0l))
+        assert short.fft_len == long.fft_len
+        np.testing.assert_allclose(long.detuning, short.detuning, rtol=1e-12, atol=0)
+        scale = float(np.max(np.abs(short.amplitude)))
+        assert np.max(np.abs(long.amplitude - short.amplitude)) <= 1e-12 * scale
+        assert dip_width(long) == pytest.approx(dip_width(short), rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", COUPLING_RATIOS)
+    @pytest.mark.parametrize("k0l", SEPARATIONS)
+    def test_every_coupled_cell_has_a_tail(self, ratio, k0l):
+        # (4, 0) and (4, pi/2) ended at 9.5/delta and 11/delta, before the
+        # support, and had none
+        inc, trans, refl = _scatter(ratio, k0l)[3]
+        assert trans.tail and refl.tail and not inc.tail
 
 
 class TestTransferOracle:
@@ -623,14 +686,17 @@ class TestTransferOracle:
                             np.linspace(-3 * p.delta, 3 * p.delta, 64))
 
     def test_round_trip_memory(self):
-        """The transfer-oracle round trip on the largest validate cell peaks
-        below 6.5 of its own N-point complex buffers: it holds t(d) and one
-        N-point spectrum, where a full spectrum and its inverse took 7.0."""
+        """The transfer-oracle round trip on the validate cell with the
+        longest padding peaks below 6.5 of its own N-point complex buffers: it
+        holds t(d) and one N-point spectrum, where a full spectrum and its
+        inverse took 7.0."""
         params, coup, _, (inc, _, _) = _scatter(0.02, math.pi / 4)
         rate = min(lam.real for lam in driven_modes(params, coup.m_total).values())
         n = fft_length(inc.samples.size + math.ceil(
             math.log(1 / WRAP_FRACTION) / (rate * inc.dtau)))
-        assert n == 691_200  # 3.35 grid lengths, where fft_length(8n) was 1,658,880
+        # 240 grid lengths of the 2,001-point grid; 691,200 (3.35 lengths) on
+        # the 206,454-point grid, where fft_length(8n) was 1,658,880
+        assert n == 480_000
         tracemalloc.start()
         try:
             transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d)[0],

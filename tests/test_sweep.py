@@ -50,6 +50,15 @@ PI4 = math.pi / 4
 TRIPLE = (4.0, 0.25, 0.02)
 
 
+def tail_area(values, dt, gap=0.0):
+    """The trapezoid's continuation over a manifest tail, (re c, im c, re lam,
+    im lam) per mode, from gap past the grid's end on."""
+    values = [float(x) for x in str(values).split(",")] if isinstance(values, str) else values
+    return sum(complex(*values[i:i + 2]) * cmath.exp(-complex(*values[i + 2:i + 4]) * gap)
+               * dt * (0.5 + 1 / np.expm1(complex(*values[i + 2:i + 4]) * dt))
+               for i in range(0, len(values), 4))
+
+
 @pytest.fixture(scope="module")
 def fig_sweep(tmp_path_factory):
     """One sweep over the comparative triple, artifacts on disk."""
@@ -231,15 +240,50 @@ class TestRunSweep:
             entries = sections[f"cell{index:03d}"]
             params = cell_params(ratio, PI4)
             m_total = evaluate_coupling(params, CouplingModel.full()).m_total
-            n = default_grid(params, m_total=m_total).n
-            assert entries["fft_len"] == fft_length(n * DEFAULT_ZERO_PAD)
+            grid = default_grid(params, m_total=m_total)
+            n = grid.n
+            # the DFT follows the resolved span (it was fft_length(n * zero_pad))
+            assert entries["fft_len"] == fft_length(grid.resolution * DEFAULT_ZERO_PAD)
             assert entries["n"] == n == manifest.cells[index].n
-            # 0.0 before every decaying mode was a tail: the post-grid area is tiny
-            assert 0.0 < entries["tail_fraction"] < 1e-4
+            assert entries["dt"] == grid.dt and entries["t_end"] == grid.t_end
+            # the grid ends at the source's support, so the tails carry up to
+            # 0.81 of the incident area at gamma/delta = 0.02 (it was < 1e-4
+            # when the grid ran 12 decay lengths); the manifest's tails give it back
+            assert 0.0 < entries["tail_fraction"] < 1
+            areas = [abs(tail_area(entries[key], entries["dt"]))
+                     for key in ("tail_transmitted", "tail_reflected")]
+            assert max(areas) / entries["abs_area_inc"] == pytest.approx(
+                entries["tail_fraction"], rel=1e-12)
             assert entries["area_check"] == AREA_PASS
             assert entries["passed"] is True
             for name in str(entries["files"]).split(","):
                 assert (out / name).is_file()
+
+    def test_manifest_tails_rebuild_a_longer_run(self, tmp_path):
+        # a span-1 manifest's dt, t_end and (c, lam) tails give the rows a
+        # span-3 run adds to each envelope CSV, c e^{-lam (tau - t_end)}
+        # summed over the modes (z1 = 0 in a sweep cell, so tau = t)
+        runs = {}
+        for span in (1.0, 3.0):
+            out = tmp_path / f"span{span:g}"
+            run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], span_factor=span,
+                                out_dir=out))
+            runs[span] = out
+        cell = read_config(runs[1.0] / "manifest.txt")["cell000"]
+        assert read_config(runs[1.0] / "manifest.txt")["manifest"]["version"] == 2
+        for kind in ("transmitted", "reflected"):
+            short = np.array(read_csv(runs[1.0] / f"cell000_{kind}.csv")[1])
+            long = np.array(read_csv(runs[3.0] / f"cell000_{kind}.csv")[1])
+            assert short[-1, 0] == pytest.approx(cell["t_end"], abs=1e-12 * cell["t_end"])
+            assert np.array_equal(long[:len(short)], short)
+            values = [float(x) for x in str(cell[f"tail_{kind}"]).split(",")]
+            tau = long[len(short):, 0]
+            rebuilt = sum(complex(*values[i:i + 2])
+                          * np.exp(-complex(*values[i + 2:i + 4]) * (tau - cell["t_end"]))
+                          for i in range(0, len(values), 4))
+            assert tau.size == 800 and tau[1] - tau[0] == pytest.approx(cell["dt"])
+            assert np.max(np.abs(rebuilt - (long[len(short):, 1] + 1j * long[len(short):, 2]))
+                          ) <= 1e-12 * np.max(long[:, 3])
 
     def test_identity_transmission_cell(self, tmp_path):
         spec = SweepSpec(gamma_over_delta=[0.0], k0l=[PI4], out_dir=tmp_path)
@@ -341,7 +385,14 @@ class TestClosedFormTails:
         cell = full_cell(0.25, 1e-3)
         assert cell.n <= 10_000            # 801,601 under the old 2000/gamma cap
         assert cell.area_trans_ratio <= 1e-6 and cell.area_refl_ratio <= 1e-6
-        assert 0 < cell.tail_fraction < 1e-3
+        # the grid ends at the source's support, 12/delta, where it ran to
+        # 32/delta before: what the tails carry past 32/delta is under 1e-3
+        # of the incident area, as all of the tail was
+        # (0 < cell.tail_fraction < 1e-3; it reads 3.2e-3 now)
+        assert 0 < cell.tail_fraction
+        past = 20 / cell_params(0.25, 1e-3).delta
+        for tail in (cell.tail_transmitted, cell.tail_reflected):
+            assert abs(tail_area(tail, cell.dt, past)) < 1e-3 * abs(cell.area_inc)
         assert cell.dip_width == pytest.approx(0.448731, rel=1e-3)
 
     @pytest.mark.parametrize("gamma_over_delta, k0l", [
