@@ -3,7 +3,7 @@ coupled to a lossless one-dimensional waveguide.
 
 The package is organized bottom-up:
 
-    specfun   sine/cosine integrals with certified error bounds
+    specfun   sine/cosine integrals to near machine precision
     coupling  inter-atomic coupling constants (full and RWA variants)
     dynamics  excitation amplitudes driven by an incident wavepacket
     fields    transmitted/reflected envelopes, spectra, pulse areas
@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     GridMismatch,
     NumericalError,
-    TruncationError,
     WqedError,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "ConfigurationError",
     "GridMismatch",
     "ConvergenceError",
-    "TruncationError",
     "NumericalError",
 ]
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import VALIDATION_CHECKS, CheckResult
-from .dynamics import POINT_BUDGET, markov_guard
+from .dynamics import MARKOV_LIMIT, POINT_BUDGET, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
 from .serialize import (
     config_text,
@@ -72,13 +72,12 @@ class RunConfig:
     k0l: float
     model: str
     epsilon: float | None
-    guard_limit: float
     spec: SweepSpec
 
     def __init__(self, **values):
         values = {name: key.default for name, key in CONFIG_KEYS.items() if key.section} | values
         own = {name: CONFIG_KEYS[name].parse(name, values.pop(name))
-               for name in ("model", "epsilon", "guard_limit")}
+               for name in ("model", "epsilon")}
         spec = SweepSpec(gamma_over_delta=[values.pop("gamma_over_delta")],
                          k0l=[values.pop("k0l")],
                          models=parse_models("model", own["model"], own["epsilon"]), **values)
@@ -189,13 +188,13 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     cfg = load_run_config(args)
     out = Path(args.out)
 
-    report = markov_guard(cell_params(cfg.gamma_over_delta, cfg.k0l, cfg.omega0_over_gamma))
-    worst = max(report.ratios.values())
-    if worst > cfg.guard_limit and not args.force:
-        print(f"error: Markov validity ratios exceed {cfg.guard_limit:g} "
+    ratios = markov_guard(cell_params(cfg.gamma_over_delta, cfg.k0l, cfg.omega0_over_gamma))
+    worst = max(ratios.values())
+    if not worst <= MARKOV_LIMIT and not args.force:  # the rule of run_cell's markov_ok
+        print(f"error: Markov validity ratios exceed {MARKOV_LIMIT:g} "
               f"(worst {worst:.3g}); rerun with --force to proceed anyway",
               file=sys.stderr)
-        for name, value in report.ratios.items():
+        for name, value in ratios.items():
             print(f"  {name} = {value:.3g}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -197,10 +197,10 @@ def _coupling_parts(gamma: float, x: float, g_const: complex | None = None
         m_nonrwa = -1j * gamma / (2 * math.pi) * log_ratio
         return (m_rwa, m_nonrwa, m_rwa, m_nonrwa)
 
-    s = si(x).value
-    c_ = ci(x).value
+    s = si(x)
+    c_ = ci(x)
     if g_const is None:
-        g_const = 1j * ci(EPS_REF_RATIO * x).value
+        g_const = 1j * ci(EPS_REF_RATIO * x)
     gp = math.pi / 2 + g_const
     gm = -math.pi / 2 + g_const
     e = cmath.exp(1j * x)
@@ -247,10 +247,10 @@ def coupling_rwa_cutoff(params: SimParams, epsilon: float) -> CouplingResult:
         m = complex(g, g / math.pi * math.log(params.omega0 / epsilon))
         ci_cut = math.inf
     else:
-        ci_cut = ci(xc).value
+        ci_cut = ci(xc)
         m = g * math.cos(x) + 1j * (g / math.pi) * (
-            math.sin(x) * (si(x).value + math.pi / 2)
-            + math.cos(x) * ci(x).value - ci_cut)
+            math.sin(x) * (si(x) + math.pi / 2)
+            + math.cos(x) * ci(x) - ci_cut)
     return CouplingResult(m_total=m,
                           diverged=abs(ci_cut) > DEFAULT_CI_DIVERGENCE_THRESHOLD)
 
@@ -267,7 +267,7 @@ def coupling_rwa_const_g(params: SimParams) -> CouplingResult:
         raise DomainError(
             "rwa_const_g is singular at k0l = 0 (Ci divergence is not cancelled)")
     m = g * math.cos(x) + 1j * (g / math.pi) * (
-        math.sin(x) * (si(x).value + math.pi / 2) + math.cos(x) * ci(x).value)
+        math.sin(x) * (si(x) + math.pi / 2) + math.cos(x) * ci(x))
     return CouplingResult(m_total=m)
 
 
@@ -370,7 +370,7 @@ def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,
         # sine-integral of the excision half-width
         exc = np.array([1.0 - delta_u, 1.0, 1.0 + delta_u])
         val += _gl_panels(lambda u: 1.0 / u, exc, a)
-        val += -2j * cmath.exp(1j * a) * si(a * delta_u).value
+        val += -2j * cmath.exp(1j * a) * si(a * delta_u)
     else:
         val = _gl_panels(g, _subdivide(edges + far, wmax), a)
     # the regular piece on [0, eps_u], below the cut of the 1/u piece

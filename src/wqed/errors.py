@@ -38,11 +38,6 @@ class ConvergenceError(WqedError):
         self.residual = residual
 
 
-class TruncationError(WqedError):
-    """A finite window (time grid, frequency band) demonstrably cut off
-    a non-negligible part of the signal."""
-
-
 class NumericalError(WqedError):
     """A computation produced non-finite values or an otherwise
     meaningless result."""

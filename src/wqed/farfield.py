@@ -102,7 +102,7 @@ def _ci_even(x: float) -> float:
     """Even extension of the cosine integral (log-singular at zero)."""
     if x == 0.0:
         raise DomainError("cosine integral diverges at zero argument")
-    return ci(abs(x)).value
+    return ci(abs(x))
 
 
 def eval_f(omega: float, omega0: float, a: float, c: float = 1.0) -> float:
@@ -115,9 +115,9 @@ def eval_f(omega: float, omega0: float, a: float, c: float = 1.0) -> float:
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     w0a = omega0 * a
-    return (-math.cos(w0a) * ci((omega + omega0) * a).value
-            + ci(omega * a).value
-            - math.sin(w0a) * si((omega + omega0) * a).value) / (c * omega0)
+    return (-math.cos(w0a) * ci((omega + omega0) * a)
+            + ci(omega * a)
+            - math.sin(w0a) * si((omega + omega0) * a)) / (c * omega0)
 
 
 def eval_f_plus(omega: float, omega0: float, a: float) -> complex:
@@ -137,9 +137,9 @@ def eval_f_plus(omega: float, omega0: float, a: float) -> complex:
     u = (omega + omega0) * a
     s = omega * a
     re = (-math.cos(w0a) * _ci_even(u) + _ci_even(s)
-          - math.sin(w0a) * si(u).value) / omega0
-    im = (math.sin(w0a) * _ci_even(u) + si(s).value
-          - math.cos(w0a) * si(u).value) / omega0
+          - math.sin(w0a) * si(u)) / omega0
+    im = (math.sin(w0a) * _ci_even(u) + si(s)
+          - math.cos(w0a) * si(u)) / omega0
     return complex(re, im)
 
 

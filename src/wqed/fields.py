@@ -45,7 +45,7 @@ import numpy as np
 
 from .coupling import SimParams
 from .dynamics import AmplitudeTrajectory, check_points, tail_modes
-from .errors import ConfigurationError, GridMismatch, NumericalError, TruncationError
+from .errors import ConfigurationError, GridMismatch, NumericalError
 
 INCIDENT = "incident"
 TRANSMITTED = "transmitted"
@@ -203,27 +203,6 @@ def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
             make(REFLECTED, radiated_bw, tail_bw))
 
 
-def pulse_areas(fields: tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope],
-                ) -> tuple[complex, complex, complex]:
-    """(S_inc, S_trans, S_refl) trapezoid areas of the three envelopes.
-
-    Refuses to report areas from envelopes that have not decayed at the
-    grid ends -- a truncated tail silently biases the integral.
-    """
-    inc, trans, refl = fields
-    if (inc.kind, trans.kind, refl.kind) != _KINDS:
-        raise ConfigurationError(
-            "expected (incident, transmitted, reflected) envelopes, got "
-            f"({inc.kind}, {trans.kind}, {refl.kind})")
-    for env in (inc, trans, refl):
-        if not env.ends_decayed():
-            raise TruncationError(
-                f"{env.kind} envelope has not decayed at the grid ends "
-                f"(end/peak = {env.end_fraction():.3e} > {END_DECAY_FRACTION:g}); "
-                "extend the grid before trusting areas")
-    return inc.pulse_area, trans.pulse_area, refl.pulse_area
-
-
 # ----------------------------------------------------------------------
 # spectra
 # ----------------------------------------------------------------------
@@ -375,12 +354,6 @@ def _tail_sum(env: FieldEnvelope, omega):
     return sum(c * phase / np.expm1((lam * dtau) - (1j * dtau) * omega) for c, lam in env.tail)
 
 
-def resonant_amplitude(env: FieldEnvelope) -> complex:
-    """spectrum(env).at_resonance() without the transform: the
-    zero-detuning bin is dtau times the sum of the samples, plus the tail."""
-    return env.dtau * complex(np.sum(env.samples)) + complex(_tail_sum(env, 0.0))
-
-
 def spectrum_length(resolution: int | float, n_time: int, dtau: float, delta: float,
                     zero_pad_factor: int, window: float = SPECTRUM_WINDOW) -> int:
     """Chirp-z FFT length spectrum() needs for n_time samples resolving `resolution`
@@ -390,7 +363,7 @@ def spectrum_length(resolution: int | float, n_time: int, dtau: float, delta: fl
         check_points("a spectrum FFT", resolution, "reduce zero_pad")
     m_lo, m_hi = _window_bins(fft_length(resolution * zero_pad_factor), dtau, delta, window)
     return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo), "reduce zero_pad"
-                        if m_hi - m_lo >= n_time else "reduce span_factor or raise dt_factor")
+                        if m_hi - m_lo >= n_time else "raise dt_factor")
 
 
 def dip_width(spec: Spectrum) -> float:

@@ -14,38 +14,22 @@ Two regimes, split at |x| = 6:
 
   The fraction converges for every x > 0 and needs only a few dozen
   terms once x > 6.
-
-Each result carries a conservative static absolute error bound per
-regime; both bounds sit well under 1e-12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Regime split and static error bounds.  Series cancellation at x = 6
-# amplifies roundoff by ~50x; the continued fraction is limited by the
-# termination tolerance and ~100 complex operations.
+# Regime split: the series below, the continued fraction above.
 SERIES_CUTOFF = 6.0
-SERIES_ERR_BOUND = 2e-14
-CF_ERR_BOUND = 1e-13
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Value of a special function plus a certified absolute error bound."""
-
-    value: float
-    abs_error_bound: float
 
 
 def _e1_imag_axis(x: float) -> complex:
@@ -108,7 +92,7 @@ def _ci_series(x: float) -> float:
         k += 1
 
 
-def si(x: float) -> SpecFunResult:
+def si(x: float) -> float:
     """Sine integral Si(x).
 
     Parameters
@@ -116,10 +100,6 @@ def si(x: float) -> SpecFunResult:
     x : float
         Any finite real argument.  Odd symmetry si(-x) = -si(x) holds
         exactly because negative arguments are folded to positive ones.
-
-    Returns
-    -------
-    SpecFunResult
 
     Raises
     ------
@@ -130,12 +110,11 @@ def si(x: float) -> SpecFunResult:
         raise DomainError(f"si() requires a finite argument, got {x!r}")
     ax = abs(x)
     if ax <= SERIES_CUTOFF:
-        return SpecFunResult(math.copysign(1.0, x) * _si_series(ax), SERIES_ERR_BOUND)
-    value = math.pi / 2 + _e1_imag_axis(ax).imag
-    return SpecFunResult(math.copysign(1.0, x) * value, CF_ERR_BOUND)
+        return math.copysign(1.0, x) * _si_series(ax)
+    return math.copysign(1.0, x) * (math.pi / 2 + _e1_imag_axis(ax).imag)
 
 
-def ci(x: float) -> SpecFunResult:
+def ci(x: float) -> float:
     """Cosine integral Ci(x) for x > 0.
 
     Ci diverges logarithmically at 0 and is complex for x < 0; callers
@@ -153,5 +132,5 @@ def ci(x: float) -> SpecFunResult:
     if x <= 0.0:
         raise DomainError(f"ci() requires x > 0, got {x!r} (Ci diverges at 0)")
     if x <= SERIES_CUTOFF:
-        return SpecFunResult(_ci_series(x), SERIES_ERR_BOUND)
-    return SpecFunResult(-_e1_imag_axis(x).real, CF_ERR_BOUND)
+        return _ci_series(x)
+    return -_e1_imag_axis(x).real

@@ -19,7 +19,6 @@ order.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
@@ -31,6 +30,7 @@ import numpy as np
 from .coupling import CouplingModel, CouplingResult, SimParams, coupling_full, evaluate_coupling
 from .dynamics import (
     BARE_PREFACTOR,
+    MARKOV_LIMIT,
     UNIT_EXCITATION,
     AmplitudeTrajectory,
     amplitude_scale,
@@ -53,7 +53,7 @@ from .fields import (
 )
 from .serialize import format_value, write_config, write_table
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -115,14 +115,11 @@ def _number(name: str, value) -> float:
     raise ConfigurationError(f"{name}: bad value {value!r}")
 
 
-def _positive(name: str, value, what: str | None = None) -> float:
+def _positive(name: str, value) -> float:
     x = _number(name, value)
     if not 0 < x < math.inf:
-        raise ConfigurationError(f"{what or name} must be finite and > 0, got {x}")
+        raise ConfigurationError(f"{name} must be finite and > 0, got {x}")
     return x
-
-
-_GRID_FACTOR = functools.partial(_positive, what="span_factor and dt_factor")
 
 
 def _axis(name: str, value) -> tuple[float, ...]:
@@ -204,14 +201,11 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "epsilon": ConfigKey(lambda name, value: None if value is None else _positive(name, value),
                          None, "run", flag=_flag(
         4, "--epsilon", "infrared cutoff for rwa-cutoff")),
-    "span_factor": ConfigKey(_GRID_FACTOR, 1.0, "grid", flag=_flag(
-        7, "--grid-span", "post-pulse window scale factor")),
-    "dt_factor": ConfigKey(_GRID_FACTOR, 1.0, "grid", flag=_flag(
+    "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
         6, "--grid-dt", "time-step scale factor")),
     "zero_pad": ConfigKey(_count, DEFAULT_ZERO_PAD, "grid", flag=_flag(
-        8, "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
+        7, "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
     "area_tol": ConfigKey(_positive, 1e-3, "checks"),
-    "guard_limit": ConfigKey(_positive, 0.2, "checks", sweep=False),
 }
 
 
@@ -258,7 +252,6 @@ class SweepSpec:
     models: tuple[CouplingModel, ...] = CONFIG_KEYS["models"].default
     omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default
     normalization: str = CONFIG_KEYS["normalization"].default
-    span_factor: float = CONFIG_KEYS["span_factor"].default
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
     zero_pad: int = CONFIG_KEYS["zero_pad"].default
     area_tol: float = CONFIG_KEYS["area_tol"].default
@@ -442,7 +435,7 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
 
 def scatter(params: SimParams, coupling: CouplingResult,
             normalization: str = CONFIG_KEYS["normalization"].default,
-            span_factor: float = CONFIG_KEYS["span_factor"].default,
+            span_factor: float = 1.0,
             dt_factor: float = CONFIG_KEYS["dt_factor"].default,
             ) -> tuple[AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
     """(traj, envelopes) of one scattering event, envelopes
@@ -481,7 +474,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         params = cell_params(gamma_over_delta, k0l, spec.omega0_over_gamma)
         coupling = evaluate_coupling(params, model)
         traj, envelopes = scatter(params, coupling, spec.normalization,
-                                  spec.span_factor, spec.dt_factor)
+                                  dt_factor=spec.dt_factor)
         inc, trans, refl = envelopes
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
         check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma,
@@ -501,7 +494,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             tuple(x for c, lam in env.tail for x in (c.real, c.imag, lam.real, lam.imag)) or None
             for env in (trans, refl))
         r1, r2 = consistency_residuals(traj, envelopes, params)
-        report = markov_guard(params)
+        worst = max(markov_guard(params).values())
 
         files = None
         if spec.out_dir is not None:
@@ -522,8 +515,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,
-            markov_ok=report.ok,
-            markov_ratio_max=max(report.ratios.values()),
+            markov_ok=worst <= MARKOV_LIMIT, markov_ratio_max=worst,
             files=files,
         )
     except WqedError as exc:
@@ -544,7 +536,7 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
             m_total = evaluate_coupling(params, model).m_total
         except WqedError:
             continue
-        grid = default_grid(params, spec.span_factor, spec.dt_factor, m_total=m_total)
+        grid = default_grid(params, dt_factor=spec.dt_factor, m_total=m_total)
         spectrum_length(grid.resolution, grid.n, grid.dt, params.delta, spec.zero_pad)
         fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
     if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)

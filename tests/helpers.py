@@ -61,7 +61,7 @@ def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:
     (2i/omega0) e^{-i omega0 a} * (-Si(delta0 a / 2)), approaching
     (2i/omega0) e^{-i omega0 a} (-pi/2) once delta0 a >> 1."""
     phase = complex(math.cos(omega0 * a), -math.sin(omega0 * a))
-    return 2j / omega0 * phase * (-si(0.5 * delta0 * a).value)
+    return 2j / omega0 * phase * (-si(0.5 * delta0 * a))
 
 
 def tail_samples(env: FieldEnvelope, decay: float = 40.0) -> tuple[np.ndarray, np.ndarray]:

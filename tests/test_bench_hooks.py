@@ -7,20 +7,23 @@ import ast
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import wqed.sweep
 from wqed.coupling import CouplingModel, evaluate_coupling
+from wqed.dynamics import default_grid
 from wqed.fields import spectrum
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_traced():
-    spec = importlib.util.spec_from_file_location("bench_traced", BENCH / "traced.py")
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -37,7 +40,7 @@ def wqed_imports() -> list[tuple[str, str, str]]:
 
 
 def test_traced_targets_resolve():
-    traced = load_traced()
+    traced = load_bench("traced")
     assert traced.TARGETS
     for module, attr, _, _ in traced.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
@@ -56,6 +59,21 @@ def test_bench_imports_resolve(path, module, name):
 def test_bench_imports_found():
     assert {(module, name) for _, module, name in wqed_imports()} >= {
         ("wqed.fields", "DEFAULT_ZERO_PAD"), ("wqed.dynamics", "default_grid")}
+
+
+def test_bench_grid_call_takes_the_span_second():
+    # run.py counts each workload cell's grid as default_grid(params, span,
+    # m_total=m): the span must stay the second positional parameter, or the
+    # benchmark's span would silently bind to another one
+    cells = {cell for workload in load_bench("workloads").WORKLOADS.values()
+             for cell in workload.cells}
+    assert cells
+    for gamma, k0l, span in sorted(cells):
+        params = wqed.sweep.cell_params(gamma, k0l)
+        m = evaluate_coupling(params, CouplingModel.full()).m_total
+        assert default_grid(params, span, m_total=m) == default_grid(
+            params, span_factor=span, m_total=m)
+        assert default_grid(params, 2.0, m_total=m).n > default_grid(params, 1.0, m_total=m).n
 
 
 def test_cell_files_go_through_the_traced_writers(tmp_path, monkeypatch):

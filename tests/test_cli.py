@@ -33,7 +33,7 @@ from wqed.cli import (
 )
 from wqed.errors import ConfigurationError, DomainError
 from wqed.serialize import parse_config_text, read_config
-from wqed.sweep import CONFIG_KEYS, SweepSpec
+from wqed.sweep import CONFIG_KEYS, SweepSpec, run_sweep
 
 PI4 = math.pi / 4
 
@@ -90,7 +90,7 @@ class TestRunConfig:
     def test_custom_round_trip(self):
         cfg = RunConfig(gamma_over_delta=4.0, k0l=1.0 / 3.0,
                         model="rwa-cutoff", epsilon=1e-7,
-                        span_factor=2.0, zero_pad=4, area_tol=1e-4)
+                        dt_factor=0.5, zero_pad=4, area_tol=1e-4)
         again = run_config_from_text(cfg.text())
         assert again == cfg
         assert again.k0l == 1.0 / 3.0  # bitwise through 17 digits
@@ -138,11 +138,11 @@ class TestRunConfig:
 
     def test_flags_win_over_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text(RunConfig(gamma_over_delta=0.25, span_factor=2.0).text())
+        path.write_text(RunConfig(gamma_over_delta=0.25, dt_factor=0.5).text())
         args = argparse.Namespace(config=str(path), gamma_over_delta=4.0)
         cfg = load_run_config(args)
         assert cfg.gamma_over_delta == 4.0   # flag
-        assert cfg.span_factor == 2.0        # file
+        assert cfg.dt_factor == 0.5          # file
 
     def test_missing_config_file(self):
         args = argparse.Namespace(config="/nonexistent/run.ini")
@@ -379,10 +379,8 @@ class TestSimulateCommand:
         assert cell["area_trans_ratio"] <= 1e-10 and cell["area_refl_ratio"] <= 1e-10
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--grid-span", "1e308", "the time grid needs n = Infinity points, over the budget"),
-        ("--grid-span", "inf", "span_factor and dt_factor must be finite and > 0"),
         ("--grid-dt", "1e-320", "the time grid needs n = Infinity points, over the budget"),
-        ("--grid-dt", "nan", "span_factor and dt_factor must be finite and > 0"),
+        ("--grid-dt", "nan", "dt_factor must be finite and > 0, got nan"),
     ])
     def test_bad_grid_factor_exits_2(self, tmp_path, flag, value, message):
         done = run_fresh(["simulate", flag, value, "--out", tmp_path / "d"])
@@ -569,7 +567,7 @@ class TestSweepCommand:
         # for 40,972,164 before; its grid ends at the source's support now
         # (2,002 points) and its spectrum FFT, ~8.4M points, fits the budget
         ("gamma_over_delta = 1e4\n", "the time grid needs n = 20,000,001 points, over "
-         "the budget of 10,000,000 points; reduce span_factor or raise dt_factor"),
+         "the budget of 10,000,000 points; raise dt_factor"),
         # a 2,001-point grid whose spectra resolve ~4.1e8 points of its step
         ("gamma_over_delta = 1e-5\n", "a spectrum FFT needs n = 83,886,080 points, over "
          "the budget of 10,000,000 points; reduce zero_pad"),
@@ -584,7 +582,6 @@ class TestSweepCommand:
         assert what in err and "over the budget of 10,000,000 points" in err
 
     @pytest.mark.parametrize("line, message", [
-        ("span_factor = nan", "span_factor and dt_factor must be finite and > 0"),
         ("dt_factor = 1e-320", "the time grid needs n = Infinity points, over the budget"),
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, line, message):
@@ -682,14 +679,37 @@ class TestOneRulePerKey:
             assert err.startswith("error: ") and message in err, err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("limit", ["nan", "inf", "0", "-1", "true"])
-    def test_guard_limit_must_be_finite_and_positive(self, tmp_path, limit):
-        argv = ["--gamma-over-delta", 4, "--omega0-over-gamma", 2]
-        (code, _, err), = self.run_both(
-            tmp_path, f"[checks]\nguard_limit = {limit}\n", None, argv)
-        assert code == EXIT_USAGE and err.startswith("error: guard_limit")
-        code, _, err = invoke(["simulate", *argv, "--out", tmp_path / "g"])
-        assert code == EXIT_GUARD  # the default limit guards this cell
+    @pytest.mark.parametrize("argv, text, message", [
+        (["simulate", "--grid-span", 2], None, "unrecognized arguments: --grid-span 2"),
+        (["simulate", "--config"], "[grid]\nspan_factor = 2\n",
+         "unknown key 'span_factor' in [grid]"),
+        (["sweep", "--spec"], "[sweep]\ngamma_over_delta = 4\nk0l = 1\nspan_factor = 2\n",
+         "unknown key 'span_factor' in [sweep]"),
+        (["simulate", "--config"], "[checks]\nguard_limit = 0.5\n",
+         "unknown key 'guard_limit' in [checks]"),
+    ])
+    def test_deleted_keys_exit_2(self, tmp_path, argv, text, message):
+        # span_factor chose nothing once every grid ended at the source's
+        # support, and guard_limit was a second Markov threshold: neither
+        # is a key, and naming one exits 2
+        if text is not None:
+            (tmp_path / "in.ini").write_text(text)
+            argv = [*argv, tmp_path / "in.ini"]
+        code, out, err = invoke([*argv, "--out", tmp_path / "o"])
+        assert code == EXIT_USAGE and out == "" and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("omega0_over_gamma, worst", [(1e4, 4e-4), (40, 0.1), (10, 0.4)])
+    def test_markov_ok_is_simulate_running_unforced(self, tmp_path, omega0_over_gamma, worst):
+        # one Markov rule: a sweep cell's markov_ok says whether simulate runs
+        # the same cell without --force (worst ratio delta/omega0 here)
+        cell = run_sweep(SweepSpec(gamma_over_delta=[0.25], k0l=[PI4],
+                                   omega0_over_gamma=omega0_over_gamma)).cells[0]
+        assert cell.markov_ratio_max == pytest.approx(worst)
+        code, _, _ = invoke(["simulate", "--gamma-over-delta", 0.25, "--k0l", PI4,
+                             "--omega0-over-gamma", omega0_over_gamma, "--out", tmp_path / "s"])
+        assert code == (EXIT_OK if cell.markov_ok else EXIT_GUARD)
+        assert cell.markov_ok == (worst <= 0.2)
 
     @pytest.mark.parametrize("run_lines, sweep_lines", [
         ("[run]\nepsilon = 1e-6\n", "epsilon = 1e-6\n"),

@@ -14,6 +14,7 @@ from scipy.special import erfcx
 from wqed.coupling import CouplingResult, SimParams, coupling_full
 from wqed.dynamics import (
     BARE_PREFACTOR,
+    MARKOV_LIMIT,
     POINT_BUDGET,
     UNIT_EXCITATION,
     TimeGrid,
@@ -264,22 +265,23 @@ class TestTimeGrid:
     ], ids=["over", "under-1000x", "1000x", "1.6e306", "1e400"])
     def test_budget_error_count(self, n, shown):
         with pytest.raises(ConfigurationError) as info:
-            check_points("the time grid", n, "reduce span_factor or raise dt_factor")
+            check_points("the time grid", n, "raise dt_factor")
         assert str(info.value) == (
             f"the time grid needs n = {shown} points, over the budget of "
-            "10,000,000 points; reduce span_factor or raise dt_factor")
+            "10,000,000 points; raise dt_factor")
         assert check_points("the time grid", POINT_BUDGET, "") == POINT_BUDGET
 
     def test_grid_budget_error_names_what_shrinks_it(self):
-        # n ~ span/dt: a shorter span or a coarser step (dt_factor up) shrinks
-        # it (gamma/delta = 1e-4 before, now 2,001 points)
+        # n ~ span/dt: a coarser step (dt_factor up) shrinks it; the span, no
+        # longer a config key, shrinks it by at most 20% (the pulse section
+        # is 16/delta of the 20/delta grid), so the message names dt_factor
+        # alone (gamma/delta = 1e-4 before, now 2,001 points)
         p = SimParams.from_ratios(6e3, math.pi / 4)
-        with pytest.raises(ConfigurationError,
-                           match="points; reduce span_factor or raise dt_factor$"):
+        with pytest.raises(ConfigurationError, match="points; raise dt_factor$"):
             default_grid(p)
-        n = default_grid(p, span_factor=0.1, dt_factor=1.0).n
-        assert default_grid(p, span_factor=0.05, dt_factor=1.0).n < n
-        assert default_grid(p, span_factor=0.1, dt_factor=2.0).n < n
+        n = default_grid(p, dt_factor=2.0).n
+        assert default_grid(p, dt_factor=4.0).n < n <= POINT_BUDGET
+        assert default_grid(p, span_factor=1e-9, dt_factor=2.0).n >= 0.8 * n
 
 
 class TestBuildSource:
@@ -592,17 +594,21 @@ class TestSystemInvariants:
 
 
 class TestMarkovGuard:
+    """The three ratios against the one limit, MARKOV_LIMIT = 0.2."""
+
     def test_all_pass(self):
         p = SimParams(gamma=1.0, delta=1.0, omega0=1000.0, l=0.01)
-        assert markov_guard(p).ok
+        assert max(markov_guard(p).values()) <= MARKOV_LIMIT == 0.2
 
     def test_flight_time_warning(self):
         p = SimParams(gamma=1.0, delta=1.0, omega0=1000.0, l=1.0)
-        report = markov_guard(p)
-        assert "retardation" in report.warnings and not report.ok
+        ratios = markov_guard(p)
+        assert ratios["retardation"] == 2.0 > MARKOV_LIMIT
+        assert [name for name, value in ratios.items() if value > MARKOV_LIMIT] == [
+            "retardation"]
 
     def test_carrier_ratio_warning(self):
-        p = SimParams(gamma=1.0, delta=1.0, omega0=10.0, l=0.001)
-        report = markov_guard(p)
-        assert "gamma_over_omega0" in report.warnings
-        assert "delta_over_omega0" in report.warnings
+        # 0.1 was over the old warning ratio, 0.05; 0.25 is over the limit
+        for omega0, over in ((10.0, []), (4.0, ["gamma_over_omega0", "delta_over_omega0"])):
+            ratios = markov_guard(SimParams(gamma=1.0, delta=1.0, omega0=omega0, l=0.001))
+            assert [name for name, value in ratios.items() if value > MARKOV_LIMIT] == over

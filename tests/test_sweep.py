@@ -35,6 +35,7 @@ from wqed.sweep import (
     NORMALIZATIONS,
     CouplingRow,
     SweepSpec,
+    area_verdict,
     cell_params,
     compare_couplings,
     model_from_label,
@@ -95,7 +96,7 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("knob", [
         {"omega0_over_gamma": 0.0},
-        {"span_factor": 0.0},
+        {"dt_factor": math.inf},
         {"dt_factor": -1.0},
         {"zero_pad": 0},
         {"area_tol": 0.0},
@@ -120,7 +121,7 @@ class TestSpecRoundTrip:
            k0l=st.lists(_finite, min_size=1, max_size=4),
            models=st.lists(_model, min_size=1, max_size=4),
            omega0_over_gamma=_positive, normalization=st.sampled_from(NORMALIZATIONS),
-           span_factor=_positive, dt_factor=_positive,
+           dt_factor=_positive,
            zero_pad=st.integers(min_value=1, max_value=10 ** 6), area_tol=_positive)
     @settings(max_examples=200, deadline=None)
     def test_manifest_sweep_block_parses_back(self, **fields):
@@ -260,30 +261,30 @@ class TestRunSweep:
                 assert (out / name).is_file()
 
     def test_manifest_tails_rebuild_a_longer_run(self, tmp_path):
-        # a span-1 manifest's dt, t_end and (c, lam) tails give the rows a
-        # span-3 run adds to each envelope CSV, c e^{-lam (tau - t_end)}
-        # summed over the modes (z1 = 0 in a sweep cell, so tau = t)
-        runs = {}
-        for span in (1.0, 3.0):
-            out = tmp_path / f"span{span:g}"
-            run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], span_factor=span,
-                                out_dir=out))
-            runs[span] = out
-        cell = read_config(runs[1.0] / "manifest.txt")["cell000"]
-        assert read_config(runs[1.0] / "manifest.txt")["manifest"]["version"] == 2
-        for kind in ("transmitted", "reflected"):
-            short = np.array(read_csv(runs[1.0] / f"cell000_{kind}.csv")[1])
-            long = np.array(read_csv(runs[3.0] / f"cell000_{kind}.csv")[1])
+        # a manifest's dt, t_end and (c, lam) tails give the samples that a
+        # span-3 grid (scatter's span_factor) adds to each envelope CSV,
+        # c e^{-lam (tau - t_end)} summed over the modes (z1 = 0 in a sweep
+        # cell, so tau = t)
+        run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
+        sections = read_config(tmp_path / "manifest.txt")
+        cell = sections["cell000"]
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 3
+        params = cell_params(0.02, PI4)
+        longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
+                         span_factor=3.0)[1]
+        for env in longer[1:]:
+            short = np.array(read_csv(tmp_path / f"cell000_{env.kind}.csv")[1])
+            n = len(short)
             assert short[-1, 0] == pytest.approx(cell["t_end"], abs=1e-12 * cell["t_end"])
-            assert np.array_equal(long[:len(short)], short)
-            values = [float(x) for x in str(cell[f"tail_{kind}"]).split(",")]
-            tau = long[len(short):, 0]
+            assert np.array_equal(env.tau[:n], short[:, 0])
+            assert np.array_equal(env.samples[:n], short[:, 1] + 1j * short[:, 2])
+            values = [float(x) for x in str(cell[f"tail_{env.kind}"]).split(",")]
+            tau = env.tau[n:]
             rebuilt = sum(complex(*values[i:i + 2])
                           * np.exp(-complex(*values[i + 2:i + 4]) * (tau - cell["t_end"]))
                           for i in range(0, len(values), 4))
             assert tau.size == 800 and tau[1] - tau[0] == pytest.approx(cell["dt"])
-            assert np.max(np.abs(rebuilt - (long[len(short):, 1] + 1j * long[len(short):, 2]))
-                          ) <= 1e-12 * np.max(long[:, 3])
+            assert np.max(np.abs(rebuilt - env.samples[n:])) <= 1e-12 * env.peak()
 
     def test_identity_transmission_cell(self, tmp_path):
         spec = SweepSpec(gamma_over_delta=[0.0], k0l=[PI4], out_dir=tmp_path)
@@ -310,13 +311,13 @@ class TestRunSweep:
         assert not manifest.all_ok
 
     def test_truncated_grid_recorded(self):
-        # the grid ends at 9.6/delta, inside the source's 12/delta support,
-        # so no mode is a tail (span 0.05 ends past it, and now passes)
-        spec = SweepSpec(gamma_over_delta=[0.25], k0l=[PI4], span_factor=0.01)
-        manifest = run_sweep(spec)
-        cell = manifest.cells[0]
-        assert cell.ok and cell.area_check == AREA_TRUNCATED
-        assert not cell.passed
+        # scatter's span_factor 0.01 ends the grid at 8.04/delta, inside the
+        # source's 12/delta support, so no mode is a tail and the envelopes
+        # have not decayed at the grid's end
+        params = cell_params(0.25, PI4)
+        envelopes = scatter(params, evaluate_coupling(params, CouplingModel.full()),
+                            span_factor=0.01)[1]
+        assert area_verdict(envelopes, params.gamma, 1e-3)[0] == AREA_TRUNCATED
 
     def test_rwa_cell_fails_area_check(self):
         spec = SweepSpec(gamma_over_delta=[0.25], k0l=[PI4],
@@ -408,11 +409,13 @@ class TestClosedFormTails:
         # the source's support either way) integrates the slow mode further
         # by RK4 before its tail starts; the tail-corrected areas agree, the
         # tail being 2.5e-2 and 5e-4 of the incident area
-        one, two = (full_cell(gamma_over_delta, k0l, span_factor=span)
-                    for span in (1.0, 2.0))
-        assert one.tail_fraction > 1e-4
-        for key in ("area_trans", "area_refl"):
-            assert abs(getattr(one, key) - getattr(two, key)) <= 1e-6 * abs(one.area_inc)
+        params = cell_params(gamma_over_delta, k0l)
+        coupling = evaluate_coupling(params, CouplingModel.full())
+        one, two = (scatter(params, coupling, span_factor=span)[1] for span in (1.0, 2.0))
+        area_inc = abs(one[0].pulse_area)
+        assert max(abs(env.tail_area) for env in one[1:]) > 1e-4 * area_inc
+        for short, long in zip(one[1:], two[1:]):
+            assert abs(short.pulse_area - long.pulse_area) <= 1e-6 * area_inc
 
     def test_strong_coupling_is_not_truncated(self):
         # the transmitted peak shrinks as the atoms reflect more: its first
