@@ -5,10 +5,11 @@ The package is organized bottom-up:
 
     specfun   sine/cosine integrals to near machine precision
     coupling  inter-atomic coupling constants (full and RWA variants)
+              and the table comparing them
     dynamics  excitation amplitudes driven by an incident wavepacket
     fields    transmitted/reflected envelopes, spectra, pulse areas
     farfield  out-of-band detector diagnostics
-    sweep     the scatter pipeline, sweeps, coupling-model comparisons
+    sweep     the config schema, the scatter pipeline and sweeps
     checks    the validation check registry (validate and the gate)
     cli       command-line front end
 

@@ -16,15 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import (CouplingModel, SimParams, _gl_panels, coupling_full,
+from .coupling import (CouplingModel, SimParams, _gl_panels, compare_couplings, coupling_full,
                        coupling_oracle, coupling_rwa_cutoff, evaluate_coupling)
 from .dynamics import build_source, check_points, driven_modes, oracle_modes
 from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
 from .fields import (FieldEnvelope, consistency_residuals, dip_width, fft_length, spectrum,
                      transfer_oracle)
 from .specfun import ci, si
-from .sweep import (AREA_PASS, AREA_TRUNCATED, CONFIG_KEYS, area_verdict, cell_params,
-                    compare_couplings, scatter)
+from .sweep import AREA_PASS, AREA_TRUNCATED, CONFIG_KEYS, area_verdict, cell_params, scatter
 
 PI4 = math.pi / 4
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
@@ -73,18 +72,22 @@ def oracle_deviation(gamma_over_delta: float, k0l: float,
                np.max(np.abs(traj.beta2 - oracle.beta2))) / scale
 
 
+def resonant_ratio() -> float:
+    """The worst resonant amplitude ratio |S_trans / S_inc| over TRIPLE at
+    k0l = pi/4 (a pulse area is its envelope's zero-detuning amplitude)."""
+    return max(abs(trans.pulse_area / inc.pulse_area)
+               for inc, trans, _ in (_scatter(ratio, PI4)[3] for ratio in TRIPLE))
+
+
 @lru_cache(maxsize=None)
-def dip_profile() -> tuple[float, tuple[float, ...], tuple[float, ...]]:
-    """Over TRIPLE at k0l = pi/4: the worst resonant intensity ratio
-    |S_trans / S_inc|^2 (a pulse area is its envelope's zero-detuning
-    amplitude), and the transmitted dip widths and peak ratios in TRIPLE order."""
-    worst, widths, peaks = 0.0, [], []
+def dip_profile() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Over TRIPLE at k0l = pi/4: the transmitted dip widths and peak ratios."""
+    widths, peaks = [], []
     for ratio in TRIPLE:
         inc, trans, _ = _scatter(ratio, PI4)[3]
-        worst = max(worst, abs(trans.pulse_area / inc.pulse_area) ** 2)
         widths.append(dip_width(spectrum(trans)))
         peaks.append(trans.peak() / inc.peak())
-    return worst, tuple(widths), tuple(peaks)
+    return tuple(widths), tuple(peaks)
 
 
 def _check_coupling_identity(mutate: bool = False) -> CheckResult:
@@ -146,7 +149,8 @@ def _check_pulse_area(mutate: bool = False) -> CheckResult:
 
 
 def _check_resonance_dip(mutate: bool = False) -> CheckResult:
-    worst, widths, peaks = dip_profile()
+    worst = resonant_ratio() ** 2   # the resonant intensity ratio
+    widths, peaks = dip_profile()
     ok = worst <= 1e-4 and widths[0] < widths[1] < widths[2] and peaks[-1] < 0.3
     return CheckResult(ok, worst, 1e-4, "resonant intensity ratio; widths ordered; peak cut")
 
@@ -193,11 +197,7 @@ def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
 
 
 def _check_transfer_resonance(mutate: bool = False) -> CheckResult:
-    worst = 0.0
-    for ratio in TRIPLE:
-        inc, trans, _ = _scatter(ratio, PI4)[3]
-        worst = max(worst, abs(trans.pulse_area / inc.pulse_area))
-    return _at_most(worst, 1e-6, "resonant amplitude ratio")
+    return _at_most(resonant_ratio(), 1e-6, "resonant amplitude ratio")
 
 
 def _far_detector(params: SimParams) -> DetectorSpec:

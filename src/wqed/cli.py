@@ -20,29 +20,22 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checks import VALIDATION_CHECKS, CheckResult
+from .coupling import compare_couplings
 from .dynamics import MARKOV_LIMIT, POINT_BUDGET, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
-from .serialize import (
-    config_text,
-    csv_text,
-    gnuplot_script,
-    read_config,
-    write_csv,
-)
+from .serialize import config_text, csv_text, gnuplot_script, read_config, write_csv
 from .sweep import (
     CONFIG_KEYS,
     SweepSpec,
     cell_params,
-    compare_couplings,
     model_label,
     parse_models,
-    read_sections,
+    run_config_text,
     run_sweep,
 )
 
@@ -54,62 +47,6 @@ EXIT_GUARD = 3
 DEFAULT_K0L_RANGE = "0:6.2832:64"
 COUPLING_HEADER = ("k0l", "model", "re_m", "im_m", "abs_dev_from_full", "diverged")
 COUPLING_ROW_BUDGET = 500_000  # rows of <= 0.08 ms, 0.7 KB: under a minute and 1 GB
-
-
-# ----------------------------------------------------------------------
-# run configuration
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True, init=False)
-class RunConfig:
-    """One scattering run, from a config file and/or flags: the one-cell
-    view of a sweep.  Takes each run-config key of CONFIG_KEYS by name (the
-    table's default if left out), holds what a SweepSpec does not and reads
-    the other keys through `spec`, the one-cell SweepSpec that checks them.
-    Parse -> serialize -> parse is the identity."""
-
-    gamma_over_delta: float
-    k0l: float
-    model: str
-    epsilon: float | None
-    spec: SweepSpec
-
-    def __init__(self, **values):
-        values = {name: key.default for name, key in CONFIG_KEYS.items() if key.section} | values
-        own = {name: CONFIG_KEYS[name].parse(name, values.pop(name))
-               for name in ("model", "epsilon")}
-        spec = SweepSpec(gamma_over_delta=[values.pop("gamma_over_delta")],
-                         k0l=[values.pop("k0l")],
-                         models=parse_models("model", own["model"], own["epsilon"]), **values)
-        own.update(gamma_over_delta=spec.gamma_over_delta[0], k0l=spec.k0l[0], spec=spec)
-        for name, value in own.items():
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):  # a key that the one-cell spec holds
-        if name not in CONFIG_KEYS:
-            raise AttributeError(name)
-        return getattr(self.spec, name)
-
-    def text(self) -> str:
-        """The [run], [grid] and [checks] sections, in table order."""
-        sections: dict[str, dict[str, object]] = {}
-        for name, key in CONFIG_KEYS.items():
-            if key.section and getattr(self, name) is not None:
-                sections.setdefault(key.section, {})[name] = getattr(self, name)
-        return config_text(sections)
-
-    @classmethod
-    def from_sections(cls, sections: dict[str, dict[str, object]],
-                      **overrides) -> "RunConfig":
-        """The run config of parsed sections, any keyword overriding them."""
-        return cls(**(read_sections(sections, lambda key: key.section) | overrides))
-
-
-def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file values, overridden by any flag that was passed."""
-    flags = {name: getattr(args, name) for name, key in CONFIG_KEYS.items()
-             if key.flag and getattr(args, name, None) is not None}
-    return RunConfig.from_sections(read_config(args.config) if args.config else {}, **flags)
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +75,7 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.k0l_range and args.k0l is not None:
         parser.error("pass either --k0l-range or --k0l, not both")
     if args.k0l is not None:
-        k0l_values = np.array([args.k0l])
+        k0l_values = np.array(CONFIG_KEYS["k0l"].parse("k0l", args.k0l))
     else:
         k0l_values = parse_k0l_range(args.k0l_range or DEFAULT_K0L_RANGE)
     epsilon, omega0_over_gamma = (CONFIG_KEYS[name].parse(name, getattr(args, name))
@@ -148,8 +85,11 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
                                  f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
     if k0l_values[0] == 0 and any(model.variant == "rwa_const_g" for model in models):
-        raise DomainError("rwa-constg is singular at k0l = 0, where the default --k0l-range "
-                          "starts; pass a --k0l, or a --k0l-range starting above 0")
+        if args.k0l is None and not args.k0l_range:
+            raise DomainError("rwa-constg is singular at k0l = 0, where the default --k0l-range "
+                              "starts; pass a --k0l, or a --k0l-range starting above 0")
+        raise DomainError("rwa-constg is singular at k0l = 0; pass a --k0l above 0, "
+                          "or a --k0l-range starting above 0")
     rows = compare_couplings(k0l_values, models, omega0_over_gamma=omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)
@@ -185,10 +125,13 @@ def _write_plot_scripts(out: Path, prefix: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    cfg = load_run_config(args)
+    flags = {name: getattr(args, name) for name, key in CONFIG_KEYS.items()
+             if key.flag and getattr(args, name) is not None}   # explicit flags win
+    spec = SweepSpec.from_run_sections(read_config(args.config) if args.config else {},
+                                       out_dir=args.out, **flags)
     out = Path(args.out)
 
-    ratios = markov_guard(cell_params(cfg.gamma_over_delta, cfg.k0l, cfg.omega0_over_gamma))
+    ratios = markov_guard(cell_params(*spec.gamma_over_delta, *spec.k0l, spec.omega0_over_gamma))
     worst = max(ratios.values())
     if not worst <= MARKOV_LIMIT and not args.force:  # the rule of run_cell's markov_ok
         print(f"error: Markov validity ratios exceed {MARKOV_LIMIT:g} "
@@ -198,9 +141,9 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             print(f"  {name} = {value:.3g}", file=sys.stderr)
         return EXIT_GUARD
 
-    manifest = run_sweep(replace(cfg.spec, out_dir=out))
+    manifest = run_sweep(spec)
     cell = manifest.cells[0]
-    (out / "run_config.txt").write_text(cfg.text(), newline="\n")
+    (out / "run_config.txt").write_text(run_config_text(spec), newline="\n")
 
     sys.stdout.write(config_text(
         {"summary": manifest.sections()["cell000"]}))
@@ -269,12 +212,12 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # parser assembly
 # ----------------------------------------------------------------------
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="run-config file; explicit flags win")
-    flags = sorted((key.flag, name) for name, key in CONFIG_KEYS.items() if key.flag)
-    for (_, spelling, options), name in flags:
-        parser.add_argument(spelling, dest=name, **options)
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    """The flags of these CONFIG_KEYS rows (those that have one), in table order."""
+    for name, key in CONFIG_KEYS.items():
+        if key.flag and name in names:
+            spelling, options = key.flag
+            parser.add_argument(spelling, dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,23 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_coupling = sub.add_parser(
         "coupling", help="tabulate the inter-atomic coupling constant")
     p_coupling.add_argument("--k0l-range", dest="k0l_range", metavar="A:B:N",
-                            help=f"inclusive range (default {DEFAULT_K0L_RANGE})")
-    p_coupling.add_argument("--k0l", type=float, metavar="F",
-                            help="single k0l value instead of a range")
+                            help=f"inclusive range (default {DEFAULT_K0L_RANGE}), or one --k0l")
     p_coupling.add_argument("--models", required=True, metavar="LIST",
                             help="comma list: full,rwa-cutoff,rwa-constg,rwa-negfreq")
-    p_coupling.add_argument("--epsilon", type=float, metavar="F",
-                            help="infrared cutoff for rwa-cutoff")
-    p_coupling.add_argument("--omega0-over-gamma", dest="omega0_over_gamma",
-                            type=float, metavar="F",
-                            default=CONFIG_KEYS["omega0_over_gamma"].default)
+    _add_flags(p_coupling, ("k0l", "omega0_over_gamma", "epsilon"))
     p_coupling.add_argument("--out", metavar="DIR",
                             help="write coupling.csv here instead of stdout")
-    p_coupling.set_defaults(handler=cmd_coupling, subparser=p_coupling)
+    p_coupling.set_defaults(handler=cmd_coupling, subparser=p_coupling,
+                            omega0_over_gamma=CONFIG_KEYS["omega0_over_gamma"].default)
 
     p_simulate = sub.add_parser(
         "simulate", help="run one scattering event and write CSV artifacts")
-    _add_run_flags(p_simulate)
+    p_simulate.add_argument("--config", metavar="PATH",
+                            help="run-config file; explicit flags win")
+    _add_flags(p_simulate, CONFIG_KEYS)
     p_simulate.add_argument("--out", metavar="DIR", required=True,
                             help="artifact directory")
     p_simulate.add_argument("--plots", action="store_true",

@@ -262,15 +262,14 @@ def _chirp(t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int) -> np.ndarray:
+def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int, length: int) -> np.ndarray:
     """Bins m_lo..m_hi of the n-point sum X_m = sum_j a_j e^{+2 pi i j m / n}
     over the samples a_j zero-padded to n (Bluestein's chirp-z transform).
 
     With jm = (j^2 + m^2 - (m - j)^2) / 2 the sum becomes the linear
     convolution X_m = c(m) sum_j [a_j c(j)] conj(c(m - j)), c(t) =
-    e^{i pi t^2 / n}, done by FFTs of a 5-smooth length >= n_time + M - 1."""
+    e^{i pi t^2 / n}, done by FFTs of `length`, 5-smooth and >= n_time + M - 1."""
     n_time, count = samples.size, m_hi - m_lo + 1
-    length = fft_length(n_time + count - 1)
     ends = _chirp(np.arange(m_lo, m_hi + 1), n)
     # conj(c(m_lo + s)) at index s mod length, s = -(n_time - 1) .. count - 1
     lag = np.zeros(length, dtype=complex)
@@ -333,10 +332,9 @@ def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
     if window is None or not (window >= 0.0 and math.isfinite(window)):
         raise ConfigurationError(f"window must be finite and >= 0, got {window!r}")
     dtau = env.dtau
-    spectrum_length(env.resolution, env.samples.size, dtau, env.delta, zero_pad_factor, window)
-    n = fft_length(env.resolution * zero_pad_factor)
-    m_lo, m_hi = _window_bins(n, dtau, env.delta, window)
-    amplitude = _chirp_z(env.samples, n, m_lo, m_hi)
+    n, m_lo, m_hi, length = spectrum_sizes(env.resolution, env.samples.size, dtau, env.delta,
+                                           zero_pad_factor, window)
+    amplitude = _chirp_z(env.samples, n, m_lo, m_hi, length)
     omega = _detuning_axis(n, dtau, m_lo, m_hi)
     amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
     amplitude += _tail_sum(env, omega)
@@ -354,16 +352,20 @@ def _tail_sum(env: FieldEnvelope, omega):
     return sum(c * phase / np.expm1((lam * dtau) - (1j * dtau) * omega) for c, lam in env.tail)
 
 
-def spectrum_length(resolution: int | float, n_time: int, dtau: float, delta: float,
-                    zero_pad_factor: int, window: float = SPECTRUM_WINDOW) -> int:
-    """Chirp-z FFT length spectrum() needs for n_time samples resolving `resolution`
-    points, checked against POINT_BUDGET.  The window's bins, zero_pad_factor *
-    resolution * dtau * delta * window / pi, shrink with zero_pad alone."""
+def spectrum_sizes(resolution: int | float, n_time: int, dtau: float, delta: float,
+                   zero_pad_factor: int, window: float = SPECTRUM_WINDOW,
+                   ) -> tuple[int, int, int, int]:
+    """(fft_len, m_lo, m_hi, chirp-z FFT length) of spectrum() for n_time samples
+    resolving `resolution` points, the last checked against POINT_BUDGET.  The
+    window's bins m_lo..m_hi, zero_pad_factor * resolution * dtau * delta *
+    window / pi of them, shrink with zero_pad alone."""
     if not math.isfinite(resolution):
         check_points("a spectrum FFT", resolution, "reduce zero_pad")
-    m_lo, m_hi = _window_bins(fft_length(resolution * zero_pad_factor), dtau, delta, window)
-    return check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo), "reduce zero_pad"
-                        if m_hi - m_lo >= n_time else "raise dt_factor")
+    n = fft_length(resolution * zero_pad_factor)
+    m_lo, m_hi = _window_bins(n, dtau, delta, window)
+    return n, m_lo, m_hi, check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo),
+                                       "reduce zero_pad" if m_hi - m_lo >= n_time
+                                       else "raise dt_factor")
 
 
 def dip_width(spec: Spectrum) -> float:

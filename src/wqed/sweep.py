@@ -7,10 +7,6 @@ residuals, Markov health flags — records everything in a RunManifest,
 and optionally writes per-cell CSV artifacts.  A cell that raises is
 recorded as failed and the sweep continues.
 
-compare_couplings tabulates the coupling constant under each requested
-model against the exact closed form, with absolute deviations and
-divergence flags, for side-by-side comparison of the approximations.
-
 Determinism: identical specs produce bitwise-identical manifests.  The
 manifest therefore records only relative file names, never directories,
 timestamps, or host details.  Cells run one after another, in spec
@@ -27,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import CouplingModel, CouplingResult, SimParams, coupling_full, evaluate_coupling
+from .coupling import (DEFAULT_OMEGA0_OVER_GAMMA, CouplingModel, CouplingResult, SimParams,
+                       evaluate_coupling)
 from .dynamics import (
     BARE_PREFACTOR,
     MARKOV_LIMIT,
@@ -49,9 +46,9 @@ from .fields import (
     dip_width as measure_dip_width,
     reconstruct_fields,
     spectrum,
-    spectrum_length,
+    spectrum_sizes,
 )
-from .serialize import format_value, write_config, write_table
+from .serialize import config_text, format_value, write_config, write_table
 
 MANIFEST_VERSION = 3
 
@@ -168,43 +165,42 @@ def parse_models(name: str, value, epsilon: float | None = None) -> tuple[Coupli
 class ConfigKey(NamedTuple):
     """A key's parser (name, value from a file, flag or Python -> checked
     value, or ConfigurationError), default, run-config section (None: a
-    [sweep] key alone), whether [sweep] takes it, and `simulate` flag:
-    (place in --help, spelling, add_argument options)."""
+    [sweep] key alone), whether [sweep] takes it, and flag: (spelling,
+    add_argument options)."""
 
     parse: Callable[[str, object], object]
     default: object
     section: str | None
     sweep: bool = True
-    flag: tuple[int, str, dict] | None = None
+    flag: tuple[str, dict] | None = None
 
 
-def _flag(place: int, spelling: str, help: str, type=float, metavar="F") -> tuple:
-    return place, spelling, dict(type=type, metavar=metavar, help=help)
+def _flag(spelling: str, help: str, type=float, metavar="F") -> tuple:
+    return spelling, dict(type=type, metavar=metavar, help=help)
 
 
-# Rows are in file order, which `simulate --help` does not follow for its
-# flags.  gamma_over_delta and k0l are one number in a run config and a
-# list that [sweep] must set.  A run config's `model` (one label) and
-# `epsilon` make its `models`; [sweep] epsilon serves `models`' labels.
+# Rows are in file order, and so are the flags in --help.  gamma_over_delta
+# and k0l are one number in a run config and a list that [sweep] must set.
+# A run config's `model` (one label) and `epsilon` make its `models`;
+# [sweep] epsilon serves `models`' labels.
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "gamma_over_delta": ConfigKey(_axis, 0.25, "run", flag=_flag(
-        0, "--gamma-over-delta", "coupling parameter")),
+        "--gamma-over-delta", "coupling parameter")),
     "k0l": ConfigKey(_axis, math.pi / 4, "run", flag=_flag(
-        1, "--k0l", "inter-atomic phase k0*l")),
+        "--k0l", "inter-atomic phase k0*l")),
     "models": ConfigKey(parse_models, "full", None),
-    "omega0_over_gamma": ConfigKey(_positive, 1e4, "run", flag=_flag(
-        2, "--omega0-over-gamma", "carrier-to-rate ratio")),
+    "omega0_over_gamma": ConfigKey(_positive, DEFAULT_OMEGA0_OVER_GAMMA, "run", flag=_flag(
+        "--omega0-over-gamma", "carrier-to-rate ratio")),
     "model": ConfigKey(_label, "full", "run", sweep=False, flag=(
-        3, "--model", dict(choices=MODEL_LABELS, help="coupling model (default full)"))),
+        "--model", dict(choices=MODEL_LABELS, help="coupling model (default full)"))),
     "normalization": ConfigKey(_normalization, UNIT_EXCITATION, "run", flag=(
-        5, "--normalization", dict(choices=NORMALIZATIONS))),
+        "--normalization", dict(choices=NORMALIZATIONS))),
     "epsilon": ConfigKey(lambda name, value: None if value is None else _positive(name, value),
-                         None, "run", flag=_flag(
-        4, "--epsilon", "infrared cutoff for rwa-cutoff")),
+                         None, "run", flag=_flag("--epsilon", "infrared cutoff for rwa-cutoff")),
     "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
-        6, "--grid-dt", "time-step scale factor")),
+        "--grid-dt", "time-step scale factor")),
     "zero_pad": ConfigKey(_count, DEFAULT_ZERO_PAD, "grid", flag=_flag(
-        7, "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
+        "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
     "area_tol": ConfigKey(_positive, 1e-3, "checks"),
 }
 
@@ -250,10 +246,10 @@ class SweepSpec:
     gamma_over_delta: tuple[float, ...]
     k0l: tuple[float, ...]
     models: tuple[CouplingModel, ...] = CONFIG_KEYS["models"].default
-    omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default
+    omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
     normalization: str = CONFIG_KEYS["normalization"].default
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
-    zero_pad: int = CONFIG_KEYS["zero_pad"].default
+    zero_pad: int = DEFAULT_ZERO_PAD
     area_tol: float = CONFIG_KEYS["area_tol"].default
     out_dir: str | os.PathLike | None = None
 
@@ -283,9 +279,36 @@ class SweepSpec:
             "models", str(values.get("models", CONFIG_KEYS["models"].default)), epsilon)
         return cls(**values, out_dir=directory if out_dir is None else out_dir)
 
+    @classmethod
+    def from_run_sections(cls, sections: dict[str, dict[str, object]],
+                          **overrides) -> "SweepSpec":
+        """The one-cell spec of a parsed run config, [run], [grid] and
+        [checks], any keyword (a flag, or out_dir) overriding it: its
+        gamma_over_delta and k0l are one value each, and its model and
+        epsilon make models."""
+        values = ({name: key.default for name, key in CONFIG_KEYS.items() if key.section}
+                  | read_sections(sections, lambda key: key.section) | overrides)
+        model, epsilon = (CONFIG_KEYS[name].parse(name, values.pop(name))
+                          for name in ("model", "epsilon"))
+        return cls(gamma_over_delta=[values.pop("gamma_over_delta")], k0l=[values.pop("k0l")],
+                   models=parse_models("model", model, epsilon), **values)
+
+
+def run_config_text(spec: SweepSpec) -> str:
+    """The [run], [grid] and [checks] sections of a one-cell spec, in table
+    order, which from_run_sections reads back: the model as its label
+    without `:eps`, an rwa-cutoff model's cutoff as `epsilon`."""
+    (model,) = spec.models
+    values = vars(spec) | dict(model=_VARIANT_TO_LABEL[model.variant], epsilon=model.epsilon)
+    sections = {}
+    for name, key in CONFIG_KEYS.items():
+        if key.section and values[name] is not None:
+            sections.setdefault(key.section, {})[name] = _config_value(values[name])
+    return config_text(sections)
+
 
 def cell_params(gamma_over_delta: float, k0l: float,
-                omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default,
+                omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA,
                 ) -> SimParams:
     """Physical parameters for one sweep cell.
 
@@ -537,7 +560,7 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
         except WqedError:
             continue
         grid = default_grid(params, dt_factor=spec.dt_factor, m_total=m_total)
-        spectrum_length(grid.resolution, grid.n, grid.dt, params.delta, spec.zero_pad)
+        spectrum_sizes(grid.resolution, grid.n, grid.dt, params.delta, spec.zero_pad)
         fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
     if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
         raise ConfigurationError(
@@ -550,47 +573,3 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
         out_dir.mkdir(parents=True, exist_ok=True)  # also when no cell wrote files
         write_manifest(manifest, out_dir / "manifest.txt")
     return manifest
-
-
-# ----------------------------------------------------------------------
-# coupling-model comparison table
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingRow:
-    """One (k0l, model) cell of the comparison table."""
-
-    k0l: float
-    model: CouplingModel
-    m_total: complex
-    abs_dev_from_full: float
-    diverged: bool
-
-
-def compare_couplings(k0l_values, models, *, gamma: float = 1.0,
-                      omega0_over_gamma: float = CONFIG_KEYS["omega0_over_gamma"].default,
-                      ) -> tuple[CouplingRow, ...]:
-    """Coupling constant under each model vs the exact closed form.
-
-    Rows are ordered k0l-major, models in the given order within each
-    k0l.  Cutoff-regularized models carry their epsilon inside the
-    CouplingModel, so a grid over epsilon is expressed as several
-    rwa_cutoff models.
-    """
-    k0l_values = tuple(float(v) for v in k0l_values)
-    models = tuple(models)
-    if not k0l_values:
-        raise ConfigurationError("need at least one k0l value")
-    if not models:
-        raise ConfigurationError("need at least one coupling model")
-    rows = []
-    for k0l in k0l_values:
-        params = SimParams.from_ratios(1.0, k0l, omega0_over_gamma, gamma=gamma)
-        exact = coupling_full(params).m_total
-        for model in models:
-            result: CouplingResult = evaluate_coupling(params, model)
-            rows.append(CouplingRow(
-                k0l=k0l, model=model, m_total=result.m_total,
-                abs_dev_from_full=abs(result.m_total - exact),
-                diverged=result.diverged))
-    return tuple(rows)

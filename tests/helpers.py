@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 
 import wqed.cli
-from wqed.cli import RunConfig
 from wqed.errors import ConfigurationError
 from wqed.fields import DEFAULT_ZERO_PAD, FieldEnvelope, Spectrum, fft_length
 from wqed.serialize import parse_config_text, parse_value
 from wqed.specfun import si
+from wqed.sweep import SweepSpec
 
 
 def run_fresh(argv, preexec_fn=None, entry=("-m", "wqed.cli")) -> subprocess.CompletedProcess:
@@ -51,9 +51,9 @@ def read_csv(path) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def run_config_from_text(text: str) -> RunConfig:
-    """The RunConfig of run-config text, as `simulate --config` reads it."""
-    return RunConfig.from_sections(parse_config_text(text))
+def run_config_from_text(text: str) -> SweepSpec:
+    """The one-cell spec of run-config text, as `simulate --config` reads it."""
+    return SweepSpec.from_run_sections(parse_config_text(text))
 
 
 def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:

@@ -132,7 +132,7 @@ def test_pulse_area_theorem(capfd):
 def test_resonant_reflection(capfd):
     """Transmission dies at resonance; dip width grows with coupling."""
     result = VALIDATION_CHECKS["resonance-dip"]()
-    _, widths, peaks = dip_profile()
+    widths, peaks = dip_profile()
     ordered = widths[0] < widths[1] < widths[2]
     report(capfd, result.ok, "resonant reflection",
            f"worst intensity ratio {result.measured:.3e} (tol 1e-4); widths "

@@ -1,7 +1,6 @@
 """Command-line surface: config round trips, the four subcommands, the
 exit-code contract, and byte-level determinism of artifacts."""
 
-import argparse
 import ast
 import contextlib
 import io
@@ -26,14 +25,13 @@ from wqed.cli import (
     EXIT_OK,
     EXIT_USAGE,
     VALIDATION_CHECKS,
-    RunConfig,
-    load_run_config,
+    build_parser,
     main,
     parse_k0l_range,
 )
 from wqed.errors import ConfigurationError, DomainError
 from wqed.serialize import parse_config_text, read_config
-from wqed.sweep import CONFIG_KEYS, SweepSpec, run_sweep
+from wqed.sweep import CONFIG_KEYS, SweepSpec, run_config_text, run_sweep
 
 PI4 = math.pi / 4
 
@@ -81,19 +79,29 @@ def sim_run(tmp_path_factory):
 
 
 class TestRunConfig:
-    """Structured-text run configuration."""
+    """Structured-text run configuration: a one-cell SweepSpec."""
 
     def test_defaults_round_trip(self):
-        cfg = RunConfig()
-        assert run_config_from_text(cfg.text()) == cfg
+        spec = SweepSpec.from_run_sections({})
+        assert run_config_from_text(run_config_text(spec)) == spec
 
     def test_custom_round_trip(self):
-        cfg = RunConfig(gamma_over_delta=4.0, k0l=1.0 / 3.0,
-                        model="rwa-cutoff", epsilon=1e-7,
-                        dt_factor=0.5, zero_pad=4, area_tol=1e-4)
-        again = run_config_from_text(cfg.text())
-        assert again == cfg
-        assert again.k0l == 1.0 / 3.0  # bitwise through 17 digits
+        spec = SweepSpec.from_run_sections(
+            {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, model="rwa-cutoff", epsilon=1e-7,
+            dt_factor=0.5, zero_pad=4, area_tol=1e-4)
+        again = run_config_from_text(run_config_text(spec))
+        assert again == spec
+        assert again.k0l == (1.0 / 3.0,)  # bitwise through 17 digits
+
+    @pytest.mark.parametrize("model", ["model = rwa-cutoff:1e-7", "model = rwa_cutoff:1e-7",
+                                       "model = rwa_cutoff\nepsilon = 1e-7"])
+    def test_model_label_written_normalized(self, model):
+        # a label's own :eps and the underscore spelling are written as the
+        # hyphen label plus an epsilon line, which reads back to the same spec
+        spec = run_config_from_text(f"[run]\n{model}\n")
+        text = run_config_text(spec)
+        assert "model = rwa-cutoff\nnormalization = unit_excitation\nepsilon = 9.9999" in text
+        assert run_config_from_text(text) == spec
 
     def test_unknown_section_and_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config section"):
@@ -103,27 +111,38 @@ class TestRunConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            RunConfig(gamma_over_delta=-1.0)
+            SweepSpec.from_run_sections({}, gamma_over_delta=-1.0)
         with pytest.raises(ConfigurationError):
-            RunConfig(normalization="bogus")
+            SweepSpec.from_run_sections({}, normalization="bogus")
         with pytest.raises(ConfigurationError):
-            RunConfig(zero_pad=1.5)
+            SweepSpec.from_run_sections({}, zero_pad=1.5)
         with pytest.raises(DomainError):
-            RunConfig(model="rwa-cutoff")  # cutoff needs epsilon
+            SweepSpec.from_run_sections({}, model="rwa-cutoff")  # cutoff needs epsilon
 
     def test_readme_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
         block, = [b for b in blocks if b.startswith("[run]")]
-        assert run_config_from_text(block) == RunConfig()
+        defaults = SweepSpec.from_run_sections({})
+        assert run_config_from_text(block) == defaults
         uncommented = "".join(line for line in block.splitlines(keepends=True)
                               if not line.startswith("#"))
-        assert uncommented == RunConfig().text()
+        assert uncommented == run_config_text(defaults)
 
     def test_readme_key_table_is_the_schema(self):
+        # the key column is CONFIG_KEYS, and each flag column lists the
+        # option strings that the parser of that subcommand registers
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        rows = re.findall(r"^\| `(\w+)` \|", readme, re.M)
-        assert sorted(rows) == sorted(CONFIG_KEYS)
+        rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.M)
+        assert sorted(name for name, _ in rows) == sorted(CONFIG_KEYS)
+        parsers = {command: build_parser().parse_args(argv).subparser for command, argv in (
+            ("simulate", ["simulate", "--out", "o"]), ("coupling", ["coupling", "--models", "full"]))}
+        for name, cells in rows:
+            flag_cells = [cell.strip() for cell in cells.split("|")][-2:]
+            for parser, cell in zip(parsers.values(), flag_cells):
+                registered = [f"`{option}`" for action in parser._actions
+                              if action.dest == name for option in action.option_strings]
+                assert cell == (", ".join(registered) or "—"), (name, cell)
 
     def test_readme_python_blocks_run(self, capsys):
         # the library-use blocks, in order and in one namespace
@@ -137,17 +156,18 @@ class TestRunConfig:
         assert namespace["traj"].scale == namespace["source"].scale
 
     def test_flags_win_over_config_file(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text(RunConfig(gamma_over_delta=0.25, dt_factor=0.5).text())
-        args = argparse.Namespace(config=str(path), gamma_over_delta=4.0)
-        cfg = load_run_config(args)
-        assert cfg.gamma_over_delta == 4.0   # flag
-        assert cfg.dt_factor == 0.5          # file
+        text = run_config_text(SweepSpec.from_run_sections({}, gamma_over_delta=0.25,
+                                                           dt_factor=0.5))
+        spec = SweepSpec.from_run_sections(parse_config_text(text), gamma_over_delta=4.0)
+        assert spec.gamma_over_delta == (4.0,)   # flag
+        assert spec.dt_factor == 0.5             # file
 
-    def test_missing_config_file(self):
-        args = argparse.Namespace(config="/nonexistent/run.ini")
-        with pytest.raises(ConfigurationError, match="not found"):
-            load_run_config(args)
+    def test_missing_config_file(self, tmp_path):
+        code, out, err = invoke(["simulate", "--config", "/nonexistent/run.ini",
+                                 "--out", tmp_path / "o"])
+        assert code == EXIT_USAGE and out == ""
+        assert "not found" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCouplingCommand:
@@ -255,13 +275,25 @@ class TestCouplingCommand:
                        f"x models), over the budget of {COUPLING_ROW_BUDGET:,}\n")
 
     def test_constg_default_range_exits_2_naming_the_remedy(self):
-        # the default range starts at k0l = 0, where rwa-constg is singular
-        code, out, err = invoke(["coupling", "--models", "rwa-constg"])
-        assert code == EXIT_USAGE and out == ""
-        assert err == ("error: rwa-constg is singular at k0l = 0, where the default "
-                       "--k0l-range starts; pass a --k0l, or a --k0l-range starting above 0\n")
+        # rwa-constg is singular at k0l = 0, where the default range starts;
+        # only that case blames the default range, not a 0 that was passed
+        for flags, where in [
+                ([], ", where the default --k0l-range starts; pass a --k0l,"),
+                (["--k0l", 0], "; pass a --k0l above 0,"),
+                (["--k0l-range", "0:1:3"], "; pass a --k0l above 0,")]:
+            code, out, err = invoke(["coupling", "--models", "rwa-constg", *flags])
+            assert code == EXIT_USAGE and out == ""
+            assert err == (f"error: rwa-constg is singular at k0l = 0{where} "
+                           "or a --k0l-range starting above 0\n")
         code, out, _ = invoke(["coupling", "--models", "rwa-constg", "--k0l-range", "0.1:6:3"])
         assert code == EXIT_OK and out.count(",rwa-constg,") == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_k0l_exits_2_naming_k0l(self, value):
+        # the key table's rule and message, as simulate gives them
+        code, out, err = invoke(["coupling", "--models", "full", "--k0l", value])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: k0l must list finite values >= 0, got ({float(value)},)\n"
 
     def test_unused_epsilon_exits_2(self):
         code, out, err = invoke(["coupling", "--models", "full", "--epsilon", 1e-6])
@@ -302,9 +334,9 @@ class TestSimulateCommand:
 
     def test_run_config_echo_round_trips(self, sim_run):
         out, _, _, _ = sim_run
-        cfg = run_config_from_text((out / "run_config.txt").read_text())
-        assert cfg.gamma_over_delta == 4.0
-        assert cfg.k0l == PI4
+        spec = run_config_from_text((out / "run_config.txt").read_text())
+        assert spec.gamma_over_delta == (4.0,)
+        assert spec.k0l == (PI4,)
 
     def test_plot_scripts_reference_artifacts(self, sim_run):
         out, _, _, _ = sim_run
@@ -671,6 +703,8 @@ class TestOneRulePerKey:
         ("[grid]\nzero_pad = 8.0\n", "zero_pad = 8.0\n", "zero_pad must be an int >= 1"),
         ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
         ("[run]\nmodel = 5\n", "models = 5\n", "5"),
+        # one value in a run config, where [sweep] takes a list
+        ("[run]\ngamma_over_delta = 0.1, 0.2\n", None, "gamma_over_delta: bad value"),
     ])
     def test_bad_value_exits_2_in_both_formats(self, tmp_path, run_lines, sweep_lines,
                                                message):
@@ -734,5 +768,5 @@ class TestOneRulePerKey:
             "[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
             "models = full, rwa-cutoff, rwa-cutoff:1e-7\nepsilon = 1e-6\n"))
         assert [model.epsilon for model in spec.models] == [None, 1e-6, 1e-7]
-        cfg = run_config_from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
-        assert cfg.spec.models[0].epsilon == 1e-6
+        spec = run_config_from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
+        assert spec.models[0].epsilon == 1e-6

@@ -39,7 +39,7 @@ from wqed.fields import (
     radiation_prefactors,
     reconstruct_fields,
     spectrum,
-    spectrum_length,
+    spectrum_sizes,
     transfer_oracle,
 )
 
@@ -266,19 +266,19 @@ class TestSpectrum:
         # span_factor was a config key)
         with pytest.raises(ConfigurationError, match=(
                 "a spectrum FFT needs n = .* points; reduce zero_pad$")):
-            spectrum_length(10 ** 9, 2_001, 0.01, 1.0, 8)
+            spectrum_sizes(10 ** 9, 2_001, 0.01, 1.0, 8)
         with pytest.raises(ConfigurationError, match=(
                 "a spectrum FFT needs n = Infinity points, .*; reduce zero_pad$")):
-            spectrum_length(math.inf, 2_001, 0.01, 1.0, 8)
+            spectrum_sizes(math.inf, 2_001, 0.01, 1.0, 8)
         with pytest.raises(ConfigurationError, match=(
                 "a spectrum FFT needs n = .* points; raise dt_factor$")):
-            spectrum_length(10 ** 7, 10 ** 7, 0.01, 1.0, 1)
-        n = spectrum_length(100_000, 2_001, 0.01, 1.0, 8)
-        assert spectrum_length(100_000, 2_001, 0.01, 1.0, 4) < n    # zero_pad down
-        assert spectrum_length(50_000, 2_001, 0.01, 1.0, 8) < n     # resolved span down
+            spectrum_sizes(10 ** 7, 10 ** 7, 0.01, 1.0, 1)
+        n = spectrum_sizes(100_000, 2_001, 0.01, 1.0, 8)[3]
+        assert spectrum_sizes(100_000, 2_001, 0.01, 1.0, 4)[3] < n    # zero_pad down
+        assert spectrum_sizes(50_000, 2_001, 0.01, 1.0, 8)[3] < n     # resolved span down
         # a step twice as long over the same resolved span keeps every bin
-        assert (spectrum_length(50_000, 1_001, 0.02, 1.0, 8)
-                == spectrum_length(100_000, 1_001, 0.01, 1.0, 8))
+        assert (spectrum_sizes(50_000, 1_001, 0.02, 1.0, 8)[1:]
+                == spectrum_sizes(100_000, 1_001, 0.01, 1.0, 8)[1:])
 
     def test_parseval(self):
         """Time-domain and spectral energies agree to 1e-6 relative.  The

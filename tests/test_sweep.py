@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import read_csv
 import wqed.sweep
-from wqed.coupling import CouplingModel, evaluate_coupling
+from wqed.coupling import CouplingModel, CouplingRow, compare_couplings, evaluate_coupling
 from wqed.dynamics import (
     BARE_PREFACTOR,
     UNIT_EXCITATION,
@@ -33,11 +33,9 @@ from wqed.sweep import (
     AREA_TRUNCATED,
     MANIFEST_VERSION,
     NORMALIZATIONS,
-    CouplingRow,
     SweepSpec,
     area_verdict,
     cell_params,
-    compare_couplings,
     model_from_label,
     model_label,
     run_cell,
