@@ -30,6 +30,9 @@ TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
 # the transfer round trip pads until the slowest driven mode has decayed to
 # this fraction, which bounds the circular DFT's wrap-around
 WRAP_FRACTION = 1e-12
+# the round trip's DFT runs in blocks of rows of about this many cells: its
+# temporaries stay near 2 MB, whatever length the padding asks for
+ROUND_TRIP_BLOCK = 1 << 14
 
 
 class CheckResult(NamedTuple):
@@ -163,26 +166,64 @@ def _check_local_consistency(mutate: bool = False) -> CheckResult:
     return _at_most(worst, 1e-3, "normalized sup-norm of both residuals")
 
 
+def round_trip_length(inc: FieldEnvelope, params: SimParams, m_total: complex) -> int:
+    """N = fft_length(n + ceil(ln(1/WRAP_FRACTION) / (min Re lam * dtau))),
+    lam the driven modes' rates: the length of the circular DFT whose
+    wrap-around has decayed to WRAP_FRACTION.  Over POINT_BUDGET (infinite
+    when a mode does not decay) it raises ConfigurationError, before the
+    round trip allocates anything."""
+    n = inc.samples.size
+    rate = min(lam.real for lam in driven_modes(params, m_total).values())
+    pad = math.ceil(math.log(1.0 / WRAP_FRACTION) / (rate * inc.dtau)) if rate > 0 else math.inf
+    return fft_length(check_points(
+        "the transfer round trip", n + pad,
+        f"its padding follows the slowest driven mode's rate Re lam = {rate:.3g}"))
+
+
 def transfer_round_trip(inc: FieldEnvelope, transfer, params: SimParams,
                         m_total: complex) -> np.ndarray:
     """The envelope that the transfer amplitude transfer(d) makes of the
     incident one: the inverse DFT of transfer(d) times the DFT of inc's
-    samples zero-padded to N = fft_length(n + ceil(ln(1/WRAP_FRACTION) /
-    (min Re lam * dtau))), lam the driven modes' rates, at the bins' angular
+    samples zero-padded to round_trip_length points, at the bins' angular
     detunings d = 2 pi fftfreq(N, dtau).  The spectrum's phase ramp
     e^{i d tau_0} and the inverse's e^{-i d tau_0} cancel, so neither is
-    applied.  A padded length over POINT_BUDGET (infinite when a mode does
-    not decay) raises ConfigurationError before anything is allocated."""
-    n = inc.samples.size
-    rate = min(lam.real for lam in driven_modes(params, m_total).values())
-    pad = math.ceil(math.log(1.0 / WRAP_FRACTION) / (rate * inc.dtau)) if rate > 0 else math.inf
-    size = fft_length(check_points(
-        "the transfer round trip", n + pad,
-        f"its padding follows the slowest driven mode's rate Re lam = {rate:.3g}"))
-    spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, inc.dtau))
-    spec *= np.fft.ifft(inc.samples, size)
-    np.fft.fft(spec, out=spec)
-    return spec[:n].copy()
+    applied."""
+    return pruned_round_trip(inc.samples, transfer, round_trip_length(inc, params, m_total),
+                             inc.dtau)
+
+
+def pruned_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> np.ndarray:
+    """fft_N(transfer(2 pi fftfreq(N, dtau)) * ifft_N(samples, N))[:n], N = size,
+    as a four-step DFT that never holds N points.  With W the smallest
+    divisor of N that is >= n and P = N/W, row p < P holds the bins
+    m = p + P q, q < W, which span the whole band; with w = e^{2 pi i/N},
+
+        out_j = (W/N) sum_p w^{-pj} fft_W(transfer(d_m) ifft_W(x_k w^{pk}))_j.
+
+    Rows go in blocks of about ROUND_TRIP_BLOCK cells, so memory follows
+    the block, not N, and the time O(N log W) follows N."""
+    n = samples.size
+    rows = next(p for p in range(size // n, 0, -1) if size % p == 0)
+    width = size // rows
+    block = max(1, ROUND_TRIP_BLOCK // width)
+    k = np.arange(n)
+
+    def twiddle(p):   # w^{p k}, the exponent reduced mod N
+        return np.exp((2j * math.pi / size) * (np.multiply.outer(p, k) % size))
+
+    table = twiddle(np.arange(min(block, rows)))
+    column = rows * np.arange(width)
+    step = 1.0 / (size * dtau)          # fftfreq's bin width
+    out = np.zeros(n, dtype=complex)
+    for p0 in range(0, rows, block):
+        tw = table[:rows - p0] * twiddle(p0)
+        bins = np.arange(p0, p0 + len(tw))[:, None] + column
+        bins[bins > (size - 1) // 2] -= size       # as fftfreq signs them
+        spec = np.fft.ifft(samples * tw, width)
+        spec *= transfer(2.0 * math.pi * (bins.ravel() * step)).reshape(spec.shape)
+        np.fft.fft(spec, out=spec)
+        out += np.einsum("rk,rk->k", tw.conj(), spec[:, :n])
+    return out * (width / size)
 
 
 def _check_transfer_oracle(mutate: bool = False) -> CheckResult:

@@ -124,7 +124,8 @@ def _axis(name: str, value) -> tuple[float, ...]:
     items = value.split(",") if isinstance(value, str) else value
     values = tuple(_number(name, v) for v in (items if np.iterable(items) else [items]))
     if not values or not all(0 <= v < math.inf for v in values):
-        raise ConfigurationError(f"{name} must list finite values >= 0, got {values}")
+        raise ConfigurationError(
+            f"{name} must list finite values >= 0, got {', '.join(map(str, values))}")
     return values
 
 

@@ -76,6 +76,16 @@ def tail_samples(env: FieldEnvelope, decay: float = 40.0) -> tuple[np.ndarray, n
     return float(env.tau[-1]) + env.dtau * k, samples
 
 
+def padded_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> np.ndarray:
+    """The transfer round trip as one padded DFT: the first n values of
+    fft_N(transfer(2 pi fftfreq(N, dtau)) * ifft_N(samples, N)), holding
+    N-point arrays, the reference for checks.pruned_round_trip."""
+    spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, dtau))
+    spec *= np.fft.ifft(samples, size)
+    np.fft.fft(spec, out=spec)
+    return spec[:samples.size].copy()
+
+
 def full_dft_spectrum(env: FieldEnvelope,
                       zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
     """Every bin of the DFT that fields.spectrum windows, by a plain numpy FFT:

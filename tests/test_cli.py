@@ -293,7 +293,7 @@ class TestCouplingCommand:
         # the key table's rule and message, as simulate gives them
         code, out, err = invoke(["coupling", "--models", "full", "--k0l", value])
         assert code == EXIT_USAGE and out == ""
-        assert err == f"error: k0l must list finite values >= 0, got ({float(value)},)\n"
+        assert err == f"error: k0l must list finite values >= 0, got {float(value)}\n"
 
     def test_unused_epsilon_exits_2(self):
         code, out, err = invoke(["coupling", "--models", "full", "--epsilon", 1e-6])
@@ -712,6 +712,13 @@ class TestOneRulePerKey:
             assert code == EXIT_USAGE and out == ""
             assert err.startswith("error: ") and message in err, err
             assert "Traceback" not in err
+
+    def test_axis_message_shows_the_values_given(self, tmp_path):
+        # one value as a number, a [sweep] list as its comma list
+        (_, _, run_err), (_, _, sweep_err) = self.run_both(
+            tmp_path, "[run]\nk0l = nan\n", "k0l = 0.1, nan\n")
+        assert run_err == "error: k0l must list finite values >= 0, got nan\n"
+        assert sweep_err == "error: k0l must list finite values >= 0, got 0.1, nan\n"
 
     @pytest.mark.parametrize("argv, text, message", [
         (["simulate", "--grid-span", 2], None, "unrecognized arguments: --grid-span 2"),

@@ -7,11 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import full_dft_spectrum, run_limited, tail_samples
-from wqed.checks import WRAP_FRACTION, _scatter, transfer_round_trip
+from helpers import full_dft_spectrum, padded_round_trip, run_limited, tail_samples
+from wqed.checks import (WRAP_FRACTION, _scatter, pruned_round_trip, round_trip_length,
+                         transfer_round_trip)
 from wqed.sweep import AREA_FAIL, AREA_PASS, AREA_TRUNCATED, area_verdict, scatter
 from wqed.coupling import CouplingModel, SimParams, coupling_full, evaluate_coupling
 from wqed.dynamics import (
@@ -678,16 +679,16 @@ class TestTransferOracle:
 
     def test_round_trip_memory(self):
         """The transfer-oracle round trip on the validate cell with the
-        longest padding peaks below 6.5 of its own N-point complex buffers: it
-        holds t(d) and one N-point spectrum, where a full spectrum and its
-        inverse took 7.0."""
+        longest padding peaks below 4 MB: its DFT runs in blocks of rows,
+        where the padded DFT was held under 6.5 of its 480,000-point complex
+        buffers (49.9 MB)."""
         params, coup, _, (inc, _, _) = _scatter(0.02, math.pi / 4)
         rate = min(lam.real for lam in driven_modes(params, coup.m_total).values())
         n = fft_length(inc.samples.size + math.ceil(
             math.log(1 / WRAP_FRACTION) / (rate * inc.dtau)))
         # 240 grid lengths of the 2,001-point grid; 691,200 (3.35 lengths) on
         # the 206,454-point grid, where fft_length(8n) was 1,658,880
-        assert n == 480_000
+        assert n == round_trip_length(inc, params, coup.m_total) == 480_000
         tracemalloc.start()
         try:
             transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d)[0],
@@ -695,7 +696,24 @@ class TestTransferOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * 16 * n
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("ratio, k0l, size", [
+        (0.02, math.pi / 4, 480_000), (0.25, math.pi / 4, 40_000),
+        (4.0, math.pi / 4, 17_496), (0.25, 0.3, 250_000)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_round_trip_matches_the_padded_dft(self, ratio, k0l, size, which):
+        """The four-step round trip equals the one padded N-point DFT on
+        the same bins, for t and for r, to round-off."""
+        params, coup, _, (inc, _, _) = _scatter(ratio, k0l)
+        assert round_trip_length(inc, params, coup.m_total) == size
+
+        def transfer(d):
+            return transfer_oracle(params, coup.m_total, d)[which]
+
+        direct = padded_round_trip(inc.samples, transfer, size, inc.dtau)
+        pruned = transfer_round_trip(inc, transfer, params, coup.m_total)
+        assert np.max(np.abs(pruned - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_round_trip_on_a_slow_tail(self):
         """On a cell whose slow mode is left to a closed-form tail, padding
@@ -734,6 +752,28 @@ class TestTransferOracle:
 
 
 class TestTransferProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.sampled_from([m for m in range(1, 4097) if fft_length(m) == m]).flatmap(
+               lambda size: st.tuples(st.integers(1, size), st.just(size))),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lengths=(257, 512), seed=0)      # W = N, P = 1
+    @example(lengths=(100, 729), seed=1)      # W = 243, P = 3
+    @example(lengths=(30, 625), seed=2)       # W = 125, P = 5
+    @example(lengths=(1, 1), seed=3)
+    def test_pruned_round_trip_is_the_padded_dft(self, lengths, seed):
+        """For any n and 5-smooth N >= n, pure powers of 2, 3 and 5
+        included, the four-step round trip equals the padded N-point DFT."""
+        n, size = lengths
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        def transfer(d):
+            return np.exp(-0.3j * d) / (1.0 + 1j * d)
+
+        direct = padded_round_trip(samples, transfer, size, 0.1)
+        pruned = pruned_round_trip(samples, transfer, size, 0.1)
+        assert np.max(np.abs(pruned - direct)) <= 1e-12 * np.max(np.abs(direct))
+
     @settings(max_examples=60, deadline=None)
     @given(k0l=st.floats(1e-6, 30.0), ratio=st.floats(0.02, 4.0))
     def test_full_coupling_is_lossless_and_opaque_at_resonance(self, k0l, ratio):
