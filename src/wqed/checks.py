@@ -231,7 +231,7 @@ def _check_transfer_oracle(mutate: bool = False) -> CheckResult:
     for ratio in TRIPLE:
         params, coupling, _, (inc, trans, _) = _scatter(ratio, PI4)
         predicted = transfer_round_trip(
-            inc, lambda d: transfer_oracle(params, coupling.m_total, d)[0],
+            inc, lambda d: transfer_oracle(params, coupling.m_total, d),
             params, coupling.m_total)
         worst = max(worst, np.max(np.abs(predicted - trans.samples)) / trans.peak())
     return _at_most(worst, 1e-4, "frequency- vs time-domain envelope")

@@ -41,15 +41,11 @@ from .errors import ConfigurationError, NumericalError
 # the source's support: beyond 12/delta of its center the Gaussian source
 # (evaluated everywhere) is below e^-36 = 2.3e-16 of its peak
 _ENVELOPE_WINDOW = 12.0
-# half-width of the pulse section, and decay lengths past it of the span
-# that spectra resolve (of the grid too when gamma = 0)
+# half-width of the pulse section, and pulse widths past it of a gamma = 0 grid
 _PULSE_HALF_SPAN = 8.0
 _DECAY_LENGTHS = 12.0
-# resolved_end counts only driven modes decaying at this fraction of gamma
-# or faster; tail_modes continues every decaying mode past the grid
-TAIL_RATE_FRACTION = 0.25
-# most points a time grid or a spectrum FFT may take: a cell peaks near
-# 200 bytes per grid point, so the largest accepted cell stays near 2 GB
+# most points a time grid may take: a cell peaks near 200 bytes per grid
+# point, so the largest accepted cell stays near 2 GB
 POINT_BUDGET = 10_000_000
 # a cell is Markov-valid when no ratio of markov_guard exceeds this
 MARKOV_LIMIT = 0.2
@@ -66,13 +62,11 @@ _SCAN_BLOCK_MIN, _SCAN_BLOCK_MAX, _SCAN_LOG_RANGE = 8, 512, 8.0
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with n points from t_start to t_end inclusive, whose
-    envelopes' spectra resolve `resolution` points of its step (n unless given)."""
+    """Uniform time grid with n points from t_start to t_end inclusive."""
 
     t_start: float
     t_end: float
     n: int
-    resolution: int | float | None = None
 
     def __post_init__(self):
         if not (self.t_end > self.t_start):
@@ -80,7 +74,6 @@ class TimeGrid:
                 f"empty time grid: [{self.t_start}, {self.t_end}]")
         if self.n < 9:
             raise ConfigurationError(f"time grid needs >= 9 points, got {self.n}")
-        object.__setattr__(self, "resolution", self.resolution or self.n)
 
     @property
     def dt(self) -> float:
@@ -91,17 +84,15 @@ class TimeGrid:
         return self.t_start + self.dt * np.arange(self.n)
 
     @classmethod
-    def from_step(cls, t_start: float, t_end: float, dt: float,
-                  resolved_end: float | None = None) -> "TimeGrid":
-        """Grid of step dt covering [t_start, t_end] and resolving [t_start, resolved_end]
-        (t_end unless given); over POINT_BUDGET points (or an infinite or NaN count) it raises."""
+    def from_step(cls, t_start: float, t_end: float, dt: float) -> "TimeGrid":
+        """Grid of step dt covering [t_start, t_end]; over POINT_BUDGET points
+        (or an infinite or NaN count) it raises."""
         if not dt > 0:
             raise ConfigurationError(f"dt must be > 0, got {dt}")
-        ends = (t_end, t_end if resolved_end is None else resolved_end)
-        n, resolution = (max(9, math.ceil(s) + 1) if math.isfinite(s) else s
-                         for s in ((end - t_start) / dt for end in ends))
-        check_points("the time grid", n, "raise dt_factor")
-        return cls(t_start, t_start + dt * (n - 1), n, resolution)
+        n = (t_end - t_start) / dt
+        n = check_points("the time grid", max(9, math.ceil(n) + 1) if math.isfinite(n) else n,
+                         "raise dt_factor")
+        return cls(t_start, t_start + dt * (n - 1), n)
 
 
 def check_points(what: str, n: int | float, remedy: str) -> int:
@@ -119,12 +110,11 @@ def check_points(what: str, n: int | float, remedy: str) -> int:
     return n
 
 
-def driven_modes(params: SimParams, m_total: complex | None = None) -> dict[int, complex]:
+def driven_modes(params: SimParams, m_total: complex) -> dict[int, complex]:
     """{sign: gamma + sign*M}, the rates of the modes beta1 + sign*beta2 whose
     drive 1 + sign*e^{i k0l} is not exactly 0."""
     phase = complex(math.cos(params.k0l), math.sin(params.k0l))
-    m = params.gamma * phase if m_total is None else m_total
-    return {sign: params.gamma + sign * m for sign in (1, -1) if 1.0 + sign * phase != 0}
+    return {sign: params.gamma + sign * m_total for sign in (1, -1) if 1.0 + sign * phase != 0}
 
 
 def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int, complex]:
@@ -135,26 +125,14 @@ def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int,
     return {sign: lam for sign, lam in driven_modes(params, m_total).items() if lam.real > 0}
 
 
-def resolved_end(params: SimParams, m_total: complex | None = None) -> float:
-    """End of the span spectra resolve (gamma > 0): the pulse section, then 12 decay lengths
-    of the slowest driven mode decaying at TAIL_RATE_FRACTION*gamma or faster, and at
-    least the source's support when a driven mode is slower."""
-    center = params.z1 / params.c
-    rates = [lam.real for lam in driven_modes(params, m_total).values()]
-    sized = [rate for rate in rates if rate >= TAIL_RATE_FRACTION * params.gamma]
-    t_end = center + _PULSE_HALF_SPAN / params.delta
-    t_end += _DECAY_LENGTHS / min(sized, default=math.inf)
-    return max(t_end, center + _ENVELOPE_WINDOW / params.delta) if sized != rates else t_end
-
-
 def default_grid(params: SimParams, span_factor: float = 1.0,
                  dt_factor: float = 1.0,
                  m_total: complex | None = None) -> TimeGrid:
     """Grid of the pulse section and, for gamma > 0, the rest of the source's support,
-    past which every decaying mode is a closed-form tail; its spectra resolve up to
-    resolved_end.  span_factor scales the post-pulse section (4/delta for gamma > 0, so
-    below 1 the grid ends inside the support; 12/delta for gamma = 0); dt_factor scales
-    the step.  Over POINT_BUDGET points it raises."""
+    past which every decaying mode is a closed-form tail, so m_total, which sets the
+    modes, does not move it.  span_factor scales the post-pulse section (4/delta for gamma > 0, so below
+    1 the grid ends inside the support; 12/delta for gamma = 0); dt_factor scales the
+    step.  Over POINT_BUDGET points it raises."""
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
     center = params.z1 / params.c
@@ -163,7 +141,7 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
     if params.gamma > 0:
         t_end += span_factor * ((_ENVELOPE_WINDOW - _PULSE_HALF_SPAN) / params.delta)
         dt = min(1.0 / params.delta, 1.0 / params.gamma) / 100.0 * dt_factor
-        return TimeGrid.from_step(t_start, t_end, dt, resolved_end(params, m_total))
+        return TimeGrid.from_step(t_start, t_end, dt)
     t_end += span_factor * (_DECAY_LENGTHS / params.delta)  # nothing decays: the pulse sizes it
     return TimeGrid.from_step(t_start, t_end, 1.0 / params.delta / 100.0 * dt_factor)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SimParams
-from .dynamics import AmplitudeTrajectory, check_points, tail_modes
+from .dynamics import _ENVELOPE_WINDOW, AmplitudeTrajectory, tail_modes
 from .errors import ConfigurationError, GridMismatch, NumericalError
 
 INCIDENT = "incident"
@@ -55,12 +55,15 @@ _KINDS = (INCIDENT, TRANSMITTED, REFLECTED)
 # envelopes whose end samples exceed this fraction of the larger of their
 # own peak and the incident peak are too truncated for a trustworthy area
 END_DECAY_FRACTION = 1e-3
-# default zero-padding of spectra: resolves the transmission dip down to
-# gamma/delta ~ 0.02
-DEFAULT_ZERO_PAD = 8
+# a spectrum's coarse axis is the DFT of the source's support, 24/delta,
+# zero-padded this many times: bins 0.0164 delta apart
+DEFAULT_ZERO_PAD = 16
+# each zone a narrow line adds holds 2 LINE_HALF + 1 bins; a decaying mode's
+# line is narrow when Re lam spans fewer than LINE_REFINE coarse bins
+LINE_HALF = 64
+LINE_REFINE = 16
 # spectra are computed and tabulated only over |detuning| <= this many
-# pulse widths; the zero-padded DFT extends orders of magnitude beyond any
-# signal
+# pulse widths; the DTFT extends orders of magnitude beyond any signal
 SPECTRUM_WINDOW = 8.0
 # transfer grids must cover the pulse spectrum out to this many bandwidths
 _MIN_TRANSFER_SPAN = 8.0
@@ -104,7 +107,7 @@ def radiation_prefactors(params: SimParams) -> FieldPrefactors:
 class FieldEnvelope:
     """One propagating envelope sampled on a uniform retarded-time grid and
     continued past it by its tail, sum c e^{-lam (tau - tau[-1])} over decaying
-    modes; its spectrum resolves `resolution` points of its step (its length unless given).
+    modes.
 
     pulse_area, the samples' trapezoid continued over the tail by tail_area = sum c dtau
     (1/2 + 1/expm1(lam dtau)), is recomputed, never passed in, so it matches them.
@@ -116,7 +119,6 @@ class FieldEnvelope:
     delta: float                  # spectral width of the driving pulse
     tail: tuple[tuple[complex, complex], ...] = ()   # (c, lam) per decaying mode
     incident_peak: float = 0.0    # N sqrt(delta/2), the floor of end_fraction's scale
-    resolution: int | float | None = None
     pulse_area: complex = field(init=False)
     tail_area: complex = field(init=False)
 
@@ -129,7 +131,6 @@ class FieldEnvelope:
             raise ConfigurationError("need at least 3 samples")
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ConfigurationError(f"delta must be > 0, got {self.delta}")
-        object.__setattr__(self, "resolution", self.resolution or self.samples.size)
         object.__setattr__(self, "tail_area", complex(sum(
             c * self.dtau * (0.5 + 1.0 / np.expm1(lam * self.dtau)) for c, lam in self.tail)))
         object.__setattr__(self, "pulse_area", complex(
@@ -195,8 +196,7 @@ def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
 
     def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
         return FieldEnvelope(kind=kind, tau=tau, samples=samples, delta=params.delta,
-                             tail=tuple(tail), incident_peak=scale,
-                             resolution=traj.grid.resolution)
+                             tail=tuple(tail), incident_peak=scale)
 
     return (make(INCIDENT, inc),
             make(TRANSMITTED, inc + radiated_fw, tail_fw),
@@ -235,26 +235,31 @@ def _detuning_axis(n: int, dtau: float, m_lo: int, m_hi: int) -> np.ndarray:
     return omega
 
 
-def _window_bins(n: int, dtau: float, delta: float, window: float) -> tuple[int, int]:
+def _window_bins(n: int, dtau: float, delta: float) -> tuple[int, int]:
     """(m_lo, m_hi): the bins of an n-point DFT whose detuning, computed as
-    _detuning_axis does, lies within +-window (units of delta), clipped to
-    the DFT's range."""
+    _detuning_axis does, lies within +-SPECTRUM_WINDOW (units of delta),
+    clipped to the DFT's range."""
     step = 2.0 * math.pi / (n * dtau)
-    ratio = window * delta / step
+    ratio = SPECTRUM_WINDOW * delta / step
     k = n if ratio >= n else math.floor(ratio)
-    while k > 0 and k * step / delta > window:
+    while k > 0 and k * step / delta > SPECTRUM_WINDOW:
         k -= 1
-    while k < n and (k + 1) * step / delta <= window:
+    while k < n and (k + 1) * step / delta <= SPECTRUM_WINDOW:
         k += 1
     return max(-k, -(n // 2)), min(k, n - n // 2 - 1)
 
 
 def _chirp(t: np.ndarray, n: int) -> np.ndarray:
     """e^{i pi t^2 / n} for integer t, with t^2 reduced mod 2n exactly
-    before scaling so the phase keeps full precision for large t."""
-    t = t.astype(np.int64)
-    t *= t
-    t %= 2 * n
+    before scaling so the phase keeps full precision for large t.  Past
+    int64 (n >= 2^62, a line zone's n) t^2 is below 2n already and is
+    squared in floating point, where it cannot overflow."""
+    if n < 1 << 62:
+        t = t.astype(np.int64)
+        t *= t
+        t %= 2 * n
+    else:
+        t = np.square(t, dtype=float)
     phase = t * (math.pi / n)
     out = np.empty(t.size, dtype=complex)
     np.cos(phase, out=out.real)
@@ -290,13 +295,13 @@ def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int, length: int) -> 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Discrete spectrum A~(omega) of one envelope.
+    """Spectrum A~(omega) of one envelope on the zones of spectrum_zones.
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
-    evaluated by a zero-padded rectangle-rule DFT whose length fft_len is
-    the 5-smooth fft_length(resolution * zero_pad_factor), plus the sum over
-    the envelope's tail.  Only the bins of that DFT within a detuning window
-    are held, on an axis stored ascending in units of the pulse width delta.
+    evaluated as the rectangle-rule sum over the samples plus the sum over
+    the envelope's tail, on a strictly ascending axis in units of the pulse
+    width delta that holds detuning 0 exactly.  fft_len is the length of the
+    coarse zone's DFT.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
@@ -310,36 +315,39 @@ class Spectrum:
         return np.abs(self.amplitude) ** 2
 
     def at_resonance(self) -> complex:
-        """A~ at zero detuning (a grid point of the DFT by construction)."""
+        """A~ at zero detuning (a bin of every zone that reaches it)."""
         return complex(self.amplitude[int(np.argmin(np.abs(self.detuning)))])
 
 
-def spectrum(env: FieldEnvelope, zero_pad_factor: int = DEFAULT_ZERO_PAD,
-             window: float = SPECTRUM_WINDOW) -> Spectrum:
-    """Zero-padded DFT spectrum of an envelope, detuning in units of delta.
+def spectrum(env: FieldEnvelope) -> Spectrum:
+    """Spectrum of an envelope, detuning in units of delta, on the zones of
+    spectrum_zones(env.dtau, env.delta, env.tail).
 
-    The DFT has fft_length(env.resolution * zero_pad_factor) points: at
-    least zero_pad_factor times the span the envelope resolves, rounded up
-    to a 5-smooth FFT length.  Only the bins with |detuning| <= window of
-    that DFT are computed, by a chirp-z transform of the samples whose cost
-    scales with n_time plus the window's bin count rather than with the
-    padded length; the tail of an envelope adds its exact continuation of
-    the sum to each bin.
+    Each zone is one chirp-z transform of the samples, whose cost scales
+    with n_time plus the zone's bin count; the tail adds its exact
+    continuation of the sum to each bin.  A zone keeps only its bins outside
+    the span of every finer zone, so no two zones interleave.
     """
-    if not isinstance(zero_pad_factor, int) or zero_pad_factor < 1:
-        raise ConfigurationError(
-            f"zero_pad_factor must be an integer >= 1, got {zero_pad_factor!r}")
-    if window is None or not (window >= 0.0 and math.isfinite(window)):
-        raise ConfigurationError(f"window must be finite and >= 0, got {window!r}")
     dtau = env.dtau
-    n, m_lo, m_hi, length = spectrum_sizes(env.resolution, env.samples.size, dtau, env.delta,
-                                           zero_pad_factor, window)
-    amplitude = _chirp_z(env.samples, n, m_lo, m_hi, length)
-    omega = _detuning_axis(n, dtau, m_lo, m_hi)
+    zones = spectrum_zones(dtau, env.delta, env.tail)
+    omegas, amplitudes, spans = [], [], []
+    for n, m_lo, m_hi in sorted(zones, reverse=True):     # finest first
+        omega = _detuning_axis(n, dtau, m_lo, m_hi)
+        keep = np.ones(omega.size, dtype=bool)
+        for lo, hi in spans:
+            keep &= (omega < lo) | (omega > hi)
+        spans.append((omega[0], omega[-1]))
+        amplitude = _chirp_z(env.samples, n, m_lo, m_hi,
+                             fft_length(env.samples.size + m_hi - m_lo))
+        omegas.append(omega[keep])
+        amplitudes.append(amplitude[keep])
+    omega = np.concatenate(omegas)
+    order = np.argsort(omega)
+    omega, amplitude = omega[order], np.concatenate(amplitudes)[order]
     amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
     amplitude += _tail_sum(env, omega)
     omega /= env.delta
-    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta, fft_len=n)
+    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta, fft_len=zones[0][0])
 
 
 def _tail_sum(env: FieldEnvelope, omega):
@@ -352,20 +360,35 @@ def _tail_sum(env: FieldEnvelope, omega):
     return sum(c * phase / np.expm1((lam * dtau) - (1j * dtau) * omega) for c, lam in env.tail)
 
 
-def spectrum_sizes(resolution: int | float, n_time: int, dtau: float, delta: float,
-                   zero_pad_factor: int, window: float = SPECTRUM_WINDOW,
-                   ) -> tuple[int, int, int, int]:
-    """(fft_len, m_lo, m_hi, chirp-z FFT length) of spectrum() for n_time samples
-    resolving `resolution` points, the last checked against POINT_BUDGET.  The
-    window's bins m_lo..m_hi, zero_pad_factor * resolution * dtau * delta *
-    window / pi of them, shrink with zero_pad alone."""
-    if not math.isfinite(resolution):
-        check_points("a spectrum FFT", resolution, "reduce zero_pad")
-    n = fft_length(resolution * zero_pad_factor)
-    m_lo, m_hi = _window_bins(n, dtau, delta, window)
-    return n, m_lo, m_hi, check_points("a spectrum FFT", fft_length(n_time + m_hi - m_lo),
-                                       "reduce zero_pad" if m_hi - m_lo >= n_time
-                                       else "raise dt_factor")
+def spectrum_zones(dtau: float, delta: float,
+                   tail: tuple[tuple[complex, complex], ...] = ()) -> list[tuple[int, int, int]]:
+    """(n, m_lo, m_hi) of each zone of a spectrum on step dtau: the bins
+    m_lo..m_hi of an n-point DFT, at angular detunings 2 pi m / (n dtau)
+    within +-SPECTRUM_WINDOW pulse widths.
+
+    The first, coarse zone is the DFT of the source's support (24/delta)
+    zero-padded DEFAULT_ZERO_PAD times.  A decaying mode (c, lam) of the
+    tail whose line is narrower than LINE_REFINE coarse bins adds zones of
+    2 LINE_HALF + 1 bins centred on the line, Im lam, in steps of Re lam /
+    LINE_REFINE (its core), of Re lam (its skirt) and of the coarse step /
+    LINE_REFINE (the coarse bins refined around it), each one that is
+    finer than the coarse bins.  A half-depth crossing on the skirt of a
+    line inside the dip lies farther out the weaker the dip's shoulders.
+    """
+    coarse = round(DEFAULT_ZERO_PAD * 2.0 * _ENVELOPE_WINDOW / (delta * dtau))
+    zones = [(coarse, *_window_bins(coarse, dtau, delta))]
+    for _, lam in tail:
+        if lam.real * coarse * dtau >= 2.0 * math.pi * LINE_REFINE:
+            continue   # wide enough for the coarse bins
+        for n in (2.0 * math.pi * LINE_REFINE / (lam.real * dtau),
+                  2.0 * math.pi / (lam.real * dtau), coarse * LINE_REFINE):
+            if (n := round(n)) > coarse:
+                center = round(lam.imag * n * dtau / (2.0 * math.pi))
+                lo, hi = _window_bins(n, dtau, delta)
+                lo, hi = max(lo, center - LINE_HALF), min(hi, center + LINE_HALF)
+                if lo <= hi:
+                    zones.append((n, lo, hi))
+    return zones
 
 
 def dip_width(spec: Spectrum) -> float:
@@ -446,22 +469,11 @@ def consistency_residuals(traj: AmplitudeTrajectory,
 # frequency-domain transfer oracle
 # ----------------------------------------------------------------------
 
-def transfer_oracle(params: SimParams, m_total: complex,
-                    freq_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Transmission and reflection amplitudes t(d), r(d) on a detuning grid.
-
-    Solves the steady linear response per detuning d = omega - omega0
-    (same units as gamma) and forms the envelope ratios
-
-        t(d) = 1 - 2 gamma [(gamma - i d) - M cos(k0 l)] / D
-        r(d) = - gamma [(1 + f^2)(gamma - i d) - 2 M f] / D
-
-    with f = e^{i k0 l}, M = m_total and D = (gamma - i d)^2 - M^2.  For
-    the full coupling M = gamma f these give t(0) = 0, r(0) = -1
-    identically: the resonant component is always fully reflected.  The removable 0/0 at
-    D = 0 (gamma > 0) is filled with that limit; with gamma = 0 the
-    response at zero detuning is genuinely singular.
-    """
+def _response(params: SimParams, m_total: complex, freq_grid: np.ndarray):
+    """(gamma - i d, D, the mask where D = 0) on the detunings d of freq_grid,
+    checked to be 1-d and to cover +-_MIN_TRANSFER_SPAN pulse widths.  Where
+    D = 0 it is set to 1 and each amplitude fills in its limit (gamma > 0;
+    with gamma = 0 the response there is singular and raises)."""
     detuning = np.asarray(freq_grid, dtype=float)
     if detuning.ndim != 1 or detuning.size < 2:
         raise ConfigurationError("freq_grid must be a 1-d array of detunings")
@@ -470,23 +482,43 @@ def transfer_oracle(params: SimParams, m_total: complex,
         raise ConfigurationError(
             f"freq_grid must cover +-{_MIN_TRANSFER_SPAN:g} pulse widths "
             f"(+-{span:g}); got [{detuning.min():g}, {detuning.max():g}]")
-
-    gamma = params.gamma
-    x = params.k0l
-    f = complex(math.cos(x), math.sin(x))
-    gmd = gamma - 1j * detuning
+    gmd = params.gamma - 1j * detuning
     d = gmd * gmd - m_total * m_total
     singular = d == 0.0
     if singular.any():
-        if gamma == 0.0:
+        if params.gamma == 0.0:
             raise NumericalError(
                 "zero-coupling response is singular at zero detuning")
         d = np.where(singular, 1.0, d)
+    return gmd, d, singular
 
-    t_vals = 1.0 - 2.0 * gamma * (gmd - m_total * math.cos(x)) / d
-    r_vals = -gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
-    if singular.any():
-        t_vals = np.where(singular, 0.0, t_vals)
-        r_vals = np.where(singular, -1.0, r_vals)
-    return t_vals, r_vals
 
+def transfer_oracle(params: SimParams, m_total: complex,
+                    freq_grid: np.ndarray) -> np.ndarray:
+    """Transmission amplitude t(d) on a detuning grid.
+
+    Solves the steady linear response per detuning d = omega - omega0
+    (same units as gamma) and forms the transmitted envelope ratio
+
+        t(d) = 1 - 2 gamma [(gamma - i d) - M cos(k0 l)] / D
+
+    with M = m_total and D = (gamma - i d)^2 - M^2.  For the full coupling
+    M = gamma e^{i k0 l} this gives t(0) = 0 identically: the resonant
+    component is never transmitted.  The removable 0/0 at D = 0 (gamma > 0)
+    is filled with that limit; with gamma = 0 the response at zero detuning
+    is genuinely singular.  reflection_oracle gives r(d).
+    """
+    gmd, d, singular = _response(params, m_total, freq_grid)
+    t_vals = 1.0 - 2.0 * params.gamma * (gmd - m_total * math.cos(params.k0l)) / d
+    return np.where(singular, 0.0, t_vals) if singular.any() else t_vals
+
+
+def reflection_oracle(params: SimParams, m_total: complex,
+                      freq_grid: np.ndarray) -> np.ndarray:
+    """Reflection amplitude r(d) = - gamma [(1 + f^2)(gamma - i d) - 2 M f] / D,
+    f = e^{i k0 l}, on the detunings of transfer_oracle: r(0) = -1 for the
+    full coupling, so the resonant component is fully reflected."""
+    gmd, d, singular = _response(params, m_total, freq_grid)
+    f = complex(math.cos(params.k0l), math.sin(params.k0l))
+    r_vals = -params.gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
+    return np.where(singular, -1.0, r_vals) if singular.any() else r_vals

@@ -39,18 +39,16 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, NumericalError, WqedError
 from .fields import (
-    DEFAULT_ZERO_PAD,
     FieldEnvelope,
     Spectrum,
     consistency_residuals,
     dip_width as measure_dip_width,
     reconstruct_fields,
     spectrum,
-    spectrum_sizes,
 )
 from .serialize import config_text, format_value, write_config, write_table
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -129,12 +127,6 @@ def _axis(name: str, value) -> tuple[float, ...]:
     return values
 
 
-def _count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(f"{name} must be an int >= 1, got {value!r}")
-    return value
-
-
 def _normalization(name: str, value) -> str:
     amplitude_scale(value)   # refuses an unknown name
     return value
@@ -176,8 +168,8 @@ class ConfigKey(NamedTuple):
     flag: tuple[str, dict] | None = None
 
 
-def _flag(spelling: str, help: str, type=float, metavar="F") -> tuple:
-    return spelling, dict(type=type, metavar=metavar, help=help)
+def _flag(spelling: str, help: str) -> tuple:
+    return spelling, dict(type=float, metavar="F", help=help)
 
 
 # Rows are in file order, and so are the flags in --help.  gamma_over_delta
@@ -200,8 +192,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
                          None, "run", flag=_flag("--epsilon", "infrared cutoff for rwa-cutoff")),
     "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
         "--grid-dt", "time-step scale factor")),
-    "zero_pad": ConfigKey(_count, DEFAULT_ZERO_PAD, "grid", flag=_flag(
-        "--zero-pad", "minimum spectral zero-padding factor", int, "N")),
     "area_tol": ConfigKey(_positive, 1e-3, "checks"),
 }
 
@@ -250,7 +240,6 @@ class SweepSpec:
     omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
     normalization: str = CONFIG_KEYS["normalization"].default
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
-    zero_pad: int = DEFAULT_ZERO_PAD
     area_tol: float = CONFIG_KEYS["area_tol"].default
     out_dir: str | os.PathLike | None = None
 
@@ -505,8 +494,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
                                                       spec.area_tol)
         tail_fraction = max(abs(trans.tail_area), abs(refl.tail_area)) / abs(s_inc)
 
-        spec_inc = spectrum(inc, spec.zero_pad)
-        spec_trans = spectrum(trans, spec.zero_pad)
+        spec_inc, spec_trans = spectrum(inc), spectrum(trans)
         depth = 1.0 - (abs(spec_trans.at_resonance()) ** 2
                        / abs(spec_inc.at_resonance()) ** 2)
         try:
@@ -550,8 +538,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest;
-    first, a cell whose coupling evaluates but whose grid or spectra exceed the
-    point budget, or whose step exceeds step_limit, raises ConfigurationError."""
+    first, a cell whose coupling evaluates but whose grid exceeds the point
+    budget, or whose step exceeds step_limit, raises ConfigurationError."""
     cells = [(g, k, m) for g in spec.gamma_over_delta for k in spec.k0l for m in spec.models]
     fits = math.inf  # the largest dt_factor whose step every checked cell takes
     for g, k, model in cells:
@@ -561,7 +549,6 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
         except WqedError:
             continue
         grid = default_grid(params, dt_factor=spec.dt_factor, m_total=m_total)
-        spectrum_sizes(grid.resolution, grid.n, grid.dt, params.delta, spec.zero_pad)
         fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
     if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
         raise ConfigurationError(

@@ -10,7 +10,9 @@ import numpy as np
 
 import wqed.cli
 from wqed.errors import ConfigurationError
-from wqed.fields import DEFAULT_ZERO_PAD, FieldEnvelope, Spectrum, fft_length
+from wqed.coupling import SimParams
+from wqed.dynamics import driven_modes
+from wqed.fields import FieldEnvelope, Spectrum, transfer_oracle
 from wqed.serialize import parse_config_text, parse_value
 from wqed.specfun import si
 from wqed.sweep import SweepSpec
@@ -86,16 +88,14 @@ def padded_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> 
     return spec[:samples.size].copy()
 
 
-def full_dft_spectrum(env: FieldEnvelope,
-                      zero_pad_factor: int = DEFAULT_ZERO_PAD) -> Spectrum:
-    """Every bin of the DFT that fields.spectrum windows, by a plain numpy FFT:
-    dtau sum_j A_j e^{i omega tau_j} over the samples continued by
-    tail_samples and zero-padded (or, when longer, folded) to N =
-    fft_length(env.resolution * zero_pad_factor), at omega = 2 pi m / (N dtau)
-    for m = -(N // 2) .. N - N // 2 - 1, ascending."""
-    n = fft_length(env.resolution * zero_pad_factor)
+def full_dft_spectrum(env: FieldEnvelope, n: int) -> Spectrum:
+    """Every bin of an n-point DFT on the envelope's step, by a plain numpy
+    FFT: dtau sum_j A_j e^{i omega tau_j} over the samples continued by
+    tail_samples and zero-padded (or, when longer, folded) to n, at omega =
+    2 pi m / (n dtau) for m = -(n // 2) .. n - n // 2 - 1, ascending: the
+    reference for each zone of fields.spectrum."""
     samples = np.concatenate([env.samples, tail_samples(env)[1]])
-    # e^{i omega tau_j} repeats every N samples at these omegas
+    # e^{i omega tau_j} repeats every n samples at these omegas
     folded = np.zeros(-(-samples.size // n) * n, dtype=complex)
     folded[:samples.size] = samples
     omega = np.arange(-(n // 2), n - n // 2, dtype=float)
@@ -104,3 +104,40 @@ def full_dft_spectrum(env: FieldEnvelope,
     amplitude *= env.dtau * np.exp(1j * float(env.tau[0]) * omega)
     return Spectrum(detuning=omega / env.delta, amplitude=amplitude,
                     delta=env.delta, fft_len=n)
+
+
+def oracle_dip_width(params: SimParams, m_total: complex) -> float:
+    """Full width at half depth (units of delta) of |t(d)|^2 e^{-2 (d/delta)^2},
+    the transmitted intensity the transfer oracle gives the Gaussian pulse:
+    the shoulders and depth as fields.dip_width takes them, but of the exact
+    function on an axis of 2^16 steps over +-8 delta that also holds each
+    driven mode's line, Im lam +- 8 Re lam; each half-depth crossing is
+    bracketed there and bisected."""
+    span = 8.0 * params.delta
+
+    def intensity(d):
+        t = transfer_oracle(params, m_total, np.concatenate([[-span, span], d]))[2:]
+        return np.abs(t) ** 2 * np.exp(-2.0 * (d / params.delta) ** 2)
+
+    lines = [np.linspace(lam.imag - 8 * lam.real, lam.imag + 8 * lam.real, 2049)
+             for lam in driven_modes(params, m_total).values() if lam.real > 0]
+    axis = np.concatenate([np.linspace(-span, span, (1 << 16) + 1), [0.0], *lines])
+    axis = np.unique(axis[np.abs(axis) <= span])
+    inten = intensity(axis)
+    i0 = int(np.searchsorted(axis, 0.0))
+    half = 0.5 * (min(inten[:i0].max(), inten[i0 + 1:].max()) + inten[i0])
+
+    def crossing(direction: int) -> float:
+        k = i0 + direction
+        while inten[k] < half:
+            k += direction
+        inside, outside = axis[k - direction], axis[k]
+        for _ in range(100):
+            mid = 0.5 * (inside + outside)
+            if mid in (inside, outside):
+                break
+            inside, outside = (mid, outside) if intensity(np.array([mid]))[0] < half else (
+                inside, mid)
+        return 0.5 * (inside + outside)
+
+    return (crossing(+1) - crossing(-1)) / params.delta

@@ -88,7 +88,7 @@ class TestRunConfig:
     def test_custom_round_trip(self):
         spec = SweepSpec.from_run_sections(
             {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, model="rwa-cutoff", epsilon=1e-7,
-            dt_factor=0.5, zero_pad=4, area_tol=1e-4)
+            dt_factor=0.5, area_tol=1e-4)
         again = run_config_from_text(run_config_text(spec))
         assert again == spec
         assert again.k0l == (1.0 / 3.0,)  # bitwise through 17 digits
@@ -115,7 +115,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_run_sections({}, normalization="bogus")
         with pytest.raises(ConfigurationError):
-            SweepSpec.from_run_sections({}, zero_pad=1.5)
+            SweepSpec.from_run_sections({}, dt_factor=-1.0)
         with pytest.raises(DomainError):
             SweepSpec.from_run_sections({}, model="rwa-cutoff")  # cutoff needs epsilon
 
@@ -400,15 +400,28 @@ class TestSimulateCommand:
         assert len(err) < 200
 
     def test_weak_extreme_runs_under_the_memory_cap(self, tmp_path):
-        # gamma/delta = 1e-3: a 2,001-point grid ending at the source's support,
-        # its spectra resolving 4,098,658 points of its step (the grid itself
-        # before, 19.6 s and 797 MiB); within a 1 GiB address space
+        # gamma/delta = 1e-3: a 2,001-point grid ending at the source's support
+        # (the grid ran 12 decay lengths of the slow mode before, 19.6 s and
+        # 797 MiB); within a 1 GiB address space
         code, err = run_limited(["simulate", "--gamma-over-delta", "1e-3", "--k0l", repr(PI4),
                                  "--out", tmp_path])
         assert code == EXIT_OK, err
         cell = read_config(tmp_path / "manifest.txt")["cell000"]
         assert cell["n"] == 2_001 and cell["area_check"] == "pass"
         assert cell["area_trans_ratio"] <= 1e-10 and cell["area_refl_ratio"] <= 1e-10
+
+    @pytest.mark.parametrize("ratio", ["1e-4", "1e-5"])
+    def test_forced_weak_end_spectra_stay_small(self, tmp_path, ratio):
+        # past the Markov guard, forced: 1e-4 took 1,053 MiB and wrote 708 MB
+        # of spectra when they resolved 12 decay lengths of its slow mode, and
+        # 1e-5 exited 2 on the spectrum budget; each spectrum is its coarse
+        # zone and its lines' zones now, within a 512 MiB address space
+        code, err = run_limited(["simulate", "--gamma-over-delta", ratio, "--k0l", repr(PI4),
+                                 "--force", "--out", tmp_path], limit=512 << 20)
+        assert code == EXIT_OK, err
+        for kind in ("incident", "transmitted"):
+            header, rows = read_csv(tmp_path / f"cell000_spectrum_{kind}.csv")
+            assert 977 <= len(rows) <= 2_000
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid-dt", "1e-320", "the time grid needs n = Infinity points, over the budget"),
@@ -597,14 +610,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("lines, what", [
         # gamma/delta = 1e4 asks for a grid of 2e7 points (~4 GB).  1e-4 asked
         # for 40,972,164 before; its grid ends at the source's support now
-        # (2,002 points) and its spectrum FFT, ~8.4M points, fits the budget
+        # (2,002 points).  A spectrum has no budget of its own: its chirp-z
+        # transforms follow the grid's n (1e-5 asked for 83,886,080 before)
         ("gamma_over_delta = 1e4\n", "the time grid needs n = 20,000,001 points, over "
          "the budget of 10,000,000 points; raise dt_factor"),
-        # a 2,001-point grid whose spectra resolve ~4.1e8 points of its step
-        ("gamma_over_delta = 1e-5\n", "a spectrum FFT needs n = 83,886,080 points, over "
-         "the budget of 10,000,000 points; reduce zero_pad"),
-        # a modest grid whose padding pushes the chirp-z length past it
-        ("gamma_over_delta = 4\nzero_pad = 1000000\n", "a spectrum FFT needs n = "),
     ])
     def test_over_budget_exits_2_before_allocating(self, tmp_path, lines, what):
         spec = tmp_path / "big.ini"
@@ -699,8 +708,7 @@ class TestOneRulePerKey:
     @pytest.mark.parametrize("run_lines, sweep_lines, message", [
         ("[run]\nnormalization = bogus\n", "normalization = bogus\n",
          "unknown normalization 'bogus'"),
-        ("[grid]\nzero_pad = 8.5\n", "zero_pad = 8.5\n", "zero_pad must be an int >= 1"),
-        ("[grid]\nzero_pad = 8.0\n", "zero_pad = 8.0\n", "zero_pad must be an int >= 1"),
+        ("[grid]\ndt_factor = 0\n", "dt_factor = 0\n", "dt_factor must be finite and > 0"),
         ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
         ("[run]\nmodel = 5\n", "models = 5\n", "5"),
         # one value in a run config, where [sweep] takes a list

@@ -26,7 +26,6 @@ from wqed.dynamics import (
     integrate_markovian,
     markov_guard,
     oracle_modes,
-    resolved_end,
     tail_modes,
     _GL6_W,
     _GL6_X,
@@ -194,23 +193,6 @@ class TestTimeGrid:
     def test_default_grid_factors_finite_and_positive(self, factors):
         with pytest.raises(ConfigurationError, match="finite and > 0"):
             default_grid(SimParams.from_ratios(4.0, math.pi / 4), *factors)
-
-    def test_default_grid_tracks_slow_mode(self):
-        # the antisymmetric mode at k0l=pi/4 decays ~3.4x slower than
-        # gamma, so the span its spectra resolve must be correspondingly
-        # longer than at k0l=0 (where that mode is undriven): 12 decay
-        # lengths of the slowest driven mode after the pulse section.  The
-        # grid itself ends at the source's support; the tails carry the rest
-        # (grid.t_end was pinned to this span before)
-        p_fast = SimParams.from_ratios(4.0, 0.0)
-        p_slow = SimParams.from_ratios(4.0, math.pi / 4)
-        for p, rate in ((p_fast, 2.0), (p_slow, 1 - math.cos(math.pi / 4))):
-            grid = default_grid(p)
-            resolved = grid.t_start + grid.dt * (grid.resolution - 1)
-            assert resolved - 8 / p.delta == pytest.approx(12 / (rate * p.gamma), abs=grid.dt)
-            assert resolved_end(p) - 8 / p.delta == pytest.approx(12 / (rate * p.gamma))
-            assert grid.t_end == pytest.approx(12 / p.delta, abs=grid.dt)
-        assert default_grid(p_slow).resolution > default_grid(p_fast).resolution
 
     def test_default_grid_caps_near_dark_modes(self):
         # a barely-driven, barely-decaying mode must not blow up the grid
@@ -520,10 +502,12 @@ class TestOracleModes:
         # the Gauss-node drive is built a chunk of steps at a time: the
         # amplitudes equal the one-shot (n-1) x 6 node arrays bit for bit,
         # and the peak stays below eight grid-length complex arrays
-        # a grid to the span spectra resolve, as default_grid ran before: its
-        # 206,454 points cover more than ten chunks (default_grid's now 2,001)
+        # a grid 12 decay lengths of the slow mode past the pulse, as
+        # default_grid ran before: its 206,454 points cover more than ten
+        # chunks (default_grid's now 2,001)
         p = SimParams.from_ratios(0.02, math.pi / 4)
-        src = build_source(p, TimeGrid.from_step(-8 / p.delta, resolved_end(p), 0.01 / p.delta))
+        t_end = 8 / p.delta + 12 / ((1 - math.cos(math.pi / 4)) * p.gamma)
+        src = build_source(p, TimeGrid.from_step(-8 / p.delta, t_end, 0.01 / p.delta))
         cpl = coupling_full(p)
         tracemalloc.start()
         try:

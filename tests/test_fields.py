@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import full_dft_spectrum, padded_round_trip, run_limited, tail_samples
+from helpers import (full_dft_spectrum, oracle_dip_width, padded_round_trip, run_limited,
+                     tail_samples)
 from wqed.checks import (WRAP_FRACTION, _scatter, pruned_round_trip, round_trip_length,
                          transfer_round_trip)
 from wqed.sweep import AREA_FAIL, AREA_PASS, AREA_TRUNCATED, area_verdict, scatter
@@ -39,8 +40,9 @@ from wqed.fields import (
     fft_length,
     radiation_prefactors,
     reconstruct_fields,
+    reflection_oracle,
     spectrum,
-    spectrum_sizes,
+    spectrum_zones,
     transfer_oracle,
 )
 
@@ -48,7 +50,7 @@ COUPLING_RATIOS = (0.02, 0.25, 4.0)
 SEPARATIONS = (0.0, math.pi / 4, math.pi / 2)
 
 # regression values for the transmission-dip full width at half depth
-# (units of delta), k0l = pi/4, default grid and zero padding
+# (units of delta), k0l = pi/4, default grid
 DIP_WIDTH_ORACLE = {0.02: 0.0525, 0.25: 0.4306, 4.0: 1.0594}
 
 
@@ -259,36 +261,17 @@ class TestFftLength:
 
 
 class TestSpectrum:
-    def test_budget_error_names_what_shrinks_it(self):
-        # the chirp-z length is n_time plus the window's bins; the bins grow
-        # with zero_pad and the resolved span resolution * dtau alone, n_time
-        # with span / dtau.  Each message names only what shrinks its larger
-        # part (the second read "reduce span_factor or raise dt_factor" when
-        # span_factor was a config key)
-        with pytest.raises(ConfigurationError, match=(
-                "a spectrum FFT needs n = .* points; reduce zero_pad$")):
-            spectrum_sizes(10 ** 9, 2_001, 0.01, 1.0, 8)
-        with pytest.raises(ConfigurationError, match=(
-                "a spectrum FFT needs n = Infinity points, .*; reduce zero_pad$")):
-            spectrum_sizes(math.inf, 2_001, 0.01, 1.0, 8)
-        with pytest.raises(ConfigurationError, match=(
-                "a spectrum FFT needs n = .* points; raise dt_factor$")):
-            spectrum_sizes(10 ** 7, 10 ** 7, 0.01, 1.0, 1)
-        n = spectrum_sizes(100_000, 2_001, 0.01, 1.0, 8)[3]
-        assert spectrum_sizes(100_000, 2_001, 0.01, 1.0, 4)[3] < n    # zero_pad down
-        assert spectrum_sizes(50_000, 2_001, 0.01, 1.0, 8)[3] < n     # resolved span down
-        # a step twice as long over the same resolved span keeps every bin
-        assert (spectrum_sizes(50_000, 1_001, 0.02, 1.0, 8)[1:]
-                == spectrum_sizes(100_000, 1_001, 0.01, 1.0, 8)[1:])
-
     def test_parseval(self):
         """Time-domain and spectral energies agree to 1e-6 relative.  The
         grid ends at the source's support, so the time-domain side adds the
         tail's energy in closed form, dtau sum_{k>=1} |sum c e^{-lam k dtau}|^2
-        (it was the samples' alone)."""
-        p, traj, coup = run_case(0.25, math.pi / 4)
+        (it was the samples' alone).  The identity is the uniform DFT's: on a
+        cell whose lines are all wider than the coarse bins, every spectrum is
+        the coarse zone alone (at 0.25, pi/4 the slow line adds a finer zone)."""
+        p, traj, coup = run_case(4.0, math.pi / 4)
         for env in reconstruct_fields(traj, p):
             sp = spectrum(env)
+            assert len(spectrum_zones(env.dtau, env.delta, env.tail)) == 1
             tail = sum(c * d.conjugate() / np.expm1((lam + mu.conjugate()) * env.dtau)
                        for c, lam in env.tail for d, mu in env.tail)
             lhs = (float(np.sum(np.abs(env.samples) ** 2)) + tail.real) * env.dtau
@@ -342,27 +325,22 @@ class TestSpectrum:
         p, traj, coup = run_case(0.25, math.pi / 4)
         trans = reconstruct_fields(traj, p)[1]
         sp = spectrum(trans)
-        # the DFT follows the resolved span, not the samples (8 * n before)
-        assert trans.resolution > trans.samples.size
-        assert sp.fft_len == fft_length(8 * trans.resolution) and sp.fft_len % 2 == 0
-        assert sp.detuning[sp.detuning.size // 2] == 0.0
+        # the coarse DFT is the source's 24/delta support padded 16 times on
+        # the grid's step, whatever the samples (it followed the resolved span)
+        assert sp.fft_len == round(16 * 24 / (p.delta * trans.dtau)) == 38_400
+        assert 0.0 in sp.detuning and sp.detuning.size <= 1_600
         self.assert_matches_direct_dft(trans, sp)
 
     def test_direct_dft_odd_padded_length(self):
-        """An odd 5-smooth n_time with no padding: an odd-length DFT."""
-        tau = np.linspace(-6.0, 6.0, 405)        # 405 = 3^4 * 5
+        """A step whose padded support is an odd number of steps: an odd-length
+        DFT, whose range of +-pi/dtau clips the +-8 window."""
+        tau = np.arange(-12, 13) * (384 / 405)
         samples = np.exp(-0.25 * tau ** 2) * np.exp(0.7j * tau) * (1 + 0.2 * tau)
         env = FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples, delta=1.0)
-        sp = spectrum(env, zero_pad_factor=1)
-        assert sp.fft_len == 405
+        sp = spectrum(env)
+        assert sp.fft_len == sp.detuning.size == 405
         assert sp.detuning[sp.detuning.size // 2] == 0.0
         self.assert_matches_direct_dft(env, sp)
-
-    def test_zero_pad_guard(self):
-        p, traj, coup = run_case(0.25, math.pi / 4)
-        inc = reconstruct_fields(traj, p)[0]
-        with pytest.raises(ConfigurationError, match="zero_pad_factor"):
-            spectrum(inc, zero_pad_factor=0)
 
     def test_dip_width_grows_with_coupling(self):
         """The transmission dip widens monotonically with gamma/delta."""
@@ -381,59 +359,42 @@ class TestSpectrum:
             dip_width(spectrum(trans))
 
 
-def coarse_envelope(n_time=45, dtau=0.5):
-    """A smooth synthetic envelope on a grid so coarse that its DFT spans
-    less than +-8 pulse widths."""
-    tau = (np.arange(n_time) - n_time // 2) * dtau
-    samples = np.exp(-0.25 * tau ** 2) * np.exp(0.7j * tau) * (1 + 0.2 * tau)
-    return FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples, delta=1.0)
-
-
 class TestWindowedSpectrum:
-    """spectrum(..., window=w) returns the |detuning| <= w bins of the full DFT."""
+    """Each zone of spectrum() holds the bins of a plain full DFT of its
+    length that lie within +-8 widths, less those a finer zone spans."""
 
     @staticmethod
-    def assert_is_window_of_full(env, window, zero_pad_factor=8):
-        full = full_dft_spectrum(env, zero_pad_factor)
-        win = spectrum(env, zero_pad_factor, window)
-        keep = np.abs(full.detuning) <= window
-        assert win.fft_len == full.fft_len == full.amplitude.size
-        assert np.array_equal(win.detuning, full.detuning[keep])
-        scale = float(np.max(np.abs(full.amplitude)))
-        assert float(np.max(np.abs(win.amplitude - full.amplitude[keep]))) <= 1e-13 * scale
-        return full, win
+    def full_dft_reference(env):
+        """(spectrum, the same axis with every bin taken from the full DFT
+        of the zone it came from)."""
+        spec = spectrum(env)
+        amplitude = np.full(spec.amplitude.shape, np.nan, dtype=complex)
+        for n, m_lo, m_hi in spectrum_zones(env.dtau, env.delta, env.tail):
+            full = full_dft_spectrum(env, n)
+            assert full.fft_len == n == full.amplitude.size
+            zone = slice(m_lo + n // 2, m_hi + n // 2 + 1)
+            mine = np.isin(spec.detuning, full.detuning[zone])
+            amplitude[mine] = full.amplitude[zone][np.isin(full.detuning[zone], spec.detuning)]
+        assert not np.isnan(amplitude).any()       # every bin comes from one zone
+        return spec, dataclasses.replace(spec, amplitude=amplitude)
 
-    @pytest.mark.parametrize("ratio, fft_len", [(0.25, 144_000), (4.0, 84_375)])
-    def test_matches_full_spectrum(self, ratio, fft_len):
-        """Even and odd padded lengths, both envelopes of a pi/4 cell."""
+    @pytest.mark.parametrize("ratio", COUPLING_RATIOS)
+    def test_matches_full_spectrum(self, ratio):
+        """Both envelopes of a pi/4 cell: the incident one on the coarse zone
+        alone, the transmitted one with each line finer than it."""
         inc, trans, _ = _scatter(ratio, math.pi / 4)[3]
         for env in (inc, trans):
-            full, win = self.assert_is_window_of_full(env, 8.0)
-            assert full.fft_len == fft_len
-            assert win.detuning[0] >= -8.0 and win.detuning[-1] <= 8.0
-            assert 0 < win.amplitude.size < fft_len // 10
-
-    @pytest.mark.parametrize("zero_pad_factor, fft_len", [(1, 45), (8, 360)])
-    def test_window_clipped_to_dft_range(self, zero_pad_factor, fft_len):
-        env = coarse_envelope()
-        full, win = self.assert_is_window_of_full(env, 8.0, zero_pad_factor)
-        assert full.fft_len == fft_len
-        assert win.amplitude.size == fft_len        # every bin is inside +-8
-
-    def test_window_narrower_than_a_bin(self):
-        inc = _scatter(0.25, math.pi / 4)[3][0]
-        bin_width = float(np.diff(spectrum(inc).detuning[:2])[0])
-        for window in (0.0, 0.4 * bin_width):
-            full, win = self.assert_is_window_of_full(inc, window)
-            assert win.detuning.tolist() == [0.0]
-            assert win.at_resonance() == pytest.approx(full.at_resonance(), rel=1e-13)
+            spec, full = self.full_dft_reference(env)
+            scale = float(np.max(np.abs(full.amplitude)))
+            assert float(np.max(np.abs(spec.amplitude - full.amplitude))) <= 1e-13 * scale
+            assert spec.detuning[0] >= -8.0 and spec.detuning[-1] <= 8.0
+        assert inc.tail == () and spectrum(inc).detuning.size == 977
 
     @pytest.mark.parametrize("ratio", COUPLING_RATIOS)
     @pytest.mark.parametrize("k0l", SEPARATIONS)
     def test_dip_width_unchanged(self, ratio, k0l):
-        trans = _scatter(ratio, k0l)[3][1]
-        assert (dip_width(spectrum(trans, window=8.0))
-                == pytest.approx(dip_width(full_dft_spectrum(trans)), rel=1e-12))
+        spec, full = self.full_dft_reference(_scatter(ratio, k0l)[3][1])
+        assert dip_width(spec) == pytest.approx(dip_width(full), rel=1e-12)
 
     def test_chirp_phase_reduced_exactly(self):
         """e^{i pi t^2 / n} is periodic in t with period n for even n; exact
@@ -442,23 +403,106 @@ class TestWindowedSpectrum:
         t = np.arange(-500, 500)
         assert np.array_equal(_chirp(t + 3 * n, n), _chirp(t, n))
 
-    def test_window_guard(self):
-        inc = _scatter(4.0, math.pi / 4)[3][0]
-        for window in (-1.0, math.inf, math.nan, None):
-            with pytest.raises(ConfigurationError, match="window"):
-                spectrum(inc, window=window)
+    def test_chirp_past_int64(self):
+        """A fine zone's n can pass 2^63 (2e19 at (1e-3, 1e-6)): its chirp is
+        taken without the int64 reduction, to round-off of the exact phase."""
+        n = 20_106_192_982_974_676_992
+        t = np.array([0, 1, -7, 32_000_000, -2_640_000_000, 3_000_000_000])
+        exact = np.array([np.exp(1j * math.pi * (int(x) ** 2 / n)) for x in t])
+        assert np.max(np.abs(_chirp(t, n) - exact)) <= 1e-15
 
     def test_memory_scales_with_window_not_padding(self):
-        """A windowed call allocates well under one N-point complex buffer."""
-        inc = _scatter(0.25, math.pi / 4)[3][0]
-        n = fft_length(8 * inc.resolution)   # 144,000, as with 8 * n before
+        """A spectrum allocates well under one complex buffer of its coarse
+        DFT's length (38,400), though its line's DFT has 32,176,612 points."""
+        trans = _scatter(0.25, 0.05)[3][1]
+        lengths = [n for n, _, _ in spectrum_zones(trans.dtau, trans.delta, trans.tail)]
+        assert lengths[0] == 38_400 and max(lengths) == 32_176_612
         tracemalloc.start()
         try:
-            spectrum(inc, window=8.0)
+            spectrum(trans)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n
+        assert peak < 16 * lengths[0]
+
+
+DIP_CELLS = {   # (gamma/delta, k0l): the transfer oracle's dip width
+    (0.25, 0.05): 0.245933, (4.0, 0.05): 0.549979, (0.25, math.pi / 4): 0.430713,
+    (0.02, math.pi / 4): 0.052527, (0.25, 1e-3): 0.224900, (4.0, math.pi / 4): 1.059630,
+    (1e-3, math.pi / 4): 0.0027599,
+}
+# next to a dark phase and at it; (0.25, 1.83e-8) brings a line's chirp
+# nearest the int64 limit
+EDGE_CELLS = [(1e-3, 1e-6), (0.25, 1e-9), (0.25, math.pi - 1e-6),
+              (0.25, 2 * math.pi - 1e-6), (0.25, 0.0), (0.25, 1.83e-8)]
+
+
+class TestSpectrumAxis:
+    """The axis follows delta, dtau and the envelope's modes alone: a coarse
+    zone and each narrow line's own zones; on it dip_width reads the width
+    the transfer oracle gives."""
+
+    @staticmethod
+    def assert_well_formed(spec):
+        d = spec.detuning
+        assert np.all(np.isfinite(spec.amplitude)) and np.all(np.diff(d) > 0)
+        assert 0.0 in d and np.max(np.abs(d)) <= 8.0
+        assert d.size <= 1_600
+
+    @pytest.mark.parametrize("cell", DIP_CELLS)
+    def test_reference_width_table(self, cell):
+        params = SimParams.from_ratios(*cell)
+        width = oracle_dip_width(params, coupling_full(params).m_total)
+        assert width == pytest.approx(DIP_CELLS[cell], abs=5e-7)   # to the last digit
+
+    @pytest.mark.parametrize("cell", DIP_CELLS)
+    def test_dip_width_is_the_oracle_width(self, cell):
+        params, coupling, _, (_, trans, _) = _scatter(*cell)
+        spec = spectrum(trans)
+        self.assert_well_formed(spec)
+        reference = oracle_dip_width(params, coupling.m_total)
+        assert dip_width(spec) == pytest.approx(reference, rel=1e-3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ratio=st.floats(-3.0, math.log10(4.0)).map(lambda x: 10.0 ** x),
+           dark=st.sampled_from([0.0, math.pi, 2 * math.pi]),
+           offset=st.floats(-6.0, -1.0).map(lambda x: 10.0 ** x),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_dip_width_near_dark_phases(self, ratio, dark, offset, sign):
+        params = SimParams.from_ratios(ratio, abs(dark + sign * offset))
+        coupling = coupling_full(params)
+        trans = scatter(params, coupling)[1][1]
+        spec = spectrum(trans)
+        self.assert_well_formed(spec)
+        reference = oracle_dip_width(params, coupling.m_total)
+        assert dip_width(spec) == pytest.approx(reference, rel=1e-3)
+
+    @pytest.mark.parametrize("ratio, k0l", EDGE_CELLS)
+    def test_edge_cells_are_well_formed(self, ratio, k0l):
+        params = SimParams.from_ratios(ratio, k0l)
+        for env in scatter(params, coupling_full(params))[1]:
+            self.assert_well_formed(spectrum(env))
+
+    def test_overlapping_lines_neither_repeat_nor_interleave(self):
+        # at (0.02, pi/4) the zones of the lines at +-0.014 delta overlap,
+        # the two refined coarse ones on one lattice: no bin repeats, and
+        # inside the finest zone's span every bin is that zone's
+        trans = _scatter(0.02, math.pi / 4)[3][1]
+        zones = spectrum_zones(trans.dtau, trans.delta, trans.tail)
+        assert len(zones) == 6 and zones[2][0] == zones[5][0] == 16 * zones[0][0]
+        spec = spectrum(trans)
+        self.assert_well_formed(spec)
+        n, m_lo, m_hi = max(zones)
+        step = 2 * math.pi / (n * trans.dtau) / trans.delta
+        inside = spec.detuning[(spec.detuning >= m_lo * step) & (spec.detuning <= m_hi * step)]
+        assert inside.size == m_hi - m_lo + 1
+        np.testing.assert_allclose(np.diff(inside), step, rtol=1e-6)
+
+    def test_coarse_zone_follows_delta_and_step_alone(self):
+        for ratio in (1e-3, 0.25, 1.0):
+            trans = _scatter(ratio, math.pi / 2)[3][1]
+            assert spectrum_zones(trans.dtau, trans.delta)[0] == (38_400, -488, 488)
+            assert spectrum_zones(trans.dtau, trans.delta, trans.tail)[0] == (38_400, -488, 488)
 
 
 class TestClosedFormTail:
@@ -468,15 +512,19 @@ class TestClosedFormTail:
                                             (0.25, math.pi - 0.05), (4.0, 1e-3)])
     def test_windowed_spectrum_matches_transfer_oracle(self, ratio, k0l):
         # the third oracle pair on tail cells: t(d) times the incident
-        # spectrum at the same bins (a window past +-8 widths, which
-        # transfer_oracle requires its grid to reach)
+        # spectrum, the direct sum over its samples, at the transmitted
+        # spectrum's bins (its lines' zones included)
         params, coupling, _, (inc, trans, _) = _scatter(ratio, k0l)
         assert trans.tail and not inc.tail
-        spec_inc, spec_trans = (spectrum(env, window=9.0) for env in (inc, trans))
-        t_vals, _ = transfer_oracle(params, coupling.m_total,
-                                    spec_inc.detuning * spec_inc.delta)
-        scale = float(np.max(np.abs(spec_inc.amplitude)))
-        assert np.max(np.abs(spec_trans.amplitude - t_vals * spec_inc.amplitude)) <= 1e-6 * scale
+        spec = spectrum(trans)
+        omega = spec.detuning * spec.delta
+        incident = np.concatenate([np.exp(1j * np.outer(part, inc.tau)) @ inc.samples
+                                   for part in np.array_split(omega, 32)]) * inc.dtau
+        span = 8.0 * params.delta
+        t_vals = transfer_oracle(params, coupling.m_total,
+                                 np.concatenate([[-span, span], omega]))[2:]
+        scale = float(np.max(np.abs(incident)))
+        assert np.max(np.abs(spec.amplitude - t_vals * incident)) <= 1e-6 * scale
 
     def test_pure_exponential_spectrum_and_area(self):
         # an envelope that is one exponential from tau = 0 on: its tail makes
@@ -488,7 +536,7 @@ class TestClosedFormTail:
         samples = np.exp(-lam * tau)
         env = FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples,
                             delta=1.0, tail=((samples[-1], lam),))
-        spec = spectrum(env, window=8.0)
+        spec = spectrum(env)
         expected = -dtau / np.expm1((1j * spec.detuning - lam) * dtau)
         assert np.max(np.abs(spec.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert env.pulse_area == pytest.approx(1 / lam, rel=1e-4)
@@ -511,7 +559,7 @@ class TestClosedFormTail:
         params = SimParams.from_ratios(ratio, k0l)
         envelopes = scatter(params, coupling_full(params), span_factor=span_factor)[1]
         assert [bool(env.tail) for env in envelopes] == [False, True, True]
-        spectra = [spectrum(env, window=8.0) for env in envelopes]
+        spectra = [spectrum(env) for env in envelopes]
         scale = float(np.max(np.abs(spectra[0].amplitude)))
         for env, spec in zip(envelopes, spectra):
             ends = env.samples[0] + env.samples[-1] - sum(c for c, _ in env.tail)
@@ -620,7 +668,8 @@ class TestTransferOracle:
         including the removable singularity at zero separation."""
         p = SimParams.from_ratios(0.25, k0l)
         dets = self.detuning_grid(p)
-        t_vals, r_vals = transfer_oracle(p, coupling_full(p).m_total, dets)
+        t_vals, r_vals = (oracle(p, coupling_full(p).m_total, dets)
+                          for oracle in (transfer_oracle, reflection_oracle))
         i0 = int(np.argmin(np.abs(dets)))
         assert abs(t_vals[i0]) <= 1e-12
         assert abs(r_vals[i0] + 1.0) <= 1e-12
@@ -631,9 +680,9 @@ class TestTransferOracle:
         envelopes."""
         p, traj, coup = run_case(ratio, math.pi / 4)
         inc, trans, refl = reconstruct_fields(traj, p)
-        back_t = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup.m_total, d)[0],
+        back_t = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup.m_total, d),
                                      p, coup.m_total)
-        back_r = transfer_round_trip(inc, lambda d: transfer_oracle(p, coup.m_total, d)[1],
+        back_r = transfer_round_trip(inc, lambda d: reflection_oracle(p, coup.m_total, d),
                                      p, coup.m_total)
         assert float(np.max(np.abs(back_t - trans.samples))) <= 1e-4 * trans.peak()
         assert float(np.max(np.abs(back_r - refl.samples))) <= 1e-4 * refl.peak()
@@ -641,8 +690,8 @@ class TestTransferOracle:
     def test_flux_conserved_for_full_coupling(self):
         """|t|^2 + |r|^2 = 1 on the whole grid (lossless scattering)."""
         p = SimParams.from_ratios(4.0, math.pi / 4)
-        t_vals, r_vals = transfer_oracle(p, coupling_full(p).m_total,
-                                         self.detuning_grid(p))
+        t_vals, r_vals = (oracle(p, coupling_full(p).m_total, self.detuning_grid(p))
+                          for oracle in (transfer_oracle, reflection_oracle))
         dev = np.abs(np.abs(t_vals) ** 2 + np.abs(r_vals) ** 2 - 1.0)
         assert float(dev.max()) <= 1e-12
 
@@ -653,7 +702,7 @@ class TestTransferOracle:
         p, traj, coup = run_case(0.25, math.pi / 4, model=model)
         s_inc, s_trans, s_refl = (env.pulse_area for env in reconstruct_fields(traj, p))
         dets = self.detuning_grid(p)
-        t_vals, _ = transfer_oracle(p, coup.m_total, dets)
+        t_vals = transfer_oracle(p, coup.m_total, dets)
         t0 = t_vals[int(np.argmin(np.abs(dets)))]
         assert abs(t0) == pytest.approx(abs(s_trans) / abs(s_inc), rel=1e-3)
 
@@ -662,7 +711,8 @@ class TestTransferOracle:
         singular zero-detuning point."""
         p, traj, coup = gamma_zero_case()
         dets = np.linspace(-9 * p.delta, 9 * p.delta, 512)  # excludes 0
-        t_vals, r_vals = transfer_oracle(p, coup.m_total, dets)
+        t_vals, r_vals = (oracle(p, coup.m_total, dets)
+                          for oracle in (transfer_oracle, reflection_oracle))
         assert np.array_equal(t_vals, np.ones_like(t_vals))
         assert not np.any(r_vals)
 
@@ -670,6 +720,8 @@ class TestTransferOracle:
         p, traj, coup = gamma_zero_case()
         with pytest.raises(NumericalError, match="singular"):
             transfer_oracle(p, coup.m_total, np.linspace(-9 * p.delta, 9 * p.delta, 513))
+        with pytest.raises(NumericalError, match="singular"):
+            reflection_oracle(p, coup.m_total, np.linspace(-9 * p.delta, 9 * p.delta, 513))
 
     def test_span_guard(self):
         p = SimParams.from_ratios(0.25, math.pi / 4)
@@ -691,7 +743,7 @@ class TestTransferOracle:
         assert n == round_trip_length(inc, params, coup.m_total) == 480_000
         tracemalloc.start()
         try:
-            transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d)[0],
+            transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d),
                                 params, coup.m_total)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -709,7 +761,7 @@ class TestTransferOracle:
         assert round_trip_length(inc, params, coup.m_total) == size
 
         def transfer(d):
-            return transfer_oracle(params, coup.m_total, d)[which]
+            return (transfer_oracle, reflection_oracle)[which](params, coup.m_total, d)
 
         direct = padded_round_trip(inc.samples, transfer, size, inc.dtau)
         pruned = transfer_round_trip(inc, transfer, params, coup.m_total)
@@ -721,7 +773,7 @@ class TestTransferOracle:
         tolerance; fft_length(8n) padding measured 2.2e-3 here."""
         params, coup, _, (inc, trans, _) = _scatter(0.25, 0.3)
         assert trans.tail
-        back = transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d)[0],
+        back = transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d),
                                    params, coup.m_total)
         assert float(np.max(np.abs(back - trans.samples))) <= 1e-4 * trans.peak()
 
@@ -732,7 +784,7 @@ class TestTransferOracle:
         script = ("from wqed.checks import _scatter, transfer_round_trip\n"
                   "from wqed.fields import transfer_oracle\n"
                   "params, coup, _, (inc, _, _) = _scatter(0.25, 1e-3)\n"
-                  "transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d)[0],"
+                  "transfer_round_trip(inc, lambda d: transfer_oracle(params, coup.m_total, d),"
                   " params, coup.m_total)\n")
         code, err = run_limited(["-c", script], entry=())
         assert code == 1
@@ -747,7 +799,7 @@ class TestTransferOracle:
         with pytest.raises(ConfigurationError, match=(
                 "needs n = Infinity points, .*; its padding follows the "
                 "slowest driven mode's rate Re lam = 0$")):
-            transfer_round_trip(inc, lambda d: transfer_oracle(p, coup.m_total, d)[0],
+            transfer_round_trip(inc, lambda d: transfer_oracle(p, coup.m_total, d),
                                 p, coup.m_total)
 
 
@@ -781,7 +833,8 @@ class TestTransferProperties:
         and |t|^2 + |r|^2 = 1 across the band."""
         p = SimParams.from_ratios(ratio, k0l)
         dets = np.linspace(-9 * p.delta, 9 * p.delta, 257)
-        t_vals, r_vals = transfer_oracle(p, coupling_full(p).m_total, dets)
+        t_vals, r_vals = (oracle(p, coupling_full(p).m_total, dets)
+                          for oracle in (transfer_oracle, reflection_oracle))
         i0 = int(np.argmin(np.abs(dets)))
         assert abs(t_vals[i0]) <= 1e-10
         assert abs(r_vals[i0] + 1.0) <= 1e-10

@@ -24,7 +24,7 @@ from wqed.dynamics import (
     integrate_markovian,
 )
 from wqed.errors import ConfigurationError, DomainError
-from wqed.fields import DEFAULT_ZERO_PAD, SPECTRUM_WINDOW, fft_length, reconstruct_fields
+from wqed.fields import SPECTRUM_WINDOW, reconstruct_fields
 from wqed.serialize import config_text, parse_config_text, read_config
 from wqed.sweep import (
     AREA_FAIL,
@@ -96,7 +96,7 @@ class TestSweepSpec:
         {"omega0_over_gamma": 0.0},
         {"dt_factor": math.inf},
         {"dt_factor": -1.0},
-        {"zero_pad": 0},
+        {"normalization": "bogus"},
         {"area_tol": 0.0},
     ])
     def test_rejects_bad_knobs(self, knob):
@@ -119,8 +119,7 @@ class TestSpecRoundTrip:
            k0l=st.lists(_finite, min_size=1, max_size=4),
            models=st.lists(_model, min_size=1, max_size=4),
            omega0_over_gamma=_positive, normalization=st.sampled_from(NORMALIZATIONS),
-           dt_factor=_positive,
-           zero_pad=st.integers(min_value=1, max_value=10 ** 6), area_tol=_positive)
+           dt_factor=_positive, area_tol=_positive)
     @settings(max_examples=200, deadline=None)
     def test_manifest_sweep_block_parses_back(self, **fields):
         spec = SweepSpec(**fields)
@@ -241,8 +240,9 @@ class TestRunSweep:
             m_total = evaluate_coupling(params, CouplingModel.full()).m_total
             grid = default_grid(params, m_total=m_total)
             n = grid.n
-            # the DFT follows the resolved span (it was fft_length(n * zero_pad))
-            assert entries["fft_len"] == fft_length(grid.resolution * DEFAULT_ZERO_PAD)
+            # the coarse DFT is the source's 24/delta support padded 16 times in
+            # steps of dt (it was fft_length(8 x the resolved span in steps))
+            assert entries["fft_len"] == round(16 * 24 / (params.delta * grid.dt))
             assert entries["n"] == n == manifest.cells[index].n
             assert entries["dt"] == grid.dt and entries["t_end"] == grid.t_end
             # the grid ends at the source's support, so the tails carry up to
@@ -266,7 +266,7 @@ class TestRunSweep:
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
-        assert sections["manifest"]["version"] == MANIFEST_VERSION == 3
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 4
         params = cell_params(0.02, PI4)
         longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                          span_factor=3.0)[1]
@@ -392,7 +392,10 @@ class TestClosedFormTails:
         past = 20 / cell_params(0.25, 1e-3).delta
         for tail in (cell.tail_transmitted, cell.tail_reflected):
             assert abs(tail_area(tail, cell.dt, past)) < 1e-3 * abs(cell.area_inc)
-        assert cell.dip_width == pytest.approx(0.448731, rel=1e-3)
+        # the slow mode's transparency line at -2.5e-4 delta, 1.25e-7 delta
+        # wide, sets the left half-depth crossing: the transfer oracle's width
+        # (0.448731 when the bins were 0.019 delta apart)
+        assert cell.dip_width == pytest.approx(0.224900, rel=1e-3)
 
     @pytest.mark.parametrize("gamma_over_delta, k0l", [
         (0.25, 0.01), (0.25, 0.03), (0.25, 0.05), (0.25, math.pi - 0.05), (0.02, 0.05)])
