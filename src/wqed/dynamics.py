@@ -129,10 +129,11 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
                  dt_factor: float = 1.0,
                  m_total: complex | None = None) -> TimeGrid:
     """Grid of the pulse section and, for gamma > 0, the rest of the source's support,
-    past which every decaying mode is a closed-form tail, so m_total, which sets the
-    modes, does not move it.  span_factor scales the post-pulse section (4/delta for gamma > 0, so below
-    1 the grid ends inside the support; 12/delta for gamma = 0); dt_factor scales the
-    step.  Over POINT_BUDGET points it raises."""
+    past which every decaying mode is a closed-form tail.  span_factor scales the
+    post-pulse section (4/delta for gamma > 0, so below 1 the grid ends inside the
+    support; 12/delta for gamma = 0); dt_factor scales the step.  m_total is accepted
+    and unused: the modes it sets do not move the grid.  Over POINT_BUDGET points it
+    raises."""
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
     center = params.z1 / params.c

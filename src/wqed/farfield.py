@@ -114,10 +114,7 @@ def eval_f(omega: float, omega0: float, a: float, c: float = 1.0) -> float:
     for name, value in (("omega", omega), ("omega0", omega0), ("a", a)):
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
-    w0a = omega0 * a
-    return (-math.cos(w0a) * ci((omega + omega0) * a)
-            + ci(omega * a)
-            - math.sin(w0a) * si((omega + omega0) * a)) / (c * omega0)
+    return eval_f_plus(omega, omega0, a).real / c
 
 
 def eval_f_plus(omega: float, omega0: float, a: float) -> complex:

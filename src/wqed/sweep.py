@@ -48,7 +48,7 @@ from .fields import (
 )
 from .serialize import config_text, format_value, write_config, write_table
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -341,6 +341,7 @@ class CellResult:
     n: int | None = None
     dt: float | None = None
     t_end: float | None = None
+    stride: int | None = None  # time-domain CSV rows: 0, stride, 2 stride, ... and n - 1
     tail_transmitted: tuple[float, ...] | None = None  # (re c, im c, re lam, im lam) per mode
     tail_reflected: tuple[float, ...] | None = None
     fft_len: int | None = None
@@ -413,16 +414,15 @@ ENVELOPE_HEADER = ("tau", "re", "im", "abs")
 SPECTRUM_HEADER = ("detuning", "intensity")
 
 
-def write_trajectory_csv(path, traj: AmplitudeTrajectory) -> Path:
-    return write_table(path, TRAJECTORY_HEADER,
-                       (traj.grid.times, traj.beta1.real, traj.beta1.imag,
-                        traj.beta2.real, traj.beta2.imag))
+def write_trajectory_csv(path, traj: AmplitudeTrajectory, rows=slice(None)) -> Path:
+    return write_table(path, TRAJECTORY_HEADER, [column[rows] for column in (
+        traj.grid.times, traj.beta1.real, traj.beta1.imag, traj.beta2.real, traj.beta2.imag)])
 
 
-def write_envelope_csv(path, env: FieldEnvelope) -> Path:
+def write_envelope_csv(path, env: FieldEnvelope, rows=slice(None)) -> Path:
+    samples = env.samples[rows]
     return write_table(path, ENVELOPE_HEADER,
-                       (env.tau, env.samples.real, env.samples.imag,
-                        np.abs(env.samples)))
+                       (env.tau[rows], samples.real, samples.imag, np.abs(samples)))
 
 
 def write_spectrum_csv(path, spec: Spectrum) -> Path:
@@ -431,11 +431,13 @@ def write_spectrum_csv(path, spec: Spectrum) -> Path:
 
 def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
                       envelopes: tuple[FieldEnvelope, ...],
-                      spectra: dict[str, Spectrum]) -> tuple[str, ...]:
-    """Write one cell's artifacts; returns the relative file names."""
+                      spectra: dict[str, Spectrum], stride: int) -> tuple[str, ...]:
+    """Write one cell's artifacts, the time-domain ones every stride-th row
+    and the last; returns the relative file names."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj)]
-    paths += [write_envelope_csv(out_dir / f"{prefix}{env.kind}.csv", env)
+    rows = np.r_[0:traj.grid.n - 1:stride, traj.grid.n - 1]
+    paths = [write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj, rows)]
+    paths += [write_envelope_csv(out_dir / f"{prefix}{env.kind}.csv", env, rows)
               for env in envelopes]
     paths += [write_spectrum_csv(out_dir / f"{prefix}spectrum_{kind}.csv", spec)
               for kind, spec in spectra.items()]
@@ -455,7 +457,7 @@ def scatter(params: SimParams, coupling: CouplingResult,
     being (incident, transmitted, reflected): the one grid, source, RK4
     and fields pipeline behind run_cell and the validation checks.  The
     source is not kept, so its grid-length series die with the integration."""
-    grid = default_grid(params, span_factor, dt_factor, m_total=coupling.m_total)
+    grid = default_grid(params, span_factor, dt_factor)
     traj = integrate_markovian(build_source(params, grid, normalization), coupling, params)
     return traj, reconstruct_fields(traj, params)
 
@@ -507,12 +509,15 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             for env in (trans, refl))
         r1, r2 = consistency_residuals(traj, envelopes, params)
         worst = max(markov_guard(params).values())
+        # the time-domain CSVs keep 100 rows a pulse width 1/delta; step_limit's
+        # 1e-9 slack makes the step 1/(100 gamma) give gamma/delta, not one less
+        stride = max(1, math.floor(0.01 / params.delta / traj.grid.dt * (1.0 + 1e-9)))
 
         files = None
         if spec.out_dir is not None:
             files = _write_cell_files(
                 Path(spec.out_dir), f"cell{index:03d}_", traj, envelopes,
-                {"incident": spec_inc, "transmitted": spec_trans})
+                {"incident": spec_inc, "transmitted": spec_trans}, stride)
 
         return CellResult(
             index=index, gamma_over_delta=gamma_over_delta, k0l=k0l,
@@ -522,7 +527,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             area_trans_ratio=trans_ratio, area_refl_ratio=refl_ratio,
             tail_fraction=tail_fraction, area_check=check,
             identity_transmission=bool(np.array_equal(trans.samples, inc.samples)),
-            n=traj.grid.n, dt=traj.grid.dt, t_end=traj.grid.t_end, fft_len=spec_trans.fft_len,
+            n=traj.grid.n, dt=traj.grid.dt, t_end=traj.grid.t_end, stride=stride,
+            fft_len=spec_trans.fft_len,
             tail_transmitted=tail_transmitted, tail_reflected=tail_reflected,
             dip_depth=depth, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
@@ -548,7 +554,7 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
             m_total = evaluate_coupling(params, model).m_total
         except WqedError:
             continue
-        grid = default_grid(params, dt_factor=spec.dt_factor, m_total=m_total)
+        grid = default_grid(params, dt_factor=spec.dt_factor)
         fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
     if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
         raise ConfigurationError(

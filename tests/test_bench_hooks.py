@@ -92,7 +92,7 @@ def test_cell_files_go_through_the_traced_writers(tmp_path, monkeypatch):
     params = wqed.sweep.cell_params(4.0, math.pi / 4)
     traj, envelopes = wqed.sweep.scatter(params, evaluate_coupling(params, CouplingModel.full()))
     spectra = {"incident": spectrum(envelopes[0]), "transmitted": spectrum(envelopes[1])}
-    files = wqed.sweep._write_cell_files(tmp_path, "cell000_", traj, envelopes, spectra)
+    files = wqed.sweep._write_cell_files(tmp_path, "cell000_", traj, envelopes, spectra, 4)
     assert sorted(calls) == ["write_envelope_csv"] * 3 + ["write_spectrum_csv"] * 2 + [
         "write_trajectory_csv"]
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)

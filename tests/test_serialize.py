@@ -3,8 +3,6 @@ gnuplot script emission."""
 
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from decimal import Decimal
@@ -223,11 +221,9 @@ class TestChunkedWriter:
 
 def write_peak(n_rows: int) -> int:
     """tracemalloc's peak, in bytes, over write_table of n_rows rows of
-    five float64 columns; the columns and the formatter's tables exist
-    before tracing starts."""
+    five float64 columns; the columns exist before tracing starts."""
     rng = np.random.default_rng(n_rows)
     columns = tuple(rng.standard_normal(n_rows) for _ in range(5))
-    serialize._format_tables()
     tracemalloc.start()
     try:
         write_table(os.devnull, ("a", "b", "c", "d", "e"), columns)
@@ -259,8 +255,8 @@ def exact_digits(value: float) -> tuple[int, ...]:
 
 
 class TestFloatFormatter:
-    """The numpy float path writes, for every double, the bytes of
-    `'%.17g' % v`, which the old one-`%`-per-chunk writer produced."""
+    """The float path writes, for every double, the bytes of `'%.17g' % v`,
+    as the one-`%`-per-chunk reference writer does."""
 
     def test_random_bit_patterns(self, tmp_path):
         rng = np.random.default_rng(20261018)
@@ -307,18 +303,6 @@ class TestFloatFormatter:
         assert lines[-3:-1] == ["1.0000076293945312,-1.0000076293945312",
                                 "1.0000228881835938,-1.0000228881835938"]
 
-    def test_exponent_settles_next_to_powers_of_ten(self):
-        # log10 of 10^k - 1 ulp rounds up to k; the scaled product corrects
-        # it, so only exact 17-digit ties are left to the `%` fallback
-        values = with_neighbours([float(f"1e{k}") for k in range(-249, 250)])
-        digits, exp, slow = serialize._decimal(values)
-        assert all(exact_digits(v)[-1] == 5 and len(exact_digits(v)) == 18
-                   for v in values[slow])
-        assert slow.sum() <= 4
-        expected = [("%.16e" % abs(v)).split("e") for v in values[~slow]]
-        assert digits[~slow].tolist() == [int(m.replace(".", "")) for m, _ in expected]
-        assert exp[~slow].tolist() == [int(x) for _, x in expected]
-
     def test_simulate_csvs_match_the_percent_writer(self, tmp_path, monkeypatch, capsys):
         written = []
 
@@ -333,23 +317,6 @@ class TestFloatFormatter:
         for path, header, columns in written:
             assert first_difference(Path(path).read_bytes(),
                                     percent_chunk_bytes(header, columns)) is None
-
-    def test_import_builds_no_table(self):
-        script = ("import io, sys\n"
-                  "import numpy as np\n"
-                  "import wqed.cli\n"
-                  "from wqed import serialize\n"
-                  "print(serialize._format_tables.cache_info().currsize,"
-                  " 'fractions' in sys.modules)\n"
-                  "serialize._write_columns(io.BytesIO(), ['x'], [np.ones(3)])\n"
-                  "print(serialize._format_tables.cache_info().currsize)\n")
-        src = str(Path(serialize.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False", "1"]
 
 
 class TestConfigBlocks:

@@ -266,7 +266,7 @@ class TestRunSweep:
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
-        assert sections["manifest"]["version"] == MANIFEST_VERSION == 4
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 5
         params = cell_params(0.02, PI4)
         longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                          span_factor=3.0)[1]
@@ -348,6 +348,45 @@ class TestRunSweep:
 def full_cell(gamma_over_delta, k0l, **spec_fields):
     spec = SweepSpec(gamma_over_delta=[gamma_over_delta], k0l=[k0l], **spec_fields)
     return run_cell(0, gamma_over_delta, k0l, CouplingModel.full(), spec)
+
+
+class TestCsvStride:
+    """The time-domain CSVs keep rows 0, s, 2s, ... and the last, n - 1, with
+    s = max(1, floor(1/(100 delta) / dt)): 100 rows a pulse width."""
+
+    @pytest.mark.parametrize("gamma_over_delta", [4.0, 100.0])
+    def test_rows_are_the_full_rate_writers_rows(self, tmp_path, gamma_over_delta):
+        cell = run_sweep(SweepSpec(gamma_over_delta=[gamma_over_delta], k0l=[PI4],
+                                   out_dir=tmp_path / "strided")).cells[0]
+        s, n = cell.stride, cell.n
+        assert s == gamma_over_delta and (n - 1) % s == 0
+        params = cell_params(gamma_over_delta, PI4)
+        traj, envelopes = scatter(params, evaluate_coupling(params, CouplingModel.full()))
+        (tmp_path / "full").mkdir()
+        full = [wqed.sweep.write_trajectory_csv(tmp_path / "full" / "cell000_trajectory.csv", traj)]
+        full += [wqed.sweep.write_envelope_csv(tmp_path / "full" / f"cell000_{env.kind}.csv", env)
+                 for env in envelopes]
+        for path in full:
+            lines = path.read_bytes().splitlines(keepends=True)
+            assert len(lines) == 1 + n
+            kept = lines[:1] + [lines[1 + i] for i in [*range(0, n - 1, s), n - 1]]
+            assert (tmp_path / "strided" / path.name).read_bytes() == b"".join(kept)
+
+    @pytest.mark.parametrize("gamma_over_delta, k0l, dt_factor, stride, rows", [
+        (300.0, 0.0, 1.0, 300, 2001),     # a bare floor of the step ratio gives 299
+        (0.0, PI4, 0.5001, 1, 5600),      # the most rows of any accepted cell
+        (0.02, PI4, 1.0, 1, 2001),        # every row: n, as bench counts them
+    ])
+    def test_row_counts(self, tmp_path, gamma_over_delta, k0l, dt_factor, stride, rows):
+        manifest = run_sweep(SweepSpec(gamma_over_delta=[gamma_over_delta], k0l=[k0l],
+                                       dt_factor=dt_factor, out_dir=tmp_path))
+        cell = read_config(tmp_path / "manifest.txt")["cell000"]
+        assert cell["stride"] == manifest.cells[0].stride == stride
+        assert stride > 1 or cell["n"] == rows
+        for name in ("trajectory", "incident", "transmitted", "reflected"):
+            _, table = read_csv(tmp_path / f"cell000_{name}.csv")
+            assert len(table) == rows
+            assert table[-1][0] == pytest.approx(cell["t_end"], rel=1e-15)
 
 
 class TestClosedFormTails:
