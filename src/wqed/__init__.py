@@ -14,7 +14,8 @@ The package is organized bottom-up:
     cli       command-line front end
 
 All quantities use waveguide units: c = 1 and rates measured against
-the single-atom emission rate gamma.
+the single-atom emission rate gamma.  Atom 1 sits at z = 0 and atom 2
+at z = l.
 """
 
 from .errors import (

@@ -57,7 +57,7 @@ from .specfun import ci, si
 # here; pairwise sums and the total do not depend on it.
 EPS_REF_RATIO = 1e-8
 
-# |Ci(eps*l/c)| beyond which an rwa_cutoff evaluation is flagged as
+# |Ci(eps*l)| beyond which an rwa_cutoff evaluation is flagged as
 # running into the infrared divergence.
 DEFAULT_CI_DIVERGENCE_THRESHOLD = 1.0
 
@@ -78,7 +78,8 @@ _GL_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SimParams:
-    """Physical configuration of the two-atom waveguide problem.
+    """Physical configuration of the two-atom waveguide problem, in the
+    frame with atom 1 at z = 0, atom 2 at z = l and c = 1.
 
     gamma may be zero (atoms decoupled from the line) so that field
     reconstruction can be exercised in the free-propagation limit; all
@@ -88,15 +89,11 @@ class SimParams:
     gamma: float              # single-atom emission rate into the line
     delta: float              # incident wavepacket spectral bandwidth
     omega0: float             # atomic transition frequency
-    l: float                  # interatomic distance z2 - z1
-    z1: float = 0.0           # position of atom 1 (phase reference)
-    z2: float | None = None   # position of atom 2; defaults to z1 + l
-    c: float = 1.0            # propagation speed (unit convention)
+    l: float                  # interatomic distance
     k0l: float = field(init=False)
+    phase: complex = field(init=False)  # e^{i k0 l}
 
     def __post_init__(self):
-        if self.z2 is None:
-            object.__setattr__(self, "z2", self.z1 + self.l)
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ConfigurationError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -105,17 +102,13 @@ class SimParams:
             raise ConfigurationError(f"omega0 must be finite and > 0, got {self.omega0}")
         if not (self.l >= 0 and math.isfinite(self.l)):
             raise ConfigurationError(f"l must be finite and >= 0, got {self.l}")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ConfigurationError(f"c must be > 0, got {self.c}")
-        if abs((self.z2 - self.z1) - self.l) > 1e-12 * max(1.0, abs(self.l)):
-            raise ConfigurationError(
-                f"z2 - z1 = {self.z2 - self.z1} inconsistent with l = {self.l}")
-        object.__setattr__(self, "k0l", self.omega0 * self.l / self.c)
+        object.__setattr__(self, "k0l", self.omega0 * self.l)
+        object.__setattr__(self, "phase", complex(math.cos(self.k0l), math.sin(self.k0l)))
 
     @classmethod
     def from_ratios(cls, gamma_over_delta: float, k0l: float,
-                    omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA, gamma: float = 1.0,
-                    **kwargs) -> "SimParams":
+                    omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA,
+                    gamma: float = 1.0) -> "SimParams":
         """Build from the three dimensionless numbers that fix the physics."""
         if gamma_over_delta <= 0:
             raise ConfigurationError(
@@ -126,9 +119,8 @@ class SimParams:
             raise ConfigurationError(
                 f"omega0_over_gamma must be > 0, got {omega0_over_gamma}")
         omega0 = omega0_over_gamma * gamma
-        c = kwargs.pop("c", 1.0)
         return cls(gamma=gamma, delta=gamma / gamma_over_delta, omega0=omega0,
-                   l=k0l * c / omega0, c=c, **kwargs)
+                   l=k0l / omega0)
 
 
 @dataclass(frozen=True)
@@ -240,21 +232,20 @@ def coupling_rwa_cutoff(params: SimParams, epsilon: float) -> CouplingResult:
     """Rotating-wave coupling M1+M3 regularised at infrared frequency epsilon.
 
     Only the real part gamma*cos(k0l) is trustworthy; the imaginary part
-    retains -(gamma/pi)*Ci(epsilon*l/c) and diverges logarithmically as
-    epsilon -> 0.  The result is flagged diverged once |Ci(epsilon*l/c)|
+    retains -(gamma/pi)*Ci(epsilon*l) and diverges logarithmically as
+    epsilon -> 0.  The result is flagged diverged once |Ci(epsilon*l)|
     exceeds DEFAULT_CI_DIVERGENCE_THRESHOLD.
     """
     if not (epsilon > 0) or not math.isfinite(epsilon):
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
     g = params.gamma
     x = params.k0l
-    xc = epsilon * params.l / params.c
     if x < 1e-300:
-        # x -> 0 with fixed epsilon: Ci(x) - Ci(eps*l/c) -> ln(omega0/epsilon)
+        # x -> 0 with fixed epsilon: Ci(x) - Ci(eps*l) -> ln(omega0/epsilon)
         m = complex(g, g / math.pi * math.log(params.omega0 / epsilon))
         ci_cut = math.inf
     else:
-        ci_cut = ci(xc)
+        ci_cut = ci(epsilon * params.l)
         m = g * math.cos(x) + 1j * (g / math.pi) * (
             math.sin(x) * (si(x) + math.pi / 2)
             + math.cos(x) * ci(x) - ci_cut)
@@ -311,8 +302,8 @@ class CouplingRow:
     diverged: bool
 
 
-def compare_couplings(k0l_values, models, *, gamma: float = 1.0,
-                      omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA,
+def compare_couplings(k0l_values, models, *,
+                      omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
                       ) -> tuple[CouplingRow, ...]:
     """Coupling constant under each model vs the exact closed form.
 
@@ -329,7 +320,7 @@ def compare_couplings(k0l_values, models, *, gamma: float = 1.0,
         raise ConfigurationError("need at least one coupling model")
     rows = []
     for k0l in k0l_values:
-        params = SimParams.from_ratios(1.0, k0l, omega0_over_gamma, gamma=gamma)
+        params = SimParams.from_ratios(1.0, k0l, omega0_over_gamma)
         exact = coupling_full(params).m_total
         for model in models:
             result: CouplingResult = evaluate_coupling(params, model)
@@ -482,7 +473,7 @@ def coupling_oracle(params: SimParams, part_index: int,
     g = params.gamma
     a = params.k0l
     kind = "pole" if part_index in (1, 3) else "nonpole"
-    sign = 1.0 if part_index in (1, 2) else -1.0  # parts 3, 4 carry e^{-i omega l/c}
+    sign = 1.0 if part_index in (1, 2) else -1.0  # parts 3, 4 carry e^{-i omega l}
 
     eps_u = EPS_REF_RATIO            # shared infrared convention, u units
     big_u0 = omega_max / params.omega0

@@ -21,7 +21,7 @@ Source alignment: the two source series share one envelope centered on
 the retarded time of atom 1 and differ only by the phase e^{i k0 l}.
 Mixing per-atom retarded envelopes with an instantaneous coupling would
 be inconsistent at the Markovian order, and the flight-time correction
-to the envelope is O(delta*l/c), far below everything else kept here.
+to the envelope is O(delta*l), far below everything else kept here.
 
 Units: c = 1, gamma is the rate scale, times in the trajectory are
 whatever unit 1/delta and 1/gamma are expressed in.
@@ -113,14 +113,14 @@ def check_points(what: str, n: int | float, remedy: str) -> int:
 def driven_modes(params: SimParams, m_total: complex) -> dict[int, complex]:
     """{sign: gamma + sign*M}, the rates of the modes beta1 + sign*beta2 whose
     drive 1 + sign*e^{i k0l} is not exactly 0."""
-    phase = complex(math.cos(params.k0l), math.sin(params.k0l))
-    return {sign: params.gamma + sign * m_total for sign in (1, -1) if 1.0 + sign * phase != 0}
+    return {sign: params.gamma + sign * m_total for sign in (1, -1)
+            if 1.0 + sign * params.phase != 0}
 
 
 def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int, complex]:
     """Every decaying driven mode, if `grid` outlasts (to within a step) the
     source's support, past which each is one exponential."""
-    if grid.t_end + grid.dt < params.z1 / params.c + _ENVELOPE_WINDOW / params.delta:
+    if grid.t_end + grid.dt < _ENVELOPE_WINDOW / params.delta:
         return {}
     return {sign: lam for sign, lam in driven_modes(params, m_total).items() if lam.real > 0}
 
@@ -136,9 +136,8 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
     raises."""
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
-    center = params.z1 / params.c
-    t_end = center + _PULSE_HALF_SPAN / params.delta
-    t_start = center - _PULSE_HALF_SPAN / params.delta
+    t_end = _PULSE_HALF_SPAN / params.delta
+    t_start = -t_end
     if params.gamma > 0:
         t_end += span_factor * ((_ENVELOPE_WINDOW - _PULSE_HALF_SPAN) / params.delta)
         dt = min(1.0 / params.delta, 1.0 / params.gamma) / 100.0 * dt_factor
@@ -179,7 +178,7 @@ class SourceTerm:
     """The drive S0_1 of atom 1 on a uniform grid and at its step
     midpoints; atom 2's drive is S0_2 = phase * S0_1 with phase = e^{i k0 l}
     (shared envelope, see module docstring).  S0_1 is the Gaussian
-    peak * exp(-delta^2 (t - center)^2 / 4), which `at` evaluates off-grid;
+    peak * exp(-delta^2 t^2 / 4), which `at` evaluates off-grid;
     peak carries the photon's amplitude scale N, kept as `scale`."""
 
     grid: TimeGrid
@@ -187,41 +186,33 @@ class SourceTerm:
     s1_mid: np.ndarray
     phase: complex
     peak: complex
-    center: float
     delta: float
     scale: float
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """S0_1 at arbitrary times."""
-        tau = np.asarray(times, dtype=float) - self.center
-        return self.peak * np.exp(-(self.delta * tau) ** 2 / 4.0)
+        return self.peak * np.exp(-(self.delta * np.asarray(times, dtype=float)) ** 2 / 4.0)
 
 
 def build_source(params: SimParams, grid: TimeGrid,
                  normalization: str = UNIT_EXCITATION) -> SourceTerm:
-    """S0_1(t), the one-photon drive of atom 1, in the narrowband closed form
+    """S0_1(t), the one-photon drive of atom 1 (at z = 0, so that tau = t),
+    in the narrowband closed form
 
-        S0_1(t) = -i * N * sqrt(gamma*delta)/(2 sqrt(pi))
-                  * e^{i k0 z1} * exp(-delta^2 (t - z1/c)^2 / 4)
+        S0_1(t) = -i * N * sqrt(gamma*delta)/(2 sqrt(pi)) * exp(-delta^2 t^2 / 4)
 
     with N = amplitude_scale(normalization) and the phase e^{i k0 l} that
     gives S0_2.
     """
     scale = amplitude_scale(normalization)
-    center = params.z1 / params.c
     need = 6.0 / params.delta
-    if grid.t_start > center - need or grid.t_end < center + need:
+    if grid.t_start > -need or grid.t_end < need:
         raise ConfigurationError(
             f"time grid [{grid.t_start}, {grid.t_end}] must cover "
-            f"+-{need} around the pulse center {center}")
-    phase1 = complex(math.cos(params.omega0 * params.z1 / params.c),
-                     math.sin(params.omega0 * params.z1 / params.c))
-    peak = (-1j * scale
-            * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
-            * phase1)
+            f"+-{need} around the pulse center 0")
+    peak = -1j * scale * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
     # the closed form first, then its samples
-    source = SourceTerm(grid, None, None, complex(math.cos(params.k0l), math.sin(params.k0l)),
-                        peak, center, params.delta, scale)
+    source = SourceTerm(grid, None, None, params.phase, peak, params.delta, scale)
     times = grid.times
     return replace(source, s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
 
@@ -382,10 +373,10 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
 
 def markov_guard(params: SimParams) -> dict[str, float]:
     """Ratios that must stay small for the instantaneous-coupling picture:
-    gamma/omega0, delta/omega0, and the flight-time ratio l*(gamma+delta)/c.
+    gamma/omega0, delta/omega0, and the flight-time ratio l*(gamma+delta).
     A cell is Markov-valid when the largest is <= MARKOV_LIMIT."""
     return {
         "gamma_over_omega0": params.gamma / params.omega0,
         "delta_over_omega0": params.delta / params.omega0,
-        "retardation": params.l * (params.gamma + params.delta) / params.c,
+        "retardation": params.l * (params.gamma + params.delta),
     }

@@ -6,15 +6,16 @@ coupling: one proportional to the instantaneous excited-state amplitudes
 (relative intensity I2/I1) and one proportional to the squared coupling
 spectrum (relative intensity I3/I1).  Both are suppressed once every
 accepted wavelength is short compared to the detector distance, i.e.
-omega1 * |z - z_j| / c >> 1; inside that near zone the two-level plus
-single-band model itself stops being valid.
+omega1 * |z - z_j| >> 1 for the atoms at z_1 = 0 and z_2 = l; inside
+that near zone the two-level plus single-band model itself stops being
+valid.
 
 The detection integrals reduce to differences of the closed form
 
-    f(w, w0, a)  = (1/(c w0)) [ -cos(w0 a) Ci((w+w0)a) + Ci(w a)
+    f(w, w0, a)  = (1/w0) [ -cos(w0 a) Ci((w+w0)a) + Ci(w a)
                                 - sin(w0 a) Si((w+w0)a) ]
 
-whose derivative in w is cos(w a) / (c w (w + w0)), and of its complex
+whose derivative in w is cos(w a) / (w (w + w0)), and of its complex
 extension f_plus (derivative e^{i w a} / (w (w + w0))).  Evaluating
 f_plus with the even extension of Ci and the odd Si makes differences
 across the resonance pole equal to principal-value integrals, which is
@@ -33,7 +34,7 @@ from .dynamics import AmplitudeTrajectory
 from .errors import ConfigurationError, DomainError
 from .specfun import ci, si
 
-# omega1 * |z - zj| / c at or above this counts as far field
+# omega1 * |z - zj| at or above this counts as far field
 FAR_FIELD_MIN = 100.0
 # the detector band must exceed both gamma and delta by this factor to
 # collect every emitted photon
@@ -79,9 +80,8 @@ class DetectorSpec:
                    z=z, omega_c=omega_c)
 
     def far_field_margin(self, params: SimParams) -> float:
-        """omega1 * |z - zj| / c for the nearer atom."""
-        nearest = min(abs(self.z - params.z1), abs(self.z - params.z2))
-        return self.omega1 * nearest / params.c
+        """omega1 * |z - zj| for the nearer atom, zj = 0 or l."""
+        return self.omega1 * min(abs(self.z), abs(self.z - params.l))
 
     def is_far_field(self, params: SimParams) -> bool:
         return self.far_field_margin(params) >= FAR_FIELD_MIN
@@ -105,8 +105,8 @@ def _ci_even(x: float) -> float:
     return ci(abs(x))
 
 
-def eval_f(omega: float, omega0: float, a: float, c: float = 1.0) -> float:
-    """Antiderivative in omega of cos(omega a) / (c omega (omega + omega0)).
+def eval_f(omega: float, omega0: float, a: float) -> float:
+    """Antiderivative in omega of cos(omega a) / (omega (omega + omega0)).
 
     Band integrals of the detection kernel are differences of this.
     Requires omega, omega0, a > 0.
@@ -114,7 +114,7 @@ def eval_f(omega: float, omega0: float, a: float, c: float = 1.0) -> float:
     for name, value in (("omega", omega), ("omega0", omega0), ("a", a)):
         if not math.isfinite(value) or value <= 0.0:
             raise DomainError(f"{name} must be finite and > 0, got {value}")
-    return eval_f_plus(omega, omega0, a).real / c
+    return eval_f_plus(omega, omega0, a).real
 
 
 def eval_f_plus(omega: float, omega0: float, a: float) -> complex:
@@ -159,8 +159,8 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
              params: SimParams) -> float:
     """Peak intensity of the amplitude-proportional channel relative to
     the incident peak: max_t |2 sum_j beta_j(t) K_j|^2 / max |A_inc|^2
-    with K_j = omega0 c sqrt(gamma/2pi) [f(omega2) - f(omega1)] at
-    a_j = |z - z_j|/c.
+    with K_j = omega0 sqrt(gamma/2pi) [f(omega2) - f(omega1)] at
+    a_j = |z - z_j|, z_1 = 0 and z_2 = l.
 
     The incident peak is traj.scale^2 delta/2, so the ratio is
     normalization-independent (both channels scale with the photon
@@ -168,7 +168,7 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
     """
     if not detector.is_far_field(params):
         raise DomainError(
-            f"detector is in the near zone (omega1*|z-zj|/c = "
+            f"detector is in the near zone (omega1*|z-zj| = "
             f"{detector.far_field_margin(params):.3g} < {FAR_FIELD_MIN:g}); "
             "this model cannot describe near-field detection -- move the "
             "detector or widen omega1")
@@ -177,14 +177,10 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
             f"detector band delta0 = {detector.delta0:g} does not dominate "
             f"gamma and delta (margin {detector.band_margin(params):.3g} < "
             f"{BAND_FACTOR:g}); emitted photons would be missed")
-    coupling_scale = params.omega0 * params.c * math.sqrt(
-        params.gamma / (2.0 * math.pi))
-    weights = []
-    for zj in (params.z1, params.z2):
-        aj = abs(detector.z - zj) / params.c
-        weights.append(coupling_scale
-                       * (eval_f(detector.omega2, params.omega0, aj, params.c)
-                          - eval_f(detector.omega1, params.omega0, aj, params.c)))
+    coupling_scale = params.omega0 * math.sqrt(params.gamma / (2.0 * math.pi))
+    weights = [coupling_scale * (eval_f(detector.omega2, params.omega0, aj)
+                                 - eval_f(detector.omega1, params.omega0, aj))
+               for aj in (abs(detector.z), abs(detector.z - params.l))]
     amp2 = 2.0 * (traj.beta1 * weights[0] + traj.beta2 * weights[1])
     peak_i2 = float(np.max(np.abs(amp2) ** 2))
     peak_i1 = (traj.scale ** 2) * params.delta / 2.0

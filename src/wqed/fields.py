@@ -2,11 +2,12 @@
 frequency-domain transfer oracle.
 
 Outside the inter-atomic region the single-photon field splits into
-three causal envelopes on the retarded-time grid tau = t - z1/c:
+three causal envelopes on the retarded-time grid tau = t (atom 1 sits at
+z1 = 0 and atom 2 at z2 = l, with c = 1):
 
     A_inc(tau)   = N * sqrt(delta/2) * exp(-delta^2 tau^2 / 4)
-    A_trans(tau) = A_inc(tau) - i*kappa * sum_j e^{-i k0 z_j} beta_j(tau)
-    A_refl(tau)  =           - i*kappa * sum_j e^{+i k0 z_j} beta_j(tau)
+    A_trans(tau) = A_inc(tau) - i*kappa * (beta1(tau) + e^{-i k0 l} beta2(tau))
+    A_refl(tau)  =           - i*kappa * (beta1(tau) + e^{+i k0 l} beta2(tau))
 
 with the radiated-envelope constant kappa and the local-field constants
 G0_j fixed, in the chosen units, by requiring the field-amplitude
@@ -17,8 +18,8 @@ identities
 
 to reproduce the amplitude equation of motion exactly when the coupling
 takes its full (non-RWA) value gamma * e^{i k0 l}.  That pins the only
-combination that matters: kappa = sqrt(2 pi gamma) and
-G0_j = sqrt(gamma / 2 pi) e^{i k0 z_j}, so kappa * |G0_j| = gamma.
+combination that matters: kappa = sqrt(2 pi gamma),
+G01 = sqrt(gamma / 2 pi) and G02 = G01 e^{i k0 l}, so kappa * |G0_j| = gamma.
 
 The algebraic pulse area of each envelope (trapezoid over the grid, continued
 over the closed-form tail of each decaying mode past the grid's end) obeys the area
@@ -83,7 +84,7 @@ class FieldPrefactors:
     """
 
     kappa: float
-    g01: complex
+    g01: float
     g02: complex
 
 
@@ -91,12 +92,7 @@ def radiation_prefactors(params: SimParams) -> FieldPrefactors:
     """Field constants for the given parameter set (kappa = sqrt(2 pi gamma))."""
     kappa = math.sqrt(2.0 * math.pi * params.gamma)
     root = math.sqrt(params.gamma / (2.0 * math.pi))
-    k0 = params.omega0 / params.c
-    return FieldPrefactors(
-        kappa=kappa,
-        g01=root * complex(math.cos(k0 * params.z1), math.sin(k0 * params.z1)),
-        g02=root * complex(math.cos(k0 * params.z2), math.sin(k0 * params.z2)),
-    )
+    return FieldPrefactors(kappa=kappa, g01=root, g02=root * params.phase)
 
 
 # ----------------------------------------------------------------------
@@ -165,34 +161,28 @@ def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
     """Incident, transmitted, and reflected envelopes from a trajectory,
     the incident one scaled by the trajectory's N.
 
-    All three live on the trajectory grid shifted to retarded time
-    tau = t - z1/c; the flight-time offsets between the atoms are dropped
-    at the same (Markovian) order as in the dynamics.
+    All three live on the trajectory grid as retarded time tau = t (atom 1
+    at z1 = 0, atom 2 at z2 = l); the flight-time offsets between the atoms
+    are dropped at the same (Markovian) order as in the dynamics.
     """
-    times = traj.grid.times
-    center = params.z1 / params.c
-    if not (times[0] <= center <= times[-1]):
+    tau = traj.grid.times
+    if not (tau[0] <= 0.0 <= tau[-1]):
         raise GridMismatch(
-            f"trajectory grid [{times[0]}, {times[-1]}] does not contain "
-            f"the pulse arrival at t = {center}")
-    tau = times - center
+            f"trajectory grid [{tau[0]}, {tau[-1]}] does not contain "
+            "the pulse arrival at t = 0")
 
     pref = radiation_prefactors(params)
     scale = traj.scale * math.sqrt(params.delta / 2.0)
     inc = scale * np.exp(-0.25 * (params.delta * tau) ** 2) + 0.0j
 
-    k0 = params.omega0 / params.c
-    ph1 = complex(math.cos(k0 * params.z1), math.sin(k0 * params.z1))
-    ph2 = complex(math.cos(k0 * params.z2), math.sin(k0 * params.z2))
-    radiated_fw = -1j * pref.kappa * (traj.beta1 * ph1.conjugate()
-                                      + traj.beta2 * ph2.conjugate())
-    radiated_bw = -1j * pref.kappa * (traj.beta1 * ph1 + traj.beta2 * ph2)
+    phase = params.phase
+    radiated_fw = -1j * pref.kappa * (traj.beta1 + traj.beta2 * phase.conjugate())
+    radiated_bw = -1j * pref.kappa * (traj.beta1 + traj.beta2 * phase)
     # the mode w = beta1 + s*beta2 leaves w/2 in beta1 and s*w/2 in beta2
     modes = {} if traj.m_total is None else tail_modes(params, traj.m_total, traj.grid)
     ends = {s: -0.5j * pref.kappa * (traj.beta1[-1] + s * traj.beta2[-1]) for s in modes}
-    tail_fw = [(ends[s] * (ph1.conjugate() + s * ph2.conjugate()), lam)
-               for s, lam in modes.items()]
-    tail_bw = [(ends[s] * (ph1 + s * ph2), lam) for s, lam in modes.items()]
+    tail_fw = [(ends[s] * (1.0 + s * phase.conjugate()), lam) for s, lam in modes.items()]
+    tail_bw = [(ends[s] * (1.0 + s * phase), lam) for s, lam in modes.items()]
 
     def make(kind: str, samples: np.ndarray, tail=()) -> FieldEnvelope:
         return FieldEnvelope(kind=kind, tau=tau, samples=samples, delta=params.delta,
@@ -519,6 +509,6 @@ def reflection_oracle(params: SimParams, m_total: complex,
     f = e^{i k0 l}, on the detunings of transfer_oracle: r(0) = -1 for the
     full coupling, so the resonant component is fully reflected."""
     gmd, d, singular = _response(params, m_total, freq_grid)
-    f = complex(math.cos(params.k0l), math.sin(params.k0l))
+    f = params.phase
     r_vals = -params.gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
     return np.where(singular, -1.0, r_vals) if singular.any() else r_vals

@@ -52,11 +52,11 @@ def continued(traj, params, gap):
     return (u + v) / 2, (u - v) / 2
 
 
-def spectral_amplitude(omega, delta, scale, omega0=2500.0, c=1.0):
+def spectral_amplitude(omega, delta, scale, omega0=2500.0):
     """alpha of a photon of width delta and amplitude scale N = `scale` as a
-    function of omega = c*k_z > 0 (zero elsewhere)."""
+    function of omega = k_z > 0 (c = 1; zero elsewhere)."""
     omega = np.asarray(omega, dtype=float)
-    amp = (scale * math.sqrt(c / delta) * math.sqrt(1.0 / (2.0 * math.pi))
+    amp = (scale * math.sqrt(1.0 / delta) * math.sqrt(1.0 / (2.0 * math.pi))
            * np.exp(-(((omega - omega0) / delta) ** 2)))
     return np.where(omega > 0, amp, 0.0)
 
@@ -76,14 +76,13 @@ def norm_squared(delta, scale, omega0=2500.0):
 
 
 def spectral_source(params, scale, times):
-    """S0_1 as the spectral sum -i sqrt(gamma/2pi) int sqrt(omega0/omega) alpha
-    e^{i omega z1/c} e^{i (omega0 - omega) t} d omega / c, whose sqrt(omega0/omega)
-    weight the closed form of build_source drops."""
+    """S0_1 of the atom at z = 0 as the spectral sum -i sqrt(gamma/2pi)
+    int sqrt(omega0/omega) alpha e^{i (omega0 - omega) t} d omega, whose
+    sqrt(omega0/omega) weight the closed form of build_source drops."""
     omega, w = spectral_nodes(params.delta, params.omega0)
-    alpha = spectral_amplitude(omega, params.delta, scale, params.omega0, params.c)
+    alpha = spectral_amplitude(omega, params.delta, scale, params.omega0)
     weights = (-1j * math.sqrt(params.gamma / (2.0 * math.pi))
-               * np.sqrt(params.omega0 / omega) * alpha
-               * np.exp(1j * omega * params.z1 / params.c) * w / params.c)
+               * np.sqrt(params.omega0 / omega) * alpha * w)
     return np.exp(1j * np.outer(times, params.omega0 - omega)) @ weights
 
 

@@ -72,7 +72,7 @@ def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4,
 
 
 def far_detector(p, margin=1e3, band_factor=40.0):
-    """Detector whose nearer band edge satisfies omega1 |z|/c = margin."""
+    """Detector whose nearer band edge satisfies omega1 |z| = margin."""
     d0 = band_factor * max(p.gamma, p.delta)
     return DetectorSpec.centered(p.omega0, d0, z=-margin / (p.omega0 - 0.5 * d0),
                                  omega_c=1.0)
@@ -100,6 +100,15 @@ class TestDetectorSpec:
         near = DetectorSpec.centered(p.omega0, det.delta0,
                                      z=-10.0 / p.omega0, omega_c=1.0)
         assert not near.is_far_field(p)
+        # past atom 2 (at z = l) the margin runs from l; between the atoms
+        # from the nearer one
+        band = dict(omega1=p.omega0 - 10.0, omega2=p.omega0 + 10.0, omega_c=1.0)
+        beyond = DetectorSpec(z=p.l + 0.5, **band)
+        assert beyond.far_field_margin(p) == pytest.approx(beyond.omega1 * 0.5, rel=1e-12)
+        for frac in (0.25, 0.75):
+            between = DetectorSpec(z=frac * p.l, **band)
+            assert between.far_field_margin(p) == pytest.approx(
+                between.omega1 * 0.25 * p.l, rel=1e-12)
 
     def test_band_margin(self):
         p = SimParams.from_ratios(0.25, math.pi / 4)
@@ -161,10 +170,10 @@ class TestEvalF:
 
 class TestEvalFPlus:
     def test_real_part_extends_eval_f(self):
-        """For positive arguments the real part is c * eval_f."""
+        """For positive arguments the real part is eval_f."""
         for (w, w0, a) in [(1.3, 1.0, 7.0), (60.0, 50.0, 0.4), (5.0, 2.0, 3.0)]:
             assert eval_f_plus(w, w0, a).real == pytest.approx(
-                eval_f(w, w0, a, c=1.0), rel=1e-14)
+                eval_f(w, w0, a), rel=1e-14)
 
     @pytest.mark.parametrize("w,w0,a", [
         (3.0, -7.0, 2.0),     # negative shift: Ci even extension in play
@@ -234,7 +243,7 @@ class TestEvalFPlus:
 
 class TestI2Ratio:
     def test_suppressed_in_far_field(self):
-        """At omega1 |z|/c = 1e3 the amplitude channel is < 1e-5 of the
+        """At omega1 |z| = 1e3 the amplitude channel is < 1e-5 of the
         incident peak."""
         p, traj = scattering_run()
         assert i2_ratio(traj, far_detector(p), p) <= 1e-5
@@ -324,7 +333,7 @@ class TestI3Bound:
 
 class TestFarFieldInvariant:
     def test_both_channels_negligible(self):
-        """With omega1 |z - zj|/c >= 1e3 and gamma/omega0 = 1e-4, both
+        """With omega1 |z - zj| >= 1e3 and gamma/omega0 = 1e-4, both
         virtual-photon channels sit below 1e-4 of the signal."""
         p, traj = scattering_run()
         det = far_detector(p)

@@ -236,9 +236,9 @@ def test_write_working_set_is_small_and_flat():
     # 8192-row blocks of this table took 10.66 MB at any length, past L2
     # and the allocator's trim threshold; a block of BLOCK_VALUES cells
     # takes at most half of that, and still the same at every length
-    at_50k, at_800k = write_peak(50_000), write_peak(800_000)
-    assert at_800k <= 10.66e6 / 2
-    assert abs(at_800k - at_50k) <= 0.05 * at_50k
+    at_12k, at_200k = write_peak(12_500), write_peak(200_000)
+    assert at_200k <= 10.66e6 / 2
+    assert abs(at_200k - at_12k) <= 0.05 * at_12k
 
 
 def with_neighbours(values) -> np.ndarray:

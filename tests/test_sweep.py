@@ -261,8 +261,8 @@ class TestRunSweep:
     def test_manifest_tails_rebuild_a_longer_run(self, tmp_path):
         # a manifest's dt, t_end and (c, lam) tails give the samples that a
         # span-3 grid (scatter's span_factor) adds to each envelope CSV,
-        # c e^{-lam (tau - t_end)} summed over the modes (z1 = 0 in a sweep
-        # cell, so tau = t)
+        # c e^{-lam (tau - t_end)} summed over the modes (atom 1 at z = 0,
+        # so tau = t)
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
@@ -541,7 +541,7 @@ class TestCompareCouplings:
         assert all(b > a for a, b in zip(deviations, deviations[1:]))
 
     def test_cutoff_divergence_flag_tracks_threshold(self):
-        # at k0l = 200 the cutoff argument eps*l/c is O(1) for eps = 50
+        # at k0l = 200 the cutoff argument eps*l is O(1) for eps = 50
         rows = compare_couplings(
             [200.0],
             [CouplingModel.rwa_cutoff(50.0), CouplingModel.rwa_cutoff(1e-6)])
