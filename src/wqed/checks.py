@@ -23,7 +23,7 @@ from .farfield import DetectorSpec, eval_f, i2_ratio, i3_bound, pv_band_integral
 from .fields import (FieldEnvelope, consistency_residuals, dip_width, fft_length, spectrum,
                      transfer_oracle)
 from .specfun import ci, si
-from .sweep import AREA_PASS, AREA_TRUNCATED, CONFIG_KEYS, area_verdict, cell_params, scatter
+from .sweep import AREA_PASS, AREA_TOL, AREA_TRUNCATED, area_verdict, cell_params, scatter
 
 PI4 = math.pi / 4
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
@@ -138,17 +138,17 @@ def _check_mode_oracle(mutate: bool = False) -> CheckResult:
 
 
 def _check_pulse_area(mutate: bool = False) -> CheckResult:
-    worst, verdicts, tol = 0.0, set(), CONFIG_KEYS["area_tol"].default
+    worst, verdicts = 0.0, set()
     for ratio in TRIPLE:
         for k0l in (0.0, PI4, math.pi / 2):
             params, _, _, envelopes = _scatter(ratio, k0l, mutate)
-            check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma, tol)
+            check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma)
             worst = max(worst, trans_ratio, refl_ratio)
             verdicts.add(check)
     note = "max area ratio over the 3x3 grid"
     if AREA_TRUNCATED in verdicts:
         note += " (envelopes not decayed at grid ends)"
-    return CheckResult(verdicts == {AREA_PASS}, worst, tol, note)
+    return CheckResult(verdicts == {AREA_PASS}, worst, AREA_TOL, note)
 
 
 def _check_resonance_dip(mutate: bool = False) -> CheckResult:

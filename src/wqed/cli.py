@@ -28,7 +28,8 @@ from .checks import VALIDATION_CHECKS, CheckResult
 from .coupling import compare_couplings
 from .dynamics import MARKOV_LIMIT, POINT_BUDGET, markov_guard
 from .errors import ConfigurationError, DomainError, WqedError
-from .serialize import config_text, csv_text, gnuplot_script, read_config, write_csv
+from .serialize import (config_text, csv_text, gnuplot_script, output_directory, read_config,
+                        write_csv)
 from .sweep import (
     CONFIG_KEYS,
     SweepSpec,
@@ -78,9 +79,9 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         k0l_values = np.array(CONFIG_KEYS["k0l"].parse("k0l", args.k0l))
     else:
         k0l_values = parse_k0l_range(args.k0l_range or DEFAULT_K0L_RANGE)
-    epsilon, omega0_over_gamma = (CONFIG_KEYS[name].parse(name, getattr(args, name))
-                                  for name in ("epsilon", "omega0_over_gamma"))
-    models = parse_models("models", args.models, epsilon)
+    omega0_over_gamma = CONFIG_KEYS["omega0_over_gamma"].parse(
+        "omega0_over_gamma", args.omega0_over_gamma)
+    models = parse_models("models", args.models)
     if (n_rows := len(k0l_values) * len(models)) > COUPLING_ROW_BUDGET:
         raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
                                  f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
@@ -90,13 +91,12 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
                               "starts; pass a --k0l, or a --k0l-range starting above 0")
         raise DomainError("rwa-constg is singular at k0l = 0; pass a --k0l above 0, "
                           "or a --k0l-range starting above 0")
+    out = None if args.out is None else output_directory(args.out)
     rows = compare_couplings(k0l_values, models, omega0_over_gamma=omega0_over_gamma)
     table = [(row.k0l, model_label(row.model), row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)
              for row in rows]
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = write_csv(out / "coupling.csv", COUPLING_HEADER, table)
         print(f"wrote {len(table)} rows to {path}")
     else:
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coupling.add_argument("--k0l-range", dest="k0l_range", metavar="A:B:N",
                             help=f"inclusive range (default {DEFAULT_K0L_RANGE}), or one --k0l")
     p_coupling.add_argument("--models", required=True, metavar="LIST",
-                            help="comma list: full,rwa-cutoff,rwa-constg,rwa-negfreq")
-    _add_flags(p_coupling, ("k0l", "omega0_over_gamma", "epsilon"))
+                            help="comma list: full,rwa-cutoff:EPS,rwa-constg,rwa-negfreq")
+    _add_flags(p_coupling, ("k0l", "omega0_over_gamma"))
     p_coupling.add_argument("--out", metavar="DIR",
                             help="write coupling.csv here instead of stdout")
     p_coupling.set_defaults(handler=cmd_coupling, subparser=p_coupling,

@@ -168,7 +168,26 @@ def read_config(path) -> dict[str, dict[str, object]]:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text") from None
+    return parse_config_text(text)
+
+
+def output_directory(path) -> Path:
+    """path as a directory, made with its parents if missing; '' (the
+    working directory by accident) or a path that cannot be a directory
+    raises ConfigurationError naming it."""
+    if path == "":
+        raise ConfigurationError("the output directory is '': name one")
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot use {str(path)!r} as the output directory: {exc.strerror}") from None
+    return path
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .dynamics import (
     markov_guard,
     step_limit,
 )
-from .errors import ConfigurationError, NumericalError, WqedError
+from .errors import ConfigurationError, DomainError, NumericalError, WqedError
 from .fields import (
     FieldEnvelope,
     Spectrum,
@@ -46,15 +46,16 @@ from .fields import (
     reconstruct_fields,
     spectrum,
 )
-from .serialize import config_text, format_value, write_config, write_table
+from .serialize import config_text, format_value, output_directory, write_config, write_table
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
 AREA_FAIL = "fail"
 AREA_SKIPPED = "skipped"      # gamma = 0: no scatterers, theorem not applicable
 AREA_TRUNCATED = "truncated"  # envelopes, less tails, not decayed at the grid ends
+AREA_TOL = 1e-3               # a pass: both area ratios at most this
 
 _VARIANT_TO_LABEL = {
     "full": "full",
@@ -64,7 +65,6 @@ _VARIANT_TO_LABEL = {
 }
 _LABEL_TO_VARIANT = {label: variant for variant, label in _VARIANT_TO_LABEL.items()}
 _LABEL_TO_VARIANT.update({variant: variant for variant in _VARIANT_TO_LABEL})
-MODEL_LABELS = tuple(_VARIANT_TO_LABEL.values())
 NORMALIZATIONS = (UNIT_EXCITATION, BARE_PREFACTOR)
 
 
@@ -76,25 +76,20 @@ def model_label(model: CouplingModel) -> str:
     return label
 
 
-def model_from_label(label: str, epsilon: float | None = None) -> CouplingModel:
-    """Inverse of model_label; a trailing `:eps` overrides the epsilon arg."""
-    text = label.strip()
-    name, _, eps_text = text.partition(":")
-    if eps_text:
-        try:
-            epsilon = float(eps_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"bad epsilon in model label {label!r}") from None
+def model_from_label(label: str) -> CouplingModel:
+    """Inverse of model_label: rwa-cutoff's label carries its cutoff, `:EPS`."""
+    label = label.strip()
+    name, colon, eps_text = label.partition(":")
     try:
         variant = _LABEL_TO_VARIANT[name.strip()]
     except KeyError:
         raise ConfigurationError(
             f"unknown coupling model {label!r}; expected one of "
             f"{sorted(_VARIANT_TO_LABEL.values())}") from None
-    if variant == "rwa_cutoff":
-        return CouplingModel.rwa_cutoff(epsilon)
-    return CouplingModel(variant)
+    if variant == "rwa_cutoff" and not colon:
+        raise DomainError(f"coupling model {label!r} needs its infrared cutoff: "
+                          "write rwa-cutoff:EPS, EPS > 0")
+    return CouplingModel(variant, _positive("epsilon", eps_text) if colon else None)
 
 
 # ----------------------------------------------------------------------
@@ -132,24 +127,18 @@ def _normalization(name: str, value) -> str:
     return value
 
 
-def _label(name: str, value) -> str:
-    """One model label, checked with its epsilon by parse_models."""
+def _label(name: str, value) -> tuple[CouplingModel]:
+    """One model label, as parse_models' one-model tuple."""
     if isinstance(value, str) and "," not in value:
-        return value
+        return parse_models(name, value)
     raise ConfigurationError(f"{name}: bad value {value!r}")
 
 
-def parse_models(name: str, value, epsilon: float | None = None) -> tuple[CouplingModel, ...]:
-    """Coupling models, or the comma list of their labels.  epsilon is the
-    cutoff of each rwa-cutoff label without its own `:eps`: one must take it."""
+def parse_models(name: str, value) -> tuple[CouplingModel, ...]:
+    """Coupling models, or the comma list of their labels."""
     if isinstance(value, str):
-        tokens = value.split(",")
-        value = [model_from_label(token, epsilon) for token in tokens]
-        if epsilon is not None and not any(model.variant == "rwa_cutoff" and ":" not in token
-                                           for model, token in zip(value, tokens)):
-            raise ConfigurationError(f"epsilon = {epsilon:g} is unused: no rwa-cutoff "
-                                     "model without its own ':eps' takes it")
-    models = tuple(value)
+        value = [model_from_label(token) for token in value.split(",")]
+    models = tuple(value) if np.iterable(value) else ()
     if not models or not all(isinstance(model, CouplingModel) for model in models):
         raise ConfigurationError(f"{name} must list at least one coupling model, got {value!r}")
     return models
@@ -174,8 +163,7 @@ def _flag(spelling: str, help: str) -> tuple:
 
 # Rows are in file order, and so are the flags in --help.  gamma_over_delta
 # and k0l are one number in a run config and a list that [sweep] must set.
-# A run config's `model` (one label) and `epsilon` make its `models`;
-# [sweep] epsilon serves `models`' labels.
+# A run config's `model`, one label, makes its `models`.
 CONFIG_KEYS: dict[str, ConfigKey] = {
     "gamma_over_delta": ConfigKey(_axis, 0.25, "run", flag=_flag(
         "--gamma-over-delta", "coupling parameter")),
@@ -185,14 +173,12 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "omega0_over_gamma": ConfigKey(_positive, DEFAULT_OMEGA0_OVER_GAMMA, "run", flag=_flag(
         "--omega0-over-gamma", "carrier-to-rate ratio")),
     "model": ConfigKey(_label, "full", "run", sweep=False, flag=(
-        "--model", dict(choices=MODEL_LABELS, help="coupling model (default full)"))),
+        "--model", dict(metavar="LABEL", help="coupling model: full, rwa-cutoff:EPS, "
+                        "rwa-constg or rwa-negfreq (default full)"))),
     "normalization": ConfigKey(_normalization, UNIT_EXCITATION, "run", flag=(
         "--normalization", dict(choices=NORMALIZATIONS))),
-    "epsilon": ConfigKey(lambda name, value: None if value is None else _positive(name, value),
-                         None, "run", flag=_flag("--epsilon", "infrared cutoff for rwa-cutoff")),
     "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
         "--grid-dt", "time-step scale factor")),
-    "area_tol": ConfigKey(_positive, 1e-3, "checks"),
 }
 
 
@@ -240,7 +226,6 @@ class SweepSpec:
     omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
     normalization: str = CONFIG_KEYS["normalization"].default
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
-    area_tol: float = CONFIG_KEYS["area_tol"].default
     out_dir: str | os.PathLike | None = None
 
     def __post_init__(self):
@@ -264,35 +249,28 @@ class SweepSpec:
             if f.default is MISSING and f.name not in values:
                 raise ConfigurationError(f"[sweep] must set {f.name}")
         directory = values.pop("dir", None)
-        epsilon = CONFIG_KEYS["epsilon"].parse("[sweep] epsilon", values.pop("epsilon", None))
-        values["models"] = parse_models(
-            "models", str(values.get("models", CONFIG_KEYS["models"].default)), epsilon)
         return cls(**values, out_dir=directory if out_dir is None else out_dir)
 
     @classmethod
     def from_run_sections(cls, sections: dict[str, dict[str, object]],
                           **overrides) -> "SweepSpec":
-        """The one-cell spec of a parsed run config, [run], [grid] and
-        [checks], any keyword (a flag, or out_dir) overriding it: its
-        gamma_over_delta and k0l are one value each, and its model and
-        epsilon make models."""
+        """The one-cell spec of a parsed run config, [run] and [grid], any
+        keyword (a flag, or out_dir) overriding it: its gamma_over_delta
+        and k0l are one value each, and its model makes models."""
         values = ({name: key.default for name, key in CONFIG_KEYS.items() if key.section}
                   | read_sections(sections, lambda key: key.section) | overrides)
-        model, epsilon = (CONFIG_KEYS[name].parse(name, values.pop(name))
-                          for name in ("model", "epsilon"))
         return cls(gamma_over_delta=[values.pop("gamma_over_delta")], k0l=[values.pop("k0l")],
-                   models=parse_models("model", model, epsilon), **values)
+                   models=CONFIG_KEYS["model"].parse("model", values.pop("model")), **values)
 
 
 def run_config_text(spec: SweepSpec) -> str:
-    """The [run], [grid] and [checks] sections of a one-cell spec, in table
-    order, which from_run_sections reads back: the model as its label
-    without `:eps`, an rwa-cutoff model's cutoff as `epsilon`."""
+    """The [run] and [grid] sections of a one-cell spec, in table order,
+    which from_run_sections reads back: its one model as `model`."""
     (model,) = spec.models
-    values = vars(spec) | dict(model=_VARIANT_TO_LABEL[model.variant], epsilon=model.epsilon)
+    values = vars(spec) | dict(model=model)
     sections = {}
     for name, key in CONFIG_KEYS.items():
-        if key.section and values[name] is not None:
+        if key.section:
             sections.setdefault(key.section, {})[name] = _config_value(values[name])
     return config_text(sections)
 
@@ -434,7 +412,6 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
                       spectra: dict[str, Spectrum], stride: int) -> tuple[str, ...]:
     """Write one cell's artifacts, the time-domain ones every stride-th row
     and the last; returns the relative file names."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = np.r_[0:traj.grid.n - 1:stride, traj.grid.n - 1]
     paths = [write_trajectory_csv(out_dir / f"{prefix}trajectory.csv", traj, rows)]
     paths += [write_envelope_csv(out_dir / f"{prefix}{env.kind}.csv", env, rows)
@@ -462,12 +439,11 @@ def scatter(params: SimParams, coupling: CouplingResult,
     return traj, reconstruct_fields(traj, params)
 
 
-def area_verdict(envelopes: tuple[FieldEnvelope, ...], gamma: float,
-                 area_tol: float) -> tuple[str, float, float]:
+def area_verdict(envelopes: tuple[FieldEnvelope, ...], gamma: float) -> tuple[str, float, float]:
     """(area_check, trans_ratio, refl_ratio) of (incident, transmitted,
     reflected) envelopes: the ratios |S_trans|/|S_inc| and |S_refl + S_inc|/|S_inc|,
     and the verdict skipped (gamma = 0), truncated (an envelope's ends not
-    decayed), pass (both ratios <= area_tol) or fail."""
+    decayed), pass (both ratios <= AREA_TOL) or fail."""
     s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
     trans_ratio = abs(s_trans) / abs(s_inc)
     refl_ratio = abs(s_refl + s_inc) / abs(s_inc)
@@ -475,7 +451,7 @@ def area_verdict(envelopes: tuple[FieldEnvelope, ...], gamma: float,
         check = AREA_SKIPPED
     elif not all(env.ends_decayed() for env in envelopes):
         check = AREA_TRUNCATED
-    elif trans_ratio <= area_tol and refl_ratio <= area_tol:
+    elif trans_ratio <= AREA_TOL and refl_ratio <= AREA_TOL:
         check = AREA_PASS
     else:
         check = AREA_FAIL
@@ -492,8 +468,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
                                   dt_factor=spec.dt_factor)
         inc, trans, refl = envelopes
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
-        check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma,
-                                                      spec.area_tol)
+        check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma)
         tail_fraction = max(abs(trans.tail_area), abs(refl.tail_area)) / abs(s_inc)
 
         spec_inc, spec_trans = spectrum(inc), spectrum(trans)
@@ -545,7 +520,8 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest;
     first, a cell whose coupling evaluates but whose grid exceeds the point
-    budget, or whose step exceeds step_limit, raises ConfigurationError."""
+    budget, or whose step exceeds step_limit, or an out_dir that cannot be
+    a directory, raises ConfigurationError."""
     cells = [(g, k, m) for g in spec.gamma_over_delta for k in spec.k0l for m in spec.models]
     fits = math.inf  # the largest dt_factor whose step every checked cell takes
     for g, k, model in cells:
@@ -560,10 +536,9 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
         raise ConfigurationError(
             f"dt_factor = {spec.dt_factor:g} gives a step over the integrators' limit "
             f"min(1/delta, 1/gamma, 1/|M|)/50; use dt_factor <= {math.floor(fits * 1e4) / 1e4:g}")
+    out_dir = None if spec.out_dir is None else output_directory(spec.out_dir)
     results = tuple(run_cell(index, *cell, spec) for index, cell in enumerate(cells))
     manifest = RunManifest(MANIFEST_VERSION, spec, results)
-    if spec.out_dir is not None:
-        out_dir = Path(spec.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)  # also when no cell wrote files
+    if out_dir is not None:
         write_manifest(manifest, out_dir / "manifest.txt")
     return manifest

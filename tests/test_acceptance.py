@@ -119,7 +119,7 @@ def test_pulse_area_theorem(capfd):
     for god, k0l in GRID_3X3:
         params = cell_params(god, k0l)
         envelopes = scatter(params, coupling_full(params), span_factor=2.0)[1]
-        check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma, 1e-5)
+        check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma)
         doubled = max(doubled, trans_ratio, refl_ratio)
         passed &= check == AREA_PASS
     elapsed = time.monotonic() - t0

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_fresh
 import wqed.sweep
 from wqed.coupling import CouplingModel, evaluate_coupling
 from wqed.dynamics import default_grid
@@ -44,6 +45,19 @@ def test_traced_targets_resolve():
     assert traced.TARGETS
     for module, attr, _, _ in traced.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_cli_import_loads_every_traced_module():
+    # install() wraps sys.modules[module] attributes and wqed.cli's
+    # VALIDATION_CHECKS right after `import wqed.cli`; a module the CLI
+    # imported lazily would be missing there, although
+    # test_traced_targets_resolve, importing each itself, still passes
+    modules = sorted({module for module, _, _, _ in load_bench("traced").TARGETS})
+    done = run_fresh(["-c", "import sys, wqed.cli\n"
+                      f"print([m for m in {modules!r} if m not in sys.modules])\n"
+                      "print('VALIDATION_CHECKS' in vars(wqed.cli))\n"], entry=())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
 
 
 def test_validation_checks_resolve():

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -87,20 +88,18 @@ class TestRunConfig:
 
     def test_custom_round_trip(self):
         spec = SweepSpec.from_run_sections(
-            {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, model="rwa-cutoff", epsilon=1e-7,
-            dt_factor=0.5, area_tol=1e-4)
+            {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, model="rwa-cutoff:1e-7", dt_factor=0.5)
         again = run_config_from_text(run_config_text(spec))
         assert again == spec
         assert again.k0l == (1.0 / 3.0,)  # bitwise through 17 digits
 
-    @pytest.mark.parametrize("model", ["model = rwa-cutoff:1e-7", "model = rwa_cutoff:1e-7",
-                                       "model = rwa_cutoff\nepsilon = 1e-7"])
+    @pytest.mark.parametrize("model", ["model = rwa-cutoff:1e-7", "model = rwa_cutoff:1e-7"])
     def test_model_label_written_normalized(self, model):
-        # a label's own :eps and the underscore spelling are written as the
-        # hyphen label plus an epsilon line, which reads back to the same spec
+        # the underscore spelling is written as the hyphen label, its :EPS
+        # at 17 digits, which reads back to the same spec
         spec = run_config_from_text(f"[run]\n{model}\n")
         text = run_config_text(spec)
-        assert "model = rwa-cutoff\nnormalization = unit_excitation\nepsilon = 9.9999" in text
+        assert "\nmodel = rwa-cutoff:9.9999999999999995e-08\nnormalization = " in text
         assert run_config_from_text(text) == spec
 
     def test_unknown_section_and_key_rejected(self):
@@ -117,7 +116,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             SweepSpec.from_run_sections({}, dt_factor=-1.0)
         with pytest.raises(DomainError):
-            SweepSpec.from_run_sections({}, model="rwa-cutoff")  # cutoff needs epsilon
+            SweepSpec.from_run_sections({}, model="rwa-cutoff")  # cutoff needs its :EPS
 
     def test_readme_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -189,12 +188,10 @@ class TestCouplingCommand:
         assert "usage" in err
 
     def test_cutoff_divergence_flags(self):
-        code, out, _ = invoke(["coupling", "--k0l", 200.0,
-                               "--models", "rwa-cutoff", "--epsilon", 1e-6])
+        code, out, _ = invoke(["coupling", "--k0l", 200.0, "--models", "rwa-cutoff:1e-6"])
         assert code == EXIT_OK
         assert out.strip().split("\n")[1].split(",")[5] == "true"
-        code, out, _ = invoke(["coupling", "--k0l", 200.0,
-                               "--models", "rwa-cutoff", "--epsilon", 50.0])
+        code, out, _ = invoke(["coupling", "--k0l", 200.0, "--models", "rwa-cutoff:50"])
         assert out.strip().split("\n")[1].split(",")[5] == "false"
 
     def test_default_range_with_models_only(self):
@@ -209,7 +206,8 @@ class TestCouplingCommand:
         ["coupling", "--k0l-range", "0:1:0", "--models", "full"],
         ["coupling", "--k0l", 1.0, "--k0l-range", "0:1:4", "--models", "full"],
         ["coupling", "--models", "nonsense"],
-        ["coupling", "--models", "rwa-cutoff"],   # epsilon missing
+        ["coupling", "--models", "rwa-cutoff"],   # no :EPS
+        ["coupling", "--models", "full:1e-6"],    # only rwa-cutoff takes one
     ])
     def test_bad_arguments_exit_2(self, argv):
         code, _, _ = invoke(argv)
@@ -225,9 +223,8 @@ class TestCouplingCommand:
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_bad_epsilon_exits_2(self, value):
-        # the key table's rule and message, as simulate gives them
-        code, out, err = invoke(["coupling", "--models", "rwa-cutoff",
-                                 "--epsilon", value])
+        # the rule and message of the key table's numbers, as simulate gives them
+        code, out, err = invoke(["coupling", "--models", f"rwa-cutoff:{value}"])
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: epsilon must be finite and > 0, got {float(value)}\n"
 
@@ -296,9 +293,10 @@ class TestCouplingCommand:
         assert err == f"error: k0l must list finite values >= 0, got {float(value)}\n"
 
     def test_unused_epsilon_exits_2(self):
+        # the cutoff is written rwa-cutoff:EPS alone: --epsilon is no flag
         code, out, err = invoke(["coupling", "--models", "full", "--epsilon", 1e-6])
         assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: epsilon = 1e-06 is unused")
+        assert "unrecognized arguments: --epsilon 1e-06" in err
 
     def test_huge_range_exits_2_before_allocating(self):
         code, err = run_limited(["coupling", "--k0l-range", "0:1:100000000000",
@@ -437,7 +435,7 @@ class TestSimulateCommand:
         (["--grid-dt", 3], 3, "2", EXIT_OK),
         # |M| ~ 25 gamma under a deep infrared cutoff; at its largest passing
         # step the cell runs and fails only the area check
-        (["--model", "rwa-cutoff", "--epsilon", 1e-30], 1, "0.315", EXIT_CHECK),
+        (["--model", "rwa-cutoff:1e-30"], 1, "0.315", EXIT_CHECK),
     ])
     def test_step_over_the_limit_exits_2_before_any_cell(self, tmp_path, monkeypatch,
                                                          flags, dt_factor, fits, rerun_code):
@@ -591,10 +589,10 @@ class TestSweepCommand:
     def test_bad_epsilon_exits_2(self, tmp_path):
         spec = tmp_path / "e.ini"
         spec.write_text("[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
-                        "models = rwa-cutoff\nepsilon = abc\n")
+                        "models = full, rwa-cutoff:abc\n")
         code, _, err = invoke(["sweep", "--spec", spec])
         assert code == EXIT_USAGE
-        assert "[sweep] epsilon: bad value 'abc'" in err
+        assert err == "error: epsilon: bad value 'abc'\n"
 
     def test_sweep_imports_no_scipy(self, tmp_path):
         """Spectra come from numpy alone: a sweep never loads scipy."""
@@ -711,6 +709,8 @@ class TestOneRulePerKey:
         ("[grid]\ndt_factor = 0\n", "dt_factor = 0\n", "dt_factor must be finite and > 0"),
         ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
         ("[run]\nmodel = 5\n", "models = 5\n", "5"),
+        ("[run]\nmodel = rwa-cutoff\n", "models = full, rwa-cutoff\n",
+         "model 'rwa-cutoff' needs its infrared cutoff: write rwa-cutoff:EPS, EPS > 0"),
         # one value in a run config, where [sweep] takes a list
         ("[run]\ngamma_over_delta = 0.1, 0.2\n", None, "gamma_over_delta: bad value"),
     ])
@@ -735,12 +735,19 @@ class TestOneRulePerKey:
         (["sweep", "--spec"], "[sweep]\ngamma_over_delta = 4\nk0l = 1\nspan_factor = 2\n",
          "unknown key 'span_factor' in [sweep]"),
         (["simulate", "--config"], "[checks]\nguard_limit = 0.5\n",
-         "unknown key 'guard_limit' in [checks]"),
+         "unknown config section [checks]"),
+        (["simulate", "--config"], "[checks]\narea_tol = 0.001\n",
+         "unknown config section [checks]"),
+        (["sweep", "--spec"], "[sweep]\ngamma_over_delta = 4\nk0l = 1\narea_tol = 0.001\n",
+         "unknown key 'area_tol' in [sweep]"),
+        (["coupling", "--models", "rwa-cutoff:1e-6", "--epsilon", 1e-6], None,
+         "unrecognized arguments: --epsilon 1e-06"),
     ])
     def test_deleted_keys_exit_2(self, tmp_path, argv, text, message):
         # span_factor chose nothing once every grid ended at the source's
-        # support, and guard_limit was a second Markov threshold: neither
-        # is a key, and naming one exits 2
+        # support, guard_limit was a second Markov threshold, area_tol a
+        # second pulse-area tolerance beside AREA_TOL, and epsilon a second
+        # spelling of rwa-cutoff:EPS: none is a key, and naming one exits 2
         if text is not None:
             (tmp_path / "in.ini").write_text(text)
             argv = [*argv, tmp_path / "in.ini"]
@@ -768,20 +775,66 @@ class TestOneRulePerKey:
          "models = full, rwa-cutoff:1e-7\nepsilon = 1e-6\n"),
     ])
     def test_unused_epsilon_exits_2(self, tmp_path, run_lines, sweep_lines):
-        for code, out, err in self.run_both(tmp_path, run_lines, sweep_lines):
+        # the cutoff is written rwa-cutoff:EPS alone: epsilon is no key
+        for (code, out, err), section in zip(
+                self.run_both(tmp_path, run_lines, sweep_lines), ("run", "sweep")):
             assert code == EXIT_USAGE and out == ""
-            assert err.startswith("error: ") and "epsilon = 1e-06 is unused" in err
+            assert err == f"error: unknown key 'epsilon' in [{section}]\n"
 
     def test_unused_epsilon_flag_exits_2(self, tmp_path):
         code, out, err = invoke(["simulate", "--gamma-over-delta", 4, "--epsilon", 1e-6,
                                  "--out", tmp_path / "o"])
-        assert code == EXIT_USAGE and out == "" and "epsilon = 1e-06 is unused" in err
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --epsilon 1e-06" in err
         assert not (tmp_path / "o").exists()
 
-    def test_epsilon_serves_the_bare_cutoff_labels(self):
-        spec = SweepSpec.from_sections(parse_config_text(
-            "[sweep]\ngamma_over_delta = 4\nk0l = 1\n"
-            "models = full, rwa-cutoff, rwa-cutoff:1e-7\nepsilon = 1e-6\n"))
-        assert [model.epsilon for model in spec.models] == [None, 1e-6, 1e-7]
-        spec = run_config_from_text("[run]\nmodel = rwa-cutoff\nepsilon = 1e-6\n")
-        assert spec.models[0].epsilon == 1e-6
+
+class TestUnusableFiles:
+    """An output directory that cannot be one, or a config file that is not
+    UTF-8 text, exits 2 with one error line before any work: main returns,
+    so no traceback, and nothing is written to the working directory."""
+
+    @pytest.mark.parametrize("out", ["", "a_file", "a_file/x"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--gamma-over-delta", 4],
+        ["sweep", "--spec", "s.ini"],
+        ["coupling", "--models", "full"],
+    ])
+    def test_unusable_out_dir_exits_2_before_any_work(self, tmp_path, monkeypatch, argv, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a_file").write_text("kept\n")
+        (tmp_path / "s.ini").write_text("[sweep]\ngamma_over_delta = 4\nk0l = 1\n")
+        monkeypatch.setattr(wqed.sweep, "run_cell", no_cell)
+        monkeypatch.setattr(wqed.cli, "compare_couplings", no_cell)
+        code, stdout, err = invoke([*argv, "--out", out])
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("error: the output directory is '': name one\n" if out == ""
+                              else f"error: cannot use {out!r} as the output directory: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a_file", "s.ini"]
+        assert (tmp_path / "a_file").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [["simulate", "--config"], ["sweep", "--spec"]])
+    def test_config_file_not_utf8_exits_2(self, tmp_path, argv):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = invoke([*argv, path, "--out", tmp_path / "o"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: config file {path} is not UTF-8 text\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch):
+    # every `wqed ...` line of README's sh blocks exits 0, triple.ini being
+    # its ini block of that name, so no example names a gone flag or key
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    triple, = [block for block in re.findall(r"```ini\n(.*?)```", readme, re.S)
+               if block.startswith("# triple.ini\n")]
+    commands = [words[1:] for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if (words := shlex.split(line, comments=True))[:1] == ["wqed"]]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triple.ini").write_text(triple)
+    for argv in commands:
+        code, _, err = invoke(argv)
+        assert code == EXIT_OK, (argv, err)

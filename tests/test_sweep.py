@@ -97,7 +97,7 @@ class TestSweepSpec:
         {"dt_factor": math.inf},
         {"dt_factor": -1.0},
         {"normalization": "bogus"},
-        {"area_tol": 0.0},
+        {"omega0_over_gamma": math.nan},
     ])
     def test_rejects_bad_knobs(self, knob):
         with pytest.raises(ConfigurationError):
@@ -119,7 +119,7 @@ class TestSpecRoundTrip:
            k0l=st.lists(_finite, min_size=1, max_size=4),
            models=st.lists(_model, min_size=1, max_size=4),
            omega0_over_gamma=_positive, normalization=st.sampled_from(NORMALIZATIONS),
-           dt_factor=_positive, area_tol=_positive)
+           dt_factor=_positive)
     @settings(max_examples=200, deadline=None)
     def test_manifest_sweep_block_parses_back(self, **fields):
         spec = SweepSpec(**fields)
@@ -139,10 +139,6 @@ class TestModelLabels:
     ])
     def test_label_round_trip(self, model):
         assert model_from_label(model_label(model)) == model
-
-    def test_embedded_epsilon_wins_over_argument(self):
-        model = model_from_label("rwa-cutoff:1e-8", epsilon=1e-2)
-        assert model.epsilon == 1e-8
 
     def test_cutoff_without_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -233,7 +229,7 @@ class TestRunSweep:
         assert sections["manifest"]["version"] == MANIFEST_VERSION
         assert sections["manifest"]["n_cells"] == 3
         assert sections["manifest"]["all_ok"] is True
-        assert sections["sweep"]["area_tol"] == 1e-3
+        assert "area_tol" not in sections["sweep"]  # AREA_TOL is no key
         for index, ratio in enumerate(TRIPLE):
             entries = sections[f"cell{index:03d}"]
             params = cell_params(ratio, PI4)
@@ -266,7 +262,7 @@ class TestRunSweep:
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
-        assert sections["manifest"]["version"] == MANIFEST_VERSION == 5
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 6
         params = cell_params(0.02, PI4)
         longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                          span_factor=3.0)[1]
@@ -315,7 +311,7 @@ class TestRunSweep:
         params = cell_params(0.25, PI4)
         envelopes = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                             span_factor=0.01)[1]
-        assert area_verdict(envelopes, params.gamma, 1e-3)[0] == AREA_TRUNCATED
+        assert area_verdict(envelopes, params.gamma)[0] == AREA_TRUNCATED
 
     def test_rwa_cell_fails_area_check(self):
         spec = SweepSpec(gamma_over_delta=[0.25], k0l=[PI4],
