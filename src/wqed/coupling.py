@@ -68,8 +68,8 @@ ORACLE_TAIL_TOL = 1e-14
 DEFAULT_OMEGA0_OVER_GAMMA = 1e4
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-# panels per vectorised block of _gl_panels, bounding its temporaries
-_GL_CHUNK = 1 << 16
+# panels per vectorised block of _gl_panels, bounding its temporaries near 1 MB
+_GL_CHUNK = 1 << 10
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +349,8 @@ def _gl_panels(f, edges: np.ndarray, phase: float) -> complex:
         np.cos(arg, out=vals.real)
         np.sin(arg, out=vals.imag)
         vals *= f(u)
-        total += complex(np.sum((vals @ _GL_W) * half))
+        vals *= _GL_W
+        total += complex(np.sum(vals.sum(axis=1) * half))
     return total
 
 

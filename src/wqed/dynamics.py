@@ -51,6 +51,9 @@ POINT_BUDGET = 10_000_000
 MARKOV_LIMIT = 0.2
 
 _GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
+# steps per block of oracle_modes' Gauss-node drive: its temporaries stay
+# near 1.4 MB, whatever the grid's length
+ORACLE_BLOCK = 1 << 12
 # one-pole scan blocks: 8 to 512 samples, and short enough that
 # |a|^-B <= e^_SCAN_LOG_RANGE
 _SCAN_BLOCK_MIN, _SCAN_BLOCK_MAX, _SCAN_LOG_RANGE = 8, 512, 8.0
@@ -352,16 +355,17 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     tau = 0.5 * h * (_GL6_X + 1.0)                      # (6,) node offsets
     rate_u, rate_v = params.gamma + m, params.gamma - m
     # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau, contracted from
-    # the node samples of 2^14 steps at a time straight into each mode's drive
+    # the node samples of ORACLE_BLOCK steps at a time straight into each
+    # mode's drive; einsum, not BLAS, so each row's sum is the same in any block
     kernel_u, kernel_v = (np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
                           for rate in (rate_u, rate_v))
     drive_u, drive_v = np.empty(times.size, complex), np.empty(times.size, complex)
-    for lo in range(0, times.size, 1 << 14):
-        t_nodes = times[lo:lo + (1 << 14), None] + tau[None, :]
-        s1_nodes = source.at(t_nodes.ravel()).reshape(t_nodes.shape)
+    for lo in range(0, times.size, ORACLE_BLOCK):
+        s1_nodes = source.at(times[lo:lo + ORACLE_BLOCK, None] + tau)
         s2_nodes = source.phase * s1_nodes
-        np.matmul(s1_nodes + s2_nodes, kernel_u, out=drive_u[lo:lo + len(t_nodes)])
-        np.matmul(s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:lo + len(t_nodes)])
+        hi = lo + len(s1_nodes)
+        np.einsum("kj,j->k", s1_nodes + s2_nodes, kernel_u, out=drive_u[lo:hi])
+        np.einsum("kj,j->k", s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:hi])
     u = _one_pole(-rate_u * h, drive_u)
     del times, drive_u
     return _from_modes(source, m, u, _one_pole(-rate_v * h, drive_v))

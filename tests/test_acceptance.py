@@ -215,10 +215,10 @@ ACCURACY_RECORD = {
     "rwa-divergence": 1.346166594307887e-06,
     "negfreq-equivalence": 1.5543741876503828e-15,
     "mode-oracle": 6.6357577864715454e-12,
-    "pulse-area": 1.3285131215701698e-11,
+    "pulse-area": 1.057048122442247e-12,
     "resonance-dip": 1.0960143944303685e-24,   # 2.4901438004884956e-20 as a rectangle sum
     "local-consistency": 1.084810825026884e-05,
-    "transfer-oracle": 4.8296976034059054e-08,
+    "transfer-oracle": 4.829697144332245e-08,
     "transfer-resonance": 1.0469070610280401e-12,   # 1.5780188883003813e-10 as a rectangle sum
     "farfield-suppression": 3.920284322732396e-08,
     "farfield-bound": 0.0002755795643452169,

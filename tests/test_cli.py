@@ -503,6 +503,24 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert len(calls) == 9
 
+    def test_cold_run_holds_only_the_shared_runs(self):
+        """A cold validate allocates at most 3.5 MiB past its imports, and
+        keeps only the three (r, pi/4) runs that several checks share."""
+        script = ("import contextlib, io, tracemalloc\n"
+                  "import wqed.checks\n"
+                  "from wqed.cli import main\n"
+                  "tracemalloc.start()\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['validate'])\n"
+                  "print(code, tracemalloc.get_traced_memory()[1],\n"
+                  "      wqed.checks._scatter_cached.cache_info().currsize)\n")
+        done = run_fresh(["-c", script], entry=())
+        assert done.returncode == 0, done.stderr
+        code, peak, held = map(int, done.stdout.split())
+        assert code == EXIT_OK
+        assert peak <= 3.5 * 2 ** 20
+        assert held == 3
+
     def test_validate_imports_no_scipy_signal(self):
         """The mode oracle's recursions are evaluated in numpy alone."""
         loaded = scipy_modules_loaded(["validate", "--only", "mode-oracle"])

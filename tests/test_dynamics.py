@@ -15,6 +15,7 @@ from wqed.coupling import CouplingResult, SimParams, coupling_full
 from wqed.dynamics import (
     BARE_PREFACTOR,
     MARKOV_LIMIT,
+    ORACLE_BLOCK,
     POINT_BUDGET,
     UNIT_EXCITATION,
     TimeGrid,
@@ -499,8 +500,9 @@ class TestOracleModes:
 
     def test_chunked_drive_is_bitwise_and_lean(self):
         # the Gauss-node drive is built a chunk of steps at a time: the
-        # amplitudes equal the one-shot (n-1) x 6 node arrays bit for bit,
-        # and the peak stays below eight grid-length complex arrays
+        # amplitudes equal the one-shot (n-1) x 6 node arrays, contracted by
+        # the same einsum, bit for bit, and the peak stays below eight
+        # grid-length complex arrays
         # a grid 12 decay lengths of the slow mode past the pulse, as
         # default_grid ran before: its 206,454 points cover more than ten
         # chunks (default_grid's now 2,001)
@@ -514,7 +516,7 @@ class TestOracleModes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert src.grid.n > 10 * (1 << 14)
+        assert src.grid.n > 10 * ORACLE_BLOCK
         assert peak < 8 * 16 * src.grid.n
 
         h = src.grid.dt
@@ -524,7 +526,7 @@ class TestOracleModes:
         modes = []
         for rate, f in ((p.gamma + cpl.m_total, s1 + s2), (p.gamma - cpl.m_total, s1 - s2)):
             kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
-            modes.append(_one_pole(-rate * h, f @ kernel))
+            modes.append(_one_pole(-rate * h, np.einsum("kj,j->k", f, kernel)))
         u, v = modes
         assert np.array_equal(traj.beta1, (u + v) * 0.5)
         assert np.array_equal(traj.beta2, (u - v) * 0.5)

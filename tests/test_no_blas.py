@@ -1,0 +1,55 @@
+"""wqed makes no BLAS call: its contractions are a handful of terms per
+row, where OpenBLAS's threads cost more than they save, so they are ufunc
+reductions or einsum.  The rule is read off the source's syntax."""
+
+import ast
+from pathlib import Path
+
+import wqed
+
+SRC = Path(wqed.__file__).parent
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg"}
+
+
+def blas_uses(text: str) -> list[tuple[int, str]]:
+    """(line, spelling) of each BLAS entry in the source `text`, in line
+    order: the @ operator, np.<name> for the BLAS_NAMES, numpy.linalg
+    imports, and einsum's optimize, which hands the contraction to tensordot."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names]
+            if any(name.startswith("numpy.linalg") for name in names):
+                found.append((node.lineno, "numpy.linalg import"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"
+              and any(kw.arg == "optimize" for kw in node.keywords)):
+            found.append((node.lineno, "einsum(optimize=...)"))
+    return sorted(found)
+
+
+def test_scan_finds_each_blas_spelling():
+    text = ("y = a @ b\n"
+            "y @= b\n"
+            "np.matmul(a, b, out=y)\n"
+            "np.linalg.solve(a, b)\n"
+            "from numpy import linalg\n"
+            "np.einsum('ij,j->i', a, b, optimize=True)\n"
+            "np.einsum('ij,j->i', a, b)\n"
+            "(a * b).sum(axis=1)\n")
+    assert blas_uses(text) == [
+        (1, "@"), (2, "@"), (3, "np.matmul"), (4, "np.linalg"),
+        (5, "numpy.linalg import"), (6, "einsum(optimize=...)")]
+
+
+def test_wqed_makes_no_blas_call():
+    found = {path.name: uses for path in sorted(SRC.glob("*.py"))
+             if (uses := blas_uses(path.read_text()))}
+    assert found == {}
