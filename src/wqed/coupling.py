@@ -67,7 +67,15 @@ ORACLE_TAIL_TOL = 1e-14
 # carrier-to-rate ratio omega0/gamma unless one is given
 DEFAULT_OMEGA0_OVER_GAMMA = 1e4
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# the 16-node Gauss-Legendre rule on [-1, 1] from its nodes +-x_i and weights w_i,
+# bitwise numpy's leggauss(16), which would run a LAPACK eigensolver at import
+_GL_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499])
+_GL_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                  0.062253523938647456, 0.027152459411754176])
+_GL_X, _GL_W = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
 # panels per vectorised block of _gl_panels, bounding its temporaries near 1 MB
 _GL_CHUNK = 1 << 10
 

@@ -41,16 +41,19 @@ from .errors import ConfigurationError, NumericalError
 # the source's support: beyond 12/delta of its center the Gaussian source
 # (evaluated everywhere) is below e^-36 = 2.3e-16 of its peak
 _ENVELOPE_WINDOW = 12.0
-# half-width of the pulse section, and pulse widths past it of a gamma = 0 grid
+# half-width of the pulse section
 _PULSE_HALF_SPAN = 8.0
-_DECAY_LENGTHS = 12.0
 # most points a time grid may take: a cell peaks near 200 bytes per grid
 # point, so the largest accepted cell stays near 2 GB
 POINT_BUDGET = 10_000_000
 # a cell is Markov-valid when no ratio of markov_guard exceeds this
 MARKOV_LIMIT = 0.2
 
-_GL6_X, _GL6_W = np.polynomial.legendre.leggauss(6)
+# the 6-node Gauss-Legendre rule on [-1, 1] from its nodes +-x_i and weights w_i,
+# bitwise numpy's leggauss(6), which would run a LAPACK eigensolver at import
+_GL6_X = np.array([0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GL6_W = np.array([0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
+_GL6_X, _GL6_W = np.r_[-_GL6_X[::-1], _GL6_X], np.r_[_GL6_W[::-1], _GL6_W]
 # steps per block of oracle_modes' Gauss-node drive: its temporaries stay
 # near 1.4 MB, whatever the grid's length
 ORACLE_BLOCK = 1 << 12
@@ -131,49 +134,30 @@ def tail_modes(params: SimParams, m_total: complex, grid: TimeGrid) -> dict[int,
 def default_grid(params: SimParams, span_factor: float = 1.0,
                  dt_factor: float = 1.0,
                  m_total: complex | None = None) -> TimeGrid:
-    """Grid of the pulse section and, for gamma > 0, the rest of the source's support,
-    past which every decaying mode is a closed-form tail.  span_factor scales the
-    post-pulse section (4/delta for gamma > 0, so below 1 the grid ends inside the
-    support; 12/delta for gamma = 0); dt_factor scales the step.  m_total is accepted
-    and unused: the modes it sets do not move the grid.  Over POINT_BUDGET points it
-    raises."""
+    """Grid of the pulse section and the rest of the source's support, past
+    which every decaying mode is a closed-form tail.  span_factor scales the
+    post-pulse section (4/delta, so below 1 the grid ends inside the support);
+    dt_factor scales the step 1/(100 max(delta, gamma)).  m_total is accepted
+    and unused: the modes it sets do not move the grid.  Over POINT_BUDGET
+    points it raises."""
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
     t_end = _PULSE_HALF_SPAN / params.delta
     t_start = -t_end
-    if params.gamma > 0:
-        t_end += span_factor * ((_ENVELOPE_WINDOW - _PULSE_HALF_SPAN) / params.delta)
-        dt = min(1.0 / params.delta, 1.0 / params.gamma) / 100.0 * dt_factor
-        return TimeGrid.from_step(t_start, t_end, dt)
-    t_end += span_factor * (_DECAY_LENGTHS / params.delta)  # nothing decays: the pulse sizes it
-    return TimeGrid.from_step(t_start, t_end, 1.0 / params.delta / 100.0 * dt_factor)
+    t_end += span_factor * ((_ENVELOPE_WINDOW - _PULSE_HALF_SPAN) / params.delta)
+    dt = 1.0 / max(params.delta, params.gamma) / 100.0 * dt_factor
+    return TimeGrid.from_step(t_start, t_end, dt)
 
 
 # ----------------------------------------------------------------------
 # incident photon and source term
 # ----------------------------------------------------------------------
 
-BARE_PREFACTOR = "bare_prefactor"
-UNIT_EXCITATION = "unit_excitation"
-
-# integral of the squared bare-prefactor spectral amplitude:
-# (1/(2 pi delta)) * int exp(-2((w-w0)/delta)^2) dw = 1/(2 sqrt(2 pi))
-_BARE_NORM_SQ = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
-
-
-def amplitude_scale(normalization: str) -> float:
-    """N of the incident photon's spectral amplitude for k_z > 0,
-
-        alpha(k) = N * sqrt(c/delta) * sqrt(1/2pi) * exp(-((w-w0)/delta)^2)
-
-    (zero for k_z < 0): 1 for bare_prefactor (squared norm
-    1/(2 sqrt(2 pi))), and for unit_excitation the N that makes the state
-    carry exactly one excitation.  Any other name raises."""
-    if normalization == UNIT_EXCITATION:
-        return 1.0 / math.sqrt(_BARE_NORM_SQ)
-    if normalization == BARE_PREFACTOR:
-        return 1.0
-    raise ConfigurationError(f"unknown normalization {normalization!r}")
+# N of the incident photon's spectral amplitude for k_z > 0,
+#     alpha(k) = N * sqrt(c/delta) * sqrt(1/2pi) * exp(-((w-w0)/delta)^2)
+# (zero for k_z < 0): the N that makes the state carry exactly one excitation,
+# since N = 1 gives the squared norm 1/(2 sqrt(2 pi))
+PHOTON_SCALE = 1.0 / math.sqrt(1.0 / (2.0 * math.sqrt(2.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -181,8 +165,7 @@ class SourceTerm:
     """The drive S0_1 of atom 1 on a uniform grid and at its step
     midpoints; atom 2's drive is S0_2 = phase * S0_1 with phase = e^{i k0 l}
     (shared envelope, see module docstring).  S0_1 is the Gaussian
-    peak * exp(-delta^2 t^2 / 4), which `at` evaluates off-grid;
-    peak carries the photon's amplitude scale N, kept as `scale`."""
+    peak * exp(-delta^2 t^2 / 4), which `at` evaluates off-grid."""
 
     grid: TimeGrid
     s1: np.ndarray
@@ -190,32 +173,28 @@ class SourceTerm:
     phase: complex
     peak: complex
     delta: float
-    scale: float
 
     def at(self, times: np.ndarray) -> np.ndarray:
         """S0_1 at arbitrary times."""
         return self.peak * np.exp(-(self.delta * np.asarray(times, dtype=float)) ** 2 / 4.0)
 
 
-def build_source(params: SimParams, grid: TimeGrid,
-                 normalization: str = UNIT_EXCITATION) -> SourceTerm:
+def build_source(params: SimParams, grid: TimeGrid) -> SourceTerm:
     """S0_1(t), the one-photon drive of atom 1 (at z = 0, so that tau = t),
     in the narrowband closed form
 
         S0_1(t) = -i * N * sqrt(gamma*delta)/(2 sqrt(pi)) * exp(-delta^2 t^2 / 4)
 
-    with N = amplitude_scale(normalization) and the phase e^{i k0 l} that
-    gives S0_2.
+    with N = PHOTON_SCALE and the phase e^{i k0 l} that gives S0_2.
     """
-    scale = amplitude_scale(normalization)
     need = 6.0 / params.delta
     if grid.t_start > -need or grid.t_end < need:
         raise ConfigurationError(
             f"time grid [{grid.t_start}, {grid.t_end}] must cover "
             f"+-{need} around the pulse center 0")
-    peak = -1j * scale * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
+    peak = -1j * PHOTON_SCALE * math.sqrt(params.gamma * params.delta) / (2.0 * math.sqrt(math.pi))
     # the closed form first, then its samples
-    source = SourceTerm(grid, None, None, params.phase, peak, params.delta, scale)
+    source = SourceTerm(grid, None, None, params.phase, peak, params.delta)
     times = grid.times
     return replace(source, s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
 
@@ -226,14 +205,12 @@ def build_source(params: SimParams, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Excited-state amplitudes on a uniform grid, and the coupling M and the
-    photon's amplitude scale N (unit excitation unless given) behind them."""
+    """Excited-state amplitudes on a uniform grid, and the coupling M behind them."""
 
     grid: TimeGrid
     beta1: np.ndarray
     beta2: np.ndarray
     m_total: complex | None = None
-    scale: float = amplitude_scale(UNIT_EXCITATION)
 
 
 def step_limit(params: SimParams, m_total: complex) -> float:
@@ -291,8 +268,8 @@ def _one_pole(log_a: complex, x: np.ndarray) -> np.ndarray:
 def _from_modes(source: SourceTerm, m: complex, u: np.ndarray, v: np.ndarray
                 ) -> AmplitudeTrajectory:
     """beta1 = (u + v)/2 and beta2 = (u - v)/2 (u is overwritten) on the
-    source's grid and with its scale; a non-finite amplitude raises
-    NumericalError naming its first time."""
+    source's grid; a non-finite amplitude raises NumericalError naming its
+    first time."""
     beta1 = u + v
     beta1 *= 0.5
     beta2 = np.subtract(u, v, out=u)
@@ -300,8 +277,7 @@ def _from_modes(source: SourceTerm, m: complex, u: np.ndarray, v: np.ndarray
     bad = np.flatnonzero(~(np.isfinite(beta1) & np.isfinite(beta2)))
     if bad.size:
         raise NumericalError(f"non-finite amplitude at t = {float(source.grid.times[bad[0]])}")
-    return AmplitudeTrajectory(grid=source.grid, beta1=beta1, beta2=beta2, m_total=m,
-                               scale=source.scale)
+    return AmplitudeTrajectory(grid=source.grid, beta1=beta1, beta2=beta2, m_total=m)
 
 
 def integrate_markovian(source: SourceTerm, coupling: CouplingResult,

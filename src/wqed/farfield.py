@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SimParams
-from .dynamics import AmplitudeTrajectory
+from .dynamics import PHOTON_SCALE, AmplitudeTrajectory
 from .errors import ConfigurationError, DomainError
 from .specfun import ci, si
 
@@ -162,9 +162,7 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
     with K_j = omega0 sqrt(gamma/2pi) [f(omega2) - f(omega1)] at
     a_j = |z - z_j|, z_1 = 0 and z_2 = l.
 
-    The incident peak is traj.scale^2 delta/2, so the ratio is
-    normalization-independent (both channels scale with the photon
-    amplitude N).
+    The incident peak is N^2 delta/2, with the photon's N = PHOTON_SCALE.
     """
     if not detector.is_far_field(params):
         raise DomainError(
@@ -183,7 +181,7 @@ def i2_ratio(traj: AmplitudeTrajectory, detector: DetectorSpec,
                for aj in (abs(detector.z), abs(detector.z - params.l))]
     amp2 = 2.0 * (traj.beta1 * weights[0] + traj.beta2 * weights[1])
     peak_i2 = float(np.max(np.abs(amp2) ** 2))
-    peak_i1 = (traj.scale ** 2) * params.delta / 2.0
+    peak_i1 = (PHOTON_SCALE ** 2) * params.delta / 2.0
     return peak_i2 / peak_i1
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupling import SimParams
-from .dynamics import _ENVELOPE_WINDOW, AmplitudeTrajectory, tail_modes
+from .dynamics import _ENVELOPE_WINDOW, PHOTON_SCALE, AmplitudeTrajectory, tail_modes
 from .errors import ConfigurationError, GridMismatch, NumericalError
 
 INCIDENT = "incident"
@@ -159,7 +159,7 @@ class FieldEnvelope:
 def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
                        ) -> tuple[FieldEnvelope, FieldEnvelope, FieldEnvelope]:
     """Incident, transmitted, and reflected envelopes from a trajectory,
-    the incident one scaled by the trajectory's N.
+    the incident one of peak N sqrt(delta/2) with the photon's N = PHOTON_SCALE.
 
     All three live on the trajectory grid as retarded time tau = t (atom 1
     at z1 = 0, atom 2 at z2 = l); the flight-time offsets between the atoms
@@ -172,7 +172,7 @@ def reconstruct_fields(traj: AmplitudeTrajectory, params: SimParams
             "the pulse arrival at t = 0")
 
     pref = radiation_prefactors(params)
-    scale = traj.scale * math.sqrt(params.delta / 2.0)
+    scale = PHOTON_SCALE * math.sqrt(params.delta / 2.0)
     inc = scale * np.exp(-0.25 * (params.delta * tau) ** 2) + 0.0j
 
     phase = params.phase

@@ -26,11 +26,8 @@ import numpy as np
 from .coupling import (DEFAULT_OMEGA0_OVER_GAMMA, CouplingModel, CouplingResult, SimParams,
                        evaluate_coupling)
 from .dynamics import (
-    BARE_PREFACTOR,
     MARKOV_LIMIT,
-    UNIT_EXCITATION,
     AmplitudeTrajectory,
-    amplitude_scale,
     build_source,
     default_grid,
     integrate_markovian,
@@ -48,7 +45,7 @@ from .fields import (
 )
 from .serialize import config_text, format_value, output_directory, write_config, write_table
 
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -65,7 +62,6 @@ _VARIANT_TO_LABEL = {
 }
 _LABEL_TO_VARIANT = {label: variant for variant, label in _VARIANT_TO_LABEL.items()}
 _LABEL_TO_VARIANT.update({variant: variant for variant in _VARIANT_TO_LABEL})
-NORMALIZATIONS = (UNIT_EXCITATION, BARE_PREFACTOR)
 
 
 def model_label(model: CouplingModel) -> str:
@@ -122,11 +118,6 @@ def _axis(name: str, value) -> tuple[float, ...]:
     return values
 
 
-def _normalization(name: str, value) -> str:
-    amplitude_scale(value)   # refuses an unknown name
-    return value
-
-
 def _label(name: str, value) -> tuple[CouplingModel]:
     """One model label, as parse_models' one-model tuple."""
     if isinstance(value, str) and "," not in value:
@@ -175,8 +166,6 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
     "model": ConfigKey(_label, "full", "run", sweep=False, flag=(
         "--model", dict(metavar="LABEL", help="coupling model: full, rwa-cutoff:EPS, "
                         "rwa-constg or rwa-negfreq (default full)"))),
-    "normalization": ConfigKey(_normalization, UNIT_EXCITATION, "run", flag=(
-        "--normalization", dict(choices=NORMALIZATIONS))),
     "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
         "--grid-dt", "time-step scale factor")),
 }
@@ -224,7 +213,6 @@ class SweepSpec:
     k0l: tuple[float, ...]
     models: tuple[CouplingModel, ...] = CONFIG_KEYS["models"].default
     omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
-    normalization: str = CONFIG_KEYS["normalization"].default
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
     out_dir: str | os.PathLike | None = None
 
@@ -425,8 +413,7 @@ def _write_cell_files(out_dir: Path, prefix: str, traj: AmplitudeTrajectory,
 # sweep execution
 # ----------------------------------------------------------------------
 
-def scatter(params: SimParams, coupling: CouplingResult,
-            normalization: str = CONFIG_KEYS["normalization"].default,
+def scatter(params: SimParams, coupling: CouplingResult, *,
             span_factor: float = 1.0,
             dt_factor: float = CONFIG_KEYS["dt_factor"].default,
             ) -> tuple[AmplitudeTrajectory, tuple[FieldEnvelope, ...]]:
@@ -435,7 +422,7 @@ def scatter(params: SimParams, coupling: CouplingResult,
     and fields pipeline behind run_cell and the validation checks.  The
     source is not kept, so its grid-length series die with the integration."""
     grid = default_grid(params, span_factor, dt_factor)
-    traj = integrate_markovian(build_source(params, grid, normalization), coupling, params)
+    traj = integrate_markovian(build_source(params, grid), coupling, params)
     return traj, reconstruct_fields(traj, params)
 
 
@@ -464,8 +451,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
     try:
         params = cell_params(gamma_over_delta, k0l, spec.omega0_over_gamma)
         coupling = evaluate_coupling(params, model)
-        traj, envelopes = scatter(params, coupling, spec.normalization,
-                                  dt_factor=spec.dt_factor)
+        traj, envelopes = scatter(params, coupling, dt_factor=spec.dt_factor)
         inc, trans, refl = envelopes
         s_inc, s_trans, s_refl = (env.pulse_area for env in envelopes)
         check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma)

@@ -99,7 +99,7 @@ class TestRunConfig:
         # at 17 digits, which reads back to the same spec
         spec = run_config_from_text(f"[run]\n{model}\n")
         text = run_config_text(spec)
-        assert "\nmodel = rwa-cutoff:9.9999999999999995e-08\nnormalization = " in text
+        assert "\nmodel = rwa-cutoff:9.9999999999999995e-08\n" in text
         assert run_config_from_text(text) == spec
 
     def test_unknown_section_and_key_rejected(self):
@@ -111,8 +111,6 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SweepSpec.from_run_sections({}, gamma_over_delta=-1.0)
-        with pytest.raises(ConfigurationError):
-            SweepSpec.from_run_sections({}, normalization="bogus")
         with pytest.raises(ConfigurationError):
             SweepSpec.from_run_sections({}, dt_factor=-1.0)
         with pytest.raises(DomainError):
@@ -152,7 +150,6 @@ class TestRunConfig:
         for block in blocks:
             exec(compile(block, "README.md", "exec"), namespace)
         assert float(capsys.readouterr().out) < 1e-10   # the printed area ratio
-        assert namespace["traj"].scale == namespace["source"].scale
 
     def test_flags_win_over_config_file(self, tmp_path):
         text = run_config_text(SweepSpec.from_run_sections({}, gamma_over_delta=0.25,
@@ -722,8 +719,6 @@ class TestOneRulePerKey:
         return results
 
     @pytest.mark.parametrize("run_lines, sweep_lines, message", [
-        ("[run]\nnormalization = bogus\n", "normalization = bogus\n",
-         "unknown normalization 'bogus'"),
         ("[grid]\ndt_factor = 0\n", "dt_factor = 0\n", "dt_factor must be finite and > 0"),
         ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
         ("[run]\nmodel = 5\n", "models = 5\n", "5"),
@@ -760,12 +755,20 @@ class TestOneRulePerKey:
          "unknown key 'area_tol' in [sweep]"),
         (["coupling", "--models", "rwa-cutoff:1e-6", "--epsilon", 1e-6], None,
          "unrecognized arguments: --epsilon 1e-06"),
+        (["simulate", "--config"], "[run]\nnormalization = unit_excitation\n",
+         "unknown key 'normalization' in [run]"),
+        (["sweep", "--spec"],
+         "[sweep]\ngamma_over_delta = 4\nk0l = 1\nnormalization = unit_excitation\n",
+         "unknown key 'normalization' in [sweep]"),
+        (["simulate", "--normalization", "unit_excitation"], None,
+         "unrecognized arguments: --normalization unit_excitation"),
     ])
     def test_deleted_keys_exit_2(self, tmp_path, argv, text, message):
         # span_factor chose nothing once every grid ended at the source's
         # support, guard_limit was a second Markov threshold, area_tol a
-        # second pulse-area tolerance beside AREA_TOL, and epsilon a second
-        # spelling of rwa-cutoff:EPS: none is a key, and naming one exits 2
+        # second pulse-area tolerance beside AREA_TOL, epsilon a second
+        # spelling of rwa-cutoff:EPS, and normalization a choice of photon
+        # other than the one excitation: none is a key, and naming one exits 2
         if text is not None:
             (tmp_path / "in.ini").write_text(text)
             argv = [*argv, tmp_path / "in.ini"]

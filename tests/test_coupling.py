@@ -13,6 +13,8 @@ from wqed.coupling import (
     ORACLE_TAIL_TOL,
     CouplingModel,
     SimParams,
+    _GL_W,
+    _GL_X,
     _coupling_parts,
     _subdivide,
     _tail_start,
@@ -224,6 +226,11 @@ class TestRwaNegFreq:
 
 class TestOracle:
     """Defining-integral quadrature against the closed forms."""
+
+    def test_gauss_legendre_table_is_leggauss(self):
+        # written out so that no LAPACK eigensolver runs at import
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert _GL_X.tobytes() == x.tobytes() and _GL_W.tobytes() == w.tobytes()
 
     def test_part1_quarter_wave(self):
         p = params_at(math.pi / 4)

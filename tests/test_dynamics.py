@@ -13,13 +13,11 @@ from scipy.special import erfcx
 
 from wqed.coupling import CouplingResult, SimParams, coupling_full
 from wqed.dynamics import (
-    BARE_PREFACTOR,
     MARKOV_LIMIT,
     ORACLE_BLOCK,
+    PHOTON_SCALE,
     POINT_BUDGET,
-    UNIT_EXCITATION,
     TimeGrid,
-    amplitude_scale,
     build_source,
     check_points,
     default_grid,
@@ -37,11 +35,10 @@ from wqed.errors import ConfigurationError, NumericalError
 NO_COUPLING = CouplingResult(m_total=0j)
 
 
-def setup(gamma_over_delta=4.0, k0l=math.pi / 4, normalization=UNIT_EXCITATION,
-          span_factor=1.0, dt_factor=1.0):
+def setup(gamma_over_delta=4.0, k0l=math.pi / 4, span_factor=1.0, dt_factor=1.0):
     p = SimParams.from_ratios(gamma_over_delta, k0l)
     grid = default_grid(p, span_factor=span_factor, dt_factor=dt_factor)
-    return p, build_source(p, grid, normalization)
+    return p, build_source(p, grid)
 
 
 def continued(traj, params, gap):
@@ -149,25 +146,11 @@ def rk4_pair_loop(source, coupling, params):
 
 class TestIncidentWavepacket:
     def test_unit_excitation_norm(self):
-        assert abs(norm_squared(0.25, amplitude_scale(UNIT_EXCITATION)) - 1.0) < 1e-10
-
-    def test_bare_prefactor_norm(self):
-        assert abs(norm_squared(0.25, amplitude_scale(BARE_PREFACTOR))
-                   - 1 / (2 * math.sqrt(2 * math.pi))) < 1e-10
+        assert abs(norm_squared(0.25, PHOTON_SCALE) - 1.0) < 1e-10
 
     def test_left_movers_carry_nothing(self):
-        alpha = spectral_amplitude(np.array([-1.0, -2500.0, 0.0]), 0.25,
-                                   amplitude_scale(UNIT_EXCITATION))
+        alpha = spectral_amplitude(np.array([-1.0, -2500.0, 0.0]), 0.25, PHOTON_SCALE)
         assert np.all(alpha == 0.0)
-
-    @pytest.mark.parametrize("kw", [
-        dict(normalization="unknown"), dict(normalization=""),
-        dict(normalization="Unit_Excitation"), dict(normalization=None),
-        dict(normalization="bare-prefactor"),
-    ])
-    def test_validation(self, kw):
-        with pytest.raises(ConfigurationError, match="unknown normalization"):
-            amplitude_scale(**kw)
 
 
 class TestTimeGrid:
@@ -193,6 +176,17 @@ class TestTimeGrid:
     def test_default_grid_factors_finite_and_positive(self, factors):
         with pytest.raises(ConfigurationError, match="finite and > 0"):
             default_grid(SimParams.from_ratios(4.0, math.pi / 4), *factors)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.02, 4.0])
+    def test_default_grid_is_one_rule_for_every_gamma(self, gamma):
+        # every grid ends at the source's support, 12/delta, in steps of
+        # 1/(100 max(delta, gamma)); gamma = 0, with nothing to decay, ran
+        # on to 20/delta before (2,801 points, 2,001 now)
+        p = SimParams(gamma=gamma, delta=1.0, omega0=1e4, l=0.0)
+        grid = default_grid(p)
+        assert grid.t_start == -8.0 and 12.0 <= grid.t_end < 12.0 + grid.dt
+        assert grid.dt == pytest.approx(0.01 / max(1.0, gamma), rel=1e-12)
+        assert gamma > 0 or grid.n == 2_001
 
     def test_default_grid_caps_near_dark_modes(self):
         # a barely-driven, barely-decaying mode must not blow up the grid
@@ -296,7 +290,7 @@ class TestBuildSource:
         assert p.delta / p.omega0 == pytest.approx(1e-3, rel=1e-12)
         closed = build_source(p, default_grid(p))
         i = np.argmax(np.abs(closed.s1))
-        quad = spectral_source(p, closed.scale, closed.grid.times[i:i + 1])[0]
+        quad = spectral_source(p, PHOTON_SCALE, closed.grid.times[i:i + 1])[0]
         assert abs(quad - closed.s1[i]) / abs(closed.s1[i]) < 1e-3
 
     def test_grid_too_short(self):
@@ -305,17 +299,6 @@ class TestBuildSource:
         with pytest.raises(ConfigurationError):
             build_source(p, short)
 
-    def test_scale_follows_normalization(self):
-        # N scales the drive and travels on through both integrators
-        p, unit = setup()
-        _, bare = setup(normalization=BARE_PREFACTOR)
-        assert (unit.scale, bare.scale) == (amplitude_scale(UNIT_EXCITATION), 1.0)
-        assert unit.peak == pytest.approx(unit.scale * bare.peak, rel=1e-15)
-        for integrate in (integrate_markovian, oracle_modes):
-            assert integrate(bare, coupling_full(p), p).scale == 1.0
-        with pytest.raises(ConfigurationError, match="unknown normalization"):
-            build_source(p, unit.grid, "unit")
-
 
 class TestIntegrateMarkovian:
     def test_single_atom_reduction(self):
@@ -323,7 +306,7 @@ class TestIntegrateMarkovian:
         # of its own source
         p, src = setup()
         traj = integrate_markovian(src, NO_COUPLING, p)
-        exact = single_atom_convolution(p, src.scale, src.grid)
+        exact = single_atom_convolution(p, PHOTON_SCALE, src.grid)
         dev = np.abs(traj.beta1 - exact).max() / np.abs(exact).max()
         assert dev < 1e-8
 
@@ -470,6 +453,11 @@ class TestModeBasisRK4:
 
 
 class TestOracleModes:
+    def test_gauss_legendre_table_is_leggauss(self):
+        # written out so that no LAPACK eigensolver runs at import
+        x, w = np.polynomial.legendre.leggauss(6)
+        assert _GL6_X.tobytes() == x.tobytes() and _GL6_W.tobytes() == w.tobytes()
+
     def test_symmetric_drive_leaves_dark_mode_empty(self):
         # k0l = 0: both atoms driven identically, v = beta1 - beta2 = 0
         p, src = setup(k0l=0.0)

@@ -11,15 +11,7 @@ from scipy.integrate import quad
 from helpers import pv_band_asymptote
 from wqed.checks import band_reference, pv_reference
 from wqed.coupling import CouplingModel, SimParams, evaluate_coupling
-from wqed.dynamics import (
-    BARE_PREFACTOR,
-    UNIT_EXCITATION,
-    AmplitudeTrajectory,
-    amplitude_scale,
-    build_source,
-    default_grid,
-    integrate_markovian,
-)
+from wqed.dynamics import AmplitudeTrajectory, build_source, default_grid, integrate_markovian
 from wqed.errors import ConfigurationError, DomainError
 from wqed.farfield import (
     DetectorSpec,
@@ -63,12 +55,11 @@ def pv_quadrature(w1, w2, w0, a):
     return reg + g0 * math.log((w2 - w0) / (w0 - w1))
 
 
-def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4,
-                   normalization=UNIT_EXCITATION):
+def scattering_run(gamma_over_delta=0.25, k0l=math.pi / 4):
     p = SimParams.from_ratios(gamma_over_delta, k0l)
     coup = evaluate_coupling(p, CouplingModel.full())
     grid = default_grid(p, m_total=coup.m_total)
-    return p, integrate_markovian(build_source(p, grid, normalization), coup, p)
+    return p, integrate_markovian(build_source(p, grid), coup, p)
 
 
 def far_detector(p, margin=1e3, band_factor=40.0):
@@ -278,17 +269,6 @@ class TestI2Ratio:
                                        z=far_detector(p).z, omega_c=1.0)
         with pytest.raises(ConfigurationError, match="band"):
             i2_ratio(traj, narrow, p)
-
-    def test_normalization_independent(self):
-        """The ratio does not depend on the photon-amplitude convention: the
-        incident peak is scaled by the N each trajectory carries."""
-        p, traj_u = scattering_run()
-        p2, traj_p = scattering_run(normalization=BARE_PREFACTOR)
-        assert (traj_u.scale, traj_p.scale) == (amplitude_scale(UNIT_EXCITATION), 1.0)
-        det = far_detector(p)
-        r_u = i2_ratio(traj_u, det, p)
-        r_p = i2_ratio(traj_p, det, p2)
-        assert r_p == pytest.approx(r_u, rel=1e-12)
 
 
 class TestI3Bound:

@@ -17,6 +17,7 @@ from wqed.checks import (WRAP_FRACTION, _scatter, pruned_round_trip, round_trip_
 from wqed.sweep import AREA_FAIL, AREA_PASS, AREA_TRUNCATED, area_verdict, scatter
 from wqed.coupling import CouplingModel, SimParams, coupling_full, evaluate_coupling
 from wqed.dynamics import (
+    PHOTON_SCALE,
     AmplitudeTrajectory,
     TimeGrid,
     build_source,
@@ -129,7 +130,7 @@ class TestReconstructFields:
         """A_inc is the closed-form Gaussian, independent of the coupling."""
         p, traj, coup = run_case(4.0, math.pi / 2)
         inc = reconstruct_fields(traj, p)[0]
-        expected = (traj.scale * math.sqrt(p.delta / 2)
+        expected = (PHOTON_SCALE * math.sqrt(p.delta / 2)
                     * np.exp(-0.25 * (p.delta * inc.tau) ** 2))
         np.testing.assert_allclose(inc.samples, expected, rtol=0, atol=1e-300)
 
@@ -190,7 +191,7 @@ class TestPulseAreas:
         """S_inc equals the Gaussian integral N sqrt(delta/2) * 2 sqrt(pi)/delta."""
         p, traj, coup = run_case(0.25, 0.0)
         s_inc = reconstruct_fields(traj, p)[0].pulse_area
-        expected = traj.scale * math.sqrt(p.delta / 2) * 2 * math.sqrt(math.pi) / p.delta
+        expected = PHOTON_SCALE * math.sqrt(p.delta / 2) * 2 * math.sqrt(math.pi) / p.delta
         # the grid starts 8 bandwidths before the peak, cutting a left
         # tail of erfc(4)/2 ~ 7.7e-9 of the area
         assert s_inc == pytest.approx(expected, rel=1e-7)

@@ -1,6 +1,8 @@
-"""wqed makes no BLAS call: its contractions are a handful of terms per
-row, where OpenBLAS's threads cost more than they save, so they are ufunc
-reductions or einsum.  The rule is read off the source's syntax."""
+"""wqed makes no BLAS or LAPACK call: its contractions are a handful of
+terms per row, where OpenBLAS's threads cost more than they save, so they
+are ufunc reductions or einsum, and its Gauss-Legendre rules are literal
+tables, since numpy's leggauss solves an eigenproblem with LAPACK.  The
+rule is read off the source's syntax."""
 
 import ast
 from pathlib import Path
@@ -8,26 +10,31 @@ from pathlib import Path
 import wqed
 
 SRC = Path(wqed.__file__).parent
-BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg"}
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg", "polynomial"}
+LAPACK_MODULES = ("numpy.linalg", "numpy.polynomial")
 
 
 def blas_uses(text: str) -> list[tuple[int, str]]:
     """(line, spelling) of each BLAS entry in the source `text`, in line
-    order: the @ operator, np.<name> for the BLAS_NAMES, numpy.linalg
-    imports, and einsum's optimize, which hands the contraction to tensordot."""
+    order: the @ operator, np.<name> or numpy.<name> for the BLAS_NAMES,
+    imports from the LAPACK_MODULES, leggauss under any spelling, and
+    einsum's optimize, which hands the contraction to tensordot."""
     found = []
     for node in ast.walk(ast.parse(text)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
         elif (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
-              and isinstance(node.value, ast.Name) and node.value.id == "np"):
-            found.append((node.lineno, f"np.{node.attr}"))
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif ((isinstance(node, ast.Attribute) and node.attr == "leggauss")
+              or (isinstance(node, ast.Name) and node.id == "leggauss")):
+            found.append((node.lineno, "leggauss"))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names]
             if isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{name}" for name in names]
-            if any(name.startswith("numpy.linalg") for name in names):
-                found.append((node.lineno, "numpy.linalg import"))
+            found += [(node.lineno, f"{module} import") for module in LAPACK_MODULES
+                      if any(name.startswith(module) for name in names)]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "einsum"
               and any(kw.arg == "optimize" for kw in node.keywords)):
@@ -43,10 +50,17 @@ def test_scan_finds_each_blas_spelling():
             "from numpy import linalg\n"
             "np.einsum('ij,j->i', a, b, optimize=True)\n"
             "np.einsum('ij,j->i', a, b)\n"
-            "(a * b).sum(axis=1)\n")
+            "(a * b).sum(axis=1)\n"
+            "x, w = np.polynomial.legendre.leggauss(16)\n"
+            "numpy.polynomial.Legendre.basis(3)\n"
+            "from numpy.polynomial.legendre import leggauss\n"
+            "import numpy.polynomial\n"
+            "x, w = leggauss(6)\n")
     assert blas_uses(text) == [
         (1, "@"), (2, "@"), (3, "np.matmul"), (4, "np.linalg"),
-        (5, "numpy.linalg import"), (6, "einsum(optimize=...)")]
+        (5, "numpy.linalg import"), (6, "einsum(optimize=...)"),
+        (9, "leggauss"), (9, "np.polynomial"), (10, "numpy.polynomial"),
+        (11, "numpy.polynomial import"), (12, "numpy.polynomial import"), (13, "leggauss")]
 
 
 def test_wqed_makes_no_blas_call():

@@ -15,14 +15,7 @@ from hypothesis import strategies as st
 from helpers import read_csv
 import wqed.sweep
 from wqed.coupling import CouplingModel, CouplingRow, compare_couplings, evaluate_coupling
-from wqed.dynamics import (
-    BARE_PREFACTOR,
-    UNIT_EXCITATION,
-    _BARE_NORM_SQ,
-    build_source,
-    default_grid,
-    integrate_markovian,
-)
+from wqed.dynamics import build_source, default_grid, integrate_markovian
 from wqed.errors import ConfigurationError, DomainError
 from wqed.fields import SPECTRUM_WINDOW, reconstruct_fields
 from wqed.serialize import config_text, parse_config_text, read_config
@@ -32,7 +25,6 @@ from wqed.sweep import (
     AREA_SKIPPED,
     AREA_TRUNCATED,
     MANIFEST_VERSION,
-    NORMALIZATIONS,
     SweepSpec,
     area_verdict,
     cell_params,
@@ -96,7 +88,7 @@ class TestSweepSpec:
         {"omega0_over_gamma": 0.0},
         {"dt_factor": math.inf},
         {"dt_factor": -1.0},
-        {"normalization": "bogus"},
+        {"dt_factor": 0.0},
         {"omega0_over_gamma": math.nan},
     ])
     def test_rejects_bad_knobs(self, knob):
@@ -118,8 +110,7 @@ class TestSpecRoundTrip:
     @given(gamma_over_delta=st.lists(_finite, min_size=1, max_size=4),
            k0l=st.lists(_finite, min_size=1, max_size=4),
            models=st.lists(_model, min_size=1, max_size=4),
-           omega0_over_gamma=_positive, normalization=st.sampled_from(NORMALIZATIONS),
-           dt_factor=_positive)
+           omega0_over_gamma=_positive, dt_factor=_positive)
     @settings(max_examples=200, deadline=None)
     def test_manifest_sweep_block_parses_back(self, **fields):
         spec = SweepSpec(**fields)
@@ -262,7 +253,7 @@ class TestRunSweep:
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
-        assert sections["manifest"]["version"] == MANIFEST_VERSION == 6
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 7
         params = cell_params(0.02, PI4)
         longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                          span_factor=3.0)[1]
@@ -370,7 +361,7 @@ class TestCsvStride:
 
     @pytest.mark.parametrize("gamma_over_delta, k0l, dt_factor, stride, rows", [
         (300.0, 0.0, 1.0, 300, 2001),     # a bare floor of the step ratio gives 299
-        (0.0, PI4, 0.5001, 1, 5600),      # the most rows of any accepted cell
+        (0.0, PI4, 0.5001, 1, 4001),      # the most rows of any accepted cell
         (0.02, PI4, 1.0, 1, 2001),        # every row: n, as bench counts them
     ])
     def test_row_counts(self, tmp_path, gamma_over_delta, k0l, dt_factor, stride, rows):
@@ -465,34 +456,26 @@ class TestClosedFormTails:
 class TestScatter:
     """The one dynamics pipeline behind run_cell and the validation checks."""
 
-    @pytest.mark.parametrize("normalization", [UNIT_EXCITATION, BARE_PREFACTOR])
-    def test_matches_explicit_pipeline_bitwise(self, normalization):
+    def test_matches_explicit_pipeline_bitwise(self):
         params = cell_params(4.0, PI4)
         coupling = evaluate_coupling(params, CouplingModel.full())
         grid = default_grid(params, 1.5, 0.75, m_total=coupling.m_total)
-        source = build_source(params, grid, normalization)
+        source = build_source(params, grid)
         traj = integrate_markovian(source, coupling, params)
         envelopes = reconstruct_fields(traj, params)
 
-        got_traj, got_envelopes = scatter(params, coupling, normalization, 1.5, 0.75)
-        assert got_traj.scale == traj.scale
+        got_traj, got_envelopes = scatter(params, coupling, span_factor=1.5, dt_factor=0.75)
         assert np.array_equal(got_traj.beta1, traj.beta1)
         assert np.array_equal(got_traj.beta2, traj.beta2)
         for ours, theirs in zip(got_envelopes, envelopes, strict=True):
             assert ours.kind == theirs.kind
             assert np.array_equal(ours.samples, theirs.samples)
 
-    @pytest.mark.parametrize("ratio, k0l", [(4.0, PI4), (0.25, 0.05), (0.02, math.pi / 2)])
-    def test_bare_prefactor_scales_every_envelope(self, ratio, k0l):
-        # reconstruct_fields takes N from the trajectory, so the bare run is
-        # the unit run scaled by sqrt(_BARE_NORM_SQ), its incident field too
-        params = cell_params(ratio, k0l)
-        coupling = evaluate_coupling(params, CouplingModel.full())
-        _, unit = scatter(params, coupling, UNIT_EXCITATION)
-        _, bare = scatter(params, coupling, BARE_PREFACTOR)
-        for ours, theirs in zip(bare, unit, strict=True):
-            dev = np.max(np.abs(ours.samples - math.sqrt(_BARE_NORM_SQ) * theirs.samples))
-            assert dev <= 1e-12 * ours.peak()
+    def test_grid_factors_are_keywords(self):
+        # scatter once took a normalization third: a positional call fails
+        params = cell_params(4.0, PI4)
+        with pytest.raises(TypeError):
+            scatter(params, evaluate_coupling(params, CouplingModel.full()), 1.5, 0.75)
 
     def test_run_cell_frees_source_before_spectra(self, monkeypatch):
         refs, alive = [], []
