@@ -36,7 +36,6 @@ from .sweep import (
     cell_params,
     model_label,
     parse_models,
-    run_config_text,
     run_sweep,
 )
 
@@ -125,10 +124,14 @@ def _write_plot_scripts(out: Path, prefix: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    flags = {name: getattr(args, name) for name, key in CONFIG_KEYS.items()
-             if key.flag and getattr(args, name) is not None}   # explicit flags win
-    spec = SweepSpec.from_run_sections(read_config(args.config) if args.config else {},
-                                       out_dir=args.out, **flags)
+    flags = {name: getattr(args, name) for name in CONFIG_KEYS
+             if getattr(args, name) is not None}   # explicit flags win
+    spec = SweepSpec.from_sections(read_config(args.config) if args.config else {},
+                                   out_dir=args.out, **flags)
+    for name in ("gamma_over_delta", "k0l", "models"):
+        if (count := len(getattr(spec, name))) > 1:
+            raise ConfigurationError(f"{name} lists {count} values, but simulate runs "
+                                     "one cell: run this spec with sweep --spec")
     out = Path(args.out)
 
     ratios = markov_guard(cell_params(*spec.gamma_over_delta, *spec.k0l, spec.omega0_over_gamma))
@@ -143,10 +146,10 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
     manifest = run_sweep(spec)
     cell = manifest.cells[0]
-    (out / "run_config.txt").write_text(run_config_text(spec), newline="\n")
+    sections = manifest.sections()
+    (out / "run_config.txt").write_text(config_text({"sweep": sections["sweep"]}), newline="\n")
 
-    sys.stdout.write(config_text(
-        {"summary": manifest.sections()["cell000"]}))
+    sys.stdout.write(config_text({"summary": sections["cell000"]}))
     if cell.error is not None:
         print(f"error: {cell.error}", file=sys.stderr)
         return EXIT_CHECK
@@ -213,9 +216,9 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ----------------------------------------------------------------------
 
 def _add_flags(parser: argparse.ArgumentParser, names) -> None:
-    """The flags of these CONFIG_KEYS rows (those that have one), in table order."""
+    """The flags of these CONFIG_KEYS rows, in table order."""
     for name, key in CONFIG_KEYS.items():
-        if key.flag and name in names:
+        if name in names:
             spelling, options = key.flag
             parser.add_argument(spelling, dest=name, **options)
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_simulate = sub.add_parser(
         "simulate", help="run one scattering event and write CSV artifacts")
     p_simulate.add_argument("--config", metavar="PATH",
-                            help="run-config file; explicit flags win")
+                            help="one-cell spec file ([sweep]); explicit flags win")
     _add_flags(p_simulate, CONFIG_KEYS)
     p_simulate.add_argument("--out", metavar="DIR", required=True,
                             help="artifact directory")

@@ -146,9 +146,11 @@ def parse_config_text(text: str) -> dict[str, dict[str, object]]:
     """Inverse of config_text; scalar values come back typed.
 
     Raises ConfigurationError carrying the parser's line-anchored message
-    on malformed input.
+    on malformed input.  Keys keep their case, and [DEFAULT] is a section
+    like any other: the default section is one no header line can name.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="\n")
+    parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -7,6 +7,11 @@ residuals, Markov health flags — records everything in a RunManifest,
 and optionally writes per-cell CSV artifacts.  A cell that raises is
 recorded as failed and the sweep continues.
 
+A spec file is one format for both commands: [sweep], whose keys are
+CONFIG_KEYS (a key left out takes its default), and an optional [output]
+dir.  simulate runs a spec of one cell, and its run_config.txt is the
+manifest's [sweep] block.
+
 Determinism: identical specs produce bitwise-identical manifests.  The
 manifest therefore records only relative file names, never directories,
 timestamps, or host details.  Cells run one after another, in spec
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -43,7 +48,7 @@ from .fields import (
     reconstruct_fields,
     spectrum,
 )
-from .serialize import config_text, format_value, output_directory, write_config, write_table
+from .serialize import format_value, output_directory, write_config, write_table
 
 MANIFEST_VERSION = 7
 
@@ -61,7 +66,6 @@ _VARIANT_TO_LABEL = {
     "rwa_negfreq": "rwa-negfreq",
 }
 _LABEL_TO_VARIANT = {label: variant for variant, label in _VARIANT_TO_LABEL.items()}
-_LABEL_TO_VARIANT.update({variant: variant for variant in _VARIANT_TO_LABEL})
 
 
 def model_label(model: CouplingModel) -> str:
@@ -89,7 +93,7 @@ def model_from_label(label: str) -> CouplingModel:
 
 
 # ----------------------------------------------------------------------
-# config schema: one table for the run config, the sweep spec and flags
+# config schema: one table for the spec file and the flags
 # ----------------------------------------------------------------------
 
 def _number(name: str, value) -> float:
@@ -118,13 +122,6 @@ def _axis(name: str, value) -> tuple[float, ...]:
     return values
 
 
-def _label(name: str, value) -> tuple[CouplingModel]:
-    """One model label, as parse_models' one-model tuple."""
-    if isinstance(value, str) and "," not in value:
-        return parse_models(name, value)
-    raise ConfigurationError(f"{name}: bad value {value!r}")
-
-
 def parse_models(name: str, value) -> tuple[CouplingModel, ...]:
     """Coupling models, or the comma list of their labels."""
     if isinstance(value, str):
@@ -137,55 +134,29 @@ def parse_models(name: str, value) -> tuple[CouplingModel, ...]:
 
 class ConfigKey(NamedTuple):
     """A key's parser (name, value from a file, flag or Python -> checked
-    value, or ConfigurationError), default, run-config section (None: a
-    [sweep] key alone), whether [sweep] takes it, and flag: (spelling,
+    value, or ConfigurationError), default, and flag: (spelling,
     add_argument options)."""
 
     parse: Callable[[str, object], object]
     default: object
-    section: str | None
-    sweep: bool = True
-    flag: tuple[str, dict] | None = None
+    flag: tuple[str, dict]
 
 
 def _flag(spelling: str, help: str) -> tuple:
     return spelling, dict(type=float, metavar="F", help=help)
 
 
-# Rows are in file order, and so are the flags in --help.  gamma_over_delta
-# and k0l are one number in a run config and a list that [sweep] must set.
-# A run config's `model`, one label, makes its `models`.
+# Rows are in file order, and so are the flags in --help.
 CONFIG_KEYS: dict[str, ConfigKey] = {
-    "gamma_over_delta": ConfigKey(_axis, 0.25, "run", flag=_flag(
-        "--gamma-over-delta", "coupling parameter")),
-    "k0l": ConfigKey(_axis, math.pi / 4, "run", flag=_flag(
-        "--k0l", "inter-atomic phase k0*l")),
-    "models": ConfigKey(parse_models, "full", None),
-    "omega0_over_gamma": ConfigKey(_positive, DEFAULT_OMEGA0_OVER_GAMMA, "run", flag=_flag(
+    "gamma_over_delta": ConfigKey(_axis, 0.25, _flag("--gamma-over-delta", "coupling parameter")),
+    "k0l": ConfigKey(_axis, math.pi / 4, _flag("--k0l", "inter-atomic phase k0*l")),
+    "models": ConfigKey(parse_models, "full", ("--model", dict(
+        metavar="LABEL", help="coupling model: full, rwa-cutoff:EPS, rwa-constg or "
+        "rwa-negfreq (default full)"))),
+    "omega0_over_gamma": ConfigKey(_positive, DEFAULT_OMEGA0_OVER_GAMMA, _flag(
         "--omega0-over-gamma", "carrier-to-rate ratio")),
-    "model": ConfigKey(_label, "full", "run", sweep=False, flag=(
-        "--model", dict(metavar="LABEL", help="coupling model: full, rwa-cutoff:EPS, "
-                        "rwa-constg or rwa-negfreq (default full)"))),
-    "dt_factor": ConfigKey(_positive, 1.0, "grid", flag=_flag(
-        "--grid-dt", "time-step scale factor")),
+    "dt_factor": ConfigKey(_positive, 1.0, _flag("--grid-dt", "time-step scale factor")),
 }
-
-
-def read_sections(sections: dict[str, dict[str, object]],
-                  section_of: Callable[[ConfigKey], str | None],
-                  extra: dict[str, str] | None = None) -> dict[str, object]:
-    """The values of parsed config sections, each key checked to be in its
-    section: section_of(key) for a key of CONFIG_KEYS, or as extra gives."""
-    layout = {name: section_of(key) for name, key in CONFIG_KEYS.items()} | (extra or {})
-    values: dict[str, object] = {}
-    for section, entries in sections.items():
-        if section not in layout.values():
-            raise ConfigurationError(f"unknown config section [{section}]")
-        for name, value in entries.items():
-            if layout.get(name) != section:
-                raise ConfigurationError(f"unknown key {name!r} in [{section}]")
-            values[name] = value
-    return values
 
 
 def _config_value(value):
@@ -209,8 +180,8 @@ class SweepSpec:
     Every field but out_dir is a key of CONFIG_KEYS, checked by its parser.
     """
 
-    gamma_over_delta: tuple[float, ...]
-    k0l: tuple[float, ...]
+    gamma_over_delta: tuple[float, ...] = CONFIG_KEYS["gamma_over_delta"].default
+    k0l: tuple[float, ...] = CONFIG_KEYS["k0l"].default
     models: tuple[CouplingModel, ...] = CONFIG_KEYS["models"].default
     omega0_over_gamma: float = DEFAULT_OMEGA0_OVER_GAMMA
     dt_factor: float = CONFIG_KEYS["dt_factor"].default
@@ -227,40 +198,23 @@ class SweepSpec:
         return len(self.gamma_over_delta) * len(self.k0l) * len(self.models)
 
     @classmethod
-    def from_sections(cls, sections: dict[str, dict[str, object]],
-                      out_dir=None) -> "SweepSpec":
+    def from_sections(cls, sections: dict[str, dict[str, object]], out_dir=None,
+                      **flags) -> "SweepSpec":
         """The spec of a parsed spec file, [sweep] and an optional [output]
-        dir, which out_dir overrides."""
-        values = read_sections(sections, lambda key: "sweep" if key.sweep else None,
-                               {"dir": "output"})
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in values:
-                raise ConfigurationError(f"[sweep] must set {f.name}")
+        dir: a key left out takes its default, a flag wins over the file,
+        and out_dir over dir."""
+        values = {}
+        for section, entries in sections.items():
+            keys = {"sweep": CONFIG_KEYS, "output": ("dir",)}.get(section)
+            if keys is None:
+                raise ConfigurationError(f"unknown config section [{section}]")
+            for name, value in entries.items():
+                if name not in keys:
+                    raise ConfigurationError(f"unknown key {name!r} in [{section}]")
+                values[name] = value
+        values |= flags
         directory = values.pop("dir", None)
         return cls(**values, out_dir=directory if out_dir is None else out_dir)
-
-    @classmethod
-    def from_run_sections(cls, sections: dict[str, dict[str, object]],
-                          **overrides) -> "SweepSpec":
-        """The one-cell spec of a parsed run config, [run] and [grid], any
-        keyword (a flag, or out_dir) overriding it: its gamma_over_delta
-        and k0l are one value each, and its model makes models."""
-        values = ({name: key.default for name, key in CONFIG_KEYS.items() if key.section}
-                  | read_sections(sections, lambda key: key.section) | overrides)
-        return cls(gamma_over_delta=[values.pop("gamma_over_delta")], k0l=[values.pop("k0l")],
-                   models=CONFIG_KEYS["model"].parse("model", values.pop("model")), **values)
-
-
-def run_config_text(spec: SweepSpec) -> str:
-    """The [run] and [grid] sections of a one-cell spec, in table order,
-    which from_run_sections reads back: its one model as `model`."""
-    (model,) = spec.models
-    values = vars(spec) | dict(model=model)
-    sections = {}
-    for name, key in CONFIG_KEYS.items():
-        if key.section:
-            sections.setdefault(key.section, {})[name] = _config_value(values[name])
-    return config_text(sections)
 
 
 def cell_params(gamma_over_delta: float, k0l: float,

@@ -13,9 +13,9 @@ from wqed.errors import ConfigurationError
 from wqed.coupling import SimParams
 from wqed.dynamics import driven_modes
 from wqed.fields import FieldEnvelope, Spectrum, transfer_oracle
-from wqed.serialize import parse_config_text, parse_value
+from wqed.serialize import config_text, parse_config_text, parse_value
 from wqed.specfun import si
-from wqed.sweep import SweepSpec
+from wqed.sweep import MANIFEST_VERSION, RunManifest, SweepSpec
 
 
 def run_fresh(argv, preexec_fn=None, entry=("-m", "wqed.cli")) -> subprocess.CompletedProcess:
@@ -54,8 +54,13 @@ def read_csv(path) -> tuple[list[str], list[list]]:
 
 
 def run_config_from_text(text: str) -> SweepSpec:
-    """The one-cell spec of run-config text, as `simulate --config` reads it."""
-    return SweepSpec.from_run_sections(parse_config_text(text))
+    """The spec of spec-file text, as `simulate --config` and `sweep --spec` read it."""
+    return SweepSpec.from_sections(parse_config_text(text))
+
+
+def spec_text(spec: SweepSpec) -> str:
+    """The [sweep] block that a manifest records for spec: simulate's run_config.txt."""
+    return config_text({"sweep": RunManifest(MANIFEST_VERSION, spec, ()).sections()["sweep"]})
 
 
 def pv_band_asymptote(omega0: float, delta0: float, a: float) -> complex:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import read_csv, run_config_from_text, run_fresh, run_limited
+from helpers import read_csv, run_config_from_text, run_fresh, run_limited, spec_text
 import wqed.checks
 import wqed.cli
 import wqed.sweep
@@ -32,7 +32,7 @@ from wqed.cli import (
 )
 from wqed.errors import ConfigurationError, DomainError
 from wqed.serialize import parse_config_text, read_config
-from wqed.sweep import CONFIG_KEYS, SweepSpec, run_config_text, run_sweep
+from wqed.sweep import CONFIG_KEYS, SweepSpec, run_sweep
 
 PI4 = math.pi / 4
 
@@ -80,62 +80,70 @@ def sim_run(tmp_path_factory):
 
 
 class TestRunConfig:
-    """Structured-text run configuration: a one-cell SweepSpec."""
+    """A run config is a one-cell spec file: [sweep], as the manifest writes it."""
 
     def test_defaults_round_trip(self):
-        spec = SweepSpec.from_run_sections({})
-        assert run_config_from_text(run_config_text(spec)) == spec
+        spec = SweepSpec.from_sections({})
+        assert spec == SweepSpec()
+        assert run_config_from_text(spec_text(spec)) == spec
+        # an axis left out takes its default
+        assert run_config_from_text("[sweep]\nk0l = 1\n") == SweepSpec(k0l=1.0)
 
     def test_custom_round_trip(self):
-        spec = SweepSpec.from_run_sections(
-            {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, model="rwa-cutoff:1e-7", dt_factor=0.5)
-        again = run_config_from_text(run_config_text(spec))
+        spec = SweepSpec.from_sections(
+            {}, gamma_over_delta=4.0, k0l=1.0 / 3.0, models="rwa-cutoff:1e-7", dt_factor=0.5)
+        again = run_config_from_text(spec_text(spec))
         assert again == spec
         assert again.k0l == (1.0 / 3.0,)  # bitwise through 17 digits
 
-    @pytest.mark.parametrize("model", ["model = rwa-cutoff:1e-7", "model = rwa_cutoff:1e-7"])
+    @pytest.mark.parametrize("model", ["models = rwa-cutoff:1e-7",
+                                       "models = rwa-cutoff:0.0000001"])
     def test_model_label_written_normalized(self, model):
-        # the underscore spelling is written as the hyphen label, its :EPS
-        # at 17 digits, which reads back to the same spec
-        spec = run_config_from_text(f"[run]\n{model}\n")
-        text = run_config_text(spec)
-        assert "\nmodel = rwa-cutoff:9.9999999999999995e-08\n" in text
+        # the cutoff is written at 17 digits, which reads back to the same spec
+        spec = run_config_from_text(f"[sweep]\n{model}\n")
+        text = spec_text(spec)
+        assert "\nmodels = rwa-cutoff:9.9999999999999995e-08\n" in text
         assert run_config_from_text(text) == spec
 
     def test_unknown_section_and_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown config section"):
-            run_config_from_text("[atoms]\nn = 2\n")
-        with pytest.raises(ConfigurationError, match="unknown key"):
-            run_config_from_text("[run]\ncolor = red\n")
+        for text, message in [
+                ("[atoms]\nn = 2\n", "unknown config section [atoms]"),
+                ("[DEFAULT]\nk0l = 1.0\n", "unknown config section [DEFAULT]"),
+                ("[sweep]\ncolor = red\n", "unknown key 'color' in [sweep]"),
+                ("[sweep]\nK0L = 1.0\n", "unknown key 'K0L' in [sweep]")]:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                run_config_from_text(text)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            SweepSpec.from_run_sections({}, gamma_over_delta=-1.0)
+            SweepSpec.from_sections({}, gamma_over_delta=-1.0)
         with pytest.raises(ConfigurationError):
-            SweepSpec.from_run_sections({}, dt_factor=-1.0)
+            SweepSpec.from_sections({}, dt_factor=-1.0)
         with pytest.raises(DomainError):
-            SweepSpec.from_run_sections({}, model="rwa-cutoff")  # cutoff needs its :EPS
+            SweepSpec.from_sections({}, models="rwa-cutoff")  # cutoff needs its :EPS
 
     def test_readme_example_is_the_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
-        block, = [b for b in blocks if b.startswith("[run]")]
-        defaults = SweepSpec.from_run_sections({})
-        assert run_config_from_text(block) == defaults
+        block, = [b for b in blocks if b.startswith("[sweep]")]
+        assert run_config_from_text(block) == SweepSpec()
         uncommented = "".join(line for line in block.splitlines(keepends=True)
                               if not line.startswith("#"))
-        assert uncommented == run_config_text(defaults)
+        assert uncommented == spec_text(SweepSpec())
 
     def test_readme_key_table_is_the_schema(self):
-        # the key column is CONFIG_KEYS, and each flag column lists the
-        # option strings that the parser of that subcommand registers
+        # the key column is CONFIG_KEYS, the default column reads as each
+        # key's default, and each flag column lists the option strings that
+        # the parser of that subcommand registers
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", readme, re.M)
         assert sorted(name for name, _ in rows) == sorted(CONFIG_KEYS)
         parsers = {command: build_parser().parse_args(argv).subparser for command, argv in (
             ("simulate", ["simulate", "--out", "o"]), ("coupling", ["coupling", "--models", "full"]))}
         for name, cells in rows:
-            flag_cells = [cell.strip() for cell in cells.split("|")][-2:]
+            _, default, *flag_cells = [cell.strip() for cell in cells.split("|")]
+            parse, value = CONFIG_KEYS[name].parse, {"π/4": PI4}.get(default, default.strip("`"))
+            assert parse(name, value) == parse(name, CONFIG_KEYS[name].default), (name, default)
             for parser, cell in zip(parsers.values(), flag_cells):
                 registered = [f"`{option}`" for action in parser._actions
                               if action.dest == name for option in action.option_strings]
@@ -152,11 +160,12 @@ class TestRunConfig:
         assert float(capsys.readouterr().out) < 1e-10   # the printed area ratio
 
     def test_flags_win_over_config_file(self, tmp_path):
-        text = run_config_text(SweepSpec.from_run_sections({}, gamma_over_delta=0.25,
-                                                           dt_factor=0.5))
-        spec = SweepSpec.from_run_sections(parse_config_text(text), gamma_over_delta=4.0)
+        text = spec_text(SweepSpec(gamma_over_delta=0.25, dt_factor=0.5)) + "[output]\ndir = d\n"
+        spec = SweepSpec.from_sections(parse_config_text(text), gamma_over_delta=4.0)
         assert spec.gamma_over_delta == (4.0,)   # flag
         assert spec.dt_factor == 0.5             # file
+        assert spec.out_dir == "d"
+        assert SweepSpec.from_sections(parse_config_text(text), out_dir="o").out_dir == "o"
 
     def test_missing_config_file(self, tmp_path):
         code, out, err = invoke(["simulate", "--config", "/nonexistent/run.ini",
@@ -327,11 +336,25 @@ class TestSimulateCommand:
         assert "dip_width" in summary["summary"]
         assert "residual1" in summary["summary"]
 
-    def test_run_config_echo_round_trips(self, sim_run):
+    def test_run_config_echo_round_trips(self, sim_run, tmp_path):
+        # run_config.txt is the manifest's [sweep] block, a spec file that
+        # both commands read back to the same cell
         out, _, _, _ = sim_run
-        spec = run_config_from_text((out / "run_config.txt").read_text())
+        config = out / "run_config.txt"
+        spec = run_config_from_text(config.read_text())
         assert spec.gamma_over_delta == (4.0,)
         assert spec.k0l == (PI4,)
+        assert config.read_text() == (out / "manifest.txt").read_text().split("\n\n")[1] + "\n"
+        code, _, _ = invoke(["simulate", "--config", config, "--out", tmp_path / "sim", "--plots"])
+        assert code == EXIT_OK
+        assert sorted(path.name for path in (tmp_path / "sim").iterdir()) == sorted(
+            path.name for path in out.iterdir())
+        for path in out.iterdir():
+            assert (tmp_path / "sim" / path.name).read_bytes() == path.read_bytes(), path.name
+        code, _, _ = invoke(["sweep", "--spec", config, "--out", tmp_path / "sweep"])
+        assert code == EXIT_OK
+        assert ((tmp_path / "sweep" / "manifest.txt").read_bytes()
+                == (out / "manifest.txt").read_bytes())
 
     def test_plot_scripts_reference_artifacts(self, sim_run):
         out, _, _, _ = sim_run
@@ -446,6 +469,23 @@ class TestSimulateCommand:
         assert not out.exists()
         code, _, err = invoke(["simulate", *flags, "--grid-dt", fits, "--out", out])
         assert code == rerun_code and err == ""
+
+    @pytest.mark.parametrize("argv, text, name", [
+        (["--model", "full,rwa-negfreq"], None, "models lists 2 values"),
+        ([], "[sweep]\nk0l = 0.5, 1\n", "k0l lists 2 values"),
+        ([], "[sweep]\ngamma_over_delta = 0.1, 0.2, 0.3\n", "gamma_over_delta lists 3 values"),
+    ])
+    def test_more_than_one_cell_exits_2(self, tmp_path, monkeypatch, argv, text, name):
+        # simulate runs one cell; a spec of more is sweep's
+        if text is not None:
+            (tmp_path / "in.ini").write_text(text)
+            argv = [*argv, "--config", tmp_path / "in.ini"]
+        monkeypatch.setattr(wqed.sweep, "run_cell", no_cell)
+        code, out, err = invoke(["simulate", *argv, "--out", tmp_path / "o"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: {name}, but simulate runs one cell: "
+                       "run this spec with sweep --spec\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_out_exits_2(self):
         code, _, err = invoke(["simulate", "--gamma-over-delta", 4])
@@ -594,9 +634,11 @@ class TestSweepCommand:
         assert "color" in err
 
     def test_missing_value_and_bad_number_exit_2(self, tmp_path):
+        # a key left out takes its default; a key with no value is refused
         spec = tmp_path / "m.ini"
-        spec.write_text("[sweep]\nk0l = 1\n")
-        assert invoke(["sweep", "--spec", spec])[0] == EXIT_USAGE
+        spec.write_text("[sweep]\ngamma_over_delta =\n")
+        code, _, err = invoke(["sweep", "--spec", spec])
+        assert code == EXIT_USAGE and err == "error: gamma_over_delta: bad value ''\n"
         spec.write_text("[sweep]\ngamma_over_delta = 4, soup\nk0l = 1\n")
         code, _, err = invoke(["sweep", "--spec", spec])
         assert code == EXIT_USAGE and "soup" in err
@@ -697,54 +739,47 @@ class TestSweepCommand:
 
 
 class TestOneRulePerKey:
-    """Each key is read by one rule in the run config, the sweep spec and
-    the flags: a bad value exits 2 before any cell runs."""
+    """Each key is read by one rule in the spec file of both commands and
+    in the flags: a bad value exits 2 before any cell runs."""
 
     @staticmethod
-    def run_both(tmp_path, run_lines, sweep_lines, argv=()):
+    def run_both(tmp_path, text):
         """(exit code, stdout, stderr) of `simulate --config` and of
-        `sweep --spec` with these lines; neither may create its out dir."""
-        results = []
-        config = tmp_path / "run.ini"
-        config.write_text(run_lines)
-        results.append(invoke(["simulate", "--config", config, *argv,
-                               "--out", tmp_path / "sim"]))
-        if sweep_lines is not None:
-            spec = tmp_path / "spec.ini"
-            axes = "".join(f"{key} = 1\n" for key in ("gamma_over_delta", "k0l")
-                           if f"{key} =" not in sweep_lines)
-            spec.write_text(f"[sweep]\n{axes}{sweep_lines}")
-            results.append(invoke(["sweep", "--spec", spec, "--out", tmp_path / "sweep"]))
+        `sweep --spec` with this file; neither may create its out dir."""
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text)
+        results = [invoke(["simulate", "--config", spec, "--out", tmp_path / "sim"]),
+                   invoke(["sweep", "--spec", spec, "--out", tmp_path / "sweep"])]
         assert not (tmp_path / "sim").exists() and not (tmp_path / "sweep").exists()
         return results
 
-    @pytest.mark.parametrize("run_lines, sweep_lines, message", [
-        ("[grid]\ndt_factor = 0\n", "dt_factor = 0\n", "dt_factor must be finite and > 0"),
-        ("[run]\nk0l = true\n", "k0l = true\n", "k0l: bad value True"),
-        ("[run]\nmodel = 5\n", "models = 5\n", "5"),
-        ("[run]\nmodel = rwa-cutoff\n", "models = full, rwa-cutoff\n",
+    @pytest.mark.parametrize("text, message", [
+        ("[sweep]\ndt_factor = 0\n", "dt_factor must be finite and > 0"),
+        ("[sweep]\nk0l = true\n", "k0l: bad value True"),
+        ("[sweep]\nmodels = 5\n", "5"),
+        ("[sweep]\nmodels = full, rwa-cutoff\n",
          "model 'rwa-cutoff' needs its infrared cutoff: write rwa-cutoff:EPS, EPS > 0"),
-        # one value in a run config, where [sweep] takes a list
-        ("[run]\ngamma_over_delta = 0.1, 0.2\n", None, "gamma_over_delta: bad value"),
+        ("[DEFAULT]\nk0l = 1.0\ngamma_over_delta = 4\n", "unknown config section [DEFAULT]"),
+        ("[sweep]\nk0l = 1\n[DEFAULT]\nk0l = 2\n", "unknown config section [DEFAULT]"),
+        ("[sweep]\nK0L = 1.0\nGamma_Over_Delta = 4\n", "unknown key 'K0L' in [sweep]"),
     ])
-    def test_bad_value_exits_2_in_both_formats(self, tmp_path, run_lines, sweep_lines,
-                                               message):
-        for code, out, err in self.run_both(tmp_path, run_lines, sweep_lines):
+    def test_bad_value_exits_2_in_both_commands(self, tmp_path, text, message):
+        for code, out, err in self.run_both(tmp_path, text):
             assert code == EXIT_USAGE and out == ""
             assert err.startswith("error: ") and message in err, err
             assert "Traceback" not in err
 
     def test_axis_message_shows_the_values_given(self, tmp_path):
-        # one value as a number, a [sweep] list as its comma list
-        (_, _, run_err), (_, _, sweep_err) = self.run_both(
-            tmp_path, "[run]\nk0l = nan\n", "k0l = 0.1, nan\n")
-        assert run_err == "error: k0l must list finite values >= 0, got nan\n"
-        assert sweep_err == "error: k0l must list finite values >= 0, got 0.1, nan\n"
+        # a list as its comma list, a flag's one value as a number
+        for _, _, err in self.run_both(tmp_path, "[sweep]\nk0l = 0.1, nan\n"):
+            assert err == "error: k0l must list finite values >= 0, got 0.1, nan\n"
+        _, _, err = invoke(["simulate", "--k0l", "nan", "--out", tmp_path / "sim"])
+        assert err == "error: k0l must list finite values >= 0, got nan\n"
 
     @pytest.mark.parametrize("argv, text, message", [
         (["simulate", "--grid-span", 2], None, "unrecognized arguments: --grid-span 2"),
         (["simulate", "--config"], "[grid]\nspan_factor = 2\n",
-         "unknown key 'span_factor' in [grid]"),
+         "unknown config section [grid]"),
         (["sweep", "--spec"], "[sweep]\ngamma_over_delta = 4\nk0l = 1\nspan_factor = 2\n",
          "unknown key 'span_factor' in [sweep]"),
         (["simulate", "--config"], "[checks]\nguard_limit = 0.5\n",
@@ -756,19 +791,29 @@ class TestOneRulePerKey:
         (["coupling", "--models", "rwa-cutoff:1e-6", "--epsilon", 1e-6], None,
          "unrecognized arguments: --epsilon 1e-06"),
         (["simulate", "--config"], "[run]\nnormalization = unit_excitation\n",
-         "unknown key 'normalization' in [run]"),
+         "unknown config section [run]"),
         (["sweep", "--spec"],
          "[sweep]\ngamma_over_delta = 4\nk0l = 1\nnormalization = unit_excitation\n",
          "unknown key 'normalization' in [sweep]"),
         (["simulate", "--normalization", "unit_excitation"], None,
          "unrecognized arguments: --normalization unit_excitation"),
+        (["simulate", "--config"], "[run]\ngamma_over_delta = 4\n",
+         "unknown config section [run]"),
+        (["sweep", "--spec"], "[grid]\ndt_factor = 1\n", "unknown config section [grid]"),
+        (["simulate", "--config"], "[sweep]\nmodel = full\n", "unknown key 'model' in [sweep]"),
+        (["sweep", "--spec"], "[sweep]\nmodel = full\n", "unknown key 'model' in [sweep]"),
+        (["simulate", "--model", "rwa_negfreq"], None, "unknown coupling model 'rwa_negfreq'"),
+        (["sweep", "--spec"], "[sweep]\nmodels = rwa_cutoff:1e-7\n",
+         "unknown coupling model 'rwa_cutoff:1e-7'"),
     ])
     def test_deleted_keys_exit_2(self, tmp_path, argv, text, message):
         # span_factor chose nothing once every grid ended at the source's
         # support, guard_limit was a second Markov threshold, area_tol a
         # second pulse-area tolerance beside AREA_TOL, epsilon a second
-        # spelling of rwa-cutoff:EPS, and normalization a choice of photon
-        # other than the one excitation: none is a key, and naming one exits 2
+        # spelling of rwa-cutoff:EPS, normalization a choice of photon other
+        # than the one excitation, [run] and [grid] with its one `model` a
+        # second file format, and rwa_negfreq a second spelling of
+        # rwa-negfreq: none is a key, and naming one exits 2
         if text is not None:
             (tmp_path / "in.ini").write_text(text)
             argv = [*argv, tmp_path / "in.ini"]
@@ -788,19 +833,16 @@ class TestOneRulePerKey:
         assert code == (EXIT_OK if cell.markov_ok else EXIT_GUARD)
         assert cell.markov_ok == (worst <= 0.2)
 
-    @pytest.mark.parametrize("run_lines, sweep_lines", [
-        ("[run]\nepsilon = 1e-6\n", "epsilon = 1e-6\n"),
-        ("[run]\nmodel = rwa-negfreq\nepsilon = 1e-6\n",
-         "models = full, rwa-negfreq\nepsilon = 1e-6\n"),
-        ("[run]\nmodel = rwa-cutoff:1e-7\nepsilon = 1e-6\n",
-         "models = full, rwa-cutoff:1e-7\nepsilon = 1e-6\n"),
+    @pytest.mark.parametrize("text", [
+        "[sweep]\nepsilon = 1e-6\n",
+        "[sweep]\nmodels = rwa-negfreq\nepsilon = 1e-6\n",
+        "[sweep]\nmodels = full, rwa-cutoff:1e-7\nepsilon = 1e-6\n",
     ])
-    def test_unused_epsilon_exits_2(self, tmp_path, run_lines, sweep_lines):
+    def test_unused_epsilon_exits_2(self, tmp_path, text):
         # the cutoff is written rwa-cutoff:EPS alone: epsilon is no key
-        for (code, out, err), section in zip(
-                self.run_both(tmp_path, run_lines, sweep_lines), ("run", "sweep")):
+        for code, out, err in self.run_both(tmp_path, text):
             assert code == EXIT_USAGE and out == ""
-            assert err == f"error: unknown key 'epsilon' in [{section}]\n"
+            assert err == "error: unknown key 'epsilon' in [sweep]\n"
 
     def test_unused_epsilon_flag_exits_2(self, tmp_path):
         code, out, err = invoke(["simulate", "--gamma-over-delta", 4, "--epsilon", 1e-6,

@@ -323,14 +323,14 @@ class TestConfigBlocks:
     """Flat key = value sections with stable order."""
 
     SECTIONS = {
-        "run": {"gamma_over_delta": 0.25, "model": "full"},
-        "grid": {"zero_pad": 8, "span_factor": 1.5},
+        "manifest": {"version": 7, "kind": "sweep"},
+        "sweep": {"gamma_over_delta": 0.25, "models": "full", "dt_factor": 1.5},
     }
 
     def test_render(self):
         text = config_text(self.SECTIONS)
-        assert text.startswith("[run]\ngamma_over_delta = 0.25\n")
-        assert "\n\n[grid]\n" in text
+        assert text.startswith("[manifest]\nversion = 7\n")
+        assert "\n\n[sweep]\n" in text
 
     def test_parse_is_inverse(self):
         assert parse_config_text(config_text(self.SECTIONS)) == self.SECTIONS
@@ -345,11 +345,17 @@ class TestConfigBlocks:
 
     def test_parse_error_is_line_anchored(self):
         with pytest.raises(ConfigurationError, match=r"line\s+2"):
-            parse_config_text("[run]\ngamma_over_delta 0.25\n")
+            parse_config_text("[sweep]\ngamma_over_delta 0.25\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            parse_config_text("[run]\na = 1\na = 2\n")
+            parse_config_text("[sweep]\na = 1\na = 2\n")
+
+    def test_default_section_and_key_case_are_kept(self):
+        # [DEFAULT] is a section like any other, whose keys no other section
+        # inherits, and a key keeps its case
+        text = "[DEFAULT]\na = 1\n\n[sweep]\nK0L = 2\n"
+        assert parse_config_text(text) == {"DEFAULT": {"a": 1}, "sweep": {"K0L": 2}}
 
 
 class TestGnuplotScript:

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_csv
+from helpers import read_csv, run_config_from_text, spec_text
 import wqed.sweep
 from wqed.coupling import CouplingModel, CouplingRow, compare_couplings, evaluate_coupling
 from wqed.dynamics import build_source, default_grid, integrate_markovian
 from wqed.errors import ConfigurationError, DomainError
 from wqed.fields import SPECTRUM_WINDOW, reconstruct_fields
-from wqed.serialize import config_text, parse_config_text, read_config
+from wqed.serialize import read_config
 from wqed.sweep import (
     AREA_FAIL,
     AREA_PASS,
@@ -114,9 +114,7 @@ class TestSpecRoundTrip:
     @settings(max_examples=200, deadline=None)
     def test_manifest_sweep_block_parses_back(self, **fields):
         spec = SweepSpec(**fields)
-        block = wqed.sweep.RunManifest(MANIFEST_VERSION, spec, ()).sections()["sweep"]
-        text = config_text({"sweep": block})
-        assert SweepSpec.from_sections(parse_config_text(text)) == spec
+        assert run_config_from_text(spec_text(spec)) == spec
 
 
 class TestModelLabels:
@@ -141,8 +139,11 @@ class TestModelLabels:
         with pytest.raises(ConfigurationError, match="epsilon"):
             model_from_label("rwa-cutoff:tiny")
 
-    def test_internal_spellings_accepted(self):
-        assert model_from_label("rwa_negfreq") == CouplingModel.rwa_negfreq()
+    def test_internal_spellings_rejected(self):
+        # a model has one spelling, the label every output writes
+        for label in ("rwa_cutoff:1e-7", "rwa_const_g", "rwa_negfreq"):
+            with pytest.raises(ConfigurationError, match="unknown coupling model"):
+                model_from_label(label)
 
 
 class TestRunSweep:
