@@ -33,7 +33,8 @@ TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
 # this fraction, which bounds the circular DFT's wrap-around
 WRAP_FRACTION = 1e-12
 # the round trip's DFT runs in blocks of rows of about this many cells: its
-# temporaries stay near 1.3 MB, whatever length the padding asks for
+# buffers and temporaries stay under 0.9 MB on validate's cells, whatever
+# length the padding asks for
 ROUND_TRIP_BLOCK = 1 << 13
 
 
@@ -124,7 +125,10 @@ def _check_rwa_divergence(mutate: bool = False) -> CheckResult:
         eps = params.omega0 * 10.0 ** (-exponent)
         log_eps.append(math.log(eps))
         imags.append(coupling_rwa_cutoff(params, eps).m_total.imag)
-    slope = np.polyfit(log_eps, imags, 1)[0]
+    # the least-squares slope in closed form, on centred sums
+    x_mean, y_mean = sum(log_eps) / len(log_eps), sum(imags) / len(imags)
+    dx = [x - x_mean for x in log_eps]
+    slope = sum(d * (y - y_mean) for d, y in zip(dx, imags)) / sum(d * d for d in dx)
     target = -params.gamma / math.pi
     rel = abs(slope - target) / abs(target)
     return _at_most(rel, 0.01, "slope of Im M vs ln(eps), rel dev from -1/pi")
@@ -212,29 +216,39 @@ def pruned_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> 
 
         out_j = (W/N) sum_p w^{-pj} fft_W(transfer(d_m) ifft_W(x_k w^{pk}))_j.
 
-    Rows go in blocks of about ROUND_TRIP_BLOCK cells, so memory follows
-    the block, not N, and the time O(N log W) follows N."""
+    Rows go in blocks of about ROUND_TRIP_BLOCK cells, through one set of
+    block buffers that every block reuses, so memory follows the block, not
+    N, and the time O(N log W) follows N."""
     n = samples.size
     rows = next(p for p in range(size // n, 0, -1) if size % p == 0)
     width = size // rows
-    block = max(1, ROUND_TRIP_BLOCK // width)
-    k = np.arange(n)
+    block = min(rows, max(1, ROUND_TRIP_BLOCK // width))
+    tw, spec = np.empty((block, n), complex), np.empty((block, width), complex)
+    freq, acc, out = np.empty((block, width)), np.empty(n, complex), np.zeros(n, complex)
 
-    def twiddle(p):   # w^{p k}, the exponent reduced mod N
-        return np.exp((2j * math.pi / size) * (np.multiply.outer(p, k) % size))
+    def twiddle(p, into):   # w^{p k}, the exponent reduced mod N
+        np.multiply(np.multiply.outer(p, np.arange(n)) % size, 2j * math.pi / size, out=into)
+        return np.exp(into, out=into)
 
-    table = twiddle(np.arange(min(block, rows)))
-    column = rows * np.arange(width)
+    table = twiddle(np.arange(1, block), np.empty((block - 1, n), complex))   # w^{p k}, 0 < p < B
     step = 1.0 / (size * dtau)          # fftfreq's bin width
-    out = np.zeros(n, dtype=complex)
     for p0 in range(0, rows, block):
-        tw = table[:rows - p0] * twiddle(p0)
-        bins = np.arange(p0, p0 + len(tw))[:, None] + column
-        bins[bins > (size - 1) // 2] -= size       # as fftfreq signs them
-        spec = np.fft.ifft(samples * tw, width)
-        spec *= transfer(2.0 * math.pi * (bins.ravel() * step)).reshape(spec.shape)
-        np.fft.fft(spec, out=spec)
-        out += np.einsum("rk,rk->k", tw.conj(), spec[:, :n])
+        m = min(block, rows - p0)
+        tw_m, spec_m, freq_m = tw[:m], spec[:m], freq[:m]
+        np.multiply(table[:m - 1], twiddle(p0, tw_m[0]), out=tw_m[1:])
+        np.multiply(samples, tw_m, out=spec_m[:, :n])
+        spec_m[:, n:] = 0.0
+        np.fft.ifft(spec_m, out=spec_m)
+        # the rows' bins m, signed as fftfreq signs them (integers, exact in
+        # floats), then their angular detunings 2 pi m step
+        np.add(np.arange(p0, p0 + m)[:, None], rows * np.arange(width), out=freq_m)
+        np.subtract(freq_m, size, out=freq_m, where=freq_m > (size - 1) // 2)
+        freq_m *= step
+        freq_m *= 2.0 * math.pi
+        spec_m *= transfer(freq_m.ravel()).reshape(m, width)
+        np.fft.fft(spec_m, out=spec_m)
+        np.einsum("rk,rk->k", np.conjugate(tw_m, out=tw_m), spec_m[:, :n], out=acc)
+        out += acc
     return out * (width / size)
 
 

@@ -19,10 +19,16 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# wqed makes no BLAS call, but OpenBLAS starts its threads when numpy is
+# imported, and they spin on the other cores while it loads: a CLI process
+# runs one unless the user sets OPENBLAS_NUM_THREADS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread default)
 
 from .checks import VALIDATION_CHECKS, CheckResult
 from .coupling import compare_couplings

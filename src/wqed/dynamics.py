@@ -54,8 +54,8 @@ MARKOV_LIMIT = 0.2
 _GL6_X = np.array([0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
 _GL6_W = np.array([0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 _GL6_X, _GL6_W = np.r_[-_GL6_X[::-1], _GL6_X], np.r_[_GL6_W[::-1], _GL6_W]
-# steps per block of oracle_modes' Gauss-node drive: its temporaries stay
-# near 1.4 MB, whatever the grid's length
+# steps per block of oracle_modes' real Gauss-node drive: its temporaries
+# stay near 0.6 MB, whatever the grid's length
 ORACLE_BLOCK = 1 << 12
 # one-pole scan blocks: 8 to 512 samples, and short enough that
 # |a|^-B <= e^_SCAN_LOG_RANGE
@@ -174,9 +174,13 @@ class SourceTerm:
     peak: complex
     delta: float
 
+    def envelope(self, times: np.ndarray) -> np.ndarray:
+        """The real Gaussian exp(-delta^2 t^2 / 4) that S0_1 is peak times."""
+        return np.exp(-(self.delta * np.asarray(times, dtype=float)) ** 2 / 4.0)
+
     def at(self, times: np.ndarray) -> np.ndarray:
         """S0_1 at arbitrary times."""
-        return self.peak * np.exp(-(self.delta * np.asarray(times, dtype=float)) ** 2 / 4.0)
+        return self.peak * self.envelope(times)
 
 
 def build_source(params: SimParams, grid: TimeGrid) -> SourceTerm:
@@ -321,7 +325,7 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     u = beta1 + beta2 and v = beta1 - beta2 decouple with rates
     gamma + M and gamma - M; each step advances by the exact exponential
     e^{-rate h} plus a 6-node Gauss-Legendre convolution of the drive,
-    sampled off-grid through SourceTerm.at.  Only the evaluation of the
+    sampled off-grid through SourceTerm.envelope.  Only the evaluation of the
     resulting one-pole recursion is shared with integrate_markovian; its
     pole and drive are not the RK4 polynomials.
     """
@@ -330,21 +334,26 @@ def oracle_modes(source: SourceTerm, coupling: CouplingResult,
     times = source.grid.times[:-1]
     tau = 0.5 * h * (_GL6_X + 1.0)                      # (6,) node offsets
     rate_u, rate_v = params.gamma + m, params.gamma - m
-    # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau, contracted from
-    # the node samples of ORACLE_BLOCK steps at a time straight into each
-    # mode's drive; einsum, not BLAS, so each row's sum is the same in any block
-    kernel_u, kernel_v = (np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
-                          for rate in (rate_u, rate_v))
+    # I_k = int_0^h e^{-rate (h - tau)} f(t_k + tau) d tau, with f = S0_1 +- S0_2
+    # = peak (1 +- phase) g and g the real Gaussian: each mode's kernel takes
+    # its factor, and one block of g's node samples, ORACLE_BLOCK steps at a
+    # time, is contracted straight into both drives; einsum, not BLAS, so
+    # each row's sum is the same in any block
+    kernel_u, kernel_v = (np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h) * (source.peak * f)
+                          for rate, f in ((rate_u, 1.0 + source.phase),
+                                          (rate_v, 1.0 - source.phase)))
     drive_u, drive_v = np.empty(times.size, complex), np.empty(times.size, complex)
     for lo in range(0, times.size, ORACLE_BLOCK):
-        s1_nodes = source.at(times[lo:lo + ORACLE_BLOCK, None] + tau)
-        s2_nodes = source.phase * s1_nodes
-        hi = lo + len(s1_nodes)
-        np.einsum("kj,j->k", s1_nodes + s2_nodes, kernel_u, out=drive_u[lo:hi])
-        np.einsum("kj,j->k", s1_nodes - s2_nodes, kernel_v, out=drive_v[lo:hi])
+        nodes = source.envelope(times[lo:lo + ORACLE_BLOCK, None] + tau)
+        hi = lo + len(nodes)
+        np.einsum("kj,j->k", nodes, kernel_u, out=drive_u[lo:hi])
+        np.einsum("kj,j->k", nodes, kernel_v, out=drive_v[lo:hi])
+    del times
     u = _one_pole(-rate_u * h, drive_u)
-    del times, drive_u
-    return _from_modes(source, m, u, _one_pole(-rate_v * h, drive_v))
+    del drive_u
+    v = _one_pole(-rate_v * h, drive_v)
+    del drive_v
+    return _from_modes(source, m, u, v)
 
 
 # ----------------------------------------------------------------------

@@ -473,7 +473,8 @@ def _response(params: SimParams, m_total: complex, freq_grid: np.ndarray):
             f"freq_grid must cover +-{_MIN_TRANSFER_SPAN:g} pulse widths "
             f"(+-{span:g}); got [{detuning.min():g}, {detuning.max():g}]")
     gmd = params.gamma - 1j * detuning
-    d = gmd * gmd - m_total * m_total
+    d = gmd * gmd
+    d -= m_total * m_total
     singular = d == 0.0
     if singular.any():
         if params.gamma == 0.0:
@@ -499,7 +500,11 @@ def transfer_oracle(params: SimParams, m_total: complex,
     is genuinely singular.  reflection_oracle gives r(d).
     """
     gmd, d, singular = _response(params, m_total, freq_grid)
-    t_vals = 1.0 - 2.0 * params.gamma * (gmd - m_total * math.cos(params.k0l)) / d
+    t_vals = gmd    # worked in place: no grid-length temporaries past gmd and D
+    t_vals -= m_total * math.cos(params.k0l)
+    t_vals *= 2.0 * params.gamma
+    t_vals /= d
+    np.subtract(1.0, t_vals, out=t_vals)
     return np.where(singular, 0.0, t_vals) if singular.any() else t_vals
 
 

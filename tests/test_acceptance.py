@@ -212,7 +212,7 @@ def test_validation_suite_runtime(capfd):
 ACCURACY_RECORD = {
     "coupling-identity": 3.7258694339903e-15,
     "coupling-oracle": 5.3292555521591827e-14,
-    "rwa-divergence": 1.346166594307887e-06,
+    "rwa-divergence": 1.3461665939591e-06,
     "negfreq-equivalence": 1.5543741876503828e-15,
     "mode-oracle": 6.6357577864715454e-12,
     "pulse-area": 1.057048122442247e-12,

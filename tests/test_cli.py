@@ -541,7 +541,7 @@ class TestValidateCommand:
         assert len(calls) == 9
 
     def test_cold_run_holds_only_the_shared_runs(self):
-        """A cold validate allocates at most 3.5 MiB past its imports, and
+        """A cold validate allocates at most 3.0 MiB past its imports, and
         keeps only the three (r, pi/4) runs that several checks share."""
         script = ("import contextlib, io, tracemalloc\n"
                   "import wqed.checks\n"
@@ -555,7 +555,7 @@ class TestValidateCommand:
         assert done.returncode == 0, done.stderr
         code, peak, held = map(int, done.stdout.split())
         assert code == EXIT_OK
-        assert peak <= 3.5 * 2 ** 20
+        assert peak <= 3.0 * 2 ** 20
         assert held == 3
 
     def test_validate_imports_no_scipy_signal(self):
@@ -572,6 +572,26 @@ class TestValidateCommand:
                                "--mutate-coupling-sign"])
         assert code == EXIT_CHECK
         assert out.startswith("FAIL pulse-area")
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_process_runs_one_blas_thread(preset, expected):
+    """Importing the CLI sets OPENBLAS_NUM_THREADS to 1 before numpy loads,
+    so the process runs one thread; a value the user set is kept."""
+    script = ("import os\n"
+              "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+              + (f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}\n" if preset else "")
+              + "import wqed.cli\n"
+              "tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else []\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], len(tasks))\n")
+    done = run_fresh(["-c", script], entry=())
+    assert done.returncode == 0, done.stderr
+    value, tasks = done.stdout.split()
+    assert value == expected
+    if tasks == "0":
+        pytest.skip("no /proc/self/task to count threads in")
+    if preset is None:
+        assert tasks == "1"
 
 
 class TestSweepCommand:

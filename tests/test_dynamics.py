@@ -487,10 +487,12 @@ class TestOracleModes:
             assert rate == pytest.approx(p.gamma, rel=1e-3)
 
     def test_chunked_drive_is_bitwise_and_lean(self):
-        # the Gauss-node drive is built a chunk of steps at a time: the
-        # amplitudes equal the one-shot (n-1) x 6 node arrays, contracted by
-        # the same einsum, bit for bit, and the peak stays below eight
-        # grid-length complex arrays
+        # the Gauss-node drive is built a chunk of steps at a time from the
+        # real Gaussian, each mode's factor peak (1 +- phase) in its kernel:
+        # the amplitudes equal the one-shot (n-1) x 6 real node array,
+        # contracted by the same einsum, bit for bit, and the peak stays
+        # below 3.5 grid-length complex arrays (u, v and beta1 at the end,
+        # with the finiteness masks)
         # a grid 12 decay lengths of the slow mode past the pulse, as
         # default_grid ran before: its 206,454 points cover more than ten
         # chunks (default_grid's now 2,001)
@@ -505,16 +507,16 @@ class TestOracleModes:
         finally:
             tracemalloc.stop()
         assert src.grid.n > 10 * ORACLE_BLOCK
-        assert peak < 8 * 16 * src.grid.n
+        assert peak < 3.5 * 16 * src.grid.n
 
         h = src.grid.dt
         tau = 0.5 * h * (_GL6_X + 1.0)
-        s1 = src.at((src.grid.times[:-1, None] + tau[None, :]).ravel()).reshape(-1, 6)
-        s2 = src.phase * s1
+        nodes = src.envelope((src.grid.times[:-1, None] + tau[None, :]).ravel()).reshape(-1, 6)
         modes = []
-        for rate, f in ((p.gamma + cpl.m_total, s1 + s2), (p.gamma - cpl.m_total, s1 - s2)):
-            kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h)
-            modes.append(_one_pole(-rate * h, np.einsum("kj,j->k", f, kernel)))
+        for rate, f in ((p.gamma + cpl.m_total, 1.0 + src.phase),
+                        (p.gamma - cpl.m_total, 1.0 - src.phase)):
+            kernel = np.exp(-rate * (h - tau)) * _GL6_W * (0.5 * h) * (src.peak * f)
+            modes.append(_one_pole(-rate * h, np.einsum("kj,j->k", nodes, kernel)))
         u, v = modes
         assert np.array_equal(traj.beta1, (u + v) * 0.5)
         assert np.array_equal(traj.beta2, (u - v) * 0.5)

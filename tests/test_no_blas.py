@@ -2,7 +2,9 @@
 terms per row, where OpenBLAS's threads cost more than they save, so they
 are ufunc reductions or einsum, and its Gauss-Legendre rules are literal
 tables, since numpy's leggauss solves an eigenproblem with LAPACK.  The
-rule is read off the source's syntax."""
+numpy helpers that reach BLAS or LAPACK underneath count too: polyfit
+(lstsq), roots (eigvals), cov and corrcoef (dot).  The rule is read off
+the source's syntax."""
 
 import ast
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import wqed
 
 SRC = Path(wqed.__file__).parent
-BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg", "polynomial"}
+BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "linalg", "polynomial",
+              "polyfit", "roots", "cov", "corrcoef"}
 LAPACK_MODULES = ("numpy.linalg", "numpy.polynomial")
 
 
@@ -55,12 +58,17 @@ def test_scan_finds_each_blas_spelling():
             "numpy.polynomial.Legendre.basis(3)\n"
             "from numpy.polynomial.legendre import leggauss\n"
             "import numpy.polynomial\n"
-            "x, w = leggauss(6)\n")
+            "x, w = leggauss(6)\n"
+            "slope = np.polyfit(x, y, 1)[0]\n"
+            "np.roots([1.0, 0.0, -1.0])\n"
+            "numpy.cov(x, y)\n"
+            "np.corrcoef(x, y)\n")
     assert blas_uses(text) == [
         (1, "@"), (2, "@"), (3, "np.matmul"), (4, "np.linalg"),
         (5, "numpy.linalg import"), (6, "einsum(optimize=...)"),
         (9, "leggauss"), (9, "np.polynomial"), (10, "numpy.polynomial"),
-        (11, "numpy.polynomial import"), (12, "numpy.polynomial import"), (13, "leggauss")]
+        (11, "numpy.polynomial import"), (12, "numpy.polynomial import"), (13, "leggauss"),
+        (14, "np.polyfit"), (15, "np.roots"), (16, "numpy.cov"), (17, "np.corrcoef")]
 
 
 def test_wqed_makes_no_blas_call():
