@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -46,7 +45,9 @@ class CheckResult(NamedTuple):
 
 
 def _at_most(measured: float, tol: float, note: str) -> CheckResult:
-    """The result of a check that passes iff measured <= tol."""
+    """The result of a check that passes iff measured <= tol, measured as a
+    Python float (some checks reduce to an np.float64)."""
+    measured = float(measured)
     return CheckResult(measured <= tol, measured, tol, note)
 
 
@@ -63,7 +64,7 @@ def _run(gamma_over_delta: float, k0l: float, mutate: bool = False, dt_factor: f
     params = cell_params(gamma_over_delta, k0l)
     coupling = evaluate_coupling(params, CouplingModel.full())
     if mutate:
-        coupling = replace(coupling, m_total=-coupling.m_total)
+        coupling = coupling._replace(m_total=-coupling.m_total)
     return params, coupling, *scatter(params, coupling, dt_factor=dt_factor)
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,8 +170,7 @@ class CouplingModel:
         return cls("rwa_negfreq")
 
 
-@dataclass(frozen=True)
-class CouplingResult:
+class CouplingResult(NamedTuple):
     """Coupling constant and its path decomposition."""
 
     m_total: complex
@@ -299,8 +299,7 @@ def evaluate_coupling(params: SimParams, model: CouplingModel) -> CouplingResult
 # coupling-model comparison table
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CouplingRow:
+class CouplingRow(NamedTuple):
     """One (k0l, model) cell of the comparison table."""
 
     k0l: float

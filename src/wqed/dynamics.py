@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
 PHOTON_SCALE = 1.0 / math.sqrt(1.0 / (2.0 * math.sqrt(2.0 * math.pi)))
 
 
-@dataclass(frozen=True)
-class SourceTerm:
+class SourceTerm(NamedTuple):
     """The drive S0_1 of atom 1 on a uniform grid and at its step
     midpoints; atom 2's drive is S0_2 = phase * S0_1 with phase = e^{i k0 l}
     (shared envelope, see module docstring).  S0_1 is the Gaussian
@@ -200,15 +200,14 @@ def build_source(params: SimParams, grid: TimeGrid) -> SourceTerm:
     # the closed form first, then its samples
     source = SourceTerm(grid, None, None, params.phase, peak, params.delta)
     times = grid.times
-    return replace(source, s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
+    return source._replace(s1=source.at(times), s1_mid=source.at(times[:-1] + 0.5 * grid.dt))
 
 
 # ----------------------------------------------------------------------
 # trajectories
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AmplitudeTrajectory:
+class AmplitudeTrajectory(NamedTuple):
     """Excited-state amplitudes on a uniform grid, and the coupling M behind them."""
 
     grid: TimeGrid

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +75,7 @@ _MIN_TRANSFER_SPAN = 8.0
 # radiated-field constants
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldPrefactors:
+class FieldPrefactors(NamedTuple):
     """Radiated-envelope constant kappa and local-field constants G0_j.
 
     kappa scales the amplitude radiated per unit excited-state amplitude;
@@ -283,8 +283,7 @@ def _chirp_z(samples: np.ndarray, n: int, m_lo: int, m_hi: int, length: int) -> 
     return ends
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Spectrum A~(omega) of one envelope on the zones of spectrum_zones.
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,

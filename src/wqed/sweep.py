@@ -161,9 +161,11 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 
 def _config_value(value):
     """A value as config text has it: a model as its label, a tuple as a comma list."""
+    if isinstance(value, CouplingModel):
+        return model_label(value)
     if isinstance(value, tuple):
         return ",".join(format_value(_config_value(v)) for v in value)
-    return model_label(value) if isinstance(value, CouplingModel) else value
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +237,7 @@ def cell_params(gamma_over_delta: float, k0l: float,
 # per-cell record and manifest
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """Everything the manifest records about one grid cell.
 
     ok means the pipeline ran to completion; passed additionally
@@ -279,8 +280,7 @@ class CellResult:
         return self.ok and self.area_check in (AREA_PASS, AREA_SKIPPED)
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Aggregate sweep record; serializes to a flat config block."""
 
     version: int
@@ -305,17 +305,16 @@ class RunManifest:
         }
         for cell in self.cells:
             entries: dict[str, object] = {}
-            for f in fields(cell)[1:]:  # every field but the index
-                value = getattr(cell, f.name)
+            for name, value in zip(cell._fields[1:], cell[1:]):  # every field but the index
                 if value is None:
                     continue
-                if f.name == "m_total":
+                if name == "m_total":
                     entries.update(re_m=value.real, im_m=value.imag)
                 elif isinstance(value, complex):
-                    entries[f"abs_{f.name}"] = abs(value)
+                    entries[f"abs_{name}"] = abs(value)
                 else:
-                    entries[f.name] = _config_value(value)
-                if f.name == "ok":
+                    entries[name] = _config_value(value)
+                if name == "ok":
                     entries["passed"] = cell.passed
             out[f"cell{cell.index:03d}"] = entries
         return out

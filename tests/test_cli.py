@@ -3,9 +3,12 @@ exit-code contract, and byte-level determinism of artifacts."""
 
 import ast
 import contextlib
+import dataclasses
+import importlib
 import io
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from helpers import read_csv, run_config_from_text, run_fresh, run_limited, spec_text
+import wqed
 import wqed.checks
 import wqed.cli
 import wqed.sweep
@@ -573,6 +577,14 @@ class TestValidateCommand:
         assert code == EXIT_CHECK
         assert out.startswith("FAIL pulse-area")
 
+    def test_results_are_python_scalars(self):
+        """Every check reports ok as a bool and measured and tol as floats,
+        never as numpy scalars."""
+        for name, check in VALIDATION_CHECKS.items():
+            ok, measured, tol, _ = check()
+            assert type(ok) is bool, name
+            assert type(measured) is float and type(tol) is float, name
+
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_cli_process_runs_one_blas_thread(preset, expected):
@@ -592,6 +604,42 @@ def test_cli_process_runs_one_blas_thread(preset, expected):
         pytest.skip("no /proc/self/task to count threads in")
     if preset is None:
         assert tasks == "1"
+
+
+def test_cli_import_freezes_its_heap_once():
+    """Importing the CLI freezes what import built, so that the collections
+    at exit skip it; main() freezes nothing more, the collector stays on,
+    and the cycles that building the parser leaves are freed before the
+    command runs."""
+    script = ("import gc, wqed.cli\n"
+              "frozen, found, run = gc.get_freeze_count(), [], wqed.cli.cmd_validate\n"
+              "def probe(args, parser):\n"
+              "    found.append(gc.collect())\n"
+              "    return run(args, parser)\n"
+              "wqed.cli.cmd_validate = probe\n"
+              "codes = [wqed.cli.main(['validate', '--list']) for _ in range(2)]\n"
+              "print(frozen, gc.get_freeze_count(), gc.isenabled(), *codes, found[0])\n")
+    done = run_fresh(["-c", script], entry=())
+    assert done.returncode == 0, done.stderr
+    frozen, after, enabled, *codes, garbage = done.stdout.splitlines()[-1].split()
+    assert int(frozen) > 0 and after == frozen
+    assert enabled == "True" and codes == ["0", "0"]
+    assert garbage == "0"   # the first command found no unreachable object
+
+
+def test_only_the_validated_records_are_dataclasses():
+    """A record that checks or derives a field in its constructor stays a
+    dataclass, since a NamedTuple's _replace would skip that; the other
+    records are NamedTuples, which are cheaper to import."""
+    classes = {cls.__name__: cls
+               for info in pkgutil.iter_modules(wqed.__path__)
+               for cls in vars(importlib.import_module(f"wqed.{info.name}")).values()
+               if isinstance(cls, type) and cls.__module__ == f"wqed.{info.name}"}
+    assert {name for name, cls in classes.items() if dataclasses.is_dataclass(cls)} == {
+        "SimParams", "CouplingModel", "TimeGrid", "DetectorSpec", "FieldEnvelope", "SweepSpec"}
+    assert {name for name, cls in classes.items() if issubclass(cls, tuple)} == {
+        "CouplingResult", "CouplingRow", "SourceTerm", "AmplitudeTrajectory",
+        "FieldPrefactors", "Spectrum", "CellResult", "RunManifest", "ConfigKey", "CheckResult"}
 
 
 class TestSweepCommand:

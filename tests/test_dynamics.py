@@ -1,7 +1,6 @@
 """Tests for source construction and amplitude integration."""
 
 import cmath
-import dataclasses
 import math
 import tracemalloc
 
@@ -312,8 +311,7 @@ class TestIntegrateMarkovian:
 
     def test_zero_source_stays_zero(self):
         p, src = setup()
-        silent = dataclasses.replace(src, s1=np.zeros_like(src.s1),
-                                     s1_mid=np.zeros_like(src.s1_mid))
+        silent = src._replace(s1=np.zeros_like(src.s1), s1_mid=np.zeros_like(src.s1_mid))
         traj = integrate_markovian(silent, coupling_full(p), p)
         assert np.all(traj.beta1 == 0) and np.all(traj.beta2 == 0)
 
@@ -531,7 +529,7 @@ class TestSystemInvariants:
         p, src = setup(gamma_over_delta=1.0)
         cpl = coupling_full(p)
         base = integrate_markovian(src, cpl, p)
-        scaled_src = dataclasses.replace(src, s1=lam * src.s1, s1_mid=lam * src.s1_mid)
+        scaled_src = src._replace(s1=lam * src.s1, s1_mid=lam * src.s1_mid)
         scaled = integrate_markovian(scaled_src, cpl, p)
         assert np.allclose(scaled.beta1, lam * base.beta1, rtol=1e-13, atol=1e-18)
         assert np.allclose(scaled.beta2, lam * base.beta2, rtol=1e-13, atol=1e-18)
@@ -542,10 +540,9 @@ class TestSystemInvariants:
         # the exchanged drives (i s1, -i (i s1) = s1) are exact in floating point
         p, src = setup(k0l=1.3)
         cpl = coupling_full(p)
-        src = dataclasses.replace(src, phase=1j)
+        src = src._replace(phase=1j)
         base = integrate_markovian(src, cpl, p)
-        swapped_src = dataclasses.replace(
-            src, s1=1j * src.s1, s1_mid=1j * src.s1_mid, phase=-1j)
+        swapped_src = src._replace(s1=1j * src.s1, s1_mid=1j * src.s1_mid, phase=-1j)
         swapped = integrate_markovian(swapped_src, cpl, p)
         assert np.array_equal(swapped.beta1, base.beta2)
         assert np.array_equal(swapped.beta2, base.beta1)

@@ -378,7 +378,7 @@ class TestWindowedSpectrum:
             mine = np.isin(spec.detuning, full.detuning[zone])
             amplitude[mine] = full.amplitude[zone][np.isin(full.detuning[zone], spec.detuning)]
         assert not np.isnan(amplitude).any()       # every bin comes from one zone
-        return spec, dataclasses.replace(spec, amplitude=amplitude)
+        return spec, spec._replace(amplitude=amplitude)
 
     @pytest.mark.parametrize("ratio", COUPLING_RATIOS)
     def test_matches_full_spectrum(self, ratio):

@@ -2,10 +2,8 @@
 and the coupling-model comparison table."""
 
 import cmath
-import dataclasses
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +126,12 @@ class TestModelLabels:
     ])
     def test_label_round_trip(self, model):
         assert model_from_label(model_label(model)) == model
+
+    def test_config_value_writes_a_model_as_its_label(self):
+        # the model test comes before the tuple test, so a model is written
+        # as its label, never as a comma list of its fields
+        model = CouplingModel.rwa_cutoff(1e-7)
+        assert wqed.sweep._config_value(model) == model_label(model)
 
     def test_cutoff_without_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -320,7 +324,7 @@ class TestRunSweep:
         for position, ratio in enumerate([4.0, 0.25]):
             single = run_sweep(SweepSpec(gamma_over_delta=[ratio],
                                          k0l=[PI4])).cells[0]
-            assert replace(combined[position], index=0) == single
+            assert combined[position]._replace(index=0) == single
 
     def test_bitwise_determinism_across_directories(self, tmp_path):
         outputs = []
@@ -397,10 +401,9 @@ class TestClosedFormTails:
         cell = full_cell(gamma_over_delta, k0l)
         assert cell.ok and cell.area_check == AREA_PASS, cell
         assert cell.n <= 250_000
-        for f in dataclasses.fields(cell):
-            value = getattr(cell, f.name)
+        for name, value in zip(cell._fields, cell):
             if isinstance(value, (float, complex)):
-                assert cmath.isfinite(value), f.name
+                assert cmath.isfinite(value), name
         entries = wqed.sweep.RunManifest(MANIFEST_VERSION, SweepSpec(
             gamma_over_delta=[gamma_over_delta], k0l=[k0l]), (cell,)).sections()["cell000"]
         for key, value in entries.items():
@@ -484,7 +487,7 @@ class TestScatter:
 
         def keeping(*args, **kwargs):
             source = build(*args, **kwargs)
-            refs.append(weakref.ref(source))
+            refs.append(weakref.ref(source.s1))
             return source
 
         def recording(*args, **kwargs):
