@@ -32,9 +32,9 @@ frequency domain,
 
     (gamma - i*d) b1 + M b2 = Si,    M b1 + (gamma - i*d) b2 = e^{i k0 l} Si,
 
-and forms the transmission/reflection amplitudes t(d), r(d) from the
-same reconstruction formulas.  Its inverse transform is an independent
-check on the time-domain integrator.
+and forms the transmission amplitude t(d) from the same reconstruction
+formulas.  Its inverse transform is an independent check on the
+time-domain integrator.
 """
 
 from __future__ import annotations
@@ -287,10 +287,10 @@ class Spectrum(NamedTuple):
     """Spectrum A~(omega) of one envelope on the zones of spectrum_zones.
 
     Convention: A~(omega) = int A(tau) e^{+i (omega - omega0) tau} d tau,
-    evaluated as the rectangle-rule sum over the samples plus the sum over
-    the envelope's tail, on a strictly ascending axis in units of the pulse
-    width delta that holds detuning 0 exactly.  fft_len is the length of the
-    coarse zone's DFT.
+    evaluated by the trapezoid rule that pulse_area is: over the samples and
+    then over the envelope's tail, on a strictly ascending axis in units of
+    the pulse width delta that holds detuning 0 exactly.  fft_len is the
+    length of the coarse zone's DFT.
     """
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
@@ -302,10 +302,6 @@ class Spectrum(NamedTuple):
     def intensity(self) -> np.ndarray:
         """|A~|^2, the spectral energy density."""
         return np.abs(self.amplitude) ** 2
-
-    def at_resonance(self) -> complex:
-        """A~ at zero detuning (a bin of every zone that reaches it)."""
-        return complex(self.amplitude[int(np.argmin(np.abs(self.detuning)))])
 
 
 def spectrum(env: FieldEnvelope) -> Spectrum:
@@ -333,6 +329,7 @@ def spectrum(env: FieldEnvelope) -> Spectrum:
     omega = np.concatenate(omegas)
     order = np.argsort(omega)
     omega, amplitude = omega[order], np.concatenate(amplitudes)[order]
+    amplitude -= 0.5 * env.samples[0]
     amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
     amplitude += _tail_sum(env, omega)
     omega /= env.delta
@@ -341,9 +338,12 @@ def spectrum(env: FieldEnvelope) -> Spectrum:
 
 def _tail_sum(env: FieldEnvelope, omega):
     """What the tail adds at angular detunings omega to a spectrum's
-    rectangle-rule sum, continuing it past the grid: per mode the geometric
-    series c dtau e^{i omega tau_end} sum_{k>=1} e^{kz} = c dtau e^{i omega
-    tau_end} / expm1(-z), z = (i omega - lam) dtau, the phase computed once."""
+    trapezoid over the samples, continuing it past the grid: per mode the
+    geometric series c dtau e^{i omega tau_end} sum_{k>=1} e^{kz} = c dtau
+    e^{i omega tau_end} / expm1(-z), z = (i omega - lam) dtau, the phase
+    computed once.  The last sample keeps its full weight, as in the
+    trapezoid over samples and tail as one sequence; pulse_area, the sum of
+    the two parts' trapezoids, differs from it by dtau/2 (a_last - sum c)."""
     dtau = env.dtau
     phase = dtau * np.exp(1j * float(env.tau[-1]) * omega)
     return sum(c * phase / np.expm1((lam * dtau) - (1j * dtau) * omega) for c, lam in env.tail)
@@ -496,7 +496,7 @@ def transfer_oracle(params: SimParams, m_total: complex,
     M = gamma e^{i k0 l} this gives t(0) = 0 identically: the resonant
     component is never transmitted.  The removable 0/0 at D = 0 (gamma > 0)
     is filled with that limit; with gamma = 0 the response at zero detuning
-    is genuinely singular.  reflection_oracle gives r(d).
+    is genuinely singular.
     """
     gmd, d, singular = _response(params, m_total, freq_grid)
     t_vals = gmd    # worked in place: no grid-length temporaries past gmd and D
@@ -506,13 +506,3 @@ def transfer_oracle(params: SimParams, m_total: complex,
     np.subtract(1.0, t_vals, out=t_vals)
     return np.where(singular, 0.0, t_vals) if singular.any() else t_vals
 
-
-def reflection_oracle(params: SimParams, m_total: complex,
-                      freq_grid: np.ndarray) -> np.ndarray:
-    """Reflection amplitude r(d) = - gamma [(1 + f^2)(gamma - i d) - 2 M f] / D,
-    f = e^{i k0 l}, on the detunings of transfer_oracle: r(0) = -1 for the
-    full coupling, so the resonant component is fully reflected."""
-    gmd, d, singular = _response(params, m_total, freq_grid)
-    f = params.phase
-    r_vals = -params.gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
-    return np.where(singular, -1.0, r_vals) if singular.any() else r_vals

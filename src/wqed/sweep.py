@@ -50,7 +50,7 @@ from .fields import (
 )
 from .serialize import format_value, output_directory, write_config, write_table
 
-MANIFEST_VERSION = 7
+MANIFEST_VERSION = 8
 
 # pulse-area verdicts recorded per cell
 AREA_PASS = "pass"
@@ -410,9 +410,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         check, trans_ratio, refl_ratio = area_verdict(envelopes, params.gamma)
         tail_fraction = max(abs(trans.tail_area), abs(refl.tail_area)) / abs(s_inc)
 
-        spec_inc, spec_trans = spectrum(inc), spectrum(trans)
-        depth = 1.0 - (abs(spec_trans.at_resonance()) ** 2
-                       / abs(spec_inc.at_resonance()) ** 2)
+        spec_trans = spectrum(trans)
         try:
             width = measure_dip_width(spec_trans)
         except NumericalError:
@@ -431,7 +429,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
         if spec.out_dir is not None:
             files = _write_cell_files(
                 Path(spec.out_dir), f"cell{index:03d}_", traj, envelopes,
-                {"incident": spec_inc, "transmitted": spec_trans}, stride)
+                {"incident": spectrum(inc), "transmitted": spec_trans}, stride)
 
         return CellResult(
             index=index, gamma_over_delta=gamma_over_delta, k0l=k0l,
@@ -444,7 +442,7 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
             n=traj.grid.n, dt=traj.grid.dt, t_end=traj.grid.t_end, stride=stride,
             fft_len=spec_trans.fft_len,
             tail_transmitted=tail_transmitted, tail_reflected=tail_reflected,
-            dip_depth=depth, dip_width=width,
+            dip_depth=1.0 - trans_ratio ** 2, dip_width=width,
             peak_ratio=trans.peak() / inc.peak(),
             residual1=r1, residual2=r2,
             markov_ok=worst <= MARKOV_LIMIT, markov_ratio_max=worst,

@@ -12,7 +12,7 @@ import wqed.cli
 from wqed.errors import ConfigurationError
 from wqed.coupling import SimParams
 from wqed.dynamics import driven_modes
-from wqed.fields import FieldEnvelope, Spectrum, transfer_oracle
+from wqed.fields import FieldEnvelope, Spectrum, _response, transfer_oracle
 from wqed.serialize import config_text, parse_config_text, parse_value
 from wqed.specfun import si
 from wqed.sweep import MANIFEST_VERSION, RunManifest, SweepSpec
@@ -98,8 +98,10 @@ def full_dft_spectrum(env: FieldEnvelope, n: int) -> Spectrum:
     FFT: dtau sum_j A_j e^{i omega tau_j} over the samples continued by
     tail_samples and zero-padded (or, when longer, folded) to n, at omega =
     2 pi m / (n dtau) for m = -(n // 2) .. n - n // 2 - 1, ascending: the
-    reference for each zone of fields.spectrum."""
+    reference for each zone of fields.spectrum, whose trapezoid weights the
+    first sample by half."""
     samples = np.concatenate([env.samples, tail_samples(env)[1]])
+    samples[0] *= 0.5
     # e^{i omega tau_j} repeats every n samples at these omegas
     folded = np.zeros(-(-samples.size // n) * n, dtype=complex)
     folded[:samples.size] = samples
@@ -109,6 +111,17 @@ def full_dft_spectrum(env: FieldEnvelope, n: int) -> Spectrum:
     amplitude *= env.dtau * np.exp(1j * float(env.tau[0]) * omega)
     return Spectrum(detuning=omega / env.delta, amplitude=amplitude,
                     delta=env.delta, fft_len=n)
+
+
+def reflection_oracle(params: SimParams, m_total: complex,
+                      freq_grid: np.ndarray) -> np.ndarray:
+    """Reflection amplitude r(d) = - gamma [(1 + f^2)(gamma - i d) - 2 M f] / D,
+    f = e^{i k0 l}, on the detunings of fields.transfer_oracle: r(0) = -1 for
+    the full coupling, so the resonant component is fully reflected."""
+    gmd, d, singular = _response(params, m_total, freq_grid)
+    f = params.phase
+    r_vals = -params.gamma * ((1.0 + f * f) * gmd - 2.0 * m_total * f) / d
+    return np.where(singular, -1.0, r_vals) if singular.any() else r_vals
 
 
 def oracle_dip_width(params: SimParams, m_total: complex) -> float:

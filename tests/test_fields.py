@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (full_dft_spectrum, oracle_dip_width, padded_round_trip, run_limited,
-                     tail_samples)
+from helpers import (full_dft_spectrum, oracle_dip_width, padded_round_trip,
+                     reflection_oracle, run_limited, tail_samples)
 from wqed.checks import (WRAP_FRACTION, _scatter, pruned_round_trip, round_trip_length,
                          transfer_round_trip)
 from wqed.sweep import AREA_FAIL, AREA_PASS, AREA_TRUNCATED, area_verdict, scatter
@@ -41,7 +41,6 @@ from wqed.fields import (
     fft_length,
     radiation_prefactors,
     reconstruct_fields,
-    reflection_oracle,
     spectrum,
     spectrum_zones,
     transfer_oracle,
@@ -62,6 +61,11 @@ def run_case(gamma_over_delta, k0l, span_factor=1.0, dt_factor=1.0, model=None):
     grid = default_grid(p, span_factor=span_factor, dt_factor=dt_factor,
                         m_total=coup.m_total)
     return p, integrate_markovian(build_source(p, grid), coup, p), coup
+
+
+def at_resonance(spec) -> complex:
+    """A spectrum's amplitude at zero detuning, a bin of every spectrum."""
+    return complex(spec.amplitude[spec.detuning == 0.0].item())
 
 
 def gamma_zero_case():
@@ -295,8 +299,8 @@ class TestSpectrum:
         """The on-resonance transmitted intensity is suppressed by > 1e6."""
         p, traj, coup = run_case(ratio, math.pi / 4)
         inc, trans, refl = reconstruct_fields(traj, p)
-        ratio_i = (abs(spectrum(trans).at_resonance()) ** 2
-                   / abs(spectrum(inc).at_resonance()) ** 2)
+        ratio_i = (abs(at_resonance(spectrum(trans))) ** 2
+                   / abs(at_resonance(spectrum(inc))) ** 2)
         assert ratio_i <= 1e-6
 
     def test_area_equals_resonant_component(self):
@@ -305,21 +309,23 @@ class TestSpectrum:
         fields = reconstruct_fields(traj, p)
         s_inc, s_trans, s_refl = (env.pulse_area for env in fields)
         sp_inc, sp_trans, _ = (spectrum(env) for env in fields)
-        scale = abs(sp_inc.at_resonance())
-        assert abs(s_trans - sp_trans.at_resonance()) / scale <= 1e-6
-        assert abs(s_inc - sp_inc.at_resonance()) / scale <= 1e-6
+        scale = abs(at_resonance(sp_inc))
+        assert abs(s_trans - at_resonance(sp_trans)) / scale <= 1e-6
+        assert abs(s_inc - at_resonance(sp_inc)) / scale <= 1e-6
 
     @staticmethod
     def assert_matches_direct_dft(env, sp):
         """Amplitudes at ~20 detunings within 4 widths equal the direct sum
-        sum_j A_j e^{i omega tau_j} dtau, over the samples and then the
-        tail's (tail_samples), to 1e-12 of the largest."""
+        sum_j A_j e^{i omega tau_j} dtau, over the samples, the first weighted
+        by half, and then the tail's (tail_samples), to 1e-12 of the largest."""
         inside = np.flatnonzero(np.abs(sp.detuning) <= 4.0)
         picks = inside[np.linspace(0, inside.size - 1, 21).astype(int)]
         omega = sp.detuning[picks] * sp.delta
         tail_tau, tail = tail_samples(env)
-        direct = sum(np.exp(1j * np.outer(omega, tau)) @ samples * env.dtau
-                     for tau, samples in ((env.tau, env.samples), (tail_tau, tail)))
+        samples = env.samples.copy()
+        samples[0] *= 0.5
+        direct = sum(np.exp(1j * np.outer(omega, tau)) @ values * env.dtau
+                     for tau, values in ((env.tau, samples), (tail_tau, tail)))
         scale = float(np.max(np.abs(direct)))
         assert float(np.max(np.abs(sp.amplitude[picks] - direct))) <= 1e-12 * scale
 
@@ -530,16 +536,16 @@ class TestClosedFormTail:
 
     def test_pure_exponential_spectrum_and_area(self):
         # an envelope that is one exponential from tau = 0 on: its tail makes
-        # the DFT sum infinite, dtau / (1 - e^{(i omega - lam) dtau}) at every
-        # bin, and the trapezoid infinite, dtau (1/2 + 1/expm1(lam dtau)): the
-        # area 1/lam up to the trapezoid's (lam dtau)^2/12
+        # the spectrum's trapezoid infinite, dtau (1/(1 - e^{(i omega - lam)
+        # dtau}) - 1/2) at every bin, and the area's, dtau (1/2 + 1/expm1(lam
+        # dtau)), its value at omega = 0: 1/lam up to the trapezoid's (lam dtau)^2/12
         lam, dtau, n_time = 0.01 - 0.3j, 0.05, 2001
         tau = np.arange(n_time) * dtau
         samples = np.exp(-lam * tau)
         env = FieldEnvelope(kind=TRANSMITTED, tau=tau, samples=samples,
                             delta=1.0, tail=((samples[-1], lam),))
         spec = spectrum(env)
-        expected = -dtau / np.expm1((1j * spec.detuning - lam) * dtau)
+        expected = -dtau / np.expm1((1j * spec.detuning - lam) * dtau) - 0.5 * dtau
         assert np.max(np.abs(spec.amplitude - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert env.pulse_area == pytest.approx(1 / lam, rel=1e-4)
         trapezoid = dtau * (0.5 + 1 / np.expm1(lam * dtau))
@@ -551,21 +557,22 @@ class TestClosedFormTail:
         (0.25, 1e-3, 1.0), (0.25, 0.05, 1.0), (4.0, 1e-3, 1.0),
         (0.02, math.pi / 4, 2.0), (0.25, math.pi / 4, 2.0), (4.0, math.pi / 4, 2.0),
         (0.02, math.pi / 4, 1.0), (0.25, math.pi / 4, 1.0), (4.0, math.pi / 4, 1.0),
+        (100.0, math.pi / 4, 1.0),
     ])
     def test_resonant_amplitude_is_the_zero_detuning_bin(self, ratio, k0l, span_factor):
-        # the zero-detuning bin is a rectangle sum continued by the tail, the
-        # pulse area a trapezoid continued by it: they differ by the end terms
-        # dtau/2 (a_0 + a_last - sum c), to round-off of the incident
-        # spectrum's peak.  The transmitted and reflected envelopes have
-        # tails at either span, the incident one none
+        # the zero-detuning bin is the trapezoid over samples and tail as one
+        # sequence, the pulse area the sum of the two parts' trapezoids: they
+        # differ by the end term dtau/2 (a_last - sum c), to round-off of the
+        # incident spectrum's peak.  The transmitted and reflected envelopes
+        # have tails at either span, the incident one none
         params = SimParams.from_ratios(ratio, k0l)
         envelopes = scatter(params, coupling_full(params), span_factor=span_factor)[1]
         assert [bool(env.tail) for env in envelopes] == [False, True, True]
         spectra = [spectrum(env) for env in envelopes]
         scale = float(np.max(np.abs(spectra[0].amplitude)))
         for env, spec in zip(envelopes, spectra):
-            ends = env.samples[0] + env.samples[-1] - sum(c for c, _ in env.tail)
-            assert abs(spec.at_resonance() - env.pulse_area - 0.5 * env.dtau * ends
+            ends = env.samples[-1] - sum(c for c, _ in env.tail)
+            assert abs(at_resonance(spec) - env.pulse_area - 0.5 * env.dtau * ends
                        ) <= 1e-15 * scale
 
     @pytest.mark.parametrize("ratio, k0l", [(0.02, math.pi / 4), (0.25, 0.05)])

@@ -258,7 +258,7 @@ class TestRunSweep:
         run_sweep(SweepSpec(gamma_over_delta=[0.02], k0l=[PI4], out_dir=tmp_path))
         sections = read_config(tmp_path / "manifest.txt")
         cell = sections["cell000"]
-        assert sections["manifest"]["version"] == MANIFEST_VERSION == 7
+        assert sections["manifest"]["version"] == MANIFEST_VERSION == 8
         params = cell_params(0.02, PI4)
         longer = scatter(params, evaluate_coupling(params, CouplingModel.full()),
                          span_factor=3.0)[1]
@@ -287,6 +287,37 @@ class TestRunSweep:
         incident = (tmp_path / "cell000_incident.csv").read_bytes()
         transmitted = (tmp_path / "cell000_transmitted.csv").read_bytes()
         assert incident == transmitted
+
+    @pytest.mark.parametrize("with_files", [False, True])
+    def test_one_spectrum_per_cell_without_files(self, monkeypatch, tmp_path, with_files):
+        # dip_depth reads the areas, so only the incident spectrum's CSV needs it
+        kinds = []
+        measure = wqed.sweep.spectrum
+
+        def counting(env):
+            kinds.append(env.kind)
+            return measure(env)
+
+        monkeypatch.setattr(wqed.sweep, "spectrum", counting)
+        run_sweep(SweepSpec(gamma_over_delta=[4.0, 0.25], k0l=[PI4],
+                            out_dir=tmp_path if with_files else None))
+        per_cell = ["transmitted", "incident"] if with_files else ["transmitted"]
+        assert kinds == 2 * per_cell
+
+    def test_dip_depth_is_the_area_ratio(self):
+        # 1 - |S_trans/S_inc|^2, the zero-detuning bins' ratio by the one
+        # trapezoid: total for the full coupling, partial for rwa-constg at
+        # (0.25, pi/4), none with gamma = 0
+        spec = SweepSpec(gamma_over_delta=[0.25, 0.0], k0l=[PI4],
+                         models=[CouplingModel.full(), CouplingModel.rwa_const_g()])
+        sections = run_sweep(spec).sections()
+        depths = []
+        for index in range(spec.n_cells):
+            entries = sections[f"cell{index:03d}"]
+            assert entries["dip_depth"] == 1.0 - entries["area_trans_ratio"] ** 2
+            depths.append(entries["dip_depth"])
+        full, constg, dark, dark_constg = depths
+        assert full == 1.0 and 0.97 < constg < 0.98 and dark == dark_constg == 0.0
 
     def test_cell_failure_recorded_and_sweep_continues(self):
         # rwa_const_g is singular at k0l = 0, which fails its cell; the
@@ -481,7 +512,9 @@ class TestScatter:
         with pytest.raises(TypeError):
             scatter(params, evaluate_coupling(params, CouplingModel.full()), 1.5, 0.75)
 
-    def test_run_cell_frees_source_before_spectra(self, monkeypatch):
+    @staticmethod
+    def source_alive_at_spectra(monkeypatch, out_dir):
+        """Whether run_cell's source is still referenced at each spectrum call."""
         refs, alive = [], []
         build, measure = wqed.sweep.build_source, wqed.sweep.spectrum
 
@@ -497,10 +530,18 @@ class TestScatter:
         monkeypatch.setattr(wqed.sweep, "build_source", keeping)
         monkeypatch.setattr(wqed.sweep, "spectrum", recording)
         cell = run_cell(0, 4.0, PI4, CouplingModel.full(),
-                        SweepSpec(gamma_over_delta=[4.0], k0l=[PI4]))
+                        SweepSpec(gamma_over_delta=[4.0], k0l=[PI4], out_dir=out_dir))
         assert cell.passed
         assert len(refs) == 1
-        assert alive == [False, False]   # incident and transmitted spectra
+        return alive
+
+    def test_run_cell_frees_source_before_spectra(self, monkeypatch):
+        # the transmitted spectrum alone: dip_depth reads the areas
+        assert self.source_alive_at_spectra(monkeypatch, None) == [False]
+
+    def test_run_cell_frees_source_before_spectra_with_files(self, monkeypatch, tmp_path):
+        # and the incident one for its CSV
+        assert self.source_alive_at_spectra(monkeypatch, tmp_path) == [False, False]
 
 
 class TestCompareCouplings:
