@@ -28,12 +28,12 @@ from .sweep import AREA_PASS, AREA_TOL, AREA_TRUNCATED, area_verdict, cell_param
 
 PI4 = math.pi / 4
 TRIPLE = (0.02, 0.25, 4.0)     # weak / moderate / strong coupling
-# the transfer round trip pads until the slowest driven mode has decayed to
-# this fraction, which bounds the circular DFT's wrap-around
+# the transfer round trip's circular DFT wraps at most this fraction of the
+# response at the grid's end back onto the grid's start
 WRAP_FRACTION = 1e-12
 # the round trip's DFT runs in blocks of rows of about this many cells: its
-# buffers and temporaries stay under 0.9 MB on validate's cells, whatever
-# length the padding asks for
+# buffers and temporaries stay under 0.9 MB on validate's cells, damped or
+# not, whatever its length
 ROUND_TRIP_BLOCK = 1 << 13
 
 
@@ -183,49 +183,69 @@ def _check_local_consistency(mutate: bool = False) -> CheckResult:
     return _at_most(worst, 1e-3, "normalized sup-norm of both residuals")
 
 
-def round_trip_length(inc: FieldEnvelope, params: SimParams, m_total: complex) -> int:
-    """N = fft_length(n + ceil(ln(1/WRAP_FRACTION) / (min Re lam * dtau))),
-    lam the driven modes' rates: the length of the circular DFT whose
-    wrap-around has decayed to WRAP_FRACTION.  Over POINT_BUDGET (infinite
-    when a mode does not decay) it raises ConfigurationError, before the
+def round_trip_window(inc: FieldEnvelope, params: SimParams,
+                      m_total: complex) -> tuple[int, float]:
+    """(N, sigma): the length of the round trip's circular DFT and the rate of
+    its exponential window.  N = fft_length(min(n + pad, 8n)), with pad =
+    ceil(ln(1/WRAP_FRACTION) / (r dtau)) and r = min Re lam over the driven
+    modes' rates lam (pad infinite when r = 0).  The window damps the part of the
+    wrap-around that the modes' own decay over the N - n padded points leaves:
+
+        sigma = max(0, ln(1/WRAP_FRACTION) - r (N - n) dtau) / (N dtau),
+
+    so e^{-sigma N dtau - r (N - n) dtau} <= WRAP_FRACTION.  sigma > 0 only
+    where the 8n cap binds, so undamping scales round-off by at most
+    e^{sigma n dtau} <= WRAP_FRACTION^{-1/8}.  Over POINT_BUDGET, which only
+    n > POINT_BUDGET/8 can reach, it raises ConfigurationError before the
     round trip allocates anything."""
     n = inc.samples.size
     rate = min(lam.real for lam in driven_modes(params, m_total).values())
-    pad = math.ceil(math.log(1.0 / WRAP_FRACTION) / (rate * inc.dtau)) if rate > 0 else math.inf
-    return fft_length(check_points(
-        "the transfer round trip", n + pad,
-        f"its padding follows the slowest driven mode's rate Re lam = {rate:.3g}"))
+    decay = math.log(1.0 / WRAP_FRACTION)
+    pad = math.ceil(decay / (rate * inc.dtau)) if rate > 0 else math.inf
+    size = fft_length(check_points(
+        "the transfer round trip", min(n + pad, 8 * n),
+        f"its padding is capped at 8 times the grid's {n:,} points"))
+    return size, max(0.0, decay - rate * (size - n) * inc.dtau) / (size * inc.dtau)
 
 
 def transfer_round_trip(inc: FieldEnvelope, transfer, params: SimParams,
                         m_total: complex) -> np.ndarray:
     """The envelope that the transfer amplitude transfer(d) makes of the
-    incident one: the inverse DFT of transfer(d) times the DFT of inc's
-    samples zero-padded to round_trip_length points, at the bins' angular
-    detunings d = 2 pi fftfreq(N, dtau).  The spectrum's phase ramp
-    e^{i d tau_0} and the inverse's e^{-i d tau_0} cancel, so neither is
-    applied."""
-    return pruned_round_trip(inc.samples, transfer, round_trip_length(inc, params, m_total),
-                             inc.dtau)
+    incident one: the inverse DFT of transfer(d + i sigma) times the DFT of
+    inc's samples damped by e^{-sigma (tau - tau_0)} and zero-padded to N
+    points, at the bins' angular detunings d = 2 pi fftfreq(N, dtau), undamped
+    by e^{sigma (tau - tau_0)}, with (N, sigma) from round_trip_window.  The
+    spectrum's phase ramp e^{i (d + i sigma) tau_0} and the inverse's
+    e^{-i (d + i sigma) tau_0} cancel, so neither is applied."""
+    size, sigma = round_trip_window(inc, params, m_total)
+    return pruned_round_trip(inc.samples, transfer, size, inc.dtau, sigma)
 
 
-def pruned_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> np.ndarray:
-    """fft_N(transfer(2 pi fftfreq(N, dtau)) * ifft_N(samples, N))[:n], N = size,
-    as a four-step DFT that never holds N points.  With W the smallest
-    divisor of N that is >= n and P = N/W, row p < P holds the bins
-    m = p + P q, q < W, which span the whole band; with w = e^{2 pi i/N},
+def pruned_round_trip(samples: np.ndarray, transfer, size: int, dtau: float,
+                      sigma: float) -> np.ndarray:
+    """(1/v) fft_N(transfer(2 pi fftfreq(N, dtau) + i sigma) * ifft_N(v samples, N))[:n],
+    N = size and v_k = e^{-sigma k dtau} the exponential window, as a
+    four-step DFT that never holds N points.  With W the smallest divisor of
+    N that is >= n and P = N/W, row p < P holds the bins m = p + P q, q < W,
+    which span the whole band; with w = e^{2 pi i/N} and x = v samples,
 
-        out_j = (W/N) sum_p w^{-pj} fft_W(transfer(d_m) ifft_W(x_k w^{pk}))_j.
+        out_j = (W/N) sum_p w^{-pj} fft_W(transfer(d_m + i sigma) ifft_W(x_k w^{pk}))_j.
 
     Rows go in blocks of about ROUND_TRIP_BLOCK cells, through one set of
     block buffers that every block reuses, so memory follows the block, not
-    N, and the time O(N log W) follows N."""
+    N, and the time O(N log W) follows N.  With sigma = 0 the bins' detunings
+    are real and no window is applied."""
     n = samples.size
     rows = next(p for p in range(size // n, 0, -1) if size % p == 0)
     width = size // rows
     block = min(rows, max(1, ROUND_TRIP_BLOCK // width))
     tw, spec = np.empty((block, n), complex), np.empty((block, width), complex)
-    freq, acc, out = np.empty((block, width)), np.empty(n, complex), np.zeros(n, complex)
+    freq = np.empty((block, width), complex if sigma else float)
+    acc, out = np.empty(n, complex), np.zeros(n, complex)
+    if sigma:           # the detunings' imaginary parts; blocks fill the real ones
+        freq.imag = sigma
+        window = np.exp(np.arange(n) * (-sigma * dtau))
+        samples = samples * window
 
     def twiddle(p, into):   # w^{p k}, the exponent reduced mod N
         np.multiply(np.multiply.outer(p, np.arange(n)) % size, 2j * math.pi / size, out=into)
@@ -242,15 +262,19 @@ def pruned_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> 
         np.fft.ifft(spec_m, out=spec_m)
         # the rows' bins m, signed as fftfreq signs them (integers, exact in
         # floats), then their angular detunings 2 pi m step
-        np.add(np.arange(p0, p0 + m)[:, None], rows * np.arange(width), out=freq_m)
-        np.subtract(freq_m, size, out=freq_m, where=freq_m > (size - 1) // 2)
-        freq_m *= step
-        freq_m *= 2.0 * math.pi
+        d_m = freq_m.real
+        np.add(np.arange(p0, p0 + m)[:, None], rows * np.arange(width), out=d_m)
+        np.subtract(d_m, size, out=d_m, where=d_m > (size - 1) // 2)
+        d_m *= step
+        d_m *= 2.0 * math.pi
         spec_m *= transfer(freq_m.ravel()).reshape(m, width)
         np.fft.fft(spec_m, out=spec_m)
         np.einsum("rk,rk->k", np.conjugate(tw_m, out=tw_m), spec_m[:, :n], out=acc)
         out += acc
-    return out * (width / size)
+    out *= width / size
+    if sigma:
+        out /= window
+    return out
 
 
 def _check_transfer_oracle(mutate: bool = False) -> CheckResult:

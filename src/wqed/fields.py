@@ -460,17 +460,19 @@ def consistency_residuals(traj: AmplitudeTrajectory,
 
 def _response(params: SimParams, m_total: complex, freq_grid: np.ndarray):
     """(gamma - i d, D, the mask where D = 0) on the detunings d of freq_grid,
-    checked to be 1-d and to cover +-_MIN_TRANSFER_SPAN pulse widths.  Where
-    D = 0 it is set to 1 and each amplitude fills in its limit (gamma > 0;
-    with gamma = 0 the response there is singular and raises)."""
-    detuning = np.asarray(freq_grid, dtype=float)
+    real or complex, checked to be 1-d and their real parts to cover
+    +-_MIN_TRANSFER_SPAN pulse widths.  Where D = 0 it is set to 1 and each
+    amplitude fills in its limit (gamma > 0; with gamma = 0 the response
+    there is singular and raises)."""
+    detuning = np.asarray(freq_grid, dtype=complex if np.iscomplexobj(freq_grid) else float)
     if detuning.ndim != 1 or detuning.size < 2:
         raise ConfigurationError("freq_grid must be a 1-d array of detunings")
     span = _MIN_TRANSFER_SPAN * params.delta
-    if detuning.min() > -span or detuning.max() < span:
+    real = detuning.real
+    if real.min() > -span or real.max() < span:
         raise ConfigurationError(
             f"freq_grid must cover +-{_MIN_TRANSFER_SPAN:g} pulse widths "
-            f"(+-{span:g}); got [{detuning.min():g}, {detuning.max():g}]")
+            f"(+-{span:g}); got [{real.min():g}, {real.max():g}]")
     gmd = params.gamma - 1j * detuning
     d = gmd * gmd
     d -= m_total * m_total
@@ -488,7 +490,9 @@ def transfer_oracle(params: SimParams, m_total: complex,
     """Transmission amplitude t(d) on a detuning grid.
 
     Solves the steady linear response per detuning d = omega - omega0
-    (same units as gamma) and forms the transmitted envelope ratio
+    (same units as gamma; a complex d + i sigma, sigma > 0, is the response
+    to an envelope damped by e^{-sigma tau}, as checks.transfer_round_trip
+    evaluates it) and forms the transmitted envelope ratio
 
         t(d) = 1 - 2 gamma [(gamma - i d) - M cos(k0 l)] / D
 

@@ -83,14 +83,17 @@ def tail_samples(env: FieldEnvelope, decay: float = 40.0) -> tuple[np.ndarray, n
     return float(env.tau[-1]) + env.dtau * k, samples
 
 
-def padded_round_trip(samples: np.ndarray, transfer, size: int, dtau: float) -> np.ndarray:
+def padded_round_trip(samples: np.ndarray, transfer, size: int, dtau: float,
+                      sigma: float) -> np.ndarray:
     """The transfer round trip as one padded DFT: the first n values of
-    fft_N(transfer(2 pi fftfreq(N, dtau)) * ifft_N(samples, N)), holding
-    N-point arrays, the reference for checks.pruned_round_trip."""
-    spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, dtau))
-    spec *= np.fft.ifft(samples, size)
+    fft_N(transfer(2 pi fftfreq(N, dtau) + i sigma) * ifft_N(v samples, N)) / v,
+    v_k = e^{-sigma k dtau}, holding N-point arrays, the reference for
+    checks.pruned_round_trip."""
+    window = np.exp(-sigma * dtau * np.arange(samples.size))
+    spec = transfer(2.0 * math.pi * np.fft.fftfreq(size, dtau) + 1j * sigma)
+    spec *= np.fft.ifft(samples * window, size)
     np.fft.fft(spec, out=spec)
-    return spec[:samples.size].copy()
+    return spec[:samples.size] / window
 
 
 def full_dft_spectrum(env: FieldEnvelope, n: int) -> Spectrum:
