@@ -26,9 +26,10 @@ Four models are implemented:
                   -inf; reproduces the exact total
 
 plus a principal-value quadrature oracle that evaluates the defining
-frequency integrals directly on a graded, oscillation-aware panel grid
-with Richardson/Aitken refinement.  The oracle shares no code with the
-closed forms; agreement is the correctness argument for both.
+frequency integrals directly, in one pass over an oscillation-aware panel
+grid, taking the pole by subtraction on a symmetric window around it.
+The oracle shares no code with the closed forms; agreement is the
+correctness argument for both.
 
 compare_couplings tabulates the coupling under each requested model
 against the exact closed form, with absolute deviations and divergence
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .specfun import ci, si
 
 # ----------------------------------------------------------------------
@@ -376,67 +377,6 @@ def _subdivide(edges: list[float], wmax: float) -> np.ndarray:
     return np.concatenate((edges[:1], ends))
 
 
-def _oracle_level(kind: str, a: float, eps_u: float, delta_u: float,
-                  big_u: float) -> complex:
-    """One refinement level of the defining integral, in units u = omega/omega0.
-
-    kind 'pole':    PV int_0^{big_u} e^{i a u} (1/u + 1/(1-u)) du,
-                    excising [1-delta_u, 1+delta_u] with analytic residual
-    kind 'nonpole':     int_0^{big_u} e^{i a u} (1/u - 1/(1+u)) du
-
-    with the divergent 1/u piece cut at eps_u, plus the analytic tail from
-    big_u to infinity.  a may be negative.
-    """
-    # g(u) = 1/u - 1/(u + c); c = -1 puts the pole at u = 1
-    c = -1.0 if kind == "pole" else 1.0
-
-    def g(u):
-        return 1.0 / u - 1.0 / (u + c)
-
-    # oscillation-aware width cap: ~8 radians of phase per 16-node panel
-    wmax = 8.0 / abs(a) if a != 0.0 else math.inf
-
-    # infrared section [eps_u, 0.125]: logarithmic panels, 4 per decade
-    n_log = max(2, math.ceil(4 * math.log10(0.125 / eps_u)))
-    edges = np.geomspace(eps_u, 0.125, n_log + 1).tolist()
-    # geometric panels out to big_u, from past the pole's graded section
-    far = [1.5 if kind == "pole" else 0.25]
-    while far[-1] < big_u:
-        far.append(min(2 * far[-1], big_u))
-
-    if kind == "pole":
-        if not 0 < delta_u < 0.25:
-            raise ConfigurationError(f"pv excision half-width {delta_u} out of range")
-        # graded approach to the excised pole at u = 1 from both sides
-        k_max = math.ceil(math.log2(0.5 / delta_u))
-        lo = [1.0 - 0.5 * 2.0 ** -k for k in range(k_max + 1)] + [1.0 - delta_u]
-        hi = [1.0 + delta_u] + [1.0 + 0.5 * 2.0 ** -k for k in range(k_max, -1, -1)]
-        left = _subdivide(edges + lo, wmax)
-        right = _subdivide(hi + far, wmax)
-
-        val = _gl_panels(g, left, a) + _gl_panels(g, right, a)
-        # PV residual across the excision: the 1/u piece is regular and
-        # integrated numerically; the odd 1/(1-u) piece reduces to a
-        # sine-integral of the excision half-width
-        exc = np.array([1.0 - delta_u, 1.0, 1.0 + delta_u])
-        val += _gl_panels(lambda u: 1.0 / u, exc, a)
-        val += -2j * cmath.exp(1j * a) * si(a * delta_u)
-    else:
-        val = _gl_panels(g, _subdivide(edges + far, wmax), a)
-    # the regular piece on [0, eps_u], below the cut of the 1/u piece
-    val += _gl_panels(lambda u: -1.0 / (u + c), np.array([0.0, eps_u]), a)
-
-    # tail u > big_u: three-term integration by parts of e^{iau} g(u), with
-    # g^(k)(U) = (-1)^k k! (U^-(k+1) - (U+c)^-(k+1)), or the exact
-    # logarithm when there is no oscillation at all
-    if a == 0.0:
-        return val + math.log((big_u + c) / big_u)
-    ila = 1j * a
-    return val - cmath.exp(ila * big_u) * sum(
-        math.factorial(k) * (big_u ** -(k + 1) - (big_u + c) ** -(k + 1)) / ila ** (k + 1)
-        for k in range(3))
-
-
 def _tail_start(a: float) -> float:
     """Default tail start U = omega_max/omega0 at phase a.  Past the three
     integration-by-parts terms the tail's remainder is at most
@@ -448,67 +388,75 @@ def _tail_start(a: float) -> float:
 
 
 def coupling_oracle(params: SimParams, part_index: int,
-                    omega_max: float | None = None,
-                    pv_excision: float | None = None,
-                    tol: float | None = None) -> complex:
+                    omega_max: float | None = None) -> complex:
     """Evaluate one path contribution M_i straight from its defining
     frequency integral, independently of the closed forms.
 
-    The regular pieces are integrated from 0 and the 1/u piece from the
-    reference infrared frequency, so single parts use the same convention
-    as the closed forms and are directly comparable; pairwise sums
-    (1+2, 3+4) are convention-free.  Past omega_max three
-    integration-by-parts terms stand for the tail; by default omega_max
-    is the start at which their remainder bound falls to ORACLE_TAIL_TOL *
-    gamma (_tail_start).  Three refinement levels double omega_max and
-    halve pv_excision; the sequence is Aitken-extrapolated and its last
-    difference must fall below tol (default 1e-6 * gamma).
+    In units u = omega/omega0 the integral is int_0^inf e^{iau} g(u) du with
+    g(u) = 1/u - 1/(u + c): c = -1 puts a principal-value pole at u = 1
+    (parts 1, 3), c = +1 has none (parts 2, 4), and a = -k0l for parts 3, 4.
+    On the symmetric window [1/2, 3/2] the PV of e^{ia}/(1-u) is 0, so the
+    pole is subtracted there and the window's integrand is smooth.  The
+    regular piece is integrated from 0 and the 1/u piece from the reference
+    infrared frequency, so single parts use the same convention as the
+    closed forms and are directly comparable; pairwise sums (1+2, 3+4) are
+    convention-free.  Past omega_max three integration-by-parts terms stand
+    for the tail; by default omega_max is the start at which their
+    remainder bound falls to ORACLE_TAIL_TOL * gamma (_tail_start).
     """
     if part_index not in (1, 2, 3, 4):
         raise ConfigurationError(f"part_index must be 1..4, got {part_index}")
     if omega_max is None:
         omega_max = _tail_start(params.k0l) * params.omega0
-    if pv_excision is None:
-        pv_excision = 1e-3 * params.omega0
     if omega_max < 100 * params.omega0:
         raise ConfigurationError(
             f"omega_max must be >= 100*omega0 for a usable tail, got {omega_max}")
-    if not (pv_excision > 0):
-        raise DomainError(f"pv_excision must be > 0, got {pv_excision}")
-    if tol is None:
-        tol = 1e-6 * params.gamma if params.gamma > 0 else 1e-12
 
-    g = params.gamma
-    a = params.k0l
-    kind = "pole" if part_index in (1, 3) else "nonpole"
-    sign = 1.0 if part_index in (1, 2) else -1.0  # parts 3, 4 carry e^{-i omega l}
+    pole = part_index in (1, 3)
+    c = -1.0 if pole else 1.0
+    a = params.k0l if part_index in (1, 2) else -params.k0l  # parts 3, 4 carry e^{-i omega l}
+    big_u = omega_max / params.omega0
 
-    eps_u = EPS_REF_RATIO            # shared infrared convention, u units
-    big_u0 = omega_max / params.omega0
-    delta_u0 = pv_excision / params.omega0
-    if not delta_u0 < 0.25:
-        raise ConfigurationError(
-            f"pv_excision = {pv_excision} too wide (>= 0.25*omega0)")
+    def g(u):
+        return 1.0 / u - 1.0 / (u + c)
 
-    levels = []
-    for m in range(3):
-        raw = _oracle_level(kind, sign * a, eps_u, delta_u0 / 2 ** m,
-                            big_u0 * 2 ** m)
-        if kind == "pole":
-            m_i = 0.5 * g * cmath.exp(1j * sign * a) + 1j * g / (2 * math.pi) * raw
-        else:
-            m_i = -1j * g / (2 * math.pi) * raw
-        levels.append(m_i)
+    def window(u):
+        # e^{iau} g(u) - e^{ia}/(1-u) = e^{iau} [1/u + (1 - e^{-iav})/(1-u)], v = u - 1,
+        # with 1 - e^{-iav} written 2 sin^2(av/2) + i sin(av) so that nothing cancels
+        av = a * (u - 1.0)
+        return 1.0 / u + (2.0 * np.sin(0.5 * av) ** 2 + 1j * np.sin(av)) / (1.0 - u)
 
-    d1, d2 = levels[1] - levels[0], levels[2] - levels[1]
-    residual = abs(d2)
-    if residual > tol:
-        raise ConvergenceError(
-            f"oracle for part {part_index} not converged at tol={tol:.2e}",
-            residual=residual)
-    denom = d2 - d1
-    if abs(denom) > 1e-30:
-        extrapolated = levels[2] - d2 * d2 / denom
-        if abs(extrapolated - levels[2]) < 10 * residual + tol:
-            return extrapolated
-    return levels[2]
+    # oscillation-aware width cap: ~8 radians of phase per 16-node panel
+    wmax = 8.0 / abs(a) if a != 0.0 else math.inf
+    # infrared section [eps_ref, 0.125]: logarithmic panels, 4 per decade,
+    # then geometric panels out to big_u from the window's end (or from 0.25)
+    n_log = math.ceil(4 * math.log10(0.125 / EPS_REF_RATIO))
+    edges = np.geomspace(EPS_REF_RATIO, 0.125, n_log + 1).tolist()
+    far = [1.5 if pole else 0.25]
+    while far[-1] < big_u:
+        far.append(min(2 * far[-1], big_u))
+
+    if pole:
+        val = (_gl_panels(g, _subdivide(edges + [0.5], wmax), a)
+               + _gl_panels(window, _subdivide([0.5, 1.0, 1.5], wmax), a)
+               + _gl_panels(g, _subdivide(far, wmax), a))
+    else:
+        val = _gl_panels(g, _subdivide(edges + far, wmax), a)
+    # the regular piece on [0, eps_ref], below the cut of the 1/u piece
+    val += _gl_panels(lambda u: -1.0 / (u + c), np.array([0.0, EPS_REF_RATIO]), a)
+
+    # tail u > big_u: three-term integration by parts of e^{iau} g(u), with
+    # g^(k)(U) = (-1)^k k! (U^-(k+1) - (U+c)^-(k+1)), or the exact
+    # logarithm when there is no oscillation at all
+    if a == 0.0:
+        val += math.log((big_u + c) / big_u)
+    else:
+        ila = 1j * a
+        val -= cmath.exp(ila * big_u) * sum(
+            math.factorial(k) * (big_u ** -(k + 1) - (big_u + c) ** -(k + 1)) / ila ** (k + 1)
+            for k in range(3))
+
+    gamma = params.gamma
+    if pole:
+        return 0.5 * gamma * cmath.exp(1j * a) + 1j * gamma / (2 * math.pi) * val
+    return -1j * gamma / (2 * math.pi) * val

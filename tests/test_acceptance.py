@@ -211,7 +211,7 @@ def test_validation_suite_runtime(capfd):
 # move by a few ulps on other hardware, so their bound is at least 1e-15.
 ACCURACY_RECORD = {
     "coupling-identity": 3.7258694339903e-15,
-    "coupling-oracle": 5.3292555521591827e-14,
+    "coupling-oracle": 7.993605777301127e-15,
     "rwa-divergence": 1.3461665939591e-06,
     "negfreq-equivalence": 1.5543741876503828e-15,
     "mode-oracle": 6.6357577864715454e-12,
