@@ -41,7 +41,6 @@ from .sweep import (
     CONFIG_KEYS,
     SweepSpec,
     cell_params,
-    model_label,
     parse_models,
     run_sweep,
 )
@@ -96,7 +95,7 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if (n_rows := len(k0l_values) * len(models)) > COUPLING_ROW_BUDGET:
         raise ConfigurationError(f"the coupling table needs {n_rows:,} rows (k0l values x "
                                  f"models), over the budget of {COUPLING_ROW_BUDGET:,}")
-    if k0l_values[0] == 0 and any(model.variant == "rwa_const_g" for model in models):
+    if k0l_values[0] == 0 and any(model.variant == "rwa-constg" for model in models):
         if args.k0l is None and not args.k0l_range:
             raise DomainError("rwa-constg is singular at k0l = 0, where the default --k0l-range "
                               "starts; pass a --k0l, or a --k0l-range starting above 0")
@@ -104,7 +103,7 @@ def cmd_coupling(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
                           "or a --k0l-range starting above 0")
     out = None if args.out is None else output_directory(args.out)
     rows = compare_couplings(k0l_values, models, omega0_over_gamma=omega0_over_gamma)
-    table = [(row.k0l, model_label(row.model), row.m_total.real,
+    table = [(row.k0l, row.model.label, row.m_total.real,
               row.m_total.imag, row.abs_dev_from_full, row.diverged)
              for row in rows]
     if out is not None:
@@ -217,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     for cell in manifest.cells:
         status = cell.area_check if cell.ok else f"error: {cell.error}"
         print(f"cell{cell.index:03d} gamma_over_delta={cell.gamma_over_delta:{g_format}} "
-              f"k0l={cell.k0l:{k_format}} model={model_label(cell.model)} -> {status}")
+              f"k0l={cell.k0l:{k_format}} model={cell.model.label} -> {status}")
     passed = sum(cell.passed for cell in manifest.cells)
     print(f"{passed}/{len(manifest.cells)} cells passed")
     return EXIT_OK if manifest.all_ok else EXIT_CHECK

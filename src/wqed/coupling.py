@@ -18,11 +18,11 @@ of that constant leaves the totals unchanged.
 Four models are implemented:
 
     full          all four paths, cutoff-free total gamma*e^{i k0l}
-    rwa_cutoff    rotating-wave only (M1+M3) at a user-supplied infrared
+    rwa-cutoff    rotating-wave only (M1+M3) at a user-supplied infrared
                   cutoff; imaginary part grows like -(gamma/pi) ln(eps)
-    rwa_const_g   rotating-wave with frequency-independent coupling
+    rwa-constg    rotating-wave with frequency-independent coupling
                   strength; finite but wrong shift except k0l >> 1
-    rwa_negfreq   rotating-wave with the frequency integral extended to
+    rwa-negfreq   rotating-wave with the frequency integral extended to
                   -inf; reproduces the exact total
 
 plus a principal-value quadrature oracle that evaluates the defining
@@ -59,7 +59,7 @@ from .specfun import ci, si
 # here; pairwise sums and the total do not depend on it.
 EPS_REF_RATIO = 1e-8
 
-# |Ci(eps*l)| beyond which an rwa_cutoff evaluation is flagged as
+# |Ci(eps*l)| beyond which an rwa-cutoff evaluation is flagged as
 # running into the infrared divergence.
 DEFAULT_CI_DIVERGENCE_THRESHOLD = 1.0
 
@@ -137,22 +137,27 @@ class SimParams:
 class CouplingModel:
     """Which set of photon pathways (and which regularisation) to use."""
 
-    variant: str                  # full | rwa_cutoff | rwa_const_g | rwa_negfreq
-    epsilon: float | None = None  # infrared cutoff, rwa_cutoff only
+    variant: str                  # one of VARIANTS
+    epsilon: float | None = None  # infrared cutoff, rwa-cutoff only
 
-    _VARIANTS = ("full", "rwa_cutoff", "rwa_const_g", "rwa_negfreq")
+    VARIANTS = ("full", "rwa-cutoff", "rwa-constg", "rwa-negfreq")
 
     def __post_init__(self):
-        if self.variant not in self._VARIANTS:
+        if self.variant not in self.VARIANTS:
             raise ConfigurationError(
-                f"unknown coupling variant {self.variant!r}; expected one of {self._VARIANTS}")
-        if self.variant == "rwa_cutoff":
+                f"unknown coupling model {self.variant!r}; expected one of {self.VARIANTS}")
+        if self.variant == "rwa-cutoff":
             if self.epsilon is None or not (self.epsilon > 0):
                 raise DomainError(
-                    f"rwa_cutoff requires an infrared cutoff epsilon > 0, got {self.epsilon}")
+                    f"rwa-cutoff requires an infrared cutoff epsilon > 0, got {self.epsilon}")
         elif self.epsilon is not None:
             raise ConfigurationError(
-                f"epsilon is only meaningful for rwa_cutoff, got variant {self.variant!r}")
+                f"epsilon is only meaningful for rwa-cutoff, got model {self.variant!r}")
+
+    @property
+    def label(self) -> str:
+        """The model's one name: its variant, then `:EPS` for rwa-cutoff."""
+        return self.variant if self.epsilon is None else f"{self.variant}:{self.epsilon:.17g}"
 
     @classmethod
     def full(cls) -> "CouplingModel":
@@ -160,15 +165,15 @@ class CouplingModel:
 
     @classmethod
     def rwa_cutoff(cls, epsilon: float) -> "CouplingModel":
-        return cls("rwa_cutoff", epsilon=epsilon)
+        return cls("rwa-cutoff", epsilon=epsilon)
 
     @classmethod
     def rwa_const_g(cls) -> "CouplingModel":
-        return cls("rwa_const_g")
+        return cls("rwa-constg")
 
     @classmethod
     def rwa_negfreq(cls) -> "CouplingModel":
-        return cls("rwa_negfreq")
+        return cls("rwa-negfreq")
 
 
 class CouplingResult(NamedTuple):
@@ -272,7 +277,7 @@ def coupling_rwa_const_g(params: SimParams) -> CouplingResult:
     x = params.k0l
     if x < 1e-300:
         raise DomainError(
-            "rwa_const_g is singular at k0l = 0 (Ci divergence is not cancelled)")
+            "rwa-constg is singular at k0l = 0 (Ci divergence is not cancelled)")
     m = g * math.cos(x) + 1j * (g / math.pi) * (
         math.sin(x) * (si(x) + math.pi / 2) + math.cos(x) * ci(x))
     return CouplingResult(m_total=m)
@@ -289,9 +294,9 @@ def evaluate_coupling(params: SimParams, model: CouplingModel) -> CouplingResult
     """Dispatch on the model variant."""
     if model.variant == "full":
         return coupling_full(params)
-    if model.variant == "rwa_cutoff":
+    if model.variant == "rwa-cutoff":
         return coupling_rwa_cutoff(params, model.epsilon)
-    if model.variant == "rwa_const_g":
+    if model.variant == "rwa-constg":
         return coupling_rwa_const_g(params)
     return coupling_rwa_negfreq(params)
 
@@ -318,7 +323,7 @@ def compare_couplings(k0l_values, models, *,
     Rows are ordered k0l-major, models in the given order within each
     k0l.  Cutoff-regularized models carry their epsilon inside the
     CouplingModel, so a grid over epsilon is expressed as several
-    rwa_cutoff models.
+    rwa-cutoff models.
     """
     k0l_values = tuple(float(v) for v in k0l_values)
     models = tuple(models)
@@ -398,11 +403,13 @@ def coupling_oracle(params: SimParams, part_index: int,
     On the symmetric window [1/2, 3/2] the PV of e^{ia}/(1-u) is 0, so the
     pole is subtracted there and the window's integrand is smooth.  The
     regular piece is integrated from 0 and the 1/u piece from the reference
-    infrared frequency, so single parts use the same convention as the
-    closed forms and are directly comparable; pairwise sums (1+2, 3+4) are
-    convention-free.  Past omega_max three integration-by-parts terms stand
-    for the tail; by default omega_max is the start at which their
-    remainder bound falls to ORACLE_TAIL_TOL * gamma (_tail_start).
+    infrared frequency.  That cut keeps a term the closed forms drop: part
+    k less coupling_full's part k is (+, -, -, +) gamma Si(EPS_REF_RATIO
+    k0l)/(2 pi), which cancels in the pairwise sums (1+2, 3+4), and so in
+    the total; those are convention-free.  Past omega_max three
+    integration-by-parts terms stand for the tail; by default omega_max is
+    the start at which their remainder bound falls to ORACLE_TAIL_TOL *
+    gamma (_tail_start).
     """
     if part_index not in (1, 2, 3, 4):
         raise ConfigurationError(f"part_index must be 1..4, got {part_index}")

@@ -295,7 +295,6 @@ class Spectrum(NamedTuple):
 
     detuning: np.ndarray          # (omega - omega0) / delta, ascending
     amplitude: np.ndarray
-    delta: float
     fft_len: int
 
     @property
@@ -333,7 +332,7 @@ def spectrum(env: FieldEnvelope) -> Spectrum:
     amplitude *= dtau * np.exp(1j * float(env.tau[0]) * omega)
     amplitude += _tail_sum(env, omega)
     omega /= env.delta
-    return Spectrum(detuning=omega, amplitude=amplitude, delta=env.delta, fft_len=zones[0][0])
+    return Spectrum(detuning=omega, amplitude=amplitude, fft_len=zones[0][0])
 
 
 def _tail_sum(env: FieldEnvelope, omega):

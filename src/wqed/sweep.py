@@ -59,37 +59,19 @@ AREA_SKIPPED = "skipped"      # gamma = 0: no scatterers, theorem not applicable
 AREA_TRUNCATED = "truncated"  # envelopes, less tails, not decayed at the grid ends
 AREA_TOL = 1e-3               # a pass: both area ratios at most this
 
-_VARIANT_TO_LABEL = {
-    "full": "full",
-    "rwa_cutoff": "rwa-cutoff",
-    "rwa_const_g": "rwa-constg",
-    "rwa_negfreq": "rwa-negfreq",
-}
-_LABEL_TO_VARIANT = {label: variant for variant, label in _VARIANT_TO_LABEL.items()}
-
-
-def model_label(model: CouplingModel) -> str:
-    """Surface spelling of a coupling model (epsilon appended when set)."""
-    label = _VARIANT_TO_LABEL[model.variant]
-    if model.epsilon is not None:
-        label += ":" + format_value(model.epsilon)
-    return label
-
-
 def model_from_label(label: str) -> CouplingModel:
-    """Inverse of model_label: rwa-cutoff's label carries its cutoff, `:EPS`."""
+    """The model a label names (CouplingModel.label); rwa-cutoff's carries its
+    cutoff, `:EPS`."""
     label = label.strip()
     name, colon, eps_text = label.partition(":")
-    try:
-        variant = _LABEL_TO_VARIANT[name.strip()]
-    except KeyError:
+    name = name.strip()
+    if name not in CouplingModel.VARIANTS:
         raise ConfigurationError(
-            f"unknown coupling model {label!r}; expected one of "
-            f"{sorted(_VARIANT_TO_LABEL.values())}") from None
-    if variant == "rwa_cutoff" and not colon:
+            f"unknown coupling model {label!r}; expected one of {sorted(CouplingModel.VARIANTS)}")
+    if name == "rwa-cutoff" and not colon:
         raise DomainError(f"coupling model {label!r} needs its infrared cutoff: "
                           "write rwa-cutoff:EPS, EPS > 0")
-    return CouplingModel(variant, _positive("epsilon", eps_text) if colon else None)
+    return CouplingModel(name, _positive("epsilon", eps_text) if colon else None)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +144,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {
 def _config_value(value):
     """A value as config text has it: a model as its label, a tuple as a comma list."""
     if isinstance(value, CouplingModel):
-        return model_label(value)
+        return value.label
     if isinstance(value, tuple):
         return ",".join(format_value(_config_value(v)) for v in value)
     return value

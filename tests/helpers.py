@@ -112,8 +112,7 @@ def full_dft_spectrum(env: FieldEnvelope, n: int) -> Spectrum:
     omega *= 2.0 * math.pi / (n * env.dtau)
     amplitude = np.fft.fftshift(np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward"))
     amplitude *= env.dtau * np.exp(1j * float(env.tau[0]) * omega)
-    return Spectrum(detuning=omega / env.delta, amplitude=amplitude,
-                    delta=env.delta, fft_len=n)
+    return Spectrum(detuning=omega / env.delta, amplitude=amplitude, fft_len=n)
 
 
 def reflection_oracle(params: SimParams, m_total: complex,

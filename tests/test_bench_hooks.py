@@ -75,6 +75,13 @@ def test_bench_imports_found():
         ("wqed.fields", "DEFAULT_ZERO_PAD"), ("wqed.dynamics", "default_grid")}
 
 
+def test_bench_full_model_label():
+    # workloads.py writes `models = full` into its sweep spec and expects
+    # `model=full` back on each cell line
+    assert wqed.sweep.model_from_label("full") == CouplingModel.full()
+    assert CouplingModel.full().label == "full"
+
+
 def test_bench_grid_call_takes_the_span_second():
     # run.py counts each workload cell's grid as default_grid(params, span,
     # m_total=m): the span must stay the second positional parameter, or the

@@ -404,10 +404,10 @@ class TestSimulateCommand:
         out = tmp_path / "new" / "dir"
         done = run_fresh(["simulate", "--model", "rwa-constg", "--k0l", 0, "--out", out])
         assert done.returncode == EXIT_CHECK, done.stderr
-        assert done.stderr.startswith("error: DomainError: rwa_const_g is singular")
+        assert done.stderr.startswith("error: DomainError: rwa-constg is singular")
         summary = parse_config_text(done.stdout)["summary"]
         assert summary["ok"] is False
-        assert summary["error"].startswith("DomainError: rwa_const_g is singular")
+        assert summary["error"].startswith("DomainError: rwa-constg is singular")
         manifest = read_config(out / "manifest.txt")
         assert manifest["manifest"]["all_ok"] is False
         assert manifest["cell000"]["error"] == summary["error"]
@@ -776,7 +776,7 @@ class TestSweepCommand:
         done = run_fresh(["sweep", "--spec", spec])
         assert done.returncode == EXIT_CHECK, done.stderr
         assert done.stderr == ""
-        assert done.stdout.count("-> error: DomainError: rwa_const_g is singular") == 2
+        assert done.stdout.count("-> error: DomainError: rwa-constg is singular") == 2
         assert done.stdout.endswith("\n0/2 cells passed\n")
         manifest = read_config(out / "manifest.txt")
         assert manifest["manifest"]["all_ok"] is False

@@ -29,6 +29,7 @@ from wqed.coupling import (
 from wqed.checks import VALIDATION_CHECKS
 from wqed.dynamics import MARKOV_LIMIT, markov_guard
 from wqed.errors import ConfigurationError, DomainError
+from wqed.specfun import si
 
 
 # the coupling-oracle parts at validate's spots before the oracle integrated
@@ -89,7 +90,7 @@ class TestCouplingModel:
         with pytest.raises(DomainError):
             CouplingModel.rwa_cutoff(0.0)
         with pytest.raises(DomainError):
-            CouplingModel("rwa_cutoff")
+            CouplingModel("rwa-cutoff")
 
     def test_epsilon_rejected_elsewhere(self):
         with pytest.raises(ConfigurationError):
@@ -320,6 +321,18 @@ class TestOracle:
         p = SimParams.from_ratios(gamma_over_delta, k0l)
         total = sum(coupling_oracle(p, i) for i in (1, 2, 3, 4))
         assert abs(total - coupling_full(p).m_total) <= 3e-14 * p.gamma
+
+    @pytest.mark.parametrize("k0l", [math.pi / 8, math.pi / 4, 1.0, math.pi / 2, math.pi,
+                                     2 * math.pi, 3 * math.pi])
+    def test_single_parts_differ_by_the_si_offset(self, k0l):
+        # the oracle cuts the 1/u piece at eps_ref, where the closed forms'
+        # regularisers G+- keep only Ci; the Si term it adds cancels in pairs
+        p = SimParams.from_ratios(0.25, k0l)
+        offset = p.gamma * si(EPS_REF_RATIO * p.k0l) / (2 * math.pi)
+        closed = coupling_full(p).m_parts
+        for index, sign in enumerate((1, -1, -1, 1), start=1):
+            difference = coupling_oracle(p, index) - closed[index - 1]
+            assert abs(difference - sign * offset) <= 1e-13 * p.gamma
 
     def test_validate_spots_take_at_most_40000_nodes(self, monkeypatch):
         # validate's three spots take 34,688 nodes in one pass with the pole subtracted

@@ -291,7 +291,7 @@ class TestSpectrum:
             tail = sum(c * d.conjugate() / np.expm1((lam + mu.conjugate()) * env.dtau)
                        for c, lam in env.tail for d, mu in env.tail)
             lhs = (float(np.sum(np.abs(env.samples) ** 2)) + tail.real) * env.dtau
-            d_abs = (sp.detuning[1] - sp.detuning[0]) * sp.delta
+            d_abs = (sp.detuning[1] - sp.detuning[0]) * env.delta
             rhs = float(np.sum(sp.intensity)) * d_abs / (2 * math.pi)
             assert rhs == pytest.approx(lhs, rel=1e-6)
 
@@ -330,7 +330,7 @@ class TestSpectrum:
         by half, and then the tail's (tail_samples), to 1e-12 of the largest."""
         inside = np.flatnonzero(np.abs(sp.detuning) <= 4.0)
         picks = inside[np.linspace(0, inside.size - 1, 21).astype(int)]
-        omega = sp.detuning[picks] * sp.delta
+        omega = sp.detuning[picks] * env.delta
         tail_tau, tail = tail_samples(env)
         samples = env.samples.copy()
         samples[0] *= 0.5
@@ -535,7 +535,7 @@ class TestClosedFormTail:
         params, coupling, _, (inc, trans, _) = _scatter(ratio, k0l)
         assert trans.tail and not inc.tail
         spec = spectrum(trans)
-        omega = spec.detuning * spec.delta
+        omega = spec.detuning * trans.delta
         incident = np.concatenate([np.exp(1j * np.outer(part, inc.tau)) @ inc.samples
                                    for part in np.array_split(omega, 32)]) * inc.dtau
         span = 8.0 * params.delta

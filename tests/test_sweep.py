@@ -27,7 +27,6 @@ from wqed.sweep import (
     area_verdict,
     cell_params,
     model_from_label,
-    model_label,
     run_cell,
     run_sweep,
     scatter,
@@ -125,13 +124,14 @@ class TestModelLabels:
         CouplingModel.rwa_negfreq(),
     ])
     def test_label_round_trip(self, model):
-        assert model_from_label(model_label(model)) == model
+        assert model_from_label(model.label) == model
+        assert model.variant == model.label.partition(":")[0]
 
     def test_config_value_writes_a_model_as_its_label(self):
         # the model test comes before the tuple test, so a model is written
         # as its label, never as a comma list of its fields
         model = CouplingModel.rwa_cutoff(1e-7)
-        assert wqed.sweep._config_value(model) == model_label(model)
+        assert wqed.sweep._config_value(model) == model.label
 
     def test_cutoff_without_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -173,7 +173,7 @@ class TestRunSweep:
         budget_grid = default_grid(params)
         for model in (CouplingModel.full(), CouplingModel.rwa_cutoff(1e-2 * params.omega0),
                       CouplingModel.rwa_const_g(), CouplingModel.rwa_negfreq()):
-            if model.variant == "rwa_const_g" and k0l == 0.0:
+            if model.variant == "rwa-constg" and k0l == 0.0:
                 continue  # singular there; run_cell reports the DomainError
             m_total = evaluate_coupling(params, model).m_total
             assert default_grid(params, m_total=m_total) == budget_grid
@@ -320,7 +320,7 @@ class TestRunSweep:
         assert full == 1.0 and 0.97 < constg < 0.98 and dark == dark_constg == 0.0
 
     def test_cell_failure_recorded_and_sweep_continues(self):
-        # rwa_const_g is singular at k0l = 0, which fails its cell; the
+        # rwa-constg is singular at k0l = 0, which fails its cell; the
         # full-coupling cell of the same sweep must still run
         spec = SweepSpec(gamma_over_delta=[0.25], k0l=[0.0],
                          models=[CouplingModel.full(), CouplingModel.rwa_const_g()])
@@ -328,7 +328,7 @@ class TestRunSweep:
         good, bad = manifest.cells
         assert good.ok and good.area_check == AREA_PASS
         assert not bad.ok and bad.area_check is None
-        assert bad.error.startswith("DomainError: rwa_const_g is singular at k0l = 0")
+        assert bad.error.startswith("DomainError: rwa-constg is singular at k0l = 0")
         assert not manifest.all_ok
 
     def test_truncated_grid_recorded(self):
