@@ -147,9 +147,9 @@ class CouplingModel:
             raise ConfigurationError(
                 f"unknown coupling model {self.variant!r}; expected one of {self.VARIANTS}")
         if self.variant == "rwa-cutoff":
-            if self.epsilon is None or not (self.epsilon > 0):
+            if self.epsilon is None or not 0 < self.epsilon < math.inf:
                 raise DomainError(
-                    f"rwa-cutoff requires an infrared cutoff epsilon > 0, got {self.epsilon}")
+                    f"rwa-cutoff requires a finite infrared cutoff epsilon > 0, got {self.epsilon}")
         elif self.epsilon is not None:
             raise ConfigurationError(
                 f"epsilon is only meaningful for rwa-cutoff, got model {self.variant!r}")

@@ -138,15 +138,18 @@ def default_grid(params: SimParams, span_factor: float = 1.0,
     """Grid of the pulse section and the rest of the source's support, past
     which every decaying mode is a closed-form tail.  span_factor scales the
     post-pulse section (4/delta, so below 1 the grid ends inside the support);
-    dt_factor scales the step 1/(100 max(delta, gamma)).  m_total is accepted
-    and unused: the modes it sets do not move the grid.  Over POINT_BUDGET
-    points it raises."""
+    dt_factor scales the step 1/(100 r), r = max(delta, gamma, |m_total|), so that
+    up to dt_factor 2 no step exceeds step_limit; |m_total| counts only 1e-9 relative
+    above the rest (full coupling's is gamma to rounding).  Over POINT_BUDGET it raises."""
     if not (0 < span_factor < math.inf and 0 < dt_factor < math.inf):
         raise ConfigurationError("span_factor and dt_factor must be finite and > 0")
     t_end = _PULSE_HALF_SPAN / params.delta
     t_start = -t_end
     t_end += span_factor * ((_ENVELOPE_WINDOW - _PULSE_HALF_SPAN) / params.delta)
-    dt = 1.0 / max(params.delta, params.gamma) / 100.0 * dt_factor
+    rate = max(params.delta, params.gamma)
+    if m_total is not None and abs(m_total) > rate * (1.0 + 1e-9):
+        rate = abs(m_total)
+    dt = 1.0 / rate / 100.0 * dt_factor
     return TimeGrid.from_step(t_start, t_end, dt)
 
 

@@ -37,7 +37,6 @@ from .dynamics import (
     default_grid,
     integrate_markovian,
     markov_guard,
-    step_limit,
 )
 from .errors import ConfigurationError, DomainError, NumericalError, WqedError
 from .fields import (
@@ -356,7 +355,7 @@ def scatter(params: SimParams, coupling: CouplingResult, *,
     being (incident, transmitted, reflected): the one grid, source, RK4
     and fields pipeline behind run_cell and the validation checks.  The
     source is not kept, so its grid-length series die with the integration."""
-    grid = default_grid(params, span_factor, dt_factor)
+    grid = default_grid(params, span_factor, dt_factor, coupling.m_total)
     traj = integrate_markovian(build_source(params, grid), coupling, params)
     return traj, reconstruct_fields(traj, params)
 
@@ -438,23 +437,21 @@ def run_cell(index: int, gamma_over_delta: float, k0l: float,
 
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute every cell (spec order), assemble and write the manifest;
-    first, a cell whose coupling evaluates but whose grid exceeds the point
-    budget, or whose step exceeds step_limit, or an out_dir that cannot be
-    a directory, raises ConfigurationError."""
+    first, a dt_factor over 2 (a step over step_limit), a cell whose coupling
+    evaluates but whose grid exceeds the point budget, or an out_dir that
+    cannot be a directory, raises ConfigurationError."""
+    if spec.dt_factor > 2:
+        raise ConfigurationError(
+            f"dt_factor = {spec.dt_factor:g} gives a step over the integrators' limit "
+            "min(1/delta, 1/gamma, 1/|M|)/50; use dt_factor <= 2")
     cells = [(g, k, m) for g in spec.gamma_over_delta for k in spec.k0l for m in spec.models]
-    fits = math.inf  # the largest dt_factor whose step every checked cell takes
     for g, k, model in cells:
         params = cell_params(g, k, spec.omega0_over_gamma)
         try:  # a coupling that raises fails its cell before it allocates
             m_total = evaluate_coupling(params, model).m_total
         except WqedError:
             continue
-        grid = default_grid(params, dt_factor=spec.dt_factor)
-        fits = min(fits, spec.dt_factor * step_limit(params, m_total) / grid.dt)
-    if fits < spec.dt_factor:  # rounded down, so that it passes (fits > 0.008 always)
-        raise ConfigurationError(
-            f"dt_factor = {spec.dt_factor:g} gives a step over the integrators' limit "
-            f"min(1/delta, 1/gamma, 1/|M|)/50; use dt_factor <= {math.floor(fits * 1e4) / 1e4:g}")
+        default_grid(params, dt_factor=spec.dt_factor, m_total=m_total)
     out_dir = None if spec.out_dir is None else output_directory(spec.out_dir)
     results = tuple(run_cell(index, *cell, spec) for index, cell in enumerate(cells))
     manifest = RunManifest(MANIFEST_VERSION, spec, results)

@@ -457,9 +457,6 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flags, dt_factor, fits, rerun_code", [
         (["--grid-dt", 3], 3, "2", EXIT_OK),
-        # |M| ~ 25 gamma under a deep infrared cutoff; at its largest passing
-        # step the cell runs and fails only the area check
-        (["--model", "rwa-cutoff:1e-30"], 1, "0.315", EXIT_CHECK),
     ])
     def test_step_over_the_limit_exits_2_before_any_cell(self, tmp_path, monkeypatch,
                                                          flags, dt_factor, fits, rerun_code):
@@ -473,6 +470,21 @@ class TestSimulateCommand:
         assert not out.exists()
         code, _, err = invoke(["simulate", *flags, "--grid-dt", fits, "--out", out])
         assert code == rerun_code and err == ""
+
+    def test_deep_cutoff_runs_at_the_default_step(self, tmp_path):
+        # |M| ~ 25 gamma = 6.3 delta under a deep infrared cutoff: the grid
+        # steps by 1/(100 |M|), so the cell runs and fails only the area check
+        code, stdout, err = invoke(["simulate", "--model", "rwa-cutoff:1e-30",
+                                    "--out", tmp_path / "d"])
+        assert code == EXIT_CHECK and err == ""
+        summary = parse_config_text(stdout)["summary"]
+        assert summary["ok"] is True and summary["area_check"] == "fail"
+        cell = read_config(tmp_path / "d" / "manifest.txt")["cell000"]
+        params = wqed.sweep.cell_params(0.25, PI4)
+        assert cell["n"] == 12_696
+        abs_m = math.hypot(cell["re_m"], cell["im_m"])
+        assert cell["dt"] == pytest.approx(0.01 / abs_m, rel=1e-3)
+        assert cell["dt"] < 0.01 / max(params.delta, params.gamma)
 
     @pytest.mark.parametrize("argv, text, name", [
         (["--model", "full,rwa-negfreq"], None, "models lists 2 values"),
@@ -662,6 +674,21 @@ class TestSweepCommand:
         sections = read_config(tmp_path / "out" / "manifest.txt")
         widths = [sections[f"cell{i:03d}"]["dip_width"] for i in range(3)]
         assert widths[0] > widths[1] > widths[2]   # ordered by coupling
+
+    def test_full_against_a_cutoff_runs_every_cell(self, tmp_path):
+        # the paper's comparison: each cell runs on its own grid, the full
+        # coupling passes the area check and its RWA cutoff form fails it
+        spec = tmp_path / "compare.ini"
+        spec.write_text(f"[sweep]\ngamma_over_delta = 0.25, 4\nk0l = {PI4!r}\n"
+                        f"models = full, rwa-cutoff:1e-3\n[output]\ndir = {tmp_path / 'out'}\n")
+        code, out, err = invoke(["sweep", "--spec", spec])
+        assert code == EXIT_CHECK and err == ""
+        assert out.endswith("\n2/4 cells passed\n")
+        manifest = read_config(tmp_path / "out" / "manifest.txt")
+        cells = [manifest[f"cell00{i}"] for i in range(4)]
+        assert all(cell["ok"] is True for cell in cells)
+        assert [cell["area_check"] for cell in cells] == ["pass", "fail"] * 2
+        assert cells[3]["n"] == 45_076
 
     def test_labels_tell_close_cells_apart(self, tmp_path):
         # both ratios print as 4 in {:g}: that axis alone takes 17 digits

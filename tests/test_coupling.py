@@ -91,6 +91,8 @@ class TestCouplingModel:
             CouplingModel.rwa_cutoff(0.0)
         with pytest.raises(DomainError):
             CouplingModel("rwa-cutoff")
+        with pytest.raises(DomainError):  # its label, rwa-cutoff:inf, would not parse
+            CouplingModel.rwa_cutoff(math.inf)
 
     def test_epsilon_rejected_elsewhere(self):
         with pytest.raises(ConfigurationError):

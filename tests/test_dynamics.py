@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from wqed.coupling import CouplingResult, SimParams, coupling_full
+from wqed.coupling import CouplingModel, CouplingResult, SimParams, coupling_full, evaluate_coupling
 from wqed.dynamics import (
     MARKOV_LIMIT,
     ORACLE_BLOCK,
@@ -24,6 +24,7 @@ from wqed.dynamics import (
     integrate_markovian,
     markov_guard,
     oracle_modes,
+    step_limit,
     tail_modes,
     _GL6_W,
     _GL6_X,
@@ -187,6 +188,22 @@ class TestTimeGrid:
         assert grid.dt == pytest.approx(0.01 / max(1.0, gamma), rel=1e-12)
         assert gamma > 0 or grid.n == 2_001
 
+    @pytest.mark.parametrize("ratio", [0.25, 4.0])
+    def test_default_grid_steps_by_the_fastest_rate(self, ratio):
+        # |M| sets the step only where it exceeds max(delta, gamma) by more than
+        # 1e-9 relative, so full coupling's |M| = gamma keeps the grid bitwise
+        p = SimParams.from_ratios(ratio, math.pi / 4)
+        rate = max(p.delta, p.gamma)
+        grid = default_grid(p)
+        for m in (coupling_full(p).m_total, 1j * rate * (1 + 1e-10)):
+            assert default_grid(p, m_total=m) == grid
+        for m in (rate * (1 + 1e-8), -3j * rate):
+            fast = default_grid(p, m_total=m)
+            assert fast.dt == pytest.approx(0.01 / abs(m), rel=1e-4)
+            assert fast.dt < grid.dt
+            # up to dt_factor 2 the step is within the integrators' limit
+            assert default_grid(p, dt_factor=2.0, m_total=m).dt <= step_limit(p, m)
+
     def test_default_grid_caps_near_dark_modes(self):
         # a barely-driven, barely-decaying mode must not blow up the grid
         p = SimParams.from_ratios(4.0, 1e-6)
@@ -321,6 +338,20 @@ class TestIntegrateMarkovian:
         rk = integrate_markovian(src, cpl, p)
         om = oracle_modes(src, cpl, p)
         scale = np.abs(om.beta1).max()
+        dev = max(np.abs(rk.beta1 - om.beta1).max(),
+                  np.abs(rk.beta2 - om.beta2).max()) / scale
+        assert dev < 1e-8
+
+    def test_matches_mode_oracle_under_a_deep_cutoff(self):
+        # the RWA cutoff's |M| = 5.6 gamma sets the step of its own default
+        # grid, and RK4 holds the mode-oracle tolerance there too
+        p = SimParams.from_ratios(4.0, math.pi / 4)
+        cpl = evaluate_coupling(p, CouplingModel.rwa_cutoff(1e-3))
+        assert abs(cpl.m_total) > 5 * p.gamma
+        src = build_source(p, default_grid(p, m_total=cpl.m_total))
+        rk = integrate_markovian(src, cpl, p)
+        om = oracle_modes(src, cpl, p)
+        scale = max(np.abs(om.beta1).max(), np.abs(om.beta2).max())
         dev = max(np.abs(rk.beta1 - om.beta1).max(),
                   np.abs(rk.beta2 - om.beta2).max()) / scale
         assert dev < 1e-8

@@ -482,6 +482,8 @@ class TestSpectrumAxis:
         assert dip_width(spec) == pytest.approx(reference, rel=1e-3)
 
     @settings(max_examples=25, deadline=None)
+    @example(ratio=10.0 ** 0.375, dark=0.0, offset=0.1, sign=-1.0)   # 1.4e-3 off read
+    @example(ratio=10.0 ** 0.5625, dark=0.0, offset=0.1, sign=-1.0)  # linearly
     @given(ratio=st.floats(-3.0, math.log10(4.0)).map(lambda x: 10.0 ** x),
            dark=st.sampled_from([0.0, math.pi, 2 * math.pi]),
            offset=st.floats(-6.0, -1.0).map(lambda x: 10.0 ** x),
@@ -492,6 +494,15 @@ class TestSpectrumAxis:
         trans = scatter(params, coupling)[1][1]
         spec = spectrum(trans)
         self.assert_well_formed(spec)
+        reference = oracle_dip_width(params, coupling.m_total)
+        assert dip_width(spec) == pytest.approx(reference, rel=1e-3)
+
+    def test_dip_width_on_a_strong_line_skirt(self):
+        # at (30, 1e-4) the left crossing lies on coarse bins between the
+        # slow line's skirt and its refined zone: read linearly, 2.5e-3 off
+        params = SimParams.from_ratios(30.0, 1e-4)
+        coupling = coupling_full(params)
+        spec = spectrum(scatter(params, coupling)[1][1])
         reference = oracle_dip_width(params, coupling.m_total)
         assert dip_width(spec) == pytest.approx(reference, rel=1e-3)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import read_csv, run_config_from_text, spec_text
 import wqed.sweep
 from wqed.coupling import CouplingModel, CouplingRow, compare_couplings, evaluate_coupling
-from wqed.dynamics import build_source, default_grid, integrate_markovian
+from wqed.dynamics import build_source, default_grid, integrate_markovian, step_limit
 from wqed.errors import ConfigurationError, DomainError
 from wqed.fields import SPECTRUM_WINDOW, reconstruct_fields
 from wqed.serialize import read_config
@@ -23,6 +23,7 @@ from wqed.sweep import (
     AREA_SKIPPED,
     AREA_TRUNCATED,
     MANIFEST_VERSION,
+    CellResult,
     SweepSpec,
     area_verdict,
     cell_params,
@@ -166,9 +167,9 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("k0l", [0.0, 0.3, PI4, math.pi])
     def test_budget_grid_is_every_models_grid(self, k0l):
-        # run_sweep checks the budget on default_grid with M = gamma e^{i k0l};
-        # every model has Re M = gamma cos k0l and default_grid reads only
-        # Re lam, so that grid is each model's own
+        # run_sweep checks the budget on each model's own grid; at these
+        # phases no model's |M| exceeds max(delta, gamma) = delta, so each
+        # model's grid is the one of the step 1/(100 delta)
         params = cell_params(0.25, k0l)
         budget_grid = default_grid(params)
         for model in (CouplingModel.full(), CouplingModel.rwa_cutoff(1e-2 * params.omega0),
@@ -177,6 +178,38 @@ class TestRunSweep:
                 continue  # singular there; run_cell reports the DomainError
             m_total = evaluate_coupling(params, model).m_total
             assert default_grid(params, m_total=m_total) == budget_grid
+
+    def test_no_model_is_refused(self, monkeypatch):
+        # the grid steps by the fastest rate, |M| included, so at the default
+        # dt_factor no model is refused at any phase, and each cell's step is
+        # within the integrators' step_limit up to dt_factor 2
+        models = ("full, rwa-negfreq, rwa-constg, rwa-cutoff:1, rwa-cutoff:0.1, "
+                  "rwa-cutoff:1e-3, rwa-cutoff:1e-8")
+
+        def checked_cell(index, gamma_over_delta, k0l, model, spec):
+            params = cell_params(gamma_over_delta, k0l, spec.omega0_over_gamma)
+            m_total = evaluate_coupling(params, model).m_total
+            grid = default_grid(params, dt_factor=2.0, m_total=m_total)
+            assert grid.dt <= step_limit(params, m_total)
+            return CellResult(index, gamma_over_delta, k0l, model, ok=True)
+
+        monkeypatch.setattr(wqed.sweep, "run_cell", checked_cell)
+        phases = [2 * math.pi * (i + 1) / 400 for i in range(400)]
+        manifest = run_sweep(SweepSpec(gamma_over_delta=(0.25, 4.0), k0l=phases, models=models))
+        assert len(manifest.cells) == 2 * 400 * 7
+
+    def test_budget_is_checked_on_each_models_grid(self, monkeypatch):
+        # rwa-cutoff:1e-8's |M| = 9.3 gamma steps 9.3 times finer than full
+        # coupling: at gamma/delta = 600 full fits the point budget, the cutoff
+        # does not, and the sweep stops before any cell runs
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(wqed.sweep, "run_cell", no_cell)
+        assert default_grid(cell_params(600.0, PI4)).n == 1_200_001
+        spec = SweepSpec(gamma_over_delta=600.0, k0l=PI4, models="full, rwa-cutoff:1e-8")
+        with pytest.raises(ConfigurationError, match="needs n = 11,137,756 points, over the budget"):
+            run_sweep(spec)
 
     def test_dip_width_strictly_increasing_in_coupling(self, fig_sweep):
         _, manifest = fig_sweep
